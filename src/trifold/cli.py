@@ -35,6 +35,7 @@ from .automata import (
     build_geodesic_automaton,
     build_lexfirst_automaton,
     fellow_traveller_check,
+    lexfirst_words,
 )
 from .curvature import (
     build_patch,
@@ -83,6 +84,10 @@ def _load_devdir(devdir: str) -> Development:
         return import_development(doc, spec)
     except FileNotFoundError as exc:
         raise UsageError(f"not a build directory: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(
+            f"malformed build directory {devdir}: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _write_manifest(outdir: Path, manifest: dict) -> None:
@@ -212,8 +217,7 @@ def _suite_conetypes(dev: Development, depth: int) -> tuple[str, bool, str, dict
         return "skip", True, "ball too small for cone tables", {}
     counts = signature_counts(dev, table_radius)
     stable = len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]
-    det_radius = min(table_radius, dev.radius - depth)
-    report = verify_cone_determination(dev, max(0, det_radius), depth=depth)
+    det_radius = max(0, min(table_radius, dev.radius - depth))
     table = enumerate_cone_types(dev, table_radius - 1)
     data = {
         "cone_type_count": counts[-1],
@@ -223,10 +227,38 @@ def _suite_conetypes(dev: Development, depth: int) -> tuple[str, bool, str, dict
         "signature_counts": counts,
         "coherent": table.coherent,
     }
+    classes = None
+    partition = ""
+    if any(r == 2 for r in dev.half_girths):
+        # equal signatures do not determine cone types at a half-girth of 2;
+        # the states of the all-geodesics machine do, once it is certified by
+        # equal canonical forms at table_radius - 1 and table_radius
+        try:
+            machine = build_geodesic_automaton(dev, table_radius)
+        except InsufficientRadiusError as exc:
+            return "fail", False, (
+                f"signature counts {counts}; a half-girth is 2, so cone types are "
+                f"all-geodesics machine states, and the machine does not certify at "
+                f"table radius {table_radius}: {exc}"
+            ), data
+        classes = {}
+        for f, word in lexfirst_words(dev, det_radius)[0].items():
+            q = machine.start
+            for sym in word:
+                q = machine.step(q, sym)
+            classes[f] = q
+        if not all(machine.is_accepting(q) for q in classes.values()):
+            return "fail", False, (
+                f"signature counts {counts}; the all-geodesics machine certified at "
+                f"table radius {table_radius} rejects a lex-first word"
+            ), data
+        partition = f" over {machine.n_live} machine states"
+    report = verify_cone_determination(dev, det_radius, depth=depth, classes=classes)
     ok = stable and report.ok
     msg = (
         f"signature counts {counts}; "
-        f"determination depth {depth}: {'pass' if report.ok else f'fail {report.counterexample}'}; "
+        f"determination depth {depth}{partition}: "
+        f"{'pass' if report.ok else f'fail {report.counterexample}'}; "
         f"successor rows {'coherent' if table.coherent else 'INCOHERENT (half-girth 2 territory)'}"
     )
     return ("pass" if ok else "fail"), ok, msg, data
@@ -460,10 +492,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# smallest accepted value of each numeric option, whichever subcommand has it
+_NUMERIC_FLOORS = {"radius": 0, "maxlen": 1, "depth": 1}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, floor in _NUMERIC_FLOORS.items():
+            value = getattr(args, name, None)
+            if value is not None and value < floor:
+                raise UsageError(f"--{name} must be at least {floor}, got {value}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groups import LETTERS, LETTER_TYPES, VERTEX_LETTERS, TriangleGroupSpec, npc_check
 
@@ -647,6 +648,11 @@ class Development:
             out.sort()
             self._adjacency.append(out)
 
+    @cached_property
+    def half_girths(self) -> tuple[float, float, float]:
+        """The spec's half-girths, computed once per ball."""
+        return self.spec.half_girths()
+
     @property
     def face_count(self) -> int:
         return len(self.dist)
@@ -901,7 +907,7 @@ def development_to_json(dev: Development) -> str:
 
 
 def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
-    if doc.get("format") != "trifold-development/1":
+    if not isinstance(doc, dict) or doc.get("format") != "trifold-development/1":
         raise ValueError("not a development document")
     dev = Development(spec, int(doc["radius"]), int(doc["margin"]))
     dev.dist = [f["d"] for f in doc["faces"]]

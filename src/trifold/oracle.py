@@ -5,30 +5,19 @@ groups of the plane and builds Cayley balls by breadth-first search with
 exact isometry equality.  The second unfolds galleries of triangles into the
 plane, runs an exact funnel shortest-path over the portal sequence, and
 counts crossed edges, which certifies that the breadth-first ball metric
-agrees with the geometric one.
+agrees with the geometric one.  The reflection groups use exact Q(sqrt 3)
+arithmetic; the gallery kernel holds points as integer pairs (X, Y) standing
+for (X, Y*sqrt(3)), so its predicates are plain integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
-from .development import Development, DevelopmentError
-from .rings import (
-    Isometry,
-    Point,
-    Q3,
-    RadicalSum,
-    area2,
-    dot,
-    on_segment,
-    p_add,
-    p_scale,
-    p_sub,
-    pt,
-    segment_point_sqdist,
-    sqdist,
-)
+from .development import Development
+from .rings import Isometry, Point, Q3, RadicalSum, pt
 
 
 class OracleError(ValueError):
@@ -180,87 +169,120 @@ def compare_balls(dev: Development, ball: IsometryBall, radius: int) -> BallComp
 
 # -- gallery unfolding ---------------------------------------------------------
 
+# Unfolded coordinates are scaled by 6.  Every triangle corner is then the
+# plane point (X, Y*sqrt(3)) with X and Y integer multiples of 3: the base
+# corners are (0, 0), (6, 0) and (3, 3*sqrt(3)), and the apex reflection
+# a + b - c keeps that form.  A gallery point is held as the int pair (X, Y),
+# so centroids divide exactly and every predicate below is plain integer
+# arithmetic; reported lengths are unscaled at the end.
+GalleryPoint = tuple[int, int]
+
+_UNFOLD_SCALE = 6
+_BASE_CORNERS: dict[int, GalleryPoint] = {0: (0, 0), 1: (6, 0), 2: (3, 3)}
+
+
+def area2(a: GalleryPoint, b: GalleryPoint, c: GalleryPoint) -> int:
+    """Twice the signed area of the triangle a, b, c, divided by sqrt(3)."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def sqdist(a: GalleryPoint, b: GalleryPoint) -> int:
+    dx = a[0] - b[0]
+    dy = a[1] - b[1]
+    return dx * dx + 3 * dy * dy
+
+
+def on_segment(p: GalleryPoint, a: GalleryPoint, b: GalleryPoint) -> bool:
+    """Exact membership of p in the closed segment [a, b]."""
+    if area2(a, b, p) != 0:
+        return False
+    dx = b[0] - a[0]
+    dy = b[1] - a[1]
+    t = (p[0] - a[0]) * dx + 3 * (p[1] - a[1]) * dy
+    return 0 <= t <= dx * dx + 3 * dy * dy
+
+
+def segment_point_sqdist(a: GalleryPoint, b: GalleryPoint, p: GalleryPoint) -> int | Fraction:
+    """Exact squared distance from point p to segment [a, b]."""
+    dx = b[0] - a[0]
+    dy = b[1] - a[1]
+    px = p[0] - a[0]
+    py = p[1] - a[1]
+    pp = px * px + 3 * py * py
+    t = px * dx + 3 * py * dy
+    if t <= 0:
+        return pp
+    dd = dx * dx + 3 * dy * dy
+    if t >= dd:
+        return sqdist(b, p)
+    # the foot of the perpendicular lies inside: |p - a|^2 - t^2 / |b - a|^2
+    return Fraction(pp * dd - t * t, dd)
+
 
 @dataclass
 class Gallery:
     """A sequence of faces, consecutive ones sharing an edge, with its unfolding.
 
-    placements[i] maps each vertex type of face i to an exact plane point;
+    placements[i] maps each vertex type of face i to a gallery point;
     portals[i] is the pair of points shared by faces i and i+1, together with
     the development vertex ids sitting at those points.
     """
 
     faces: list[int]
     edges: list[int]  # development edge between consecutive faces
-    placements: list[dict[int, Point]]
-    portals: list[tuple[Point, Point, int, int]]
-
-
-# all unfolded coordinates are scaled by 6: triangle corners and centroids
-# then have integer components, which keeps every predicate in fast integer
-# arithmetic; reported lengths are unscaled at the end
-_UNFOLD_SCALE = 6
-_BASE_CORNERS = {
-    0: pt(0, 0),
-    1: pt(6, 0),
-    2: (Q3(3), Q3(0, 3)),
-}
-
-
-def _reflect_apex(a: Point, b: Point, c: Point) -> Point:
-    # for an equilateral triangle the foot of the apex is the base midpoint
-    return (a[0] + b[0] - c[0], a[1] + b[1] - c[1])
+    placements: list[dict[int, GalleryPoint]]
+    portals: list[tuple[GalleryPoint, GalleryPoint, int, int]]
 
 
 def _require_metric_gate(dev: Development) -> None:
-    girths = dev.spec.half_girths()
-    if any(r == 2 for r in girths):
+    if any(r == 2 for r in dev.half_girths):
         raise OracleError(
             "metric oracle unavailable for this spec: the unit equilateral "
             "metric needs all half-girths at least 3"
         )
 
 
+def _unfold_step(dev: Development, placed: dict[int, GalleryPoint], cur: int, nxt: int):
+    """The edge shared by faces cur and nxt, the placement of nxt reflected
+    across it, and the portal between the two faces."""
+    edge = dev.shared_edge(cur, nxt)
+    if edge is None:
+        raise OracleError(f"faces {cur} and {nxt} share no edge")
+    s0, s1 = dev.letter_types[dev.edge_letter[edge]]
+    other = 3 - s0 - s1
+    a, b, c = placed[s0], placed[s1], placed[other]
+    # for an equilateral triangle the foot of the apex is the base midpoint
+    apex = (a[0] + b[0] - c[0], a[1] + b[1] - c[1])
+    va, vb = dev.edge_ends[edge]
+    return edge, {s0: a, s1: b, other: apex}, (a, b, va, vb)
+
+
 def unfold_gallery(dev: Development, faces: list[int]) -> Gallery:
     """Place the gallery in the plane as glued unit equilateral triangles."""
-    placements: list[dict[int, Point]] = [dict(_BASE_CORNERS)]
+    placements = [dict(_BASE_CORNERS)]
     edges = []
-    portals: list[tuple[Point, Point, int, int]] = []
-    for i in range(1, len(faces)):
-        prev, cur = faces[i - 1], faces[i]
-        edge = dev.shared_edge(prev, cur)
-        if edge is None:
-            raise OracleError(f"faces {prev} and {cur} share no edge")
+    portals = []
+    for cur, nxt in zip(faces, faces[1:]):
+        edge, placed, portal = _unfold_step(dev, placements[-1], cur, nxt)
         edges.append(edge)
-        letter = dev.edge_letter[edge]
-        shared_types = dev.letter_types[letter]
-        other_type = 3 - shared_types[0] - shared_types[1]
-        prev_placed = placements[-1]
-        a = prev_placed[shared_types[0]]
-        b = prev_placed[shared_types[1]]
-        placed = {
-            shared_types[0]: a,
-            shared_types[1]: b,
-            other_type: _reflect_apex(a, b, prev_placed[other_type]),
-        }
         placements.append(placed)
-        va, vb = dev.edge_ends[edge]
-        portals.append((a, b, va, vb))
+        portals.append(portal)
     return Gallery(list(faces), edges, placements, portals)
 
 
-def _third(v):
-    if isinstance(v, int):
-        q, r = divmod(v, 3)
-        if r == 0:
-            return q
-    return v / Fraction(3)
+def _extend_gallery(dev: Development, gallery: Gallery, nxt: int) -> Gallery:
+    edge, placed, portal = _unfold_step(dev, gallery.placements[-1], gallery.faces[-1], nxt)
+    return Gallery(
+        gallery.faces + [nxt],
+        gallery.edges + [edge],
+        gallery.placements + [placed],
+        gallery.portals + [portal],
+    )
 
 
-def centroid(placed: dict[int, Point]) -> Point:
-    x = placed[0][0] + placed[1][0] + placed[2][0]
-    y = placed[0][1] + placed[1][1] + placed[2][1]
-    return (Q3(_third(x.p), _third(x.q)), Q3(_third(y.p), _third(y.q)))
+def centroid(placed: dict[int, GalleryPoint]) -> GalleryPoint:
+    (x0, y0), (x1, y1), (x2, y2) = placed[0], placed[1], placed[2]
+    return ((x0 + x1 + x2) // 3, (y0 + y1 + y2) // 3)
 
 
 def enumerate_galleries(dev: Development, f1: int, f2: int, max_len: int) -> list[Gallery]:
@@ -276,7 +298,8 @@ def enumerate_galleries(dev: Development, f1: int, f2: int, max_len: int) -> lis
 
 
 def _walks(dev: Development, f1: int, f2: int, max_len: int, simple: bool):
-    dist_to_goal = dev.bfs_from(f2)
+    # a face read below is at most max_len - 2 steps from the goal
+    dist_to_goal = dev.bfs_from(f2, max_len)
     stack = [(f1,)]
     while stack:
         walk = stack.pop()
@@ -298,7 +321,9 @@ def _walks(dev: Development, f1: int, f2: int, max_len: int, simple: bool):
 # -- exact funnel over a portal sleeve ------------------------------------------
 
 
-def funnel_path(portals: list[tuple[Point, Point]], start: Point, goal: Point) -> list[Point]:
+def funnel_path(
+    portals: list[tuple[GalleryPoint, GalleryPoint]], start: GalleryPoint, goal: GalleryPoint
+) -> list[GalleryPoint]:
     """Shortest path through an ordered sleeve of portal segments.
 
     Portals must be oriented (left, right) as seen along the walk.  Collinear
@@ -316,8 +341,8 @@ def funnel_path(portals: list[tuple[Point, Point]], start: Point, goal: Point) -
         # tighten the right side: the candidate narrows when it sits on or
         # left of the apex-right ray, and crosses over when it passes the
         # apex-left ray, in which case the left point becomes the new apex
-        if area2(apex, right, prv).sign() >= 0:
-            if right == apex or area2(apex, left, prv).sign() <= 0:
+        if area2(apex, right, prv) >= 0:
+            if right == apex or area2(apex, left, prv) <= 0:
                 right, right_i = prv, i
             else:
                 path.append(left)
@@ -327,8 +352,8 @@ def funnel_path(portals: list[tuple[Point, Point]], start: Point, goal: Point) -
                 i = apex_i + 1
                 continue
         # tighten the left side, mirrored
-        if area2(apex, left, pl).sign() <= 0:
-            if left == apex or area2(apex, right, pl).sign() >= 0:
+        if area2(apex, left, pl) <= 0:
+            if left == apex or area2(apex, right, pl) >= 0:
                 left, left_i = pl, i
             else:
                 path.append(right)
@@ -346,31 +371,92 @@ def funnel_path(portals: list[tuple[Point, Point]], start: Point, goal: Point) -
     return deduped
 
 
-def orient_portals(gallery: Gallery, start: Point) -> list[tuple[Point, Point]]:
+def orient_portals(gallery: Gallery, start: GalleryPoint) -> list[tuple[GalleryPoint, GalleryPoint]]:
     """Order each portal's endpoints as (left, right) seen along the walk."""
     oriented = []
     for i, (a, b, _va, _vb) in enumerate(gallery.portals):
-        before = gallery.placements[i]
-        after = gallery.placements[i + 1]
-        shared = {a, b}
-        apex_before = next(p for p in before.values() if p not in shared)
-        apex_after = next(p for p in after.values() if p not in shared)
-        direction = p_sub(apex_after, apex_before)
-        if area2(apex_before, p_add(apex_before, direction), a).sign() > 0:
+        apex_before = next(p for p in gallery.placements[i].values() if p != a and p != b)
+        apex_after = next(p for p in gallery.placements[i + 1].values() if p != a and p != b)
+        if area2(apex_before, apex_after, a) > 0:
             oriented.append((a, b))
         else:
             oriented.append((b, a))
     return oriented
 
 
-def path_length(path: list[Point]) -> RadicalSum:
+def path_length(path: list[GalleryPoint]) -> RadicalSum:
     total = RadicalSum(0)
     for a, b in zip(path, path[1:]):
         total = total + RadicalSum.sqrt_of(sqdist(a, b))
     return total
 
 
-def _check_path_in_sleeve(path: list[Point], oriented: list[tuple[Point, Point]]) -> None:
+# path lengths are enclosed in integer multiples of 2**-_ROOT_BITS, which
+# settles nearly every length comparison without building a RadicalSum
+_ROOT_BITS = 40
+
+
+class _MeasuredPath:
+    """A path with an exact or a rigorously enclosed length; the RadicalSum
+    length is built only when neither settles a comparison."""
+
+    def __init__(self, path: list[GalleryPoint]):
+        self.path = path
+        # funnel paths have distinct consecutive points, so squares[0] > 0
+        squares = [sqdist(a, b) for a, b in zip(path, path[1:])]
+        # lo <= 2**_ROOT_BITS * length <= hi
+        self.lo = self.hi = 0
+        for n in squares:
+            n <<= 2 * _ROOT_BITS
+            r = isqrt(n)
+            self.lo += r
+            self.hi += r if r * r == n else r + 1
+        # when every squared segment is n0 times a rational square, the
+        # length is sqrt(n0) * sum(sqrt(n * n0)) / n0, and its square is the
+        # rational self.square[0] / self.square[1]
+        n0 = squares[0]
+        total = 0
+        for n in squares:
+            r = isqrt(n * n0)
+            if r * r != n * n0:
+                self.square = None
+                break
+            total += r
+        else:
+            self.square = (total * total, n0)
+        self._length: RadicalSum | None = None
+
+    @property
+    def length(self) -> RadicalSum:
+        if self._length is None:
+            self._length = path_length(self.path)
+        return self._length
+
+    def shorter_than(self, other: _MeasuredPath) -> bool:
+        if self.square is not None and other.square is not None:
+            return self.square[0] * other.square[1] < other.square[0] * self.square[1]
+        if self.lo > other.hi:
+            return False
+        if self.hi < other.lo:
+            return True
+        return self.length.compare(other.length) < 0
+
+    def exceeded_by(self, q: int | Fraction) -> bool:
+        """Whether sqrt(q) is longer than the path, for rational q >= 0."""
+        num, den = q.numerator, q.denominator
+        if self.square is not None:
+            return num * self.square[1] > self.square[0] * den
+        num <<= 2 * _ROOT_BITS
+        if num > self.hi * self.hi * den:
+            return True
+        if num < self.lo * self.lo * den:
+            return False
+        return RadicalSum.sqrt_of(q).compare(self.length) > 0
+
+
+def _check_path_in_sleeve(
+    path: list[GalleryPoint], oriented: list[tuple[GalleryPoint, GalleryPoint]]
+) -> None:
     """Each portal segment must meet the path; exact containment audit."""
     for a, b in oriented:
         hit = False
@@ -382,13 +468,13 @@ def _check_path_in_sleeve(path: list[Point], oriented: list[tuple[Point, Point]]
             raise OracleError("funnel path escaped its sleeve at a portal")
 
 
-def _segment_crosses(p: Point, q: Point, a: Point, b: Point) -> bool:
+def _segment_crosses(p: GalleryPoint, q: GalleryPoint, a: GalleryPoint, b: GalleryPoint) -> bool:
     """Closed-segment intersection predicate, touching counts."""
-    d1 = area2(p, q, a).sign()
-    d2 = area2(p, q, b).sign()
-    d3 = area2(a, b, p).sign()
-    d4 = area2(a, b, q).sign()
-    if d1 * d2 < 0 and d3 * d4 < 0:
+    d1 = area2(p, q, a)
+    d2 = area2(p, q, b)
+    d3 = area2(a, b, p)
+    d4 = area2(a, b, q)
+    if ((d1 < 0 < d2) or (d2 < 0 < d1)) and ((d3 < 0 < d4) or (d4 < 0 < d3)):
         return True
     if d1 == 0 and on_segment(a, p, q):
         return True
@@ -406,7 +492,7 @@ class GeodesicResult:
     squared_length: RadicalSum
     length: RadicalSum
     gallery: Gallery
-    path: list[Point]
+    path: list[GalleryPoint]
     crossings: int
     inconclusive: bool = False
 
@@ -427,10 +513,11 @@ def cat0_geodesic(dev: Development, f1: int, f2: int, max_len: int) -> GeodesicR
         g = unfold_gallery(dev, [f1])
         zero = RadicalSum(0)
         return GeodesicResult(zero, zero, g, [centroid(g.placements[0])], 0)
-    dist_to_goal = dev.bfs_from(f2)
+    # a face read below is at most max_len - 2 steps from the goal
+    dist_to_goal = dev.bfs_from(f2, max_len)
     if f1 not in dist_to_goal:
-        raise OracleError("faces are not connected inside the ball")
-    best: tuple[RadicalSum, Gallery, list[Point], int, bool] | None = None
+        raise OracleError("no gallery within max_len; raise max_len")
+    best: tuple[_MeasuredPath, Gallery, int, bool] | None = None
     base_gallery = unfold_gallery(dev, [f1])
     start = centroid(base_gallery.placements[0])
     stack: list[tuple[tuple[int, ...], Gallery]] = [((f1,), base_gallery)]
@@ -438,14 +525,14 @@ def cat0_geodesic(dev: Development, f1: int, f2: int, max_len: int) -> GeodesicR
         walk, gallery = stack.pop()
         cur = walk[-1]
         if cur == f2:
+            # a walk that holds f2 cannot reach it again, so it ends here
             oriented = orient_portals(gallery, start)
-            goal = centroid(gallery.placements[-1])
-            path = funnel_path(oriented, start, goal)
-            length = path_length(path)
-            if best is None or length.compare(best[0]) < 0:
-                _check_path_in_sleeve(path, oriented)
-                crossings = count_crossings(dev, gallery, path)
-                best = (length, gallery, path, crossings, len(walk) >= max_len)
+            path = _MeasuredPath(funnel_path(oriented, start, centroid(gallery.placements[-1])))
+            if best is None or path.shorter_than(best[0]):
+                _check_path_in_sleeve(path.path, oriented)
+                crossings = count_crossings(dev, gallery, path.path)
+                best = (path, gallery, crossings, len(walk) >= max_len)
+            continue
         remaining = max_len - len(walk)
         if remaining <= 0:
             continue
@@ -458,47 +545,25 @@ def cat0_geodesic(dev: Development, f1: int, f2: int, max_len: int) -> GeodesicR
             extended = _extend_gallery(dev, gallery, nxt)
             if best is not None:
                 a, b, _, _ = extended.portals[-1]
-                bound = RadicalSum.sqrt_of(segment_point_sqdist(a, b, start))
-                if bound.compare(best[0]) > 0:
+                if best[0].exceeded_by(segment_point_sqdist(a, b, start)):
                     continue
             stack.append((walk + (nxt,), extended))
     if best is None:
         raise OracleError("no gallery within max_len; raise max_len")
-    length, gallery, path, crossings, inconclusive = best
+    path, gallery, crossings, inconclusive = best
+    length = path.length
     unscale = Fraction(1, _UNFOLD_SCALE)
     return GeodesicResult(
         length.squared() * (unscale * unscale),
         length * unscale,
         gallery,
-        path,
+        path.path,
         crossings,
         inconclusive,
     )
 
 
-def _extend_gallery(dev: Development, gallery: Gallery, nxt: int) -> Gallery:
-    edge = dev.shared_edge(gallery.faces[-1], nxt)
-    letter = dev.edge_letter[edge]
-    shared_types = dev.letter_types[letter]
-    other_type = 3 - shared_types[0] - shared_types[1]
-    prev_placed = gallery.placements[-1]
-    a = prev_placed[shared_types[0]]
-    b = prev_placed[shared_types[1]]
-    placed = {
-        shared_types[0]: a,
-        shared_types[1]: b,
-        other_type: _reflect_apex(a, b, prev_placed[other_type]),
-    }
-    va, vb = dev.edge_ends[edge]
-    return Gallery(
-        gallery.faces + [nxt],
-        gallery.edges + [edge],
-        gallery.placements + [placed],
-        gallery.portals + [(a, b, va, vb)],
-    )
-
-
-def count_crossings(dev: Development, gallery: Gallery, path: list[Point]) -> int:
+def count_crossings(dev: Development, gallery: Gallery, path: list[GalleryPoint]) -> int:
     """Edges crossed by the path, counting a pass through a vertex as the
     shortest triangle fan around it."""
     events: list[tuple[str, int, int]] = []  # ("cross", portal_idx, -1) or ("vertex", portal_idx, vid)
@@ -577,7 +642,7 @@ def catacomb_check(dev: Development, radius: int, max_len: int | None = None) ->
     inconclusive = []
     pairs = 0
     for fi, f1 in enumerate(faces):
-        dists = dev.bfs_from(f1)
+        dists = dev.bfs_from(f1, radius)
         for f2 in faces[fi + 1:]:
             d = dists.get(f2)
             if d is None or d > radius:

@@ -157,3 +157,60 @@ def test_sample_listing_and_writing(tmp_path, capsys):
     target = tmp_path / "spec.json"
     assert main(["sample", "d244", "--out", str(target)]) == 0
     assert main(["check", str(target)]) == 0
+
+
+@pytest.mark.parametrize(
+    "radius, status, expected",
+    [
+        (30, 0, "conetypes: pass"),
+        (19, 1, "does not certify at table radius 13"),
+    ],
+)
+def test_verify_conetypes_half_girth_two(tmp_path, capsys, radius, status, expected):
+    # at a half-girth of 2 cone types are the all-geodesics machine states;
+    # a ball too small to certify that machine names the radius it tried
+    out = tmp_path / "d236"
+    assert main(["build", "d236", "--radius", str(radius), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), "--suite", "conetypes"]) == status
+    text = capsys.readouterr().out
+    assert expected in text
+    assert "(8, 51, (0, 2, 1))" not in text
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("development.json", '{"format": "trifold-development/1", "rad'),
+        ("development.json", "[]"),
+        ("development.json", "{}"),
+        ("spec.json", '{"k": 2, "vertex_gr'),
+        ("spec.json", "[]"),
+    ],
+)
+def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, content):
+    import shutil
+
+    broken = tmp_path / "broken"
+    shutil.copytree(built, broken)
+    (broken / name).write_text(content)
+    assert main(["verify", str(broken), "--suite", "cor1"]) == 2
+    assert "malformed build directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "d333", "--radius", "-1", "--out", "{tmp}/neg"],
+        ["verify", "{built}", "--suite", "catacomb", "--radius", "-1"],
+        ["verify", "{built}", "--suite", "catacomb", "--maxlen", "0"],
+        ["verify", "{built}", "--suite", "conetypes", "--depth", "0"],
+        ["oracle", "catacomb", "--group", "d333", "--radius", "-1"],
+        ["oracle", "catacomb", "--group", "d333", "--radius", "1", "--maxlen", "0"],
+    ],
+)
+def test_invalid_numeric_arguments_exit_two(built, tmp_path, capsys, argv):
+    argv = [a.format(tmp=tmp_path, built=built) for a in argv]
+    assert main(argv) == 2
+    assert "must be at least" in capsys.readouterr().err
+    assert not (tmp_path / "neg").exists()

@@ -19,9 +19,14 @@ from trifold.oracle import (
     reflection_generators,
     unfold_gallery,
     centroid,
+    area2,
+    on_segment,
+    segment_point_sqdist,
+    sqdist,
     _segment_crosses,
 )
-from trifold.rings import Q3, RadicalSum, on_segment, pt, sqdist
+from trifold import rings
+from trifold.rings import Q3, RadicalSum
 from trifold.samples import load_sample
 
 
@@ -267,3 +272,87 @@ def test_catacomb_hyperbolic_sample():
     dev = grow_to_radius(load_sample("d444"), 3)
     report = catacomb_check(dev, 2)
     assert report.ok and report.pairs_checked > 40
+
+
+# -- integer gallery kernel against the Q(sqrt 3) reference -----------------------
+
+
+def _q3_point(p):
+    # the gallery point (X, Y) stands for the plane point (X, Y*sqrt(3))
+    return (Q3(p[0]), Q3(0, p[1]))
+
+
+def _reference_segment_crosses(p, q, a, b):
+    """The closed-segment predicate over Q(sqrt 3) points, via rings."""
+    p, q, a, b = (_q3_point(x) for x in (p, q, a, b))
+    d1 = rings.area2(p, q, a).sign()
+    d2 = rings.area2(p, q, b).sign()
+    d3 = rings.area2(a, b, p).sign()
+    d4 = rings.area2(a, b, q).sign()
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+    return (
+        (d1 == 0 and rings.on_segment(a, p, q))
+        or (d2 == 0 and rings.on_segment(b, p, q))
+        or (d3 == 0 and rings.on_segment(p, a, b))
+        or (d4 == 0 and rings.on_segment(q, a, b))
+    )
+
+
+def _lattice_cases(seed, count):
+    """Random point quadruples, with collinear, endpoint and coincident cases
+    mixed in so that every zero branch of the predicates is exercised."""
+    rng = random.Random(seed)
+
+    def rand_pt():
+        return (rng.randint(-9, 9), rng.randint(-9, 9))
+
+    cases = []
+    for i in range(count):
+        a, b, p, q = rand_pt(), rand_pt(), rand_pt(), rand_pt()
+        kind = i % 5
+        if kind == 1:  # p on the line ab, inside or beyond the segment
+            k = rng.randint(-2, 3)
+            p = (a[0] + k * (b[0] - a[0]), a[1] + k * (b[1] - a[1]))
+        elif kind == 2:  # p at an endpoint
+            p = rng.choice((a, b))
+        elif kind == 3:  # pq along ab
+            p = (2 * a[0] - b[0], 2 * a[1] - b[1])
+            q = (3 * b[0] - 2 * a[0], 3 * b[1] - 2 * a[1])
+        elif kind == 4:  # degenerate segment
+            b = a
+        cases.append((a, b, p, q))
+    return cases
+
+
+def test_integer_predicates_match_q3_reference():
+    for a, b, p, q in _lattice_cases(2024, 3000):
+        qa, qb, qp = _q3_point(a), _q3_point(b), _q3_point(p)
+        # twice the signed area is sqrt(3) times the integer area2
+        assert rings.area2(qa, qb, qp) == Q3(0, area2(a, b, p))
+        assert rings.area2(qa, qb, qp).sign() == (area2(a, b, p) > 0) - (area2(a, b, p) < 0)
+        assert rings.sqdist(qa, qp) == Q3(sqdist(a, p))
+        assert rings.on_segment(qp, qa, qb) == on_segment(p, a, b)
+        assert rings.segment_point_sqdist(qa, qb, qp) == Q3(segment_point_sqdist(a, b, p))
+        assert _segment_crosses(p, q, a, b) == _reference_segment_crosses(p, q, a, b)
+
+
+def test_gallery_corners_stay_on_the_integer_lattice(dev333):
+    # centroids divide exactly because every corner coordinate is a multiple of 3
+    f2 = next(f for f in dev333.ball_faces() if dev333.dist[f] == 3)
+    for gallery in enumerate_galleries(dev333, 0, f2, 5):
+        for placed in gallery.placements:
+            assert all(x % 3 == 0 and y % 3 == 0 for x, y in placed.values())
+            cx, cy = centroid(placed)
+            assert sum(x for x, _ in placed.values()) == 3 * cx
+            assert sum(y for _, y in placed.values()) == 3 * cy
+
+
+def test_cat0_source_beyond_max_len(dev333):
+    f2 = next(f for f in dev333.ball_faces() if dev333.dist[f] == 5)
+    with pytest.raises(OracleError, match="no gallery within max_len"):
+        cat0_geodesic(dev333, 0, f2, 4)
+    # within max_len faces but no gallery of that many faces reaches f2
+    with pytest.raises(OracleError, match="no gallery within max_len"):
+        cat0_geodesic(dev333, 0, f2, 5)
+    assert cat0_geodesic(dev333, 0, f2, 6).crossings == 5

@@ -121,6 +121,7 @@ def cmd_build(args) -> int:
     )
     (outdir / "development.json").write_text(development_to_json(dev))
     verdict = npc_check(spec)
+    links = spec.local_links()
     manifest = {
         "format": "trifold-manifest/1",
         "tool_version": __version__,
@@ -131,8 +132,8 @@ def cmd_build(args) -> int:
         "margin": dev.margin,
         "half_girths": [None if r is math.inf else int(r) for r in verdict.half_girths],
         "verdict": verdict.kind,
-        "delta": max(l.diameter for l in spec.local_links()),
-        "link_diameters": [l.diameter for l in spec.local_links()],
+        "delta": max(l.diameter for l in links),
+        "link_diameters": [l.diameter for l in links],
         "sphere_sizes": dev.sphere_sizes,
         "cone_type_count": None,
         "stabilization_radius": None,
@@ -167,10 +168,7 @@ def cmd_automaton(args) -> int:
 
 def _suite_cor1(dev: Development) -> tuple[str, bool, str]:
     checked = 0
-    for v in range(len(dev.vert_type)):
-        faces = dev.faces_at_vertex(v)
-        if not dev.vertex_complete(v) or not all(dev.final[f] for f in faces):
-            continue
+    for v in dev.interior_vertices():
         dev.minimal_triangles(v)
         checked += 1
     return "pass", True, f"minimal faces pairwise adjacent at {checked} interior vertices"
@@ -178,11 +176,8 @@ def _suite_cor1(dev: Development) -> tuple[str, bool, str]:
 
 def _suite_cor2(dev: Development) -> tuple[str, bool, str]:
     checked = 0
-    for v in range(len(dev.vert_type)):
-        faces = dev.faces_at_vertex(v)
-        if not dev.vertex_complete(v) or not all(dev.final[f] for f in faces):
-            continue
-        for f in faces:
+    for v in dev.interior_vertices():
+        for f in dev.faces_at_vertex(v):
             dev.local_distance(v, f)
             checked += 1
     return "pass", True, f"distance decomposition holds at {checked} vertex-face pairs"
@@ -191,10 +186,8 @@ def _suite_cor2(dev: Development) -> tuple[str, bool, str]:
 def _suite_enters(dev: Development) -> tuple[str, bool, str]:
     checked = 0
     bad = []
-    for v in range(len(dev.vert_type)):
+    for v in dev.interior_vertices():
         faces = dev.faces_at_vertex(v)
-        if not dev.vertex_complete(v) or not all(dev.final[f] for f in faces):
-            continue
         at_v = set(faces)
         for f in faces:
             entering = any(
@@ -236,11 +229,13 @@ def _suite_conetypes(dev: Development, depth: int) -> tuple[str, bool, str, dict
         try:
             machine = build_geodesic_automaton(dev, table_radius)
         except InsufficientRadiusError as exc:
+            data["cone_type_count"] = None
             return "fail", False, (
                 f"signature counts {counts}; a half-girth is 2, so cone types are "
                 f"all-geodesics machine states, and the machine does not certify at "
                 f"table radius {table_radius}: {exc}"
             ), data
+        data["cone_type_count"] = machine.n_live
         classes = {}
         for f, word in lexfirst_words(dev, det_radius)[0].items():
             q = machine.start
@@ -265,8 +260,7 @@ def _suite_conetypes(dev: Development, depth: int) -> tuple[str, bool, str, dict
 
 
 def _suite_catacomb(dev: Development, radius: int | None, maxlen: int | None):
-    girths = dev.spec.half_girths()
-    if any(r == 2 for r in girths):
+    if any(r == 2 for r in dev.half_girths):
         return "skip", True, "gated, skipped: a half-girth equals 2, so the unit equilateral metric is not nonpositively curved"
     use_radius = radius if radius is not None else min(4, dev.radius - 1)
     report = catacomb_check(dev, use_radius, maxlen)
@@ -303,7 +297,7 @@ def _suite_gaussbonnet(dev: Development):
     patch_radius = min(dev.radius, 4)
     patch = build_patch(dev, patch_radius)
     if not all(c.size >= 6 for c, k in zip(patch.complex.cells, patch.cell_kinds) if k == "link") and not any(
-        r == 2 for r in dev.spec.half_girths()
+        r == 2 for r in dev.half_girths
     ):
         return "fail", False, "a link cell shorter than 6 appeared despite half-girths >= 3"
     discs = extract_disc_diagrams(patch, 30, seed=20259, max_cells=6)

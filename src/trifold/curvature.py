@@ -386,7 +386,12 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
     """The 2-complex over the radius ball: one 2-cell with corners 2pi/3 per
     embedded cycle of every complete vertex link, and one zero-cornered
     triangle per residue triple on every saturated edge for k at least 3.
-    Cells with any boundary element outside the ball are omitted and counted.
+
+    Only the vertices and edges of ball faces are visited, and link cycles
+    are enumerated inside the ball only.  omitted_cells counts the candidates
+    that were enumerated and then rejected: torsion triples on saturated
+    edges of ball faces with a member outside the ball, and link cycles with
+    two consecutive faces that share no edge.
     """
     if radius > dev.radius:
         raise ComplexError("patch radius exceeds the trusted ball")
@@ -407,7 +412,11 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
             labels.append(letter)
         return eid
 
-    for e in range(len(dev.edge_letter)):
+    # ascending ids keep the order of Cayley edges and cells of a full scan
+    ball_vertices = sorted({dev.f_vert[f][t] for f in ball for t in range(3)})
+    ball_edges = sorted({dev.f_edge[f][l] for f in ball for l in range(3)})
+
+    for e in ball_edges:
         slots = [f for f in dev.edge_slots[e] if f != -1 and f in in_ball]
         for i in range(len(slots)):
             for j in range(i + 1, len(slots)):
@@ -419,13 +428,10 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
     omitted = 0
     two_thirds = Fraction(2, 3)
 
-    for v in range(len(dev.vert_type)):
+    for v in ball_vertices:
         if not dev.vertex_complete(v):
             continue
-        for cycle in _link_cycles(dev, v):
-            if any(f not in in_ball for f in cycle):
-                omitted += 1
-                continue
+        for cycle in _link_cycles(dev, v, in_ball):
             m = len(cycle)
             walk_edges = []
             ok = True
@@ -445,7 +451,7 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
 
     if dev.k >= 3:
         triples = _torsion_triples(dev.k)
-        for e in range(len(dev.edge_letter)):
+        for e in ball_edges:
             if not dev.edge_saturated[e]:
                 continue
             slots = dev.edge_slots[e]
@@ -480,11 +486,15 @@ def _torsion_triples(k: int) -> list[tuple[int, int, int]]:
     return sorted(base)
 
 
-def _link_cycles(dev: Development, v: int) -> list[list[int]]:
-    """Embedded cycles of the link at v, returned as face cycles.
+def _link_cycles(dev: Development, v: int, keep: set[int]) -> list[list[int]]:
+    """Embedded cycles of the link at v made of faces in keep, returned as
+    face cycles.
 
     Nodes of the link are the edges at v, arcs the faces; an embedded node
     cycle of length 2m yields the 2m-gon of faces between consecutive nodes.
+    Arcs of faces outside keep are left out of the search, which prunes
+    subtrees of its pre-order walk, so the cycles inside keep come out in
+    the order a search over the whole link would give them.
     """
     nodes = list(dev.vert_edges[v])
     faces = dev.faces_at_vertex(v)
@@ -497,8 +507,9 @@ def _link_cycles(dev: Development, v: int) -> list[list[int]]:
         e2 = dev.f_edge[f][letters[1]]
         key = (e1, e2) if e1 < e2 else (e2, e1)
         arc.setdefault(key, []).append(f)
-        node_adj[e1].append(e2)
-        node_adj[e2].append(e1)
+        if f in keep:
+            node_adj[e1].append(e2)
+            node_adj[e2].append(e1)
     for key, shared in arc.items():
         if len(shared) > 1:
             raise ComplexError(
@@ -530,7 +541,19 @@ def extract_disc_diagrams(
     """Randomly grown disc subcomplexes of a patch, for curvature audits."""
     rng = random.Random(seed)
     y = patch.complex
-    cell_edges = [set(c.edges) for c in y.cells]
+    edge_cells: list[list[int]] = [[] for _ in y.edges]
+    for cid, cell in enumerate(y.cells):
+        for e in cell.edges:
+            edge_cells[e].append(cid)
+    # is_disc does not depend on the order of the cells
+    disc_memo: dict[tuple[int, ...], bool] = {}
+
+    def is_disc(cells: list[int]) -> bool:
+        key = tuple(sorted(cells))
+        if key not in disc_memo:
+            disc_memo[key] = _subcomplex(y, cells).is_disc()
+        return disc_memo[key]
+
     out: list[AngledComplex] = []
     seen_choices: set[tuple[int, ...]] = set()
     attempts = 0
@@ -539,26 +562,21 @@ def extract_disc_diagrams(
         chosen = [rng.randrange(len(y.cells))]
         target = rng.randint(1, max_cells)
         while len(chosen) < target:
-            fringe = [
-                c
-                for c in range(len(y.cells))
-                if c not in chosen
-                and any(cell_edges[c] & cell_edges[p] for p in chosen)
-            ]
+            near = {c for p in chosen for e in y.cells[p].edges for c in edge_cells[e]}
+            fringe = sorted(near.difference(chosen))
             if not fringe:
                 break
             cand = chosen + [rng.choice(fringe)]
-            if _subcomplex(y, cand).is_disc():
+            if is_disc(cand):
                 chosen = cand
             elif rng.random() < 0.5:
                 break
         key = tuple(sorted(chosen))
         if key in seen_choices:
             continue
-        sub = _subcomplex(y, chosen)
-        if sub.is_disc():
+        if is_disc(chosen):
             seen_choices.add(key)
-            out.append(sub)
+            out.append(_subcomplex(y, chosen))
     return out
 
 

@@ -730,6 +730,18 @@ class Development:
     def interior_faces(self) -> list[int]:
         return [f for f in self.ball_faces() if self.is_interior(f)]
 
+    def interior_vertices(self) -> list[int]:
+        """Complete vertices whose faces are all final, in ascending order.
+
+        Such a vertex carries a final face, so only vertices of trusted faces
+        are candidates."""
+        candidates = sorted({self.f_vert[f][t] for f in self.ball_faces() for t in range(3)})
+        return [
+            v
+            for v in candidates
+            if self.vertex_complete(v) and all(self.final[g] for g in self._vert_faces[v])
+        ]
+
     def distance(self, f: int) -> int:
         if not self.final[f]:
             raise InsufficientRadiusError(f"face {f} is outside the trusted ball")

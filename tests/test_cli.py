@@ -176,6 +176,10 @@ def test_verify_conetypes_half_girth_two(tmp_path, capsys, radius, status, expec
     text = capsys.readouterr().out
     assert expected in text
     assert "(8, 51, (0, 2, 1))" not in text
+    # the manifest records the certified machine's state count, not the
+    # signature count (24), and nothing when the machine does not certify
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["cone_type_count"] == {30: 41, 19: None}[radius]
 
 
 @pytest.mark.parametrize(

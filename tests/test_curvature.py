@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from trifold.development import grow_to_radius
+from trifold.samples import load_sample
 from trifold.curvature import (
     AngledComplex,
     BoundaryPath,
     Cell,
     ComplexError,
     DiscDiagram,
+    PatchReport,
+    _subcomplex,
+    _torsion_triples,
     build_patch,
     complex_from_document,
     complex_to_document,
@@ -307,3 +312,149 @@ def test_validation_errors():
             [(0, 1), (1, 2), (2, 0)],
             [Cell((0, 1, 2), (1, 2, 0), (F(0),) * 3)],
         )
+
+
+# -- the full scans that build_patch and extract_disc_diagrams replaced -------------
+
+
+def _full_scan_link_cycles(dev, v):
+    """Every embedded cycle of the link at v, ball or not."""
+    faces = dev.faces_at_vertex(v)
+    letters = [l for l in range(3) if dev.vert_type[v] in dev.letter_types[l]]
+    arc = {}
+    node_adj = {e: [] for e in dev.vert_edges[v]}
+    for f in faces:
+        e1, e2 = dev.f_edge[f][letters[0]], dev.f_edge[f][letters[1]]
+        arc[(min(e1, e2), max(e1, e2))] = f
+        node_adj[e1].append(e2)
+        node_adj[e2].append(e1)
+    cycles = []
+    for start in sorted(dev.vert_edges[v]):
+        stack = [(start, [start], {start})]
+        while stack:
+            node, path, seen = stack.pop()
+            for nxt in sorted(set(node_adj[node])):
+                if nxt == start and len(path) >= 3:
+                    if path[1] < path[-1]:
+                        closed = path + [start]
+                        cycles.append(
+                            [arc[(min(a, b), max(a, b))] for a, b in zip(closed, closed[1:])]
+                        )
+                elif nxt > start and nxt not in seen:
+                    stack.append((nxt, path + [nxt], seen | {nxt}))
+    return cycles
+
+
+def _full_scan_patch(dev, radius):
+    """build_patch as a scan over every vertex and edge of the whole ball,
+    dropping the link cycles and torsion triples that leave the patch."""
+    ball = [f for f in dev.ball_faces() if dev.dist[f] <= radius]
+    in_ball = set(ball)
+    edge_index, edges, labels = {}, [], []
+
+    def cayley_edge(a, b, letter):
+        key = (min(a, b), max(a, b))
+        if key not in edge_index:
+            edge_index[key] = len(edges)
+            edges.append(key)
+            labels.append(letter)
+        return edge_index[key]
+
+    for e in range(len(dev.edge_letter)):
+        slots = [f for f in dev.edge_slots[e] if f != -1 and f in in_ball]
+        for i in range(len(slots)):
+            for j in range(i + 1, len(slots)):
+                cayley_edge(slots[i], slots[j], dev.edge_letter[e])
+    cells, kinds, cell_vertex = [], [], []
+    for v in range(len(dev.vert_type)):
+        if not dev.vertex_complete(v):
+            continue
+        for cycle in _full_scan_link_cycles(dev, v):
+            if any(f not in in_ball for f in cycle):
+                continue
+            m = len(cycle)
+            shared = [dev.shared_edge(cycle[i], cycle[(i + 1) % m]) for i in range(m)]
+            if None in shared:
+                continue
+            walk = tuple(
+                cayley_edge(cycle[i], cycle[(i + 1) % m], dev.edge_letter[shared[i]])
+                for i in range(m)
+            )
+            cells.append(Cell(tuple(cycle), walk, (F(2, 3),) * m))
+            kinds.append("link")
+            cell_vertex.append(v)
+    if dev.k >= 3:
+        for e in range(len(dev.edge_letter)):
+            if not dev.edge_saturated[e]:
+                continue
+            slots = dev.edge_slots[e]
+            for (i, j, l) in _torsion_triples(dev.k):
+                members = (slots[i], slots[j], slots[l])
+                if any(f not in in_ball for f in members):
+                    continue
+                walk = tuple(
+                    cayley_edge(members[t], members[(t + 1) % 3], dev.edge_letter[e])
+                    for t in range(3)
+                )
+                cells.append(Cell(members, walk, (F(0),) * 3))
+                kinds.append("torsion")
+                cell_vertex.append(-1)
+    return PatchReport(AngledComplex(len(ball), edges, cells), labels, kinds, 0, cell_vertex)
+
+
+def _full_scan_discs(patch, count, seed, max_cells):
+    """extract_disc_diagrams with the fringe taken over every cell and no memo."""
+    rng = random.Random(seed)
+    y = patch.complex
+    cell_edges = [set(c.edges) for c in y.cells]
+    out, seen_choices, attempts = [], set(), 0
+    while len(out) < count and attempts < count * 60:
+        attempts += 1
+        chosen = [rng.randrange(len(y.cells))]
+        target = rng.randint(1, max_cells)
+        while len(chosen) < target:
+            fringe = [
+                c
+                for c in range(len(y.cells))
+                if c not in chosen and any(cell_edges[c] & cell_edges[p] for p in chosen)
+            ]
+            if not fringe:
+                break
+            cand = chosen + [rng.choice(fringe)]
+            if _subcomplex(y, cand).is_disc():
+                chosen = cand
+            elif rng.random() < 0.5:
+                break
+        key = tuple(sorted(chosen))
+        if key in seen_choices:
+            continue
+        sub = _subcomplex(y, chosen)
+        if sub.is_disc():
+            seen_choices.add(key)
+            out.append(sub)
+    return out
+
+
+def _patch_fields(patch):
+    y = patch.complex
+    return (y.n_vertices, y.edges, y.cells, patch.edge_labels, patch.cell_kinds,
+            patch.vertex_of_cell)
+
+
+def _disc_fields(discs):
+    return [(d.n_vertices, d.edges, d.cells) for d in discs]
+
+
+@pytest.mark.parametrize("name", ["d333", "d244", "d236", "d444", "f21_333"])
+def test_patch_and_discs_match_full_scan(devs, name):
+    # the f21_333 session ball (radius 9) takes minutes to scan in full
+    dev = grow_to_radius(load_sample(name), 4) if name == "f21_333" else devs[name]
+    for radius in range(1, 6):
+        if radius > dev.radius:
+            break
+        patch = build_patch(dev, radius)
+        assert _patch_fields(patch) == _patch_fields(_full_scan_patch(dev, radius))
+        if patch.complex.cells:
+            assert _disc_fields(extract_disc_diagrams(patch, 30, seed=20259)) == _disc_fields(
+                _full_scan_discs(patch, 30, seed=20259, max_cells=6)
+            )

@@ -101,6 +101,17 @@ def test_minimal_triangles_pairwise_adjacent(devs):
                 dev.minimal_triangles(v)  # raises on a violation
 
 
+@pytest.mark.parametrize("name", ["d333", "d244", "d236", "d444", "f21_333"])
+def test_interior_vertices_match_full_scan(devs, name):
+    dev = devs[name]
+    expected = [
+        v
+        for v in range(len(dev.vert_type))
+        if dev.vertex_complete(v) and all(dev.final[f] for f in dev.faces_at_vertex(v))
+    ]
+    assert expected and dev.interior_vertices() == expected
+
+
 def test_minimal_triangles_frontier_vertex_raises(dev333):
     frontier_face = max(range(dev333.face_count), key=lambda f: dev333.dist[f])
     v = dev333.f_vert[frontier_face][0]

@@ -421,9 +421,12 @@ def build_lexfirst_automaton(
     """
     if radius < 2:
         raise InsufficientRadiusError("need radius at least 2 for a certificate")
-    current = _lexfirst_machine_once(dev, radius)
+    # the words of length below radius do not depend on the longer ones, so one
+    # call serves both machines
+    words, parents = lexfirst_words(dev, radius)
+    current = _lexfirst_machine_once(dev, radius, words, parents)
     if certify:
-        previous = _lexfirst_machine_once(dev, radius - 1)
+        previous = _lexfirst_machine_once(dev, radius - 1, words, parents)
         if current.canonical_form() != previous.canonical_form():
             raise InsufficientRadiusError(
                 "lex-first machine not stable between consecutive radii; radius too small"
@@ -435,7 +438,6 @@ def build_lexfirst_automaton(
         raise AutomatonError(
             f"lex-first machine counts {counts} disagree with sphere sizes {spheres}"
         )
-    words, _ = lexfirst_words(dev, radius)
     for f, word in words.items():
         if not current.accepts(word):
             raise AutomatonError(f"lex-first machine rejects the word of face {f}")
@@ -443,11 +445,16 @@ def build_lexfirst_automaton(
     return current
 
 
-def _lexfirst_machine_once(dev: Development, radius: int) -> GeodesicAutomaton:
-    words, parents = lexfirst_words(dev, radius)
+def _lexfirst_machine_once(
+    dev: Development, radius: int, words: dict, parents: dict
+) -> GeodesicAutomaton:
+    """The machine of the lex-first tree cut at `radius`; `words` and `parents`
+    come from `lexfirst_words` at `radius` or beyond."""
+    words = {f: w for f, w in words.items() if len(w) <= radius}
     children: dict[int, dict[int, int]] = {f: {} for f in words}
     for f, parent in parents.items():
-        children[parent][words[f][-1]] = f
+        if f in words:
+            children[parent][words[f][-1]] = f
     depth_of = {f: len(words[f]) for f in words}
     seed = {f: 0 for f in words}
     return _refine_to_machine(

@@ -19,44 +19,40 @@ from pathlib import Path
 
 from . import __version__
 from .groups import GroupError, TriangleGroupSpec, load_triangle_spec_file, npc_check
-from .samples import SAMPLE_BUILDERS, load_sample, sample_names, write_sample
+from .samples import REFLECTION_SAMPLES, SAMPLE_BUILDERS, load_sample, sample_names, write_sample
 from .development import (
     Development,
     DevelopmentError,
     InsufficientRadiusError,
     development_to_json,
-    export_development,
     grow_to_radius,
     import_development,
 )
-from .cones import signature_counts, verify_cone_determination, enumerate_cone_types
-from .automata import (
-    AutomatonError,
-    build_geodesic_automaton,
-    build_lexfirst_automaton,
-    fellow_traveller_check,
-    lexfirst_words,
-)
-from .curvature import (
-    build_patch,
-    complex_from_document,
-    extract_disc_diagrams,
-    polygon_fixture,
-    triangle_fixture,
-)
-from .oracle import (
-    GROUP_IDS,
-    OracleError,
-    catacomb_check,
-    compare_balls,
-    isometry_ball,
-)
+
+# cones, automata, curvature and oracle are imported inside the commands and
+# suites that use them, so a call pays only for the modules it runs
 
 SUITES = ("cor1", "cor2", "enters", "conetypes", "catacomb", "fellow", "gaussbonnet")
 
 
 class UsageError(ValueError):
     pass
+
+
+def _failure_errors() -> tuple[type[Exception], ...]:
+    """Errors that mean a verification failed (exit 1), not bad usage.
+
+    The automata and oracle errors are taken only from modules already
+    imported: a module this call never loaded cannot have raised one."""
+    errors = [DevelopmentError, InsufficientRadiusError]
+    for module, name in (("trifold.automata", "AutomatonError"), ("trifold.oracle", "OracleError")):
+        if module in sys.modules:
+            errors.append(getattr(sys.modules[module], name))
+    return tuple(errors)
+
+
+def _reject_non_integer(text: str):
+    raise ValueError(f"{text} is not an integer")
 
 
 def spec_hash(spec: TriangleGroupSpec) -> str:
@@ -80,7 +76,11 @@ def _load_devdir(devdir: str) -> Development:
     base = Path(devdir)
     try:
         spec = load_triangle_spec_file(base / "spec.json")
-        doc = json.loads((base / "development.json").read_text())
+        doc = json.loads(
+            (base / "development.json").read_text(),
+            parse_float=_reject_non_integer,
+            parse_constant=_reject_non_integer,
+        )
         return import_development(doc, spec)
     except FileNotFoundError as exc:
         raise UsageError(f"not a build directory: {exc}") from exc
@@ -146,6 +146,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_automaton(args) -> int:
+    from .automata import build_geodesic_automaton, build_lexfirst_automaton
+
     dev = _load_devdir(args.devdir)
     diameter = max(l.diameter for l in dev.spec.local_links())
     if args.kind == "geodesic":
@@ -204,6 +206,8 @@ def _suite_enters(dev: Development) -> tuple[str, bool, str]:
 
 
 def _suite_conetypes(dev: Development, depth: int) -> tuple[str, bool, str, dict]:
+    from .cones import enumerate_cone_types, signature_counts, verify_cone_determination
+
     diameter = max(l.diameter for l in dev.spec.local_links())
     table_radius = dev.radius - diameter
     if table_radius < 2:
@@ -225,7 +229,11 @@ def _suite_conetypes(dev: Development, depth: int) -> tuple[str, bool, str, dict
     if any(r == 2 for r in dev.half_girths):
         # equal signatures do not determine cone types at a half-girth of 2;
         # the states of the all-geodesics machine do, once it is certified by
-        # equal canonical forms at table_radius - 1 and table_radius
+        # equal canonical forms at table_radius - 1 and table_radius; the
+        # radius where the signature count settles says nothing about them
+        from .automata import build_geodesic_automaton, lexfirst_words
+
+        data["stabilization_radius"] = None
         try:
             machine = build_geodesic_automaton(dev, table_radius)
         except InsufficientRadiusError as exc:
@@ -262,6 +270,8 @@ def _suite_conetypes(dev: Development, depth: int) -> tuple[str, bool, str, dict
 def _suite_catacomb(dev: Development, radius: int | None, maxlen: int | None):
     if any(r == 2 for r in dev.half_girths):
         return "skip", True, "gated, skipped: a half-girth equals 2, so the unit equilateral metric is not nonpositively curved"
+    from .oracle import catacomb_check
+
     use_radius = radius if radius is not None else min(4, dev.radius - 1)
     report = catacomb_check(dev, use_radius, maxlen)
     if report.ok:
@@ -272,6 +282,8 @@ def _suite_catacomb(dev: Development, radius: int | None, maxlen: int | None):
 
 
 def _suite_fellow(dev: Development, workers: int):
+    from .automata import fellow_traveller_check
+
     radius = dev.radius - 1
     report = fellow_traveller_check(dev, radius, workers=workers)
     msg = (
@@ -287,6 +299,8 @@ def _suite_gaussbonnet(dev: Development):
     import random
 
     from fractions import Fraction as F
+
+    from .curvature import build_patch, extract_disc_diagrams, polygon_fixture, triangle_fixture
 
     checks = 0
     fixtures = [triangle_fixture(F(1, 3)), triangle_fixture(F(0)), polygon_fixture(6, F(2, 3))]
@@ -353,7 +367,7 @@ def cmd_verify(args) -> int:
                 data_updates.update({"delta": data["delta"]})
             else:
                 status, ok, msg = _suite_gaussbonnet(dev)
-        except (DevelopmentError, InsufficientRadiusError, AutomatonError, OracleError) as exc:
+        except _failure_errors() as exc:
             status, ok, msg = "fail", False, str(exc)
         verdicts[suite] = status
         all_ok = all_ok and ok
@@ -371,6 +385,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import catacomb_check, compare_balls, isometry_ball
+
     if args.oracle_cmd == "compare":
         spec = load_sample(args.group)
         dev = grow_to_radius(spec, args.radius)
@@ -396,6 +412,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    from .curvature import complex_from_document
+
     doc = json.loads(Path(args.file).read_text())
     y = complex_from_document(doc)
     print(f"vertices {y.n_vertices}, edges {len(y.edges)}, faces {len(y.cells)}")
@@ -462,11 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="independent exact-isometry checks")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
     pc = osub.add_parser("compare", help="development ball vs reflection-group ball")
-    pc.add_argument("--group", choices=GROUP_IDS, required=True)
+    pc.add_argument("--group", choices=REFLECTION_SAMPLES, required=True)
     pc.add_argument("--radius", type=int, required=True)
     pc.set_defaults(func=cmd_oracle)
     pk = osub.add_parser("catacomb", help="edge crossings vs ball distances")
-    pk.add_argument("--group", choices=GROUP_IDS, required=True)
+    pk.add_argument("--group", choices=REFLECTION_SAMPLES, required=True)
     pk.add_argument("--radius", type=int, required=True)
     pk.add_argument("--maxlen", type=int, default=None)
     pk.set_defaults(func=cmd_oracle)
@@ -505,7 +523,7 @@ def main(argv=None) -> int:
     except GroupError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except (DevelopmentError, InsufficientRadiusError, AutomatonError, OracleError) as exc:
+    except _failure_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

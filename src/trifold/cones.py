@@ -252,19 +252,3 @@ def cone_membership(dev: Development, f: int, word: list[int]) -> bool:
             raise InsufficientRadiusError("word leaves the trusted ball")
         target = nxt
     return dev.dist[target] == dev.dist[f] + len(word)
-
-
-def signature_graph_dot(table: ConeTypeTable, symbols) -> str:
-    """Transition graph over signatures in a dot-like text form."""
-    index = {sig: i for i, sig in enumerate(sorted(table.entries))}
-    lines = ["digraph cone_types {"]
-    for sig, i in index.items():
-        entry = table.entries[sig]
-        lines.append(f'  s{i} [label="x{entry.multiplicity} rep={entry.representative}"];')
-    for sig, i in index.items():
-        entry = table.entries[sig]
-        for s, succ in enumerate(entry.successors):
-            if succ is not None and succ in index:
-                lines.append(f'  s{i} -> s{index[succ]} [label="{symbols[s].name()}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .groups import LETTERS, LETTER_TYPES, VERTEX_LETTERS, TriangleGroupSpec, npc_check
 
@@ -630,23 +631,20 @@ class Development:
     # -- derived data ------------------------------------------------------
 
     def rebuild_caches(self) -> None:
-        self._vert_faces = [[] for _ in self.vert_type]
-        for f in range(self.face_count):
-            for t in range(3):
-                self._vert_faces[self.f_vert[f][t]].append(f)
-        for faces in self._vert_faces:
-            faces.sort()
-        self._adjacency = []
-        for f in range(self.face_count):
-            out = []
-            seen = set()
-            for letter in range(3):
-                for raw in self.edge_slots[self.f_edge[f][letter]]:
-                    if raw != -1 and raw != f and raw not in seen:
-                        seen.add(raw)
-                        out.append(raw)
-            out.sort()
-            self._adjacency.append(out)
+        vert_faces = [[] for _ in self.vert_type]
+        for f, corners in enumerate(self.f_vert):
+            for v in corners:
+                vert_faces[v].append(f)  # ascending, as f ascends
+        slots = self.edge_slots
+        adjacency = []
+        for f, (x, y, z) in enumerate(self.f_edge):
+            near = set(slots[x])
+            near.update(slots[y], slots[z])
+            near.discard(-1)
+            near.discard(f)
+            adjacency.append(sorted(near))
+        self._vert_faces = vert_faces
+        self._adjacency = adjacency
 
     @cached_property
     def half_girths(self) -> tuple[float, float, float]:
@@ -878,39 +876,31 @@ def grow_to_radius(source: TriangleGroupSpec | _Grower, radius: int) -> Developm
 # -- serialization ---------------------------------------------------------
 
 
+DEVELOPMENT_FORMAT = "trifold-development/2"
+
+
 def export_development(dev: Development) -> dict:
-    faces = []
-    for f in range(dev.face_count):
-        nbr = {}
-        for s, sym in enumerate(dev.symbols):
-            g = dev.neighbor(f, s)
-            if g is not None:
-                nbr[sym.name()] = g
-        faces.append({"d": dev.dist[f], "final": dev.final[f], "nbr": nbr})
-    edges = [
-        {"letter": LETTERS[dev.edge_letter[e]], "slots": list(dev.edge_slots[e]),
-         "ends": list(dev.edge_ends[e])}
-        for e in range(len(dev.edge_letter))
-    ]
-    vertices = [
-        {"type": dev.vert_type[v] + 1,
-         "chart": {str(f): val for f, val in dev.vert_chart[v].items()},
-         "edges": list(dev.vert_edges[v])}
-        for v in range(len(dev.vert_type))
-    ]
+    """The ball as one JSON array per column (see the README for the layout).
+
+    The lists are the ball's own, not copies; `final` is not stored, since it
+    is `dist <= radius`."""
     return {
-        "format": "trifold-development/1",
+        "format": DEVELOPMENT_FORMAT,
         "name": dev.spec.name,
         "k": dev.k,
         "radius": dev.radius,
         "margin": dev.margin,
         "sphere_sizes": dev.sphere_sizes,
-        "faces": faces,
-        "edges": edges,
-        "vertices": vertices,
+        "dist": dev.dist,
         "face_edges": dev.f_edge,
         "face_slots": dev.f_slot,
         "face_vertices": dev.f_vert,
+        "edge_letters": "".join([LETTERS[x] for x in dev.edge_letter]),
+        "edge_slots": dev.edge_slots,
+        "edge_ends": dev.edge_ends,
+        "vertex_types": dev.vert_type,
+        "vertex_charts": [[x for item in chart.items() for x in item] for chart in dev.vert_chart],
+        "vertex_edges": dev.vert_edges,
     }
 
 
@@ -918,24 +908,64 @@ def development_to_json(dev: Development) -> str:
     return json.dumps(export_development(dev), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _column(doc: dict, name: str, length: int, width: int | None, low: int, high: int) -> list:
+    """`doc[name]`, checked to hold `length` rows of `width` entries (any width
+    if None), every entry in low..high-1."""
+    rows = doc[name]
+    if len(rows) != length:
+        raise ValueError(f"{name} has {len(rows)} rows, expected {length}")
+    if width is not None and set(map(len, rows)) - {width}:
+        raise ValueError(f"{name}: a row does not have {width} entries")
+    entries = list(chain.from_iterable(rows))
+    if entries and (min(entries) < low or max(entries) >= high):
+        raise ValueError(f"{name}: an entry lies outside {low}..{high - 1}")
+    return rows
+
+
 def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
-    if not isinstance(doc, dict) or doc.get("format") != "trifold-development/1":
+    """Rebuild a ball from `export_development`'s document.
+
+    The parsed lists become the ball's columns as they are.  Column lengths,
+    row widths and every id are checked first, so a malformed document raises
+    ValueError rather than failing later inside a suite."""
+    if not isinstance(doc, dict):
         raise ValueError("not a development document")
+    if doc.get("format") != DEVELOPMENT_FORMAT:
+        raise ValueError(
+            f"development format {doc.get('format')!r} is not {DEVELOPMENT_FORMAT!r}; "
+            f"rebuild the ball"
+        )
     dev = Development(spec, int(doc["radius"]), int(doc["margin"]))
-    dev.dist = [f["d"] for f in doc["faces"]]
-    dev.final = [bool(f["final"]) for f in doc["faces"]]
-    dev.f_edge = [list(x) for x in doc["face_edges"]]
-    dev.f_slot = [list(x) for x in doc["face_slots"]]
-    dev.f_vert = [list(x) for x in doc["face_vertices"]]
-    dev.edge_letter = [LETTERS.index(e["letter"]) for e in doc["edges"]]
-    dev.edge_slots = [list(e["slots"]) for e in doc["edges"]]
-    dev.edge_ends = [list(e["ends"]) for e in doc["edges"]]
-    dev.edge_saturated = [all(s != -1 for s in e["slots"]) for e in doc["edges"]]
-    dev.vert_type = [int(v["type"]) - 1 for v in doc["vertices"]]
-    dev.vert_chart = [
-        {int(f): val for f, val in v["chart"].items()} for v in doc["vertices"]
-    ]
-    dev.vert_edges = [list(v["edges"]) for v in doc["vertices"]]
+    dist = doc["dist"]
+    letters = doc["edge_letters"]
+    types = doc["vertex_types"]
+    nf, ne, nv, k = len(dist), len(letters), len(types), dev.k
+    if min(dist, default=0) < 0:
+        raise ValueError("dist: a distance is negative")
+    if not set(letters) <= set(LETTERS):
+        raise ValueError("edge_letters: a letter is not a, b or c")
+    if not set(types) <= {0, 1, 2}:
+        raise ValueError("vertex_types: a type is not 0, 1 or 2")
+    dev.dist = dist
+    dev.final = [d <= dev.radius for d in dist]
+    dev.f_edge = _column(doc, "face_edges", nf, 3, 0, ne)
+    dev.f_slot = _column(doc, "face_slots", nf, 3, 0, k)
+    dev.f_vert = _column(doc, "face_vertices", nf, 3, 0, nv)
+    dev.edge_letter = list(map(LETTERS.index, letters))
+    dev.edge_slots = _column(doc, "edge_slots", ne, k, -1, nf)
+    dev.edge_ends = _column(doc, "edge_ends", ne, 2, 0, nv)
+    dev.edge_saturated = [-1 not in slots for slots in dev.edge_slots]
+    dev.vert_type = types
+    dev.vert_edges = _column(doc, "vertex_edges", nv, None, 0, ne)
+    orders = [g.order for g in spec.vertex_groups]
+    flat_charts = _column(doc, "vertex_charts", nv, None, 0, max(nf, *orders))
+    dev.vert_chart = [dict(zip(c[::2], c[1::2])) for c in flat_charts]
+    if (
+        any(len(c) % 2 for c in flat_charts)
+        or max(chain.from_iterable(dev.vert_chart), default=0) >= nf
+        or any(max(c.values(), default=0) >= orders[t] for c, t in zip(dev.vert_chart, types))
+    ):
+        raise ValueError("vertex_charts: a row is not pairs of a face and an element of its vertex group")
     dev.rebuild_caches()
     return dev
 

@@ -18,6 +18,7 @@ from math import isqrt
 
 from .development import Development
 from .rings import Isometry, Point, Q3, RadicalSum, pt
+from .samples import REFLECTION_SAMPLES as GROUP_IDS
 
 
 class OracleError(ValueError):
@@ -31,8 +32,6 @@ _TRIANGLES: dict[str, tuple[Point, Point, Point]] = {
     "d244": (pt(0, 0), pt(1, 0), pt(0, 1)),
     "d236": (pt(0, 0), pt(1, 0), (Q3(0), Q3(0, 1))),
 }
-
-GROUP_IDS = tuple(sorted(_TRIANGLES))
 
 
 def reflection_generators(group_id: str) -> list[Isometry]:

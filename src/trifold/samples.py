@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .groups import FiniteGroup, TriangleGroupSpec, load_triangle_spec
+from .groups import FiniteGroup, TriangleGroupSpec
 
 
 def dihedral(n: int, name: str | None = None) -> FiniteGroup:
@@ -78,6 +78,10 @@ def spec_f21_333() -> TriangleGroupSpec:
     return spec
 
 
+# the Euclidean 2-fold samples, which oracle.py also models as exact
+# reflection groups
+REFLECTION_SAMPLES = ("d236", "d244", "d333")
+
 SAMPLE_BUILDERS = {
     "d333": spec_d333,
     "d244": spec_d244,
@@ -105,7 +109,3 @@ def write_sample(name: str, path: str | Path) -> Path:
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return path
 
-
-def roundtrip_sample(name: str) -> TriangleGroupSpec:
-    """Load a sample via its document form (exercises the parser)."""
-    return load_triangle_spec(load_sample(name).to_document())

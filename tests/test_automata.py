@@ -3,6 +3,7 @@ import pytest
 from trifold.automata import (
     AutomatonError,
     GeodesicAutomaton,
+    _lexfirst_machine_once,
     build_geodesic_automaton,
     build_lexfirst_automaton,
     fellow_traveller_check,
@@ -133,6 +134,24 @@ def test_lexfirst_uncertified_f21(devs):
     assert "certified_radius" not in machine.metadata
     with pytest.raises(InsufficientRadiusError):
         build_lexfirst_automaton(dev, 8)
+
+
+def test_lexfirst_machine_from_cut_words(devs):
+    # build_lexfirst_automaton builds its radius - 1 machine from the words of
+    # radius cut at radius - 1; that must equal the machine of the words of
+    # radius - 1, or fail the same way
+    def machine(dev, radius, words):
+        try:
+            return _lexfirst_machine_once(dev, radius, *words).to_document()
+        except InsufficientRadiusError as exc:
+            return str(exc)
+
+    for name, radius in {**LEX_RADII, "f21_333": 9}.items():
+        dev = devs[name]
+        for r in (radius - 2, radius - 1):
+            assert machine(dev, r, lexfirst_words(dev, radius)) == machine(
+                dev, r, lexfirst_words(dev, r)
+            ), (name, r)
 
 
 def test_language_inclusion_lex_in_geodesic(dev333):

@@ -79,6 +79,7 @@ def test_verify_all_suites(built, capsys):
     manifest = json.loads((built / "manifest.json").read_text())
     assert manifest["verdicts"]["cor1"] == "pass"
     assert manifest["cone_type_count"] == 16
+    assert manifest["stabilization_radius"] == 4
 
 
 def test_verify_gated_catacomb(tmp_path, capsys):
@@ -94,8 +95,8 @@ def test_verify_fault_injection_fails(built, tmp_path, capsys):
     broken = tmp_path / "broken"
     shutil.copytree(built, broken)
     doc = json.loads((broken / "development.json").read_text())
-    victim = next(i for i, f in enumerate(doc["faces"]) if f["d"] == 2)
-    doc["faces"][victim]["d"] = 9
+    victim = doc["dist"].index(2)
+    doc["dist"][victim] = 9
     (broken / "development.json").write_text(json.dumps(doc))
     assert main(["verify", str(broken), "--suite", "cor2"]) == 1
 
@@ -180,6 +181,53 @@ def test_verify_conetypes_half_girth_two(tmp_path, capsys, radius, status, expec
     # signature count (24), and nothing when the machine does not certify
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["cone_type_count"] == {30: 41, 19: None}[radius]
+    # the signature counts settle at radius 10, but the machine first
+    # certifies at 22, so no signature radius is recorded
+    assert manifest["stabilization_radius"] is None
+
+
+def _ragged_row(doc):
+    doc["face_edges"][5] = doc["face_edges"][5][:2]
+
+
+def _face_out_of_range(doc):
+    doc["edge_slots"][7][0] = len(doc["dist"])
+
+
+def _negative_vertex(doc):
+    doc["face_vertices"][3][1] = -1
+
+
+def _float_id(doc):
+    doc["edge_slots"][7][0] = 1.0
+
+
+def _format_1(doc):
+    """The same ball in the per-face, per-edge and per-vertex objects of
+    format 1, which is no longer read."""
+    k, slots = doc["k"], doc["edge_slots"]
+    faces = []
+    for d, edges, offsets in zip(doc.pop("dist"), doc["face_edges"], doc["face_slots"]):
+        nbr = {}
+        for letter, (e, j) in enumerate(zip(edges, offsets)):
+            for power in range(1, k):
+                if slots[e][(j + power) % k] != -1:
+                    nbr[f"{'abc'[letter]}{power}"] = slots[e][(j + power) % k]
+        faces.append({"d": d, "final": d <= doc["radius"], "nbr": nbr})
+    doc["faces"] = faces
+    doc["edges"] = [
+        {"letter": letter, "slots": row, "ends": ends}
+        for letter, row, ends in zip(
+            doc.pop("edge_letters"), doc.pop("edge_slots"), doc.pop("edge_ends")
+        )
+    ]
+    doc["vertices"] = [
+        {"type": t + 1, "chart": {str(f): x for f, x in zip(c[::2], c[1::2])}, "edges": edges}
+        for t, c, edges in zip(
+            doc.pop("vertex_types"), doc.pop("vertex_charts"), doc.pop("vertex_edges")
+        )
+    ]
+    doc["format"] = "trifold-development/1"
 
 
 @pytest.mark.parametrize(
@@ -190,6 +238,11 @@ def test_verify_conetypes_half_girth_two(tmp_path, capsys, radius, status, expec
         ("development.json", "{}"),
         ("spec.json", '{"k": 2, "vertex_gr'),
         ("spec.json", "[]"),
+        ("development.json", _ragged_row),
+        ("development.json", _face_out_of_range),
+        ("development.json", _negative_vertex),
+        ("development.json", _float_id),
+        ("development.json", _format_1),
     ],
 )
 def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, content):
@@ -197,9 +250,17 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
 
     broken = tmp_path / "broken"
     shutil.copytree(built, broken)
-    (broken / name).write_text(content)
+    text = content
+    if callable(content):
+        doc = json.loads((built / name).read_text())
+        content(doc)
+        text = json.dumps(doc)
+    (broken / name).write_text(text)
     assert main(["verify", str(broken), "--suite", "cor1"]) == 2
-    assert "malformed build directory" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed build directory" in err
+    if content is _format_1:
+        assert "development format 'trifold-development/1'" in err
 
 
 @pytest.mark.parametrize(
@@ -218,3 +279,55 @@ def test_invalid_numeric_arguments_exit_two(built, tmp_path, capsys, argv):
     assert main(argv) == 2
     assert "must be at least" in capsys.readouterr().err
     assert not (tmp_path / "neg").exists()
+
+
+# sha256 of development.json (format 2), manifest.json and the lex-first
+# machine's JSON, per sample: (ball radius, automaton flags, hashes).  The
+# manifest and machine hashes equal those of the format-1 code.
+GOLDEN = {
+    "d333": (11, [], (
+        "5d73c704205f905d5c26ab4f950f4dfdd54bd5c9777be7a1a19e63401a3b5eac",
+        "c8b4c256b0841175c6f5460beb396a415075cd69b7b43c311aa668db478e69bb",
+        "3450465844302073b9631a8ba41162109a4b01d5f1fefa982edd2f2e7241dbdd",
+    )),
+    "d244": (8, [], (
+        "ffe683c12c686360b6d8411ed5fd938c04ff7e50ef3aaf07761dc2eab989a6f7",
+        "a6ec3d5897f7bb48a1526306fc3d0f56a7846aed18f2896acb586975b2b0e97c",
+        "3ec8c41c897603bd662b279bda3f99021d9193871431c1ae72efe5ad6706a747",
+    )),
+    "d236": (5, [], (
+        "aea1caa13bfdd904b6336840733b41fbfc7e8577f238e877da4f3b8b343a7bf6",
+        "e1d08b9b32cd7c2211b80c3fa0fdd4ebbd37a582261824699db08f26be921052",
+        "a3ac5c5804d538dd5a8c7fca9e173e8f972a1d1e0133416b792c9c948e52f27f",
+    )),
+    "d444": (6, ["--no-certify"], (
+        "550784cf823d16a21bd467297e1c5847bb3cfc0be2527034c2c31b00fa95dfbc",
+        "3d1b84ebbaf74d1f91fe73ebaa7ceaaa3117e172f12f0156208f8c04b4cebcf3",
+        "72a6e966fec3ab3bf42c1666e93601810b38103e44a2f82f426248ac2e87d2dc",
+    )),
+    "f21_333": (4, ["--no-certify"], (
+        "771656dadaed79743572ddc6504a9d55c870a24c38e5d4a0ae4c9c32a991412c",
+        "8776300f9442cf23af7995c82d6998e068fdd95818ac8dd3d2d3ab2f58de645b",
+        "23654c12316051cdc56571a967d815345c07179942fa37f49a46f15d441fcdab",
+    )),
+}
+GOLDEN_GEODESIC_D333 = "0da7ab95885d4ee20c3c4215b3e18ce7569dfd3057cd4525e7c07d07fecbac89"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_build_bytes(tmp_path, name):
+    import hashlib
+
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    radius, flags, expected = GOLDEN[name]
+    out = tmp_path / name
+    assert main(["build", name, "--radius", str(radius), "--out", str(out)]) == 0
+    machine = tmp_path / "lexfirst.json"
+    assert main(["automaton", str(out), "--kind", "lexfirst", *flags, "--out", str(machine)]) == 0
+    assert (sha(out / "development.json"), sha(out / "manifest.json"), sha(machine)) == expected
+    if name == "d333":
+        machine = tmp_path / "geodesic.json"
+        assert main(["automaton", str(out), "--kind", "geodesic", "--out", str(machine)]) == 0
+        assert sha(machine) == GOLDEN_GEODESIC_D333

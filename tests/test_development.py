@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from trifold.development import (
@@ -202,15 +204,39 @@ def test_monotone_embedding():
     assert embeds_in(small, big)
 
 
-def test_export_import_roundtrip(dev333):
-    doc = export_development(dev333)
-    again = import_development(doc, dev333.spec)
-    assert again.sphere_sizes == dev333.sphere_sizes
-    assert again.dist == dev333.dist
-    assert again.vert_chart == dev333.vert_chart
-    for f in again.ball_faces()[:30]:
-        for s in range(again.symbol_count):
-            assert again.neighbor(f, s) == dev333.neighbor(f, s)
+COLUMNS = (
+    "radius", "margin", "dist", "final", "f_edge", "f_slot", "f_vert", "edge_letter",
+    "edge_slots", "edge_ends", "edge_saturated", "vert_type", "vert_chart", "vert_edges",
+    "_vert_faces", "_adjacency",
+)
+
+
+def _reference_caches(dev):
+    """Face lists per vertex and face adjacency by plain loops over the columns."""
+    vert_faces = [[] for _ in dev.vert_type]
+    for f in range(dev.face_count):
+        for t in range(3):
+            vert_faces[dev.f_vert[f][t]].append(f)
+    adjacency = []
+    for f in range(dev.face_count):
+        near = set()
+        for letter in range(3):
+            near.update(g for g in dev.edge_slots[dev.f_edge[f][letter]] if g not in (-1, f))
+        adjacency.append(sorted(near))
+    return [sorted(faces) for faces in vert_faces], adjacency
+
+
+def test_export_import_roundtrip(devs):
+    # f21_333 on a ball of its own: the shared radius-9 ball is large
+    balls = [devs[name] for name in ("d333", "d244", "d236", "d444")]
+    balls.append(grow_to_radius(load_sample("f21_333"), 4))
+    for dev in balls:
+        again = import_development(json.loads(development_to_json(dev)), dev.spec)
+        for column in COLUMNS:
+            assert getattr(again, column) == getattr(dev, column), (dev.spec.name, column)
+        assert again.sphere_sizes == dev.sphere_sizes
+        assert _reference_caches(again) == (again._vert_faces, again._adjacency)
+        assert export_development(again) == export_development(dev)
 
 
 def test_vertex_charts_are_bijections(devs):

@@ -27,6 +27,7 @@ from .development import (
     development_to_json,
     grow_to_radius,
     import_development,
+    init_development,
 )
 
 # cones, automata, curvature and oracle are imported inside the commands and
@@ -115,12 +116,14 @@ def cmd_build(args) -> int:
     spec = _load_spec(args.spec)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    dev = grow_to_radius(spec, args.radius)
+    grower = init_development(spec)
+    verdict = grower.verdict
+    dev = grow_to_radius(grower, args.radius)
+    del grower  # the closure state is large: free it before serializing
     (outdir / "spec.json").write_text(
         json.dumps(spec.to_document(), sort_keys=True, indent=1) + "\n"
     )
     (outdir / "development.json").write_text(development_to_json(dev))
-    verdict = npc_check(spec)
     links = spec.local_links()
     manifest = {
         "format": "trifold-manifest/1",
@@ -342,8 +345,26 @@ def _random_angles(y, rng):
     return AngledComplex(y.n_vertices, list(y.edges), cells)
 
 
+def _load_manifest(devdir: str) -> dict | None:
+    """The build's manifest, or None when there is none."""
+    path = Path(devdir) / "manifest.json"
+    if not path.exists():
+        return None
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise UsageError(f"malformed build directory {devdir}: manifest.json: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("verdicts"), dict):
+        raise UsageError(
+            f"malformed build directory {devdir}: manifest.json has no verdicts table"
+        )
+    return manifest
+
+
 def cmd_verify(args) -> int:
     dev = _load_devdir(args.devdir)
+    # a malformed manifest is reported before any suite runs
+    manifest = _load_manifest(args.devdir)
     workers = int(os.environ.get("TRIFOLD_WORKERS", "1"))
     wanted = SUITES if args.suite == "all" else (args.suite,)
     verdicts = {}
@@ -372,9 +393,7 @@ def cmd_verify(args) -> int:
         verdicts[suite] = status
         all_ok = all_ok and ok
         print(f"{suite}: {status} ({msg})")
-    manifest_path = Path(args.devdir) / "manifest.json"
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text())
+    if manifest is not None:
         manifest["verdicts"].update(verdicts)
         for key in ("cone_type_count", "stabilization_radius"):
             if key in data_updates:
@@ -414,8 +433,15 @@ def cmd_oracle(args) -> int:
 def cmd_curvature(args) -> int:
     from .curvature import complex_from_document
 
-    doc = json.loads(Path(args.file).read_text())
-    y = complex_from_document(doc)
+    try:
+        text = Path(args.file).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read complex file: {exc}") from exc
+    try:
+        y = complex_from_document(json.loads(text))
+    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        # ComplexError and a broken file's JSONDecodeError are ValueErrors
+        raise UsageError(f"bad complex document: {exc}") from exc
     print(f"vertices {y.n_vertices}, edges {len(y.edges)}, faces {len(y.cells)}")
     for v in range(y.n_vertices):
         print(f"  vertex {v}: curvature {y.vertex_curvature(v)}*pi")

@@ -66,6 +66,7 @@ class _Grower:
                 f"spec is not nonpositively curved: excess {verdict.excess}"
             )
         self.spec = spec
+        self.verdict = verdict
         self.k = spec.k
         links = spec.local_links()
         self.link_diameters = [link.diameter for link in links]
@@ -725,9 +726,6 @@ class Development:
                 return False
         return True
 
-    def interior_faces(self) -> list[int]:
-        return [f for f in self.ball_faces() if self.is_interior(f)]
-
     def interior_vertices(self) -> list[int]:
         """Complete vertices whose faces are all final, in ascending order.
 
@@ -759,25 +757,6 @@ class Development:
                     dist[g] = dist[f] + 1
                     queue.append(g)
         return dist
-
-    def pair_distance(self, f1: int, f2: int, cap: int | None = None) -> int | None:
-        if f1 == f2:
-            return 0
-        dist = {f1: 0}
-        queue = [f1]
-        qi = 0
-        while qi < len(queue):
-            f = queue[qi]
-            qi += 1
-            if cap is not None and dist[f] >= cap:
-                continue
-            for g in self._adjacency[f]:
-                if g not in dist:
-                    if g == f2:
-                        return dist[f] + 1
-                    dist[g] = dist[f] + 1
-                    queue.append(g)
-        return None
 
     # -- local structure ---------------------------------------------------
 

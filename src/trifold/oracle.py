@@ -13,6 +13,7 @@ for (X, Y*sqrt(3)), so its predicates are plain integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from math import isqrt
 
@@ -203,6 +204,12 @@ def on_segment(p: GalleryPoint, a: GalleryPoint, b: GalleryPoint) -> bool:
 
 def segment_point_sqdist(a: GalleryPoint, b: GalleryPoint, p: GalleryPoint) -> int | Fraction:
     """Exact squared distance from point p to segment [a, b]."""
+    num, den = _segment_point_sqdist_ratio(a, b, p)
+    return num if den == 1 else Fraction(num, den)
+
+
+def _segment_point_sqdist_ratio(a: GalleryPoint, b: GalleryPoint, p: GalleryPoint) -> tuple[int, int]:
+    """segment_point_sqdist as an unreduced (numerator, denominator) pair."""
     dx = b[0] - a[0]
     dy = b[1] - a[1]
     px = p[0] - a[0]
@@ -210,12 +217,12 @@ def segment_point_sqdist(a: GalleryPoint, b: GalleryPoint, p: GalleryPoint) -> i
     pp = px * px + 3 * py * py
     t = px * dx + 3 * py * dy
     if t <= 0:
-        return pp
+        return pp, 1
     dd = dx * dx + 3 * dy * dy
     if t >= dd:
-        return sqdist(b, p)
+        return sqdist(b, p), 1
     # the foot of the perpendicular lies inside: |p - a|^2 - t^2 / |b - a|^2
-    return Fraction(pp * dd - t * t, dd)
+    return pp * dd - t * t, dd
 
 
 @dataclass
@@ -248,12 +255,23 @@ def _unfold_step(dev: Development, placed: dict[int, GalleryPoint], cur: int, nx
     if edge is None:
         raise OracleError(f"faces {cur} and {nxt} share no edge")
     s0, s1 = dev.letter_types[dev.edge_letter[edge]]
-    other = 3 - s0 - s1
+    beyond, _ = _step_across(placed, s0, s1, 3 - s0 - s1)
+    va, vb = dev.edge_ends[edge]
+    return edge, dict(enumerate(beyond)), (placed[s0], placed[s1], va, vb)
+
+
+def _step_across(
+    placed: dict[int, GalleryPoint] | tuple[GalleryPoint, ...], s0: int, s1: int, other: int
+) -> tuple[tuple[GalleryPoint, ...], tuple[GalleryPoint, GalleryPoint]]:
+    """The placement, by vertex type, of the face beyond the side of types
+    s0 and s1, and that side as a portal (left, right) seen crossing it."""
     a, b, c = placed[s0], placed[s1], placed[other]
     # for an equilateral triangle the foot of the apex is the base midpoint
     apex = (a[0] + b[0] - c[0], a[1] + b[1] - c[1])
-    va, vb = dev.edge_ends[edge]
-    return edge, {s0: a, s1: b, other: apex}, (a, b, va, vb)
+    beyond = [a, a, a]
+    beyond[s1] = b
+    beyond[other] = apex
+    return tuple(beyond), ((a, b) if area2(c, apex, a) > 0 else (b, a))
 
 
 def unfold_gallery(dev: Development, faces: list[int]) -> Gallery:
@@ -402,7 +420,7 @@ class _MeasuredPath:
     def __init__(self, path: list[GalleryPoint]):
         self.path = path
         # funnel paths have distinct consecutive points, so squares[0] > 0
-        squares = [sqdist(a, b) for a, b in zip(path, path[1:])]
+        self.squares = squares = [sqdist(a, b) for a, b in zip(path, path[1:])]
         # lo <= 2**_ROOT_BITS * length <= hi
         self.lo = self.hi = 0
         for n in squares:
@@ -549,7 +567,12 @@ def cat0_geodesic(dev: Development, f1: int, f2: int, max_len: int) -> GeodesicR
             stack.append((walk + (nxt,), extended))
     if best is None:
         raise OracleError("no gallery within max_len; raise max_len")
-    path, gallery, crossings, inconclusive = best
+    return _geodesic_result(*best)
+
+
+def _geodesic_result(
+    path: _MeasuredPath, gallery: Gallery, crossings: int, inconclusive: bool
+) -> GeodesicResult:
     length = path.length
     unscale = Fraction(1, _UNFOLD_SCALE)
     return GeodesicResult(
@@ -636,21 +659,338 @@ def catacomb_check(dev: Development, radius: int, max_len: int | None = None) ->
     """Crossing count of the geometric geodesic must equal the ball distance,
     for every face pair within the given distance."""
     _require_metric_gate(dev)
-    faces = [f for f in range(dev.face_count) if dev.final[f]]
     failures = []
     inconclusive = []
     pairs = 0
-    for fi, f1 in enumerate(faces):
-        dists = dev.bfs_from(f1, radius)
-        for f2 in faces[fi + 1:]:
-            d = dists.get(f2)
-            if d is None or d > radius:
-                continue
-            pairs += 1
-            cap = max_len if max_len is not None else d + 2 * dev.margin
-            result = cat0_geodesic(dev, f1, f2, cap)
-            if result.inconclusive:
+    for f1 in dev.ball_faces():
+        dists, found = source_geodesics(dev, f1, radius, max_len)
+        pairs += len(found)
+        for f2, (_path, _gallery, crossings, unsure) in found.items():
+            if unsure:
                 inconclusive.append((f1, f2))
-            elif result.crossings != d:
-                failures.append((f1, f2, d, result.crossings))
+            elif crossings != dists[f2]:
+                failures.append((f1, f2, dists[f2], crossings))
     return CrossingReport(not failures and not inconclusive, pairs, failures, inconclusive)
+
+
+# A gallery path from the start crosses a portal, then runs inside the
+# complex to the goal centroid.  Up to the portal it is at least as long as
+# the shortest path through the sleeve so far: the path to the funnel's apex
+# plus the distance from the apex to the portal (_cross_portal).  From the
+# portal on it is at least sqrt(tail) long, in the squared units of the
+# unfolding (unit sides scaled by 6): the goal centroid is sqrt(3) from the
+# goal's edges, so tail 3 holds for every portal, and every point of a face
+# two or more gallery steps from the goal is at least 2*sqrt(3) from its
+# centroid, so tail 12 holds when the portal's face is that far.  For the
+# latter, fold the goal's edge neighbours onto the plane triangle of twice
+# the side around the goal: the map is 1-Lipschitz, the far faces lie
+# outside it, and its boundary is 2*sqrt(3) from the centre.
+_TAIL_FLOORS = {tail: isqrt(tail << 2 * _ROOT_BITS) for tail in (3, 12)}
+
+# (apex, floor, squares, left chain, right chain): every shortest path from
+# the start to the latest portal runs through the apex; squares are the
+# squared segment lengths of the path up to the apex, and floor the sum of
+# their rounded-down lengths times 2**_ROOT_BITS; each chain runs from the
+# apex to one end of the portal, turning left on the left and right on the
+# right (the funnel of Lee and Preparata).
+_Funnel = tuple[GalleryPoint, int, tuple[int, ...], tuple[GalleryPoint, ...], tuple[GalleryPoint, ...]]
+
+
+def _cross_portal(funnel: _Funnel, left: GalleryPoint, right: GalleryPoint) -> _Funnel:
+    """The funnel once the walk crosses the portal (left, right)."""
+    apex, floor, squares, lchain, rchain = funnel
+    if len(lchain) == 1 and len(rchain) == 1:
+        # the first portal is an edge of the start face, seen whole
+        return apex, floor, squares, (apex, left), (apex, right)
+    # consecutive portals are two edges of one face: one end is new
+    if left == lchain[-1]:
+        new, sign, chain, other = right, -1, list(rchain), list(lchain)
+    elif right == rchain[-1]:
+        new, sign, chain, other = left, 1, list(lchain), list(rchain)
+    else:
+        raise OracleError("consecutive portals share no end on the same side")
+    # drop the chain's last corner while the new end does not turn past it
+    while len(chain) >= 2 and sign * area2(chain[-2], chain[-1], new) <= 0:
+        chain.pop()
+    if len(chain) == 1:
+        # the chain is down to the apex: while the other chain's first corner
+        # hides the new end from the apex, the path bends there
+        while len(other) >= 2 and sign * area2(apex, other[1], new) < 0:
+            square = sqdist(apex, other[1])
+            squares += (square,)
+            floor += isqrt(square << 2 * _ROOT_BITS)
+            apex = other[1]
+            del other[0]
+            chain = [apex]
+    chain.append(new)
+    if sign < 0:
+        return apex, floor, squares, tuple(other), tuple(chain)
+    return apex, floor, squares, tuple(chain), tuple(other)
+
+
+def _bound_sign(funnel: _Funnel, num: int, den: int, tail: int, path: _MeasuredPath) -> int:
+    """The exact sign of the bound minus the path length, where the bound is
+    the funnel's path to its apex, then sqrt(num / den) from the apex to the
+    portal, then sqrt(tail)."""
+    bound = [(Fraction(1, den), num * den), (1, tail)] + [(1, square) for square in funnel[2]]
+    return _compare_roots(bound, [(1, square) for square in path.squares])
+
+
+@lru_cache(maxsize=1 << 16)
+def _root_form(n: int) -> tuple[int, int]:
+    """(c, m) with n = c * c * m and m square-free, for n > 0."""
+    c, m, p = 1, n, 2
+    while p * p <= m:
+        while m % (p * p) == 0:
+            m //= p * p
+            c *= p
+        p += 1 if p == 2 else 2
+    return c, m
+
+
+def _compare_roots(xs: list[tuple[Fraction | int, int]], ys: list[tuple[Fraction | int, int]]) -> int:
+    """The sign of sum(a * sqrt(n)) over xs minus the same over ys, for
+    coefficients a > 0 and integers n >= 0.
+
+    Square roots of distinct square-free integers are linearly independent
+    over the rationals, so the sums are equal exactly when their reduced
+    forms are; otherwise enclosures of growing precision part them."""
+    forms = []
+    for terms in (xs, ys):
+        form: dict[int, Fraction | int] = {}
+        for a, n in terms:
+            if n:
+                c, m = _root_form(n)
+                form[m] = form.get(m, 0) + a * c
+        forms.append(form)
+    if forms[0] == forms[1]:
+        return 0
+    bits = 2 * _ROOT_BITS
+    while True:
+        (xlo, xhi), (ylo, yhi) = (_enclose(form, bits) for form in forms)
+        if xlo > yhi:
+            return 1
+        if xhi < ylo:
+            return -1
+        bits *= 2
+
+
+def _enclose(form: dict[int, Fraction | int], bits: int) -> tuple[int, int]:
+    """lo <= 2**bits * sum(a * sqrt(m)) <= hi, for a > 0."""
+    lo = hi = 0
+    for m, a in form.items():
+        num, den = a.numerator, a.denominator
+        r = isqrt(m << 2 * bits)
+        lo += num * r // den
+        hi += -(-num * (r + 1) // den)
+    return lo, hi
+
+
+# one target's best gallery: measured path, gallery, crossings, inconclusive
+_Best = tuple[_MeasuredPath, Gallery, int, bool]
+
+
+def source_geodesics(
+    dev: Development, f1: int, radius: int, max_len: int | None = None
+) -> tuple[dict[int, int], dict[int, _Best]]:
+    """The catacomb pairs (f1, f2) with f1 < f2, both trusted and at most
+    radius apart, solved by one gallery search from f1.
+
+    Returns the ball distances from f1 and, in ascending f2, the best gallery
+    of each pair.  For every pair, _geodesic_result of that entry equals
+    cat0_geodesic(dev, f1, f2, cap), where cap is max_len or the ball
+    distance plus twice the margin.
+    """
+    final = dev.final
+    dists = dev.bfs_from(f1, radius)
+    targets = sorted(f2 for f2, d in dists.items() if f2 > f1 and final[f2] and d <= radius)
+    if not targets:
+        return dists, {}
+    caps = [max_len if max_len is not None else dists[f2] + 2 * dev.margin for f2 in targets]
+    # the goal tables only bound reach, so any depth is sound; two beyond
+    # the pair distance keeps them small on a hyperbolic ball
+    tables = [dev.bfs_from(f2, dists[f2] + 2) for f2 in targets]
+    return dists, dict(zip(targets, _search(dev, f1, targets, caps, tables)))
+
+
+def _descending_gallery(dev: Development, f1: int, to_goal: dict[int, int]) -> list[int]:
+    """A shortest face path from f1 down a goal distance table to its goal."""
+    walk = [f1]
+    cur = f1
+    while to_goal[cur]:
+        want = to_goal[cur] - 1
+        cur = next(g for g in dev.adjacent_faces(cur) if to_goal.get(g) == want)
+        walk.append(cur)
+    return walk
+
+
+def _gallery_path(dev: Development, faces: list[int]) -> _MeasuredPath:
+    gallery = unfold_gallery(dev, faces)
+    start = centroid(gallery.placements[0])
+    oriented = orient_portals(gallery, start)
+    return _MeasuredPath(funnel_path(oriented, start, centroid(gallery.placements[-1])))
+
+
+def _search(
+    dev: Development, f1: int, targets: list[int], caps: list[int], tables: list[dict[int, int]]
+) -> list[_Best]:
+    """cat0_geodesic's best gallery from f1 to every target, from one search.
+
+    The search walks the simple galleries from f1 depth first, neighbours in
+    adjacent_faces order, as cat0_geodesic does, and keeps a branch only
+    while some target off the walk can still be reached within its cap and
+    improved.  Each target keeps the first gallery of least length in that
+    order, which is cat0_geodesic's winner, because a branch is dropped for
+    a target only when no gallery through it could tie that winner:
+
+    - reach: tables[i] holds goal distances from targets[i] out to some
+      depth; a face missing from it is farther, so it is a lower bound;
+    - length: the funnel up to the latest portal, plus a tail to the goal,
+      bounds every gallery through the walk from below (_TAIL_FLOORS).
+      Before a target has a best, it is bounded by the funnel length of a
+      descending ball geodesic, which the search also meets, so a tie with
+      that bound keeps the branch; once it has a best, a later gallery must
+      be strictly shorter to replace it.
+    """
+    n = len(targets)
+    beyond = [max(table.values()) + 1 for table in tables]
+    best: list[_Best | None] = [None] * n
+    # per target, the path a branch must stay under, the sign of (bound minus
+    # its length) below which the branch lives (1 against the seed, 0 once a
+    # best exists), and, for tails 3 and 12, the limits on the bound's floor
+    # less the tail (x below) under which the bound is surely shorter than
+    # the path and over which it is surely longer; None while nothing bounds
+    # the target
+    bars: list[tuple | None] = [None] * n
+
+    def set_bar(i: int, path: _MeasuredPath, allow: int) -> None:
+        bars[i] = (path, allow) + tuple(
+            x
+            for floor in (_TAIL_FLOORS[3], _TAIL_FLOORS[12])
+            for x in (path.lo - floor - 2, path.hi - floor)
+        )
+
+    for i, (cap, table) in enumerate(zip(caps, tables)):
+        d = table.get(f1)
+        if d is not None and d < cap:
+            set_bar(i, _gallery_path(dev, _descending_gallery(dev, f1, table)), 1)
+    index = {t: i for i, t in enumerate(targets)}
+
+    adjacency = dev.adjacent_faces
+    f_edge = dev.f_edge
+    edge_letter = dev.edge_letter
+    edge_ends = dev.edge_ends
+    letter_types = dev.letter_types
+    start = centroid(_BASE_CORNERS)
+
+    def offer(i: int) -> None:
+        """Make the walk target i's best gallery if it beats the bar."""
+        path = _MeasuredPath(funnel_path(oriented, start, centroid(placements[-1])))
+        if best[i] is not None:
+            if not path.shorter_than(best[i][0]):
+                return
+        elif bars[i] is not None and bars[i][0].shorter_than(path):
+            return
+        gallery = Gallery(
+            list(walk), list(edges), [dict(enumerate(placed)) for placed in placements], list(portals)
+        )
+        _check_path_in_sleeve(path.path, oriented)
+        best[i] = (path, gallery, count_crossings(dev, gallery, path.path), len(walk) >= caps[i])
+        set_bar(i, path, 0)
+
+    # the walk, pushed and popped in place: faces, their placements (corner
+    # points by vertex type), crossed edges, portals and oriented portals
+    walk = [f1]
+    on_walk = {f1}
+    placements = [(_BASE_CORNERS[0], _BASE_CORNERS[1], _BASE_CORNERS[2])]
+    edges: list[int] = []
+    portals: list[tuple[GalleryPoint, GalleryPoint, int, int]] = []
+    oriented: list[tuple[GalleryPoint, GalleryPoint]] = []
+    # per walk face, its placement in the unfolding with fold-backs
+    # straightened, and the funnel there (see _cross_portal)
+    sleeves: list[tuple[tuple[GalleryPoint, ...], _Funnel]] = [
+        (placements[0], (start, 0, (), (start,), (start,)))
+    ]
+    # one frame per walk face: its neighbour iterator and the live targets
+    frames = [(iter(adjacency(f1)), list(range(n)))]
+    while frames:
+        neighbours, live = frames[-1]
+        budget = len(walk) + 1  # faces on the walk once a neighbour is added
+        # per live target: its goal table, the steps it gives a face missing
+        # from it, and the most steps a face on the walk may still be away
+        checks = [(i, tables[i], beyond[i], caps[i] - budget) for i in live]
+        for nxt in neighbours:
+            if nxt in on_walk:
+                continue
+            hit = index.get(nxt, -1)
+            if hit >= 0 and (hit not in live or caps[hit] < budget):
+                hit = -1
+            # live targets still within their cap from nxt, with the tail
+            reach = [] if hit < 0 else [(hit, 3)]
+            for i, table, missing, limit in checks:
+                if i != hit:
+                    steps = table.get(nxt, missing)
+                    if steps <= limit:
+                        reach.append((i, 12 if steps >= 2 else 3))
+            if not reach:
+                continue
+            cur = walk[-1]
+            ec, en = f_edge[cur], f_edge[nxt]
+            letter = 0 if ec[0] == en[0] else 1 if ec[1] == en[1] else 2
+            edge = ec[letter]
+            if en[letter] != edge:
+                raise OracleError(f"faces {cur} and {nxt} share no edge")
+            s0, s1 = letter_types[edge_letter[edge]]
+            other = 3 - s0 - s1
+            straight, funnel = sleeves[-1]
+            if not edges or edge != edges[-1]:
+                straight, portal = _step_across(straight, s0, s1, other)
+                funnel = _cross_portal(funnel, *portal)
+            # else nxt folds back across the edge that entered cur: a path
+            # through both crossings is as long as one crossing the edge once
+            # into nxt placed where cur is, so the bound keeps cur's sleeve
+            num, den = _segment_point_sqdist_ratio(funnel[3][-1], funnel[4][-1], funnel[0])
+            # 2**_ROOT_BITS times the bound lies in [lo, lo + 2 + slack) for
+            # lo = x plus the tail's floor, one unit per rounded square root
+            x = funnel[1] + isqrt((num << 2 * _ROOT_BITS) // den)
+            slack = len(funnel[2])
+            keep = []
+            for i, tail in reach:
+                bar = bars[i]
+                if bar is not None:
+                    low, high = (bar[2], bar[3]) if tail == 3 else (bar[4], bar[5])
+                    if x + slack >= low and (
+                        x > high or _bound_sign(funnel, num, den, tail, bar[0]) >= bar[1]
+                    ):
+                        continue
+                keep.append(i)
+            if hit >= 0 and keep and keep[0] == hit:
+                del keep[0]
+            else:
+                hit = -1
+            if hit < 0 and not keep:
+                continue
+            placed, portal = _step_across(placements[-1], s0, s1, other)
+            walk.append(nxt)
+            on_walk.add(nxt)
+            placements.append(placed)
+            edges.append(edge)
+            portals.append((placed[s0], placed[s1], *edge_ends[edge]))
+            oriented.append(portal)
+            sleeves.append((straight, funnel))
+            if hit >= 0:
+                offer(hit)
+            frames.append((iter(adjacency(nxt) if keep else ()), keep))
+            break
+        else:
+            frames.pop()
+            if frames:
+                on_walk.discard(walk.pop())
+                placements.pop()
+                edges.pop()
+                portals.pop()
+                oriented.pop()
+                sleeves.pop()
+    if None in best:
+        raise OracleError("no gallery within max_len; raise max_len")
+    return best

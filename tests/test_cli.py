@@ -152,6 +152,35 @@ def test_curvature_audit_cli(tmp_path, capsys):
     assert "ok" in out and "curvature" in out
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        json.dumps({"vertices": 3, "edges": [[0, 1]], "faces": []}),
+        '{"format": "trifold-angled-complex/1", "vert',
+    ],
+)
+def test_curvature_audit_bad_document_exits_two(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    assert main(["curvature", "audit", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "bad complex document" in captured.err
+    assert "Traceback" not in captured.err and not captured.out
+
+
+def test_verify_truncated_manifest_exits_two_before_suites(built, tmp_path, capsys):
+    import shutil
+
+    broken = tmp_path / "broken"
+    shutil.copytree(built, broken)
+    (broken / "manifest.json").write_text('{"verdicts": ')
+    assert main(["verify", str(broken), "--suite", "cor1"]) == 2
+    captured = capsys.readouterr()
+    assert "malformed build directory" in captured.err
+    assert "cor1" not in captured.out
+    assert (broken / "manifest.json").read_text() == '{"verdicts": '
+
+
 def test_sample_listing_and_writing(tmp_path, capsys):
     assert main(["sample", "--list"]) == 0
     assert "f21_333" in capsys.readouterr().out

@@ -22,7 +22,9 @@ from trifold.oracle import (
     area2,
     on_segment,
     segment_point_sqdist,
+    source_geodesics,
     sqdist,
+    _geodesic_result,
     _segment_crosses,
 )
 from trifold import rings
@@ -157,7 +159,7 @@ def test_cat0_flat_distances_are_straight_lines(dev333):
     for f2 in rng.sample(faces, 8):
         if f2 == 0:
             continue
-        d = dev333.pair_distance(0, f2)
+        d = dev333.bfs_from(0)[f2]
         result = cat0_geodesic(dev333, 0, f2, d + 2 * dev333.margin)
         assert result.crossings == d
         assert not result.inconclusive
@@ -272,6 +274,58 @@ def test_catacomb_hyperbolic_sample():
     dev = grow_to_radius(load_sample("d444"), 3)
     report = catacomb_check(dev, 2)
     assert report.ok and report.pairs_checked > 40
+
+
+# -- one search per source against the per-pair search ----------------------------
+
+
+def _assert_source_search_matches_per_pair(dev, radius, max_len=None, sources=None):
+    """Every pair of the shared search equals cat0_geodesic field for field;
+    returns the number of pairs."""
+    pairs = 0
+    for f1 in dev.ball_faces() if sources is None else sources:
+        dists, found = source_geodesics(dev, f1, radius, max_len)
+        expected = [f2 for f2 in dev.ball_faces() if f2 > f1 and dists.get(f2, radius + 1) <= radius]
+        assert list(found) == expected
+        for f2, entry in found.items():
+            shared = _geodesic_result(*entry)
+            cap = max_len if max_len is not None else dists[f2] + 2 * dev.margin
+            ref = cat0_geodesic(dev, f1, f2, cap)
+            assert (shared.crossings, shared.inconclusive) == (ref.crossings, ref.inconclusive), (f1, f2)
+            assert shared.length == ref.length, (f1, f2)
+            assert shared.squared_length == ref.squared_length, (f1, f2)
+            assert shared.gallery == ref.gallery, (f1, f2)
+            assert shared.path == ref.path, (f1, f2)
+        pairs += len(found)
+    return pairs
+
+
+def test_source_search_matches_per_pair_d333(dev333):
+    pairs = _assert_source_search_matches_per_pair(dev333, 2)
+    assert pairs == catacomb_check(dev333, 2).pairs_checked == 801
+
+
+def test_source_search_matches_per_pair_d444():
+    dev = grow_to_radius(load_sample("d444"), 8)
+    pairs = _assert_source_search_matches_per_pair(dev, 1)
+    assert pairs == catacomb_check(dev, 1).pairs_checked == 477
+
+
+def test_source_search_matches_per_pair_max_len():
+    dev = grow_to_radius(load_sample("d333"), 6)
+    assert _assert_source_search_matches_per_pair(dev, 2, max_len=9) > 0
+    # a cap below the pair distance plus one admits no gallery, as per pair
+    f2 = next(f for f in dev.ball_faces() if dev.dist[f] == 2)
+    with pytest.raises(OracleError, match="no gallery within max_len"):
+        cat0_geodesic(dev, 0, f2, 2)
+    with pytest.raises(OracleError, match="no gallery within max_len"):
+        source_geodesics(dev, 0, 2, max_len=2)
+
+
+def test_source_search_matches_per_pair_f21():
+    # k = 3: three faces per edge; a fixed sample of sources keeps it short
+    dev = grow_to_radius(load_sample("f21_333"), 4)
+    assert _assert_source_search_matches_per_pair(dev, 1, sources=dev.ball_faces()[::9]) > 50
 
 
 # -- integer gallery kernel against the Q(sqrt 3) reference -----------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .development import Development, GeneratorSymbol, InsufficientRadiusError
+from .development import Development, GeneratorSymbol, InsufficientRadiusError, symbols_for
 from .cones import Signature, cone_signature
 
 
@@ -29,7 +29,7 @@ class GeodesicAutomaton:
     def __init__(self, kind, k, n_live, start, transitions, metadata=None):
         self.kind = kind
         self.k = k
-        self.alphabet = [GeneratorSymbol(l, p) for l in range(3) for p in range(1, k)]
+        self.alphabet = symbols_for(k)
         self.n_live = n_live
         self.dead = n_live  # explicit sink completing the machine
         self.start = start

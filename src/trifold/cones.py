@@ -26,9 +26,9 @@ def cone_signature(dev: Development, f: int) -> Signature:
     base_d = dev.dist[f]
     keys: dict[int, list[int]] = {}
     for t in range(3):
-        v = dev.f_vert[f][t]
+        v = dev.f_vert[3 * f + t]
         group = dev.spec.vertex_groups[t]
-        chart = dev.vert_chart[v]
+        chart = dev.vertex_chart(v)
         shift = group.inv(chart[f])
         for g, val in chart.items():
             key = keys.get(g)

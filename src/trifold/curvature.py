@@ -398,6 +398,9 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
     ball = [f for f in dev.ball_faces() if dev.dist[f] <= radius]
     in_ball = set(ball)
     n = len(ball)
+    # ball elements are the canonical prefix 0..n-1, so ids map to themselves
+    # and the ball's corners and edges are the first 3n column entries
+    assert ball == list(range(n))
     edge_index: dict[tuple[int, int], int] = {}
     edges: list[tuple[int, int]] = []
     labels: list[int] = []
@@ -413,11 +416,11 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
         return eid
 
     # ascending ids keep the order of Cayley edges and cells of a full scan
-    ball_vertices = sorted({dev.f_vert[f][t] for f in ball for t in range(3)})
-    ball_edges = sorted({dev.f_edge[f][l] for f in ball for l in range(3)})
+    ball_vertices = sorted(set(dev.f_vert[:3 * n]))
+    ball_edges = sorted(set(dev.f_edge[:3 * n]))
 
     for e in ball_edges:
-        slots = [f for f in dev.edge_slots[e] if f != -1 and f in in_ball]
+        slots = [f for f in dev.slots(e) if f != -1 and f in in_ball]
         for i in range(len(slots)):
             for j in range(i + 1, len(slots)):
                 cayley_edge(slots[i], slots[j], dev.edge_letter[e])
@@ -452,9 +455,9 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
     if dev.k >= 3:
         triples = _torsion_triples(dev.k)
         for e in ball_edges:
-            if not dev.edge_saturated[e]:
+            if not dev.edge_saturated(e):
                 continue
-            slots = dev.edge_slots[e]
+            slots = dev.slots(e)
             letter = dev.edge_letter[e]
             for (i, j, l) in triples:
                 members = (slots[i], slots[j], slots[l])
@@ -469,8 +472,6 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
                 kinds.append("torsion")
                 cell_vertex.append(-1)
 
-    # ball elements are the canonical prefix 0..n-1, so ids map to themselves
-    assert ball == list(range(n))
     complex_ = AngledComplex(n, edges, cells)
     return PatchReport(complex_, labels, kinds, omitted, cell_vertex)
 
@@ -496,15 +497,15 @@ def _link_cycles(dev: Development, v: int, keep: set[int]) -> list[list[int]]:
     subtrees of its pre-order walk, so the cycles inside keep come out in
     the order a search over the whole link would give them.
     """
-    nodes = list(dev.vert_edges[v])
+    nodes = dev.edges_at_vertex(v)
     faces = dev.faces_at_vertex(v)
     vtype = dev.vert_type[v]
     letters = [l for l in range(3) if vtype in dev.letter_types[l]]
     arc: dict[tuple[int, int], list[int]] = {}
     node_adj: dict[int, list[int]] = {e: [] for e in nodes}
     for f in faces:
-        e1 = dev.f_edge[f][letters[0]]
-        e2 = dev.f_edge[f][letters[1]]
+        e1 = dev.f_edge[3 * f + letters[0]]
+        e2 = dev.f_edge[3 * f + letters[1]]
         key = (e1, e2) if e1 < e2 else (e2, e1)
         arc.setdefault(key, []).append(f)
         if f in keep:

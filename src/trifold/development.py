@@ -16,9 +16,10 @@ nearest minimal faces.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from operator import le
 
 from .groups import LETTERS, LETTER_TYPES, VERTEX_LETTERS, TriangleGroupSpec, npc_check
 
@@ -54,6 +55,16 @@ class GeneratorSymbol:
 
 def symbols_for(k: int) -> list[GeneratorSymbol]:
     return [GeneratorSymbol(l, p) for l in range(3) for p in range(1, k)]
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x in the forest `parent`, compressing the path."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
 
 
 class _Grower:
@@ -103,38 +114,12 @@ class _Grower:
         self.v_alive: list[bool] = []
         self.uf_v: list[int] = []
 
-        self.face_q: list[tuple[int, int]] = []
-        self.edge_q: list[tuple[int, int]] = []
-        self.vert_q: list[tuple[int, int]] = []
+        self.face_q: deque[tuple[int, int]] = deque()
+        self.edge_q: deque[tuple[int, int]] = deque()
+        self.vert_q: deque[tuple[int, int]] = deque()
         self.dirty: set[int] = set()
 
         self._seed()
-
-    # -- union-find -------------------------------------------------------
-
-    def find_f(self, f: int) -> int:
-        root = f
-        while self.uf_f[root] != root:
-            root = self.uf_f[root]
-        while self.uf_f[f] != root:
-            self.uf_f[f], f = root, self.uf_f[f]
-        return root
-
-    def find_e(self, e: int) -> int:
-        root = e
-        while self.uf_e[root] != root:
-            root = self.uf_e[root]
-        while self.uf_e[e] != root:
-            self.uf_e[e], e = root, self.uf_e[e]
-        return root
-
-    def find_v(self, v: int) -> int:
-        root = v
-        while self.uf_v[root] != root:
-            root = self.uf_v[root]
-        while self.uf_v[v] != root:
-            self.uf_v[v], v = root, self.uf_v[v]
-        return root
 
     # -- construction ------------------------------------------------------
 
@@ -190,10 +175,10 @@ class _Grower:
     def _saturate_edge(self, e: int) -> None:
         letter = self.e_letter[e]
         slots = self.e_slots[e]
-        base_prov = min(self.f_prov[self.find_f(f)] for f in slots if f != -1)
+        base_prov = min(self.f_prov[_find(self.uf_f, f)] for f in slots if f != -1)
         t1, t2 = LETTER_TYPES[letter]
         third_type = 3 - t1 - t2
-        ends = [self.find_v(v) for v in self.e_ends[e]]
+        ends = [_find(self.uf_v, v) for v in self.e_ends[e]]
         self.e_ends[e] = ends
         self.dirty.update(ends)
         for j in range(self.k):
@@ -217,14 +202,14 @@ class _Grower:
         """Extend the chart at v across edge crossings; queue folds. Returns
         True if the chart grew."""
         vtype = self.v_type[v]
-        chart = self._normalize_chart(v)
+        chart = self._chart_resolved(v)
         edges = self._edges_at(v)
         faces: list[int] = []
         seen = set()
         for e in edges:
             for f in self.e_slots[e]:
                 if f != -1:
-                    rf = self.find_f(f)
+                    rf = _find(self.uf_f, f)
                     if rf not in seen:
                         seen.add(rf)
                         faces.append(rf)
@@ -251,14 +236,14 @@ class _Grower:
             if base is None:
                 continue
             for letter in VERTEX_LETTERS[vtype]:
-                e = self.find_e(self.f_edge[f][letter])
+                e = _find(self.uf_e, self.f_edge[f][letter])
                 jf = self.f_slot[f][letter]
                 powers = gen_pow[letter]
                 group = self.spec.vertex_groups[vtype]
                 for j2, raw in enumerate(self.e_slots[e]):
                     if raw == -1 or j2 == jf:
                         continue
-                    f2 = self.find_f(raw)
+                    f2 = _find(self.uf_f, raw)
                     val = group.mult[base][powers[(j2 - jf) % self.k]]
                     have = chart.get(f2)
                     if have is None:
@@ -277,28 +262,11 @@ class _Grower:
                         )
         return grew
 
-    def _normalize_chart(self, v: int) -> dict[int, int]:
-        chart = self.v_chart[v]
-        fresh: dict[int, int] = {}
-        for f in sorted(chart):
-            rf = self.find_f(f)
-            val = chart[f]
-            have = fresh.get(rf)
-            if have is None:
-                fresh[rf] = val
-            elif have != val:
-                raise DevelopmentError(
-                    f"development inconsistency at vertex {v}: face {rf} "
-                    f"needs chart values {have} and {val}"
-                )
-        self.v_chart[v] = fresh
-        return fresh
-
     def _edges_at(self, v: int) -> list[int]:
         out = []
         seen = set()
         for e in self.v_edges[v]:
-            re = self.find_e(e)
+            re = _find(self.uf_e, e)
             if self.e_alive[re] and re not in seen:
                 seen.add(re)
                 out.append(re)
@@ -311,15 +279,15 @@ class _Grower:
         while self.face_q or self.edge_q or self.vert_q:
             did = True
             if self.face_q:
-                self._merge_faces(*self.face_q.pop(0))
+                self._merge_faces(*self.face_q.popleft())
             elif self.edge_q:
-                self._merge_edges(*self.edge_q.pop(0))
+                self._merge_edges(*self.edge_q.popleft())
             else:
-                self._merge_vertices(*self.vert_q.pop(0))
+                self._merge_vertices(*self.vert_q.popleft())
         return did
 
     def _merge_faces(self, a: int, b: int) -> None:
-        ra, rb = self.find_f(a), self.find_f(b)
+        ra, rb = _find(self.uf_f, a), _find(self.uf_f, b)
         if ra == rb:
             return
         keep, dead = min(ra, rb), max(ra, rb)
@@ -327,8 +295,8 @@ class _Grower:
         self.f_alive[dead] = False
         self.f_prov[keep] = min(self.f_prov[keep], self.f_prov[dead])
         for letter in range(3):
-            e1 = self.find_e(self.f_edge[keep][letter])
-            e2 = self.find_e(self.f_edge[dead][letter])
+            e1 = _find(self.uf_e, self.f_edge[keep][letter])
+            e2 = _find(self.uf_e, self.f_edge[dead][letter])
             if e1 != e2:
                 self.edge_q.append((e1, e2))
             elif self.f_slot[keep][letter] != self.f_slot[dead][letter]:
@@ -336,15 +304,15 @@ class _Grower:
                     f"edge slot collision while folding faces {keep} and {dead}"
                 )
         for t in range(3):
-            v1 = self.find_v(self.f_vert[keep][t])
-            v2 = self.find_v(self.f_vert[dead][t])
+            v1 = _find(self.uf_v, self.f_vert[keep][t])
+            v2 = _find(self.uf_v, self.f_vert[dead][t])
             self.dirty.add(v1)
             if v1 != v2:
                 self.dirty.add(v2)
                 self.vert_q.append((v1, v2))
 
     def _merge_edges(self, a: int, b: int) -> None:
-        ra, rb = self.find_e(a), self.find_e(b)
+        ra, rb = _find(self.uf_e, a), _find(self.uf_e, b)
         if ra == rb:
             return
         if self.e_letter[ra] != self.e_letter[rb]:
@@ -354,11 +322,11 @@ class _Grower:
         roots_keep = {}
         for j, f in enumerate(self.e_slots[keep]):
             if f != -1:
-                roots_keep[self.find_f(f)] = j
+                roots_keep[_find(self.uf_f, f)] = j
         jk = jd = -1
         for j, f in enumerate(self.e_slots[dead]):
             if f != -1:
-                rf = self.find_f(f)
+                rf = _find(self.uf_f, f)
                 if rf in roots_keep:
                     jk, jd = roots_keep[rf], j
                     break
@@ -370,7 +338,7 @@ class _Grower:
         for j, f in enumerate(self.e_slots[dead]):
             if f == -1:
                 continue
-            rf = self.find_f(f)
+            rf = _find(self.uf_f, f)
             target = (j + delta) % self.k
             cur = self.e_slots[keep][target]
             self.f_edge[rf][letter] = keep
@@ -378,19 +346,19 @@ class _Grower:
             if cur == -1:
                 self.e_slots[keep][target] = rf
             else:
-                rc = self.find_f(cur)
+                rc = _find(self.uf_f, cur)
                 if rc != rf:
                     self.face_q.append((rc, rf))
         for i in range(2):
-            v1 = self.find_v(self.e_ends[keep][i])
-            v2 = self.find_v(self.e_ends[dead][i])
+            v1 = _find(self.uf_v, self.e_ends[keep][i])
+            v2 = _find(self.uf_v, self.e_ends[dead][i])
             self.dirty.add(v1)
             if v1 != v2:
                 self.dirty.add(v2)
                 self.vert_q.append((v1, v2))
 
     def _merge_vertices(self, a: int, b: int) -> None:
-        ra, rb = self.find_v(a), self.find_v(b)
+        ra, rb = _find(self.uf_v, a), _find(self.uf_v, b)
         if ra == rb:
             return
         if self.v_type[ra] != self.v_type[rb]:
@@ -413,10 +381,12 @@ class _Grower:
         self.v_chart[dead] = {}
 
     def _chart_resolved(self, v: int) -> dict[int, int]:
+        """The chart at v keyed by face roots, stored back and returned."""
+        chart = self.v_chart[v]
         out: dict[int, int] = {}
-        for f in sorted(self.v_chart[v]):
-            rf = self.find_f(f)
-            val = self.v_chart[v][f]
+        for f in sorted(chart):
+            rf = _find(self.uf_f, f)
+            val = chart[f]
             have = out.get(rf)
             if have is None:
                 out[rf] = val
@@ -425,21 +395,22 @@ class _Grower:
                     f"development inconsistency at vertex {v}: face {rf} "
                     f"needs chart values {have} and {val}"
                 )
+        self.v_chart[v] = out
         return out
 
     def _face_adjacency(self, f: int) -> list[int]:
         out = []
         for letter in range(3):
-            e = self.find_e(self.f_edge[f][letter])
+            e = _find(self.uf_e, self.f_edge[f][letter])
             for raw in self.e_slots[e]:
                 if raw != -1:
-                    rf = self.find_f(raw)
+                    rf = _find(self.uf_f, raw)
                     if rf != f:
                         out.append(rf)
         return out
 
     def _recompute_prov(self) -> None:
-        base = self.find_f(0)
+        base = _find(self.uf_f, 0)
         dist = {base: 0}
         queue = [base]
         qi = 0
@@ -451,7 +422,7 @@ class _Grower:
                     dist[g] = dist[f] + 1
                     queue.append(g)
         for f in range(len(self.f_alive)):
-            if self.f_alive[f] and self.find_f(f) == f:
+            if self.f_alive[f] and _find(self.uf_f, f) == f:
                 self.f_prov[f] = dist.get(f, self.f_prov[f])
 
     def _settle(self) -> bool:
@@ -462,7 +433,7 @@ class _Grower:
             self.dirty.clear()
             grew = False
             for v in wave:
-                v = self.find_v(v)
+                v = _find(self.uf_v, v)
                 if not self.v_alive[v]:
                     continue
                 if self._propagate(v):
@@ -483,12 +454,12 @@ class _Grower:
             self._recompute_prov()
             created = False
             for e in range(len(self.e_alive)):
-                if not self.e_alive[e] or self.find_e(e) != e:
+                if not self.e_alive[e] or _find(self.uf_e, e) != e:
                     continue
                 slots = self.e_slots[e]
                 if all(s != -1 for s in slots):
                     continue
-                prov = min(self.f_prov[self.find_f(f)] for f in slots if f != -1)
+                prov = min(self.f_prov[_find(self.uf_f, f)] for f in slots if f != -1)
                 if prov <= budget - 1:
                     self._saturate_edge(e)
                     created = True
@@ -500,7 +471,8 @@ class _Grower:
     # -- finalization ------------------------------------------------------
 
     def finalize(self, radius: int) -> "Development":
-        base = self.find_f(0)
+        uf_f, uf_e, uf_v = self.uf_f, self.uf_e, self.uf_v
+        base = _find(uf_f, 0)
         order: list[int] = [base]
         pos = {base: 0}
         dist = {base: 0}
@@ -510,13 +482,13 @@ class _Grower:
             f = order[qi]
             qi += 1
             for letter in range(3):
-                e = self.find_e(self.f_edge[f][letter])
+                e = _find(uf_e, self.f_edge[f][letter])
                 jf = self.f_slot[f][letter]
                 for p in range(1, k):
                     raw = self.e_slots[e][(jf + p) % k]
                     if raw == -1:
                         continue
-                    g = self.find_f(raw)
+                    g = _find(uf_f, raw)
                     if g not in pos:
                         pos[g] = len(order)
                         dist[g] = dist[f] + 1
@@ -528,63 +500,41 @@ class _Grower:
         vert_pos: dict[int, int] = {}
         for f in order:
             for letter in range(3):
-                e = self.find_e(self.f_edge[f][letter])
+                e = _find(uf_e, self.f_edge[f][letter])
                 if e not in edge_pos:
                     edge_pos[e] = len(edge_order)
                     edge_order.append(e)
             for t in range(3):
-                v = self.find_v(self.f_vert[f][t])
+                v = _find(uf_v, self.f_vert[f][t])
                 if v not in vert_pos:
                     vert_pos[v] = len(vert_order)
                     vert_order.append(v)
 
-        n_faces = len(order)
         dev = Development(self.spec, radius, self.margin)
         dev.dist = [dist[f] for f in order]
         dev.final = [d <= radius for d in dev.dist]
-        dev.f_edge = []
-        dev.f_slot = []
-        dev.f_vert = []
         rotations = {}
         for e in edge_order:
             filled = [
-                (pos[self.find_f(f)], j)
+                (pos[_find(uf_f, f)], j)
                 for j, f in enumerate(self.e_slots[e])
                 if f != -1
             ]
             rotations[e] = min(filled)[1]
         for f in order:
-            edges = []
-            slots = []
-            verts = []
             for letter in range(3):
-                e = self.find_e(self.f_edge[f][letter])
-                edges.append(edge_pos[e])
-                slots.append((self.f_slot[f][letter] - rotations[e]) % k)
-            for t in range(3):
-                verts.append(vert_pos[self.find_v(self.f_vert[f][t])])
-            dev.f_edge.append(edges)
-            dev.f_slot.append(slots)
-            dev.f_vert.append(verts)
-        dev.edge_letter = []
-        dev.edge_slots = []
-        dev.edge_ends = []
-        dev.edge_saturated = []
+                e = _find(uf_e, self.f_edge[f][letter])
+                dev.f_edge.append(edge_pos[e])
+                dev.f_slot.append((self.f_slot[f][letter] - rotations[e]) % k)
+            dev.f_vert.extend(vert_pos[_find(uf_v, v)] for v in self.f_vert[f])
         for e in edge_order:
             rot = rotations[e]
-            slots = []
+            row = self.e_slots[e]
             for j in range(k):
-                raw = self.e_slots[e][(j + rot) % k]
-                slots.append(pos[self.find_f(raw)] if raw != -1 else -1)
+                raw = row[(j + rot) % k]
+                dev.edge_slots.append(pos[_find(uf_f, raw)] if raw != -1 else -1)
             dev.edge_letter.append(self.e_letter[e])
-            dev.edge_slots.append(slots)
-            dev.edge_ends.append(
-                [vert_pos[self.find_v(v)] for v in self.e_ends[e]]
-            )
-            dev.edge_saturated.append(all(s != -1 for s in slots))
-        dev.vert_type = []
-        dev.vert_chart = []
-        dev.vert_edges = []
+            dev.edge_ends.extend(vert_pos[_find(uf_v, v)] for v in self.e_ends[e])
         for v in vert_order:
             vtype = self.v_type[v]
             group = self.spec.vertex_groups[vtype]
@@ -595,17 +545,30 @@ class _Grower:
                 inv = group.inv(anchor)
                 renamed = {f: group.mult[inv][val] for f, val in renamed.items()}
             dev.vert_type.append(vtype)
-            dev.vert_chart.append(dict(sorted(renamed.items())))
-            edges = sorted(
-                {edge_pos[self.find_e(e)] for e in self.v_edges[v] if self.e_alive[self.find_e(e)]}
+            for pair in sorted(renamed.items()):
+                dev.vert_charts.extend(pair)
+            dev.vert_chart_offsets.append(len(dev.vert_charts))
+            dev.vert_edges.extend(
+                sorted({edge_pos[_find(uf_e, e)] for e in self.v_edges[v] if self.e_alive[_find(uf_e, e)]})
             )
-            dev.vert_edges.append(edges)
-        dev.rebuild_caches()
+            dev.vert_edge_offsets.append(len(dev.vert_edges))
         return dev
 
 
 class Development:
-    """Finalized, immutable ball with canonical breadth-first numbering."""
+    """Finalized, immutable ball with canonical breadth-first numbering.
+
+    The columns are flat lists with a fixed number of entries per element:
+    face f's edge, slot and vertex for letter or vertex type t are
+    f_edge[3*f + t], f_slot[3*f + t] and f_vert[3*f + t]; edge e's k slots
+    are edge_slots[k*e:k*e + k] and its ends edge_ends[2*e:2*e + 2].  The
+    two ragged vertex columns have an offsets column each: vertex v's edges
+    are vert_edges[o[v]:o[v + 1]] for o = vert_edge_offsets, and its chart is
+    the (face, element) pairs in vert_charts[c[v]:c[v + 1]] for
+    c = vert_chart_offsets.  Face adjacency, the faces at a vertex and the
+    chart as a dict are derived for one element when first asked for, then
+    kept, so a suite pays only for the part of the ball it visits.
+    """
 
     def __init__(self, spec: TriangleGroupSpec, radius: int, margin: int):
         self.spec = spec
@@ -616,36 +579,22 @@ class Development:
         self.letter_types = LETTER_TYPES
         self.dist: list[int] = []
         self.final: list[bool] = []
-        self.f_edge: list[list[int]] = []
-        self.f_slot: list[list[int]] = []
-        self.f_vert: list[list[int]] = []
+        self.f_edge: list[int] = []
+        self.f_slot: list[int] = []
+        self.f_vert: list[int] = []
         self.edge_letter: list[int] = []
-        self.edge_slots: list[list[int]] = []
-        self.edge_ends: list[list[int]] = []
-        self.edge_saturated: list[bool] = []
+        self.edge_slots: list[int] = []
+        self.edge_ends: list[int] = []
         self.vert_type: list[int] = []
-        self.vert_chart: list[dict[int, int]] = []
-        self.vert_edges: list[list[int]] = []
-        self._vert_faces: list[list[int]] = []
-        self._adjacency: list[list[int]] = []
+        self.vert_edges: list[int] = []
+        self.vert_edge_offsets: list[int] = [0]
+        self.vert_charts: list[int] = []
+        self.vert_chart_offsets: list[int] = [0]
+        self._adjacency: dict[int, list[int]] = {}
+        self._vert_faces: dict[int, list[int]] = {}
+        self._charts: dict[int, dict[int, int]] = {}
 
     # -- derived data ------------------------------------------------------
-
-    def rebuild_caches(self) -> None:
-        vert_faces = [[] for _ in self.vert_type]
-        for f, corners in enumerate(self.f_vert):
-            for v in corners:
-                vert_faces[v].append(f)  # ascending, as f ascends
-        slots = self.edge_slots
-        adjacency = []
-        for f, (x, y, z) in enumerate(self.f_edge):
-            near = set(slots[x])
-            near.update(slots[y], slots[z])
-            near.discard(-1)
-            near.discard(f)
-            adjacency.append(sorted(near))
-        self._vert_faces = vert_faces
-        self._adjacency = adjacency
 
     @cached_property
     def half_girths(self) -> tuple[float, float, float]:
@@ -671,14 +620,37 @@ class Development:
     def ball_faces(self) -> list[int]:
         return [f for f in range(self.face_count) if self.final[f]]
 
+    def slots(self, e: int) -> list[int]:
+        """The face in each of edge e's k slots, -1 where none is built."""
+        k = self.k
+        return self.edge_slots[k * e:k * e + k]
+
+    def edge_saturated(self, e: int) -> bool:
+        return -1 not in self.slots(e)
+
+    def edges_at_vertex(self, v: int) -> list[int]:
+        """The edges at v, ascending."""
+        offsets = self.vert_edge_offsets
+        return self.vert_edges[offsets[v]:offsets[v + 1]]
+
+    def vertex_chart(self, v: int) -> dict[int, int]:
+        """The chart at v: face to element of its vertex group, by ascending face."""
+        chart = self._charts.get(v)
+        if chart is None:
+            offsets = self.vert_chart_offsets
+            pairs = self.vert_charts[offsets[v]:offsets[v + 1]]
+            chart = self._charts[v] = dict(zip(pairs[::2], pairs[1::2]))
+        return chart
+
     def neighbor(self, f: int, symbol: int | GeneratorSymbol) -> int | None:
         if isinstance(symbol, GeneratorSymbol):
             letter, power = symbol.letter, symbol.power
         else:
             letter, power = divmod(symbol, self.k - 1)
             power += 1
-        e = self.f_edge[f][letter]
-        raw = self.edge_slots[e][(self.f_slot[f][letter] + power) % self.k]
+        x = 3 * f + letter
+        k = self.k
+        raw = self.edge_slots[k * self.f_edge[x] + (self.f_slot[x] + power) % k]
         return None if raw == -1 else raw
 
     def neighbors(self, f: int) -> dict[GeneratorSymbol, int]:
@@ -694,35 +666,55 @@ class Development:
         return out
 
     def adjacent_faces(self, f: int) -> list[int]:
-        return self._adjacency[f]
+        """The faces sharing an edge with f, ascending."""
+        near = self._adjacency.get(f)
+        if near is None:
+            k, slots = self.k, self.edge_slots
+            x, y, z = self.f_edge[3 * f:3 * f + 3]
+            x, y, z = k * x, k * y, k * z
+            found = {*slots[x:x + k], *slots[y:y + k], *slots[z:z + k]}
+            found.discard(-1)
+            found.discard(f)
+            near = self._adjacency[f] = sorted(found)
+        return near
 
     def faces_at_vertex(self, v: int) -> list[int]:
-        return self._vert_faces[v]
+        """The faces with a corner at v, ascending: every face in a slot of an
+        edge at v, since a face's two edges at its corner both end there."""
+        faces = self._vert_faces.get(v)
+        if faces is None:
+            k, slots = self.k, self.edge_slots
+            found = set()
+            for e in self.edges_at_vertex(v):
+                found.update(slots[k * e:k * e + k])
+            found.discard(-1)
+            faces = self._vert_faces[v] = sorted(found)
+        return faces
 
     def shared_edge(self, f1: int, f2: int) -> int | None:
+        if f1 == f2:
+            return None
+        f_edge, x, y = self.f_edge, 3 * f1, 3 * f2
         for letter in range(3):
-            e = self.f_edge[f1][letter]
-            if self.f_edge[f2][letter] == e and f1 != f2:
+            e = f_edge[x + letter]
+            if e == f_edge[y + letter]:
                 return e
         return None
 
     def vertex_complete(self, v: int) -> bool:
-        group = self.spec.vertex_groups[self.vert_type[v]]
-        faces = self._vert_faces[v]
-        if len(faces) != group.order:
+        order = self.spec.vertex_groups[self.vert_type[v]].order
+        if len(self.faces_at_vertex(v)) != order:
             return False
-        chart = self.vert_chart[v]
-        if len(chart) != group.order:
+        if len(self.vertex_chart(v)) != order:
             return False
-        return all(self.edge_saturated[e] for e in self.vert_edges[v])
+        return all(self.edge_saturated(e) for e in self.edges_at_vertex(v))
 
     def is_interior(self, f: int) -> bool:
         """All three links complete with every face around them final."""
-        for t in range(3):
-            v = self.f_vert[f][t]
+        for v in self.f_vert[3 * f:3 * f + 3]:
             if not self.vertex_complete(v):
                 return False
-            if not all(self.final[g] for g in self._vert_faces[v]):
+            if not all(self.final[g] for g in self.faces_at_vertex(v)):
                 return False
         return True
 
@@ -731,11 +723,11 @@ class Development:
 
         Such a vertex carries a final face, so only vertices of trusted faces
         are candidates."""
-        candidates = sorted({self.f_vert[f][t] for f in self.ball_faces() for t in range(3)})
+        candidates = sorted({v for f in self.ball_faces() for v in self.f_vert[3 * f:3 * f + 3]})
         return [
             v
             for v in candidates
-            if self.vertex_complete(v) and all(self.final[g] for g in self._vert_faces[v])
+            if self.vertex_complete(v) and all(self.final[g] for g in self.faces_at_vertex(v))
         ]
 
     def distance(self, f: int) -> int:
@@ -744,17 +736,22 @@ class Development:
         return self.dist[f]
 
     def bfs_from(self, start: int, cap: int | None = None) -> dict[int, int]:
+        # the memo is read here directly: a call per face would be most of
+        # the cost of the short searches the suites run by the thousand
+        known = self._adjacency
         dist = {start: 0}
         queue = [start]
-        qi = 0
-        while qi < len(queue):
-            f = queue[qi]
-            qi += 1
-            if cap is not None and dist[f] >= cap:
+        for f in queue:
+            d = dist[f]
+            if cap is not None and d >= cap:
                 continue
-            for g in self._adjacency[f]:
+            near = known.get(f)
+            if near is None:
+                near = self.adjacent_faces(f)
+            d += 1
+            for g in near:
                 if g not in dist:
-                    dist[g] = dist[f] + 1
+                    dist[g] = d
                     queue.append(g)
         return dist
 
@@ -762,7 +759,7 @@ class Development:
 
     def minimal_triangles(self, v: int) -> list[int]:
         """Faces at v of minimum distance; checked pairwise adjacent."""
-        faces = self._vert_faces[v]
+        faces = self.faces_at_vertex(v)
         if not self.vertex_complete(v) or not all(self.final[f] for f in faces):
             raise InsufficientRadiusError(f"vertex {v} has an incomplete or frontier link")
         best = min(self.dist[f] for f in faces)
@@ -777,14 +774,14 @@ class Development:
 
     def link_distances(self, v: int, sources: list[int]) -> dict[int, int]:
         """Graph distances inside the face-adjacency link at v."""
-        at_v = set(self._vert_faces[v])
+        at_v = set(self.faces_at_vertex(v))
         dist = {f: 0 for f in sources}
         queue = list(sources)
         qi = 0
         while qi < len(queue):
             f = queue[qi]
             qi += 1
-            for g in self._adjacency[f]:
+            for g in self.adjacent_faces(f):
                 if g in at_v and g not in dist and self.shared_edge_at_vertex(f, g, v):
                     dist[g] = dist[f] + 1
                     queue.append(g)
@@ -792,7 +789,7 @@ class Development:
 
     def shared_edge_at_vertex(self, f1: int, f2: int, v: int) -> bool:
         e = self.shared_edge(f1, f2)
-        return e is not None and v in self.edge_ends[e]
+        return e is not None and v in self.edge_ends[2 * e:2 * e + 2]
 
     def local_distance(self, v: int, f: int) -> int:
         minimal = self.minimal_triangles(v)
@@ -805,40 +802,6 @@ class Development:
                 f"distance decomposition fails at vertex {v}, face {f}"
             )
         return dv
-
-    def dual_link(self, v: int) -> "DirectedDualLink":
-        faces = self._vert_faces[v]
-        if not self.vertex_complete(v) or not all(self.final[f] for f in faces):
-            raise InsufficientRadiusError(f"vertex {v} has an incomplete or frontier link")
-        undirected = []
-        labels = {}
-        for e in self.vert_edges[v]:
-            slots = self.edge_slots[e]
-            letter = self.edge_letter[e]
-            for i in range(self.k):
-                for j in range(self.k):
-                    if i != j and slots[i] != -1 and slots[j] != -1:
-                        pair = (slots[i], slots[j])
-                        labels[pair] = GeneratorSymbol(letter, (j - i) % self.k)
-                        if slots[i] < slots[j]:
-                            undirected.append(pair)
-        directed = [
-            (f1, f2)
-            for (f1, f2) in labels
-            if self.dist[f2] == self.dist[f1] + 1
-        ]
-        return DirectedDualLink(v, faces, sorted(set(undirected)), sorted(directed), labels)
-
-
-@dataclass
-class DirectedDualLink:
-    """Face adjacency at a vertex plus its orientation by distance increase."""
-
-    vertex: int
-    faces: list[int]
-    undirected: list[tuple[int, int]]
-    directed: list[tuple[int, int]]
-    labels: dict[tuple[int, int], GeneratorSymbol]
 
 
 def init_development(spec: TriangleGroupSpec) -> _Grower:
@@ -855,11 +818,12 @@ def grow_to_radius(source: TriangleGroupSpec | _Grower, radius: int) -> Developm
 # -- serialization ---------------------------------------------------------
 
 
-DEVELOPMENT_FORMAT = "trifold-development/2"
+DEVELOPMENT_FORMAT = "trifold-development/3"
 
 
 def export_development(dev: Development) -> dict:
-    """The ball as one JSON array per column (see the README for the layout).
+    """The ball as one flat JSON array per column (see the README for the
+    layout).
 
     The lists are the ball's own, not copies; `final` is not stored, since it
     is `dist <= radius`."""
@@ -878,8 +842,10 @@ def export_development(dev: Development) -> dict:
         "edge_slots": dev.edge_slots,
         "edge_ends": dev.edge_ends,
         "vertex_types": dev.vert_type,
-        "vertex_charts": [[x for item in chart.items() for x in item] for chart in dev.vert_chart],
+        "vertex_charts": dev.vert_charts,
+        "vertex_chart_offsets": dev.vert_chart_offsets,
         "vertex_edges": dev.vert_edges,
+        "vertex_edge_offsets": dev.vert_edge_offsets,
     }
 
 
@@ -887,26 +853,37 @@ def development_to_json(dev: Development) -> str:
     return json.dumps(export_development(dev), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _column(doc: dict, name: str, length: int, width: int | None, low: int, high: int) -> list:
-    """`doc[name]`, checked to hold `length` rows of `width` entries (any width
-    if None), every entry in low..high-1."""
-    rows = doc[name]
-    if len(rows) != length:
-        raise ValueError(f"{name} has {len(rows)} rows, expected {length}")
-    if width is not None and set(map(len, rows)) - {width}:
-        raise ValueError(f"{name}: a row does not have {width} entries")
-    entries = list(chain.from_iterable(rows))
-    if entries and (min(entries) < low or max(entries) >= high):
+def _column(doc: dict, name: str, length: int | None, low: int, high: int) -> list[int]:
+    """`doc[name]`, checked to hold `length` entries (any number if None),
+    each in low..high-1."""
+    column = doc[name]
+    if length is not None and len(column) != length:
+        raise ValueError(f"{name} has {len(column)} entries, expected {length}")
+    if column and (min(column) < low or max(column) >= high):
         raise ValueError(f"{name}: an entry lies outside {low}..{high - 1}")
-    return rows
+    return column
+
+
+def _ragged(doc: dict, name: str, rows: int, low: int, high: int) -> tuple[list[int], list[int]]:
+    """`doc[name]`, checked as by _column, and its offsets column, checked to
+    hold rows + 1 ascending entries from 0 to the length of `doc[name]`."""
+    data = _column(doc, name, None, low, high)
+    offsets_name = f"{name[:-1]}_offsets"
+    offsets = _column(doc, offsets_name, rows + 1, 0, len(data) + 1)
+    if offsets[0] != 0 or offsets[-1] != len(data) or not all(map(le, offsets, offsets[1:])):
+        raise ValueError(
+            f"{offsets_name} does not ascend from 0 to {len(data)}, the length of {name}"
+        )
+    return data, offsets
 
 
 def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
     """Rebuild a ball from `export_development`'s document.
 
-    The parsed lists become the ball's columns as they are.  Column lengths,
-    row widths and every id are checked first, so a malformed document raises
-    ValueError rather than failing later inside a suite."""
+    The parsed arrays become the ball's columns as they are.  Column lengths,
+    offsets and every id are checked first, each column by its minimum and
+    maximum, so a malformed document raises ValueError rather than failing
+    later inside a suite."""
     if not isinstance(doc, dict):
         raise ValueError("not a development document")
     if doc.get("format") != DEVELOPMENT_FORMAT:
@@ -927,25 +904,31 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
         raise ValueError("vertex_types: a type is not 0, 1 or 2")
     dev.dist = dist
     dev.final = [d <= dev.radius for d in dist]
-    dev.f_edge = _column(doc, "face_edges", nf, 3, 0, ne)
-    dev.f_slot = _column(doc, "face_slots", nf, 3, 0, k)
-    dev.f_vert = _column(doc, "face_vertices", nf, 3, 0, nv)
+    dev.f_edge = _column(doc, "face_edges", 3 * nf, 0, ne)
+    dev.f_slot = _column(doc, "face_slots", 3 * nf, 0, k)
+    dev.f_vert = _column(doc, "face_vertices", 3 * nf, 0, nv)
     dev.edge_letter = list(map(LETTERS.index, letters))
-    dev.edge_slots = _column(doc, "edge_slots", ne, k, -1, nf)
-    dev.edge_ends = _column(doc, "edge_ends", ne, 2, 0, nv)
-    dev.edge_saturated = [-1 not in slots for slots in dev.edge_slots]
+    dev.edge_slots = _column(doc, "edge_slots", k * ne, -1, nf)
+    dev.edge_ends = _column(doc, "edge_ends", 2 * ne, 0, nv)
     dev.vert_type = types
-    dev.vert_edges = _column(doc, "vertex_edges", nv, None, 0, ne)
+    dev.vert_edges, dev.vert_edge_offsets = _ragged(doc, "vertex_edges", nv, 0, ne)
     orders = [g.order for g in spec.vertex_groups]
-    flat_charts = _column(doc, "vertex_charts", nv, None, 0, max(nf, *orders))
-    dev.vert_chart = [dict(zip(c[::2], c[1::2])) for c in flat_charts]
+    charts, offsets = _ragged(doc, "vertex_charts", nv, 0, max(nf, *orders))
+    elements = charts[1::2]
     if (
-        any(len(c) % 2 for c in flat_charts)
-        or max(chain.from_iterable(dev.vert_chart), default=0) >= nf
-        or any(max(c.values(), default=0) >= orders[t] for c, t in zip(dev.vert_chart, types))
+        any(x & 1 for x in offsets)
+        or max(charts[::2], default=0) >= nf
+        or (
+            # below the least group order no element needs its vertex's type
+            max(elements, default=0) >= min(orders)
+            and any(
+                max(elements[i // 2:j // 2], default=0) >= orders[t]
+                for t, i, j in zip(types, offsets, offsets[1:])
+            )
+        )
     ):
         raise ValueError("vertex_charts: a row is not pairs of a face and an element of its vertex group")
-    dev.rebuild_caches()
+    dev.vert_charts, dev.vert_chart_offsets = charts, offsets
     return dev
 
 

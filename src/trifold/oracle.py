@@ -256,7 +256,7 @@ def _unfold_step(dev: Development, placed: dict[int, GalleryPoint], cur: int, nx
         raise OracleError(f"faces {cur} and {nxt} share no edge")
     s0, s1 = dev.letter_types[dev.edge_letter[edge]]
     beyond, _ = _step_across(placed, s0, s1, 3 - s0 - s1)
-    va, vb = dev.edge_ends[edge]
+    va, vb = dev.edge_ends[2 * edge:2 * edge + 2]
     return edge, dict(enumerate(beyond)), (placed[s0], placed[s1], va, vb)
 
 
@@ -935,10 +935,10 @@ def _search(
             if not reach:
                 continue
             cur = walk[-1]
-            ec, en = f_edge[cur], f_edge[nxt]
-            letter = 0 if ec[0] == en[0] else 1 if ec[1] == en[1] else 2
-            edge = ec[letter]
-            if en[letter] != edge:
+            ec, en = 3 * cur, 3 * nxt
+            letter = 0 if f_edge[ec] == f_edge[en] else 1 if f_edge[ec + 1] == f_edge[en + 1] else 2
+            edge = f_edge[ec + letter]
+            if f_edge[en + letter] != edge:
                 raise OracleError(f"faces {cur} and {nxt} share no edge")
             s0, s1 = letter_types[edge_letter[edge]]
             other = 3 - s0 - s1
@@ -975,7 +975,7 @@ def _search(
             on_walk.add(nxt)
             placements.append(placed)
             edges.append(edge)
-            portals.append((placed[s0], placed[s1], *edge_ends[edge]))
+            portals.append((placed[s0], placed[s1], edge_ends[2 * edge], edge_ends[2 * edge + 1]))
             oriented.append(portal)
             sleeves.append((straight, funnel))
             if hit >= 0:

@@ -216,24 +216,42 @@ def test_verify_conetypes_half_girth_two(tmp_path, capsys, radius, status, expec
 
 
 def _ragged_row(doc):
-    doc["face_edges"][5] = doc["face_edges"][5][:2]
+    del doc["face_edges"][17]
 
 
 def _face_out_of_range(doc):
-    doc["edge_slots"][7][0] = len(doc["dist"])
+    doc["edge_slots"][7 * doc["k"]] = len(doc["dist"])
 
 
 def _negative_vertex(doc):
-    doc["face_vertices"][3][1] = -1
+    doc["face_vertices"][3 * 3 + 1] = -1
 
 
 def _float_id(doc):
-    doc["edge_slots"][7][0] = 1.0
+    doc["edge_slots"][7 * doc["k"]] = 1.0
+
+
+def _offsets_short_of_data(doc):
+    doc["vertex_edge_offsets"][-1] -= 1
+
+
+def _format_2(doc):
+    """The same ball in the nested rows of format 2, which is no longer
+    read: one row per face, edge and vertex."""
+    for name, width in (("face_edges", 3), ("face_slots", 3), ("face_vertices", 3),
+                        ("edge_slots", doc["k"]), ("edge_ends", 2)):
+        column = doc[name]
+        doc[name] = [column[i:i + width] for i in range(0, len(column), width)]
+    for name in ("vertex_charts", "vertex_edges"):
+        data, offsets = doc[name], doc.pop(f"{name[:-1]}_offsets")
+        doc[name] = [data[i:j] for i, j in zip(offsets, offsets[1:])]
+    doc["format"] = "trifold-development/2"
 
 
 def _format_1(doc):
     """The same ball in the per-face, per-edge and per-vertex objects of
     format 1, which is no longer read."""
+    _format_2(doc)
     k, slots = doc["k"], doc["edge_slots"]
     faces = []
     for d, edges, offsets in zip(doc.pop("dist"), doc["face_edges"], doc["face_slots"]):
@@ -271,7 +289,9 @@ def _format_1(doc):
         ("development.json", _face_out_of_range),
         ("development.json", _negative_vertex),
         ("development.json", _float_id),
+        ("development.json", _offsets_short_of_data),
         ("development.json", _format_1),
+        ("development.json", _format_2),
     ],
 )
 def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, content):
@@ -288,8 +308,10 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
     assert main(["verify", str(broken), "--suite", "cor1"]) == 2
     err = capsys.readouterr().err
     assert "malformed build directory" in err
-    if content is _format_1:
-        assert "development format 'trifold-development/1'" in err
+    if content in (_format_1, _format_2):
+        version = 1 if content is _format_1 else 2
+        assert f"development format 'trifold-development/{version}'" in err
+        assert "rebuild the ball" in err
 
 
 @pytest.mark.parametrize(
@@ -310,32 +332,32 @@ def test_invalid_numeric_arguments_exit_two(built, tmp_path, capsys, argv):
     assert not (tmp_path / "neg").exists()
 
 
-# sha256 of development.json (format 2), manifest.json and the lex-first
+# sha256 of development.json (format 3), manifest.json and the lex-first
 # machine's JSON, per sample: (ball radius, automaton flags, hashes).  The
-# manifest and machine hashes equal those of the format-1 code.
+# manifest and machine hashes equal those of the format-1 and format-2 code.
 GOLDEN = {
     "d333": (11, [], (
-        "5d73c704205f905d5c26ab4f950f4dfdd54bd5c9777be7a1a19e63401a3b5eac",
+        "ebdbbba39c3f30d001f007a5dab994d640ec684c2befce25dfae53714ead7087",
         "c8b4c256b0841175c6f5460beb396a415075cd69b7b43c311aa668db478e69bb",
         "3450465844302073b9631a8ba41162109a4b01d5f1fefa982edd2f2e7241dbdd",
     )),
     "d244": (8, [], (
-        "ffe683c12c686360b6d8411ed5fd938c04ff7e50ef3aaf07761dc2eab989a6f7",
+        "567045baf480c873ac9660e650efeed63932c8cf75273c41420f45b014e35cdd",
         "a6ec3d5897f7bb48a1526306fc3d0f56a7846aed18f2896acb586975b2b0e97c",
         "3ec8c41c897603bd662b279bda3f99021d9193871431c1ae72efe5ad6706a747",
     )),
     "d236": (5, [], (
-        "aea1caa13bfdd904b6336840733b41fbfc7e8577f238e877da4f3b8b343a7bf6",
+        "b93e016f2b8a6d7a5091b3cd6b7ee46ba6152b9b0580554e0d15156bf906b227",
         "e1d08b9b32cd7c2211b80c3fa0fdd4ebbd37a582261824699db08f26be921052",
         "a3ac5c5804d538dd5a8c7fca9e173e8f972a1d1e0133416b792c9c948e52f27f",
     )),
     "d444": (6, ["--no-certify"], (
-        "550784cf823d16a21bd467297e1c5847bb3cfc0be2527034c2c31b00fa95dfbc",
+        "f0636d46f229f07a0866cce4f035f77c4547ed3a6d63a5cd08ac072290392b8e",
         "3d1b84ebbaf74d1f91fe73ebaa7ceaaa3117e172f12f0156208f8c04b4cebcf3",
         "72a6e966fec3ab3bf42c1666e93601810b38103e44a2f82f426248ac2e87d2dc",
     )),
     "f21_333": (4, ["--no-certify"], (
-        "771656dadaed79743572ddc6504a9d55c870a24c38e5d4a0ae4c9c32a991412c",
+        "9670efb9297459a28beb23fba95b9b3423e1db6dd5e01d6d558b711c1d774ea8",
         "8776300f9442cf23af7995c82d6998e068fdd95818ac8dd3d2d3ab2f58de645b",
         "23654c12316051cdc56571a967d815345c07179942fa37f49a46f15d441fcdab",
     )),

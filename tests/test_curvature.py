@@ -322,14 +322,14 @@ def _full_scan_link_cycles(dev, v):
     faces = dev.faces_at_vertex(v)
     letters = [l for l in range(3) if dev.vert_type[v] in dev.letter_types[l]]
     arc = {}
-    node_adj = {e: [] for e in dev.vert_edges[v]}
+    node_adj = {e: [] for e in dev.edges_at_vertex(v)}
     for f in faces:
-        e1, e2 = dev.f_edge[f][letters[0]], dev.f_edge[f][letters[1]]
+        e1, e2 = dev.f_edge[3 * f + letters[0]], dev.f_edge[3 * f + letters[1]]
         arc[(min(e1, e2), max(e1, e2))] = f
         node_adj[e1].append(e2)
         node_adj[e2].append(e1)
     cycles = []
-    for start in sorted(dev.vert_edges[v]):
+    for start in sorted(dev.edges_at_vertex(v)):
         stack = [(start, [start], {start})]
         while stack:
             node, path, seen = stack.pop()
@@ -361,7 +361,7 @@ def _full_scan_patch(dev, radius):
         return edge_index[key]
 
     for e in range(len(dev.edge_letter)):
-        slots = [f for f in dev.edge_slots[e] if f != -1 and f in in_ball]
+        slots = [f for f in dev.slots(e) if f != -1 and f in in_ball]
         for i in range(len(slots)):
             for j in range(i + 1, len(slots)):
                 cayley_edge(slots[i], slots[j], dev.edge_letter[e])
@@ -385,9 +385,9 @@ def _full_scan_patch(dev, radius):
             cell_vertex.append(v)
     if dev.k >= 3:
         for e in range(len(dev.edge_letter)):
-            if not dev.edge_saturated[e]:
+            if not dev.edge_saturated(e):
                 continue
-            slots = dev.edge_slots[e]
+            slots = dev.slots(e)
             for (i, j, l) in _torsion_triples(dev.k):
                 members = (slots[i], slots[j], slots[l])
                 if any(f not in in_ball for f in members):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import pytest
 
@@ -90,7 +91,7 @@ def test_neighbor_on_frontier_raises(dev333):
 
 def test_minimal_triangles_contain_base(dev333):
     for t in range(3):
-        v = dev333.f_vert[0][t]
+        v = dev333.f_vert[t]
         assert 0 in dev333.minimal_triangles(v)
 
 
@@ -116,7 +117,7 @@ def test_interior_vertices_match_full_scan(devs, name):
 
 def test_minimal_triangles_frontier_vertex_raises(dev333):
     frontier_face = max(range(dev333.face_count), key=lambda f: dev333.dist[f])
-    v = dev333.f_vert[frontier_face][0]
+    v = dev333.f_vert[3 * frontier_face]
     with pytest.raises(InsufficientRadiusError):
         dev333.minimal_triangles(v)
 
@@ -138,9 +139,44 @@ def test_local_distance_decomposition(devs):
         assert checked > 50
 
 
+@dataclass
+class DirectedDualLink:
+    """Face adjacency at a vertex plus its orientation by distance increase."""
+
+    vertex: int
+    faces: list[int]
+    undirected: list[tuple[int, int]]
+    directed: list[tuple[int, int]]
+    labels: dict[tuple[int, int], GeneratorSymbol]
+
+
+def dual_link(dev, v: int) -> DirectedDualLink:
+    faces = dev.faces_at_vertex(v)
+    if not dev.vertex_complete(v) or not all(dev.final[f] for f in faces):
+        raise InsufficientRadiusError(f"vertex {v} has an incomplete or frontier link")
+    undirected = []
+    labels = {}
+    for e in dev.edges_at_vertex(v):
+        slots = dev.slots(e)
+        letter = dev.edge_letter[e]
+        for i in range(dev.k):
+            for j in range(dev.k):
+                if i != j and slots[i] != -1 and slots[j] != -1:
+                    pair = (slots[i], slots[j])
+                    labels[pair] = GeneratorSymbol(letter, (j - i) % dev.k)
+                    if slots[i] < slots[j]:
+                        undirected.append(pair)
+    directed = [
+        (f1, f2)
+        for (f1, f2) in labels
+        if dev.dist[f2] == dev.dist[f1] + 1
+    ]
+    return DirectedDualLink(v, faces, sorted(set(undirected)), sorted(directed), labels)
+
+
 def test_dual_link_structure(dev333):
-    base_vertex = dev333.f_vert[0][0]
-    link = dev333.dual_link(base_vertex)
+    base_vertex = dev333.f_vert[0]
+    link = dual_link(dev333, base_vertex)
     group = dev333.spec.vertex_groups[0]
     assert len(link.faces) == group.order
     # undirected reduct is the local link: same degree everywhere
@@ -169,12 +205,12 @@ def test_chart_edge_crossing_invariant(devs):
         for v in range(0, len(dev.vert_type), 7):
             if not dev.vertex_complete(v):
                 continue
-            chart = dev.vert_chart[v]
+            chart = dev.vertex_chart(v)
             vtype = dev.vert_type[v]
             group = dev.spec.vertex_groups[vtype]
             letters = VERTEX_LETTERS[vtype]
-            for e in dev.vert_edges[v]:
-                slots = dev.edge_slots[e]
+            for e in dev.edges_at_vertex(v):
+                slots = dev.slots(e)
                 gen = dev.spec.designated[vtype][letters.index(dev.edge_letter[e])]
                 for i in range(k):
                     for j in range(k):
@@ -206,36 +242,80 @@ def test_monotone_embedding():
 
 COLUMNS = (
     "radius", "margin", "dist", "final", "f_edge", "f_slot", "f_vert", "edge_letter",
-    "edge_slots", "edge_ends", "edge_saturated", "vert_type", "vert_chart", "vert_edges",
-    "_vert_faces", "_adjacency",
+    "edge_slots", "edge_ends", "vert_type", "vert_edges", "vert_edge_offsets",
+    "vert_charts", "vert_chart_offsets",
 )
 
 
+@pytest.fixture(scope="module")
+def five_balls(devs):
+    # f21_333 on a ball of its own: the shared radius-9 ball is large
+    balls = [devs[name] for name in ("d333", "d244", "d236", "d444")]
+    return balls + [grow_to_radius(load_sample("f21_333"), 4)]
+
+
+def _rows(column, width):
+    return [column[i:i + width] for i in range(0, len(column), width)]
+
+
 def _reference_caches(dev):
-    """Face lists per vertex and face adjacency by plain loops over the columns."""
+    """Per face its adjacency, per edge whether it is saturated, and per
+    vertex its faces, chart and completeness, by plain loops over the
+    columns regrouped into the rows that format 2 stored."""
+    f_edge, f_vert = _rows(dev.f_edge, 3), _rows(dev.f_vert, 3)
+    edge_slots = _rows(dev.edge_slots, dev.k)
+    edge_rows = dev.vert_edge_offsets
+    vert_edges = [dev.vert_edges[i:j] for i, j in zip(edge_rows, edge_rows[1:])]
+    chart_rows = dev.vert_chart_offsets
+    charts = [dev.vert_charts[i:j] for i, j in zip(chart_rows, chart_rows[1:])]
+    charts = [dict(zip(c[::2], c[1::2])) for c in charts]
     vert_faces = [[] for _ in dev.vert_type]
     for f in range(dev.face_count):
         for t in range(3):
-            vert_faces[dev.f_vert[f][t]].append(f)
+            vert_faces[f_vert[f][t]].append(f)
     adjacency = []
     for f in range(dev.face_count):
         near = set()
         for letter in range(3):
-            near.update(g for g in dev.edge_slots[dev.f_edge[f][letter]] if g not in (-1, f))
+            near.update(g for g in edge_slots[f_edge[f][letter]] if g not in (-1, f))
         adjacency.append(sorted(near))
-    return [sorted(faces) for faces in vert_faces], adjacency
+    saturated = [-1 not in slots for slots in edge_slots]
+    complete = []
+    for v, vtype in enumerate(dev.vert_type):
+        order = dev.spec.vertex_groups[vtype].order
+        complete.append(
+            len(vert_faces[v]) == order
+            and len(charts[v]) == order
+            and all(saturated[e] for e in vert_edges[v])
+        )
+    return adjacency, saturated, [sorted(faces) for faces in vert_faces], charts, complete
 
 
-def test_export_import_roundtrip(devs):
-    # f21_333 on a ball of its own: the shared radius-9 ball is large
-    balls = [devs[name] for name in ("d333", "d244", "d236", "d444")]
-    balls.append(grow_to_radius(load_sample("f21_333"), 4))
-    for dev in balls:
+def _derived(dev):
+    """What _reference_caches computes, through the ball's accessors."""
+    vertices = range(len(dev.vert_type))
+    return (
+        [dev.adjacent_faces(f) for f in range(dev.face_count)],
+        [dev.edge_saturated(e) for e in range(len(dev.edge_letter))],
+        [dev.faces_at_vertex(v) for v in vertices],
+        [dev.vertex_chart(v) for v in vertices],
+        [dev.vertex_complete(v) for v in vertices],
+    )
+
+
+def test_lazy_derivations_equal_plain_loops(five_balls):
+    for dev in five_balls:
+        assert _derived(dev) == _reference_caches(dev), dev.spec.name
+
+
+def test_export_import_roundtrip(five_balls):
+    for dev in five_balls:
         again = import_development(json.loads(development_to_json(dev)), dev.spec)
         for column in COLUMNS:
             assert getattr(again, column) == getattr(dev, column), (dev.spec.name, column)
         assert again.sphere_sizes == dev.sphere_sizes
-        assert _reference_caches(again) == (again._vert_faces, again._adjacency)
+        assert _derived(again) == _derived(dev)
+        assert _reference_caches(again) == _derived(again)
         assert export_development(again) == export_development(dev)
 
 
@@ -245,6 +325,6 @@ def test_vertex_charts_are_bijections(devs):
         for v in range(len(dev.vert_type)):
             if dev.vertex_complete(v):
                 group = dev.spec.vertex_groups[dev.vert_type[v]]
-                chart = dev.vert_chart[v]
+                chart = dev.vertex_chart(v)
                 assert len(chart) == group.order
                 assert sorted(chart.values()) == list(range(group.order))

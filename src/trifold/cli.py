@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -25,13 +24,12 @@ from .development import (
     DevelopmentError,
     InsufficientRadiusError,
     development_to_json,
-    grow_to_radius,
     import_development,
-    init_development,
 )
 
-# cones, automata, curvature and oracle are imported inside the commands and
-# suites that use them, so a call pays only for the modules it runs
+# grower, cones, automata, curvature and oracle are imported inside the
+# commands and suites that use them, so a call pays only for the modules it
+# runs
 
 SUITES = ("cor1", "cor2", "enters", "conetypes", "catacomb", "fellow", "gaussbonnet")
 
@@ -113,6 +111,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from .grower import grow_to_radius, init_development
+
     spec = _load_spec(args.spec)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -303,7 +303,13 @@ def _suite_gaussbonnet(dev: Development):
 
     from fractions import Fraction as F
 
-    from .curvature import build_patch, extract_disc_diagrams, polygon_fixture, triangle_fixture
+    from .curvature import (
+        build_patch,
+        extract_disc_diagrams,
+        polygon_fixture,
+        random_angles,
+        triangle_fixture,
+    )
 
     checks = 0
     fixtures = [triangle_fixture(F(1, 3)), triangle_fixture(F(0)), polygon_fixture(6, F(2, 3))]
@@ -324,25 +330,13 @@ def _suite_gaussbonnet(dev: Development):
             return "fail", False, "disc subpatch failed the exact identity"
         checks += 1
         for _ in range(3):
-            reshuffled = _random_angles(disc, rng)
+            reshuffled = random_angles(disc, rng)
             if not reshuffled.gauss_bonnet().ok:
                 return "fail", False, "random angle reassignment failed the exact identity"
             checks += 1
     if checks < 100:
         return "fail", False, f"only {checks} fixtures audited; need at least 100"
     return "pass", True, f"exact identity verified on {checks} fixtures"
-
-
-def _random_angles(y, rng):
-    from .curvature import AngledComplex, Cell
-
-    cells = []
-    for cell in y.cells:
-        corners = tuple(
-            Fraction(rng.randrange(0, 7), rng.randrange(1, 7)) for _ in cell.corners
-        )
-        cells.append(Cell(cell.vertices, cell.edges, corners))
-    return AngledComplex(y.n_vertices, list(y.edges), cells)
 
 
 def _load_manifest(devdir: str) -> dict | None:
@@ -404,6 +398,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .grower import grow_to_radius
     from .oracle import catacomb_check, compare_balls, isometry_ball
 
     if args.oracle_cmd == "compare":

@@ -647,6 +647,18 @@ def polygon_fixture(n: int, corner: AnglePi) -> AngledComplex:
     return AngledComplex(n, edges, [Cell(tuple(range(n)), tuple(range(n)), (c,) * n)])
 
 
+def random_angles(y: AngledComplex, rng: random.Random) -> AngledComplex:
+    """y with every corner replaced by a random fraction a/b, 0 <= a < 7 and
+    1 <= b < 7, drawn cell by cell from rng."""
+    cells = []
+    for cell in y.cells:
+        corners = tuple(
+            Fraction(rng.randrange(0, 7), rng.randrange(1, 7)) for _ in cell.corners
+        )
+        cells.append(Cell(cell.vertices, cell.edges, corners))
+    return AngledComplex(y.n_vertices, list(y.edges), cells)
+
+
 def ladder_fixture(hexagons: int = 3) -> tuple[DiscDiagram, str]:
     """Hexagons alternating with triangles along one boundary path.
 

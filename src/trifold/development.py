@@ -1,27 +1,22 @@
-"""Growing balls of the triangle complex by link closure and folding.
+"""The finalized ball of the triangle complex, and its persistence.
 
 Faces of the complex correspond to group elements; the base face is the
 identity.  Each edge carries a letter and k face slots indexed mod k, and
 crossing from slot i to slot i' multiplies on the right by that letter to the
-power i'-i.  Each vertex carries a partial chart of the faces around it into
-its vertex group; the chart propagates across edge crossings by right
-multiplication, and whenever two face ids receive the same chart value at one
-vertex they are folded together.  Closure runs to a fixed point inside a
-working radius, after which breadth-first distances are trusted out to the
-requested radius: a margin of one more than the largest local-link diameter
-is enough because distances are determined by data within one link of the
-nearest minimal faces.
+power i'-i.  Each vertex carries a chart of the faces around it into its
+vertex group.  `grower.py` grows a ball by link closure and folding; it is
+imported only when a ball is grown, and `_find`, `_Grower`,
+`init_development` and `grow_to_radius` still resolve here.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import le
 
-from .groups import LETTERS, LETTER_TYPES, VERTEX_LETTERS, TriangleGroupSpec, npc_check
+from .groups import LETTERS, LETTER_TYPES, TriangleGroupSpec
 
 
 class DevelopmentError(RuntimeError):
@@ -57,502 +52,16 @@ def symbols_for(k: int) -> list[GeneratorSymbol]:
     return [GeneratorSymbol(l, p) for l in range(3) for p in range(1, k)]
 
 
-def _find(parent: list[int], x: int) -> int:
-    """Union-find root of x in the forest `parent`, compressing the path."""
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
+_GROWER_NAMES = ("_find", "_Grower", "init_development", "grow_to_radius")
 
 
-class _Grower:
-    """Mutable closure state; finalize() emits the canonical Development."""
+def __getattr__(name: str):
+    # the grower is compiled only by the calls that grow a ball
+    if name in _GROWER_NAMES:
+        from . import grower
 
-    def __init__(self, spec: TriangleGroupSpec):
-        verdict = npc_check(spec)
-        if not verdict.nonpositively_curved:
-            raise DevelopmentError(
-                f"spec is not nonpositively curved: excess {verdict.excess}"
-            )
-        self.spec = spec
-        self.verdict = verdict
-        self.k = spec.k
-        links = spec.local_links()
-        self.link_diameters = [link.diameter for link in links]
-        self.margin = 1 + max(self.link_diameters)
-        # designated generator powers per (vertex type, letter)
-        self.gen_pow: list[dict[int, list[int]]] = []
-        for ti in range(3):
-            group = spec.vertex_groups[ti]
-            table = {}
-            for pos, letter in enumerate(VERTEX_LETTERS[ti]):
-                g = spec.designated[ti][pos]
-                powers = [0]
-                for _ in range(1, self.k):
-                    powers.append(group.mult[powers[-1]][g])
-                table[letter] = powers
-            self.gen_pow.append(table)
-
-        self.f_edge: list[list[int]] = []
-        self.f_slot: list[list[int]] = []
-        self.f_vert: list[list[int]] = []
-        self.f_alive: list[bool] = []
-        self.f_prov: list[int] = []
-        self.uf_f: list[int] = []
-
-        self.e_letter: list[int] = []
-        self.e_slots: list[list[int]] = []
-        self.e_ends: list[list[int]] = []
-        self.e_alive: list[bool] = []
-        self.uf_e: list[int] = []
-
-        self.v_type: list[int] = []
-        self.v_chart: list[dict[int, int]] = []
-        self.v_edges: list[list[int]] = []
-        self.v_alive: list[bool] = []
-        self.uf_v: list[int] = []
-
-        self.face_q: deque[tuple[int, int]] = deque()
-        self.edge_q: deque[tuple[int, int]] = deque()
-        self.vert_q: deque[tuple[int, int]] = deque()
-        self.dirty: set[int] = set()
-
-        self._seed()
-
-    # -- construction ------------------------------------------------------
-
-    def _new_face(self, prov: int) -> int:
-        f = len(self.f_alive)
-        self.f_edge.append([-1, -1, -1])
-        self.f_slot.append([-1, -1, -1])
-        self.f_vert.append([-1, -1, -1])
-        self.f_alive.append(True)
-        self.f_prov.append(prov)
-        self.uf_f.append(f)
-        return f
-
-    def _new_edge(self, letter: int, ends: list[int]) -> int:
-        e = len(self.e_alive)
-        self.e_letter.append(letter)
-        self.e_slots.append([-1] * self.k)
-        self.e_ends.append(list(ends))
-        self.e_alive.append(True)
-        self.uf_e.append(e)
-        for v in ends:
-            self.v_edges[v].append(e)
-        return e
-
-    def _new_vertex(self, vtype: int) -> int:
-        v = len(self.v_alive)
-        self.v_type.append(vtype)
-        self.v_chart.append({})
-        self.v_edges.append([])
-        self.v_alive.append(True)
-        self.uf_v.append(v)
-        self.dirty.add(v)
-        return v
-
-    def _attach(self, face: int, letter: int, edge: int, slot: int) -> None:
-        self.f_edge[face][letter] = edge
-        self.f_slot[face][letter] = slot
-        self.e_slots[edge][slot] = face
-
-    def _seed(self) -> None:
-        face = self._new_face(0)
-        verts = [self._new_vertex(t) for t in range(3)]
-        for letter in range(3):
-            t1, t2 = LETTER_TYPES[letter]
-            edge = self._new_edge(letter, [verts[t1], verts[t2]])
-            self._attach(face, letter, edge, 0)
-        for t in range(3):
-            self.f_vert[face][t] = verts[t]
-            self.v_chart[verts[t]][face] = 0
-
-    # -- closure -----------------------------------------------------------
-
-    def _saturate_edge(self, e: int) -> None:
-        letter = self.e_letter[e]
-        slots = self.e_slots[e]
-        base_prov = min(self.f_prov[_find(self.uf_f, f)] for f in slots if f != -1)
-        t1, t2 = LETTER_TYPES[letter]
-        third_type = 3 - t1 - t2
-        ends = [_find(self.uf_v, v) for v in self.e_ends[e]]
-        self.e_ends[e] = ends
-        self.dirty.update(ends)
-        for j in range(self.k):
-            if slots[j] != -1:
-                continue
-            face = self._new_face(base_prov + 1)
-            self._attach(face, letter, e, j)
-            self.f_vert[face][t1] = ends[0]
-            self.f_vert[face][t2] = ends[1]
-            third = self._new_vertex(third_type)
-            self.f_vert[face][third_type] = third
-            for other in range(3):
-                if other == letter:
-                    continue
-                o1, o2 = LETTER_TYPES[other]
-                endpoints = [self.f_vert[face][o1], self.f_vert[face][o2]]
-                new_edge = self._new_edge(other, endpoints)
-                self._attach(face, other, new_edge, 0)
-
-    def _propagate(self, v: int) -> bool:
-        """Extend the chart at v across edge crossings; queue folds. Returns
-        True if the chart grew."""
-        vtype = self.v_type[v]
-        chart = self._chart_resolved(v)
-        edges = self._edges_at(v)
-        faces: list[int] = []
-        seen = set()
-        for e in edges:
-            for f in self.e_slots[e]:
-                if f != -1:
-                    rf = _find(self.uf_f, f)
-                    if rf not in seen:
-                        seen.add(rf)
-                        faces.append(rf)
-        if not faces:
-            return False
-        grew = False
-        if not chart:
-            chart[min(faces)] = 0
-            grew = True
-        value_owner: dict[int, int] = {}
-        for f in sorted(chart):
-            owner = value_owner.get(chart[f])
-            if owner is None:
-                value_owner[chart[f]] = f
-            elif owner != f:
-                self.face_q.append((owner, f))
-        queue = sorted(chart)
-        qi = 0
-        gen_pow = self.gen_pow[vtype]
-        while qi < len(queue):
-            f = queue[qi]
-            qi += 1
-            base = chart.get(f)
-            if base is None:
-                continue
-            for letter in VERTEX_LETTERS[vtype]:
-                e = _find(self.uf_e, self.f_edge[f][letter])
-                jf = self.f_slot[f][letter]
-                powers = gen_pow[letter]
-                group = self.spec.vertex_groups[vtype]
-                for j2, raw in enumerate(self.e_slots[e]):
-                    if raw == -1 or j2 == jf:
-                        continue
-                    f2 = _find(self.uf_f, raw)
-                    val = group.mult[base][powers[(j2 - jf) % self.k]]
-                    have = chart.get(f2)
-                    if have is None:
-                        chart[f2] = val
-                        grew = True
-                        queue.append(f2)
-                        owner = value_owner.get(val)
-                        if owner is None:
-                            value_owner[val] = f2
-                        elif owner != f2:
-                            self.face_q.append((owner, f2))
-                    elif have != val:
-                        raise DevelopmentError(
-                            f"development inconsistency at vertex {v}: face {f2} "
-                            f"needs chart values {have} and {val}"
-                        )
-        return grew
-
-    def _edges_at(self, v: int) -> list[int]:
-        out = []
-        seen = set()
-        for e in self.v_edges[v]:
-            re = _find(self.uf_e, e)
-            if self.e_alive[re] and re not in seen:
-                seen.add(re)
-                out.append(re)
-        out.sort()
-        self.v_edges[v] = list(out)
-        return out
-
-    def _process_queues(self) -> bool:
-        did = False
-        while self.face_q or self.edge_q or self.vert_q:
-            did = True
-            if self.face_q:
-                self._merge_faces(*self.face_q.popleft())
-            elif self.edge_q:
-                self._merge_edges(*self.edge_q.popleft())
-            else:
-                self._merge_vertices(*self.vert_q.popleft())
-        return did
-
-    def _merge_faces(self, a: int, b: int) -> None:
-        ra, rb = _find(self.uf_f, a), _find(self.uf_f, b)
-        if ra == rb:
-            return
-        keep, dead = min(ra, rb), max(ra, rb)
-        self.uf_f[dead] = keep
-        self.f_alive[dead] = False
-        self.f_prov[keep] = min(self.f_prov[keep], self.f_prov[dead])
-        for letter in range(3):
-            e1 = _find(self.uf_e, self.f_edge[keep][letter])
-            e2 = _find(self.uf_e, self.f_edge[dead][letter])
-            if e1 != e2:
-                self.edge_q.append((e1, e2))
-            elif self.f_slot[keep][letter] != self.f_slot[dead][letter]:
-                raise DevelopmentError(
-                    f"edge slot collision while folding faces {keep} and {dead}"
-                )
-        for t in range(3):
-            v1 = _find(self.uf_v, self.f_vert[keep][t])
-            v2 = _find(self.uf_v, self.f_vert[dead][t])
-            self.dirty.add(v1)
-            if v1 != v2:
-                self.dirty.add(v2)
-                self.vert_q.append((v1, v2))
-
-    def _merge_edges(self, a: int, b: int) -> None:
-        ra, rb = _find(self.uf_e, a), _find(self.uf_e, b)
-        if ra == rb:
-            return
-        if self.e_letter[ra] != self.e_letter[rb]:
-            raise DevelopmentError("cannot fold edges of different letters")
-        keep, dead = min(ra, rb), max(ra, rb)
-        letter = self.e_letter[keep]
-        roots_keep = {}
-        for j, f in enumerate(self.e_slots[keep]):
-            if f != -1:
-                roots_keep[_find(self.uf_f, f)] = j
-        jk = jd = -1
-        for j, f in enumerate(self.e_slots[dead]):
-            if f != -1:
-                rf = _find(self.uf_f, f)
-                if rf in roots_keep:
-                    jk, jd = roots_keep[rf], j
-                    break
-        if jk < 0:
-            raise DevelopmentError("edge fold without a shared face")
-        self.uf_e[dead] = keep
-        self.e_alive[dead] = False
-        delta = (jk - jd) % self.k
-        for j, f in enumerate(self.e_slots[dead]):
-            if f == -1:
-                continue
-            rf = _find(self.uf_f, f)
-            target = (j + delta) % self.k
-            cur = self.e_slots[keep][target]
-            self.f_edge[rf][letter] = keep
-            self.f_slot[rf][letter] = target
-            if cur == -1:
-                self.e_slots[keep][target] = rf
-            else:
-                rc = _find(self.uf_f, cur)
-                if rc != rf:
-                    self.face_q.append((rc, rf))
-        for i in range(2):
-            v1 = _find(self.uf_v, self.e_ends[keep][i])
-            v2 = _find(self.uf_v, self.e_ends[dead][i])
-            self.dirty.add(v1)
-            if v1 != v2:
-                self.dirty.add(v2)
-                self.vert_q.append((v1, v2))
-
-    def _merge_vertices(self, a: int, b: int) -> None:
-        ra, rb = _find(self.uf_v, a), _find(self.uf_v, b)
-        if ra == rb:
-            return
-        if self.v_type[ra] != self.v_type[rb]:
-            raise DevelopmentError("cannot fold vertices of different types")
-        keep, dead = min(ra, rb), max(ra, rb)
-        self.uf_v[dead] = keep
-        self.v_alive[dead] = False
-        self.dirty.discard(dead)
-        self.dirty.add(keep)
-        self.v_edges[keep].extend(self.v_edges[dead])
-        self.v_edges[dead] = []
-        ck = self._chart_resolved(keep)
-        cd = self._chart_resolved(dead)
-        # keep the larger chart; propagation rebuilds the rest in its frame,
-        # charts being unique up to left translation
-        if len(cd) > len(ck):
-            self.v_chart[keep] = cd
-        else:
-            self.v_chart[keep] = ck
-        self.v_chart[dead] = {}
-
-    def _chart_resolved(self, v: int) -> dict[int, int]:
-        """The chart at v keyed by face roots, stored back and returned."""
-        chart = self.v_chart[v]
-        out: dict[int, int] = {}
-        for f in sorted(chart):
-            rf = _find(self.uf_f, f)
-            val = chart[f]
-            have = out.get(rf)
-            if have is None:
-                out[rf] = val
-            elif have != val:
-                raise DevelopmentError(
-                    f"development inconsistency at vertex {v}: face {rf} "
-                    f"needs chart values {have} and {val}"
-                )
-        self.v_chart[v] = out
-        return out
-
-    def _face_adjacency(self, f: int) -> list[int]:
-        out = []
-        for letter in range(3):
-            e = _find(self.uf_e, self.f_edge[f][letter])
-            for raw in self.e_slots[e]:
-                if raw != -1:
-                    rf = _find(self.uf_f, raw)
-                    if rf != f:
-                        out.append(rf)
-        return out
-
-    def _recompute_prov(self) -> None:
-        base = _find(self.uf_f, 0)
-        dist = {base: 0}
-        queue = [base]
-        qi = 0
-        while qi < len(queue):
-            f = queue[qi]
-            qi += 1
-            for g in self._face_adjacency(f):
-                if g not in dist:
-                    dist[g] = dist[f] + 1
-                    queue.append(g)
-        for f in range(len(self.f_alive)):
-            if self.f_alive[f] and _find(self.uf_f, f) == f:
-                self.f_prov[f] = dist.get(f, self.f_prov[f])
-
-    def _settle(self) -> bool:
-        any_change = False
-        while True:
-            merged = self._process_queues()
-            wave = sorted(self.dirty)
-            self.dirty.clear()
-            grew = False
-            for v in wave:
-                v = _find(self.uf_v, v)
-                if not self.v_alive[v]:
-                    continue
-                if self._propagate(v):
-                    grew = True
-                if self.face_q or self.edge_q or self.vert_q:
-                    self._process_queues()
-                    merged = True
-            if not merged and not grew and not self.dirty:
-                return any_change
-            any_change = True
-
-    def grow(self, radius: int) -> None:
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
-        budget = radius + self.margin
-        self._settle()
-        while True:
-            self._recompute_prov()
-            created = False
-            for e in range(len(self.e_alive)):
-                if not self.e_alive[e] or _find(self.uf_e, e) != e:
-                    continue
-                slots = self.e_slots[e]
-                if all(s != -1 for s in slots):
-                    continue
-                prov = min(self.f_prov[_find(self.uf_f, f)] for f in slots if f != -1)
-                if prov <= budget - 1:
-                    self._saturate_edge(e)
-                    created = True
-            settled = self._settle()
-            if not created and not settled:
-                break
-        self._recompute_prov()
-
-    # -- finalization ------------------------------------------------------
-
-    def finalize(self, radius: int) -> "Development":
-        uf_f, uf_e, uf_v = self.uf_f, self.uf_e, self.uf_v
-        base = _find(uf_f, 0)
-        order: list[int] = [base]
-        pos = {base: 0}
-        dist = {base: 0}
-        qi = 0
-        k = self.k
-        while qi < len(order):
-            f = order[qi]
-            qi += 1
-            for letter in range(3):
-                e = _find(uf_e, self.f_edge[f][letter])
-                jf = self.f_slot[f][letter]
-                for p in range(1, k):
-                    raw = self.e_slots[e][(jf + p) % k]
-                    if raw == -1:
-                        continue
-                    g = _find(uf_f, raw)
-                    if g not in pos:
-                        pos[g] = len(order)
-                        dist[g] = dist[f] + 1
-                        order.append(g)
-
-        edge_order: list[int] = []
-        edge_pos: dict[int, int] = {}
-        vert_order: list[int] = []
-        vert_pos: dict[int, int] = {}
-        for f in order:
-            for letter in range(3):
-                e = _find(uf_e, self.f_edge[f][letter])
-                if e not in edge_pos:
-                    edge_pos[e] = len(edge_order)
-                    edge_order.append(e)
-            for t in range(3):
-                v = _find(uf_v, self.f_vert[f][t])
-                if v not in vert_pos:
-                    vert_pos[v] = len(vert_order)
-                    vert_order.append(v)
-
-        dev = Development(self.spec, radius, self.margin)
-        dev.dist = [dist[f] for f in order]
-        dev.final = [d <= radius for d in dev.dist]
-        rotations = {}
-        for e in edge_order:
-            filled = [
-                (pos[_find(uf_f, f)], j)
-                for j, f in enumerate(self.e_slots[e])
-                if f != -1
-            ]
-            rotations[e] = min(filled)[1]
-        for f in order:
-            for letter in range(3):
-                e = _find(uf_e, self.f_edge[f][letter])
-                dev.f_edge.append(edge_pos[e])
-                dev.f_slot.append((self.f_slot[f][letter] - rotations[e]) % k)
-            dev.f_vert.extend(vert_pos[_find(uf_v, v)] for v in self.f_vert[f])
-        for e in edge_order:
-            rot = rotations[e]
-            row = self.e_slots[e]
-            for j in range(k):
-                raw = row[(j + rot) % k]
-                dev.edge_slots.append(pos[_find(uf_f, raw)] if raw != -1 else -1)
-            dev.edge_letter.append(self.e_letter[e])
-            dev.edge_ends.extend(vert_pos[_find(uf_v, v)] for v in self.e_ends[e])
-        for v in vert_order:
-            vtype = self.v_type[v]
-            group = self.spec.vertex_groups[vtype]
-            chart = self._chart_resolved(v)
-            renamed = {pos[f]: val for f, val in chart.items() if f in pos}
-            if renamed:
-                anchor = renamed[min(renamed)]
-                inv = group.inv(anchor)
-                renamed = {f: group.mult[inv][val] for f, val in renamed.items()}
-            dev.vert_type.append(vtype)
-            for pair in sorted(renamed.items()):
-                dev.vert_charts.extend(pair)
-            dev.vert_chart_offsets.append(len(dev.vert_charts))
-            dev.vert_edges.extend(
-                sorted({edge_pos[_find(uf_e, e)] for e in self.v_edges[v] if self.e_alive[_find(uf_e, e)]})
-            )
-            dev.vert_edge_offsets.append(len(dev.vert_edges))
-        return dev
+        return getattr(grower, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Development:
@@ -802,17 +311,6 @@ class Development:
                 f"distance decomposition fails at vertex {v}, face {f}"
             )
         return dv
-
-
-def init_development(spec: TriangleGroupSpec) -> _Grower:
-    """Seed the closure with the base face anchored to the identity."""
-    return _Grower(spec)
-
-
-def grow_to_radius(source: TriangleGroupSpec | _Grower, radius: int) -> Development:
-    grower = source if isinstance(source, _Grower) else _Grower(source)
-    grower.grow(radius)
-    return grower.finalize(radius)
 
 
 # -- serialization ---------------------------------------------------------

@@ -22,6 +22,7 @@ from trifold.curvature import (
     build_patch,
     extract_disc_diagrams,
     polygon_fixture,
+    random_angles,
     triangle_fixture,
 )
 from trifold.development import development_to_json, embeds_in, grow_to_radius
@@ -87,18 +88,7 @@ def test_criterion_3_gauss_bonnet(devs):
         for disc in extract_disc_diagrams(patch, 20, seed=77, max_cells=6):
             checks.append(disc.gauss_bonnet().ok)
             for _ in range(2):
-                from trifold.curvature import AngledComplex, Cell
-
-                cells = [
-                    Cell(
-                        c.vertices, c.edges,
-                        tuple(Fraction(rng.randrange(0, 7), rng.randrange(1, 7))
-                              for _ in c.corners),
-                    )
-                    for c in disc.cells
-                ]
-                reshuffled = AngledComplex(disc.n_vertices, list(disc.edges), cells)
-                checks.append(reshuffled.gauss_bonnet().ok)
+                checks.append(random_angles(disc, rng).gauss_bonnet().ok)
     _report(
         "C3 gauss-bonnet", len(checks) >= 100 and all(checks),
         f"{len(checks)} fixtures, exact equality",

@@ -1,4 +1,8 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -382,3 +386,41 @@ def test_golden_build_bytes(tmp_path, name):
         machine = tmp_path / "geodesic.json"
         assert main(["automaton", str(out), "--kind", "geodesic", "--out", str(machine)]) == 0
         assert sha(machine) == GOLDEN_GEODESIC_D333
+
+
+# modules a call should compile only when it runs the command or suite
+# that needs them
+HEAVY_MODULES = {
+    "trifold.grower", "trifold.cones", "trifold.automata", "trifold.curvature",
+    "trifold.oracle", "trifold.rings",
+}
+
+
+def _trifold_modules_after(code: str) -> set[str]:
+    """The trifold modules loaded once `code` has run in a fresh interpreter."""
+    import trifold
+
+    src = str(Path(trifold.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    report = "import sys; print(*sorted(m for m in sys.modules if m.startswith('trifold')))"
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_grower_or_suite_module():
+    loaded = _trifold_modules_after("import trifold.cli")
+    assert "trifold.cli" in loaded
+    assert not loaded & HEAVY_MODULES
+
+
+def test_verify_does_not_load_the_grower(built, tmp_path):
+    ball = tmp_path / "ball"
+    shutil.copytree(built, ball)
+    loaded = _trifold_modules_after(
+        f"from trifold.cli import main\nassert main(['verify', {str(ball)!r}, '--suite', 'cor1']) == 0"
+    )
+    assert "trifold.development" in loaded
+    assert "trifold.grower" not in loaded

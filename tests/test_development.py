@@ -1,9 +1,11 @@
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import pytest
 
 from trifold.development import (
+    Development,
     DevelopmentError,
     GeneratorSymbol,
     InsufficientRadiusError,
@@ -15,7 +17,13 @@ from trifold.development import (
     init_development,
     symbols_for,
 )
-from trifold.groups import TriangleGroupSpec
+from trifold.groups import (
+    LETTER_TYPES,
+    VERTEX_LETTERS,
+    TriangleGroupSpec,
+    group_from_permutations,
+    npc_check,
+)
 from trifold.samples import dihedral, dihedral_reflections, load_sample
 
 # sphere sizes frozen from the exact-isometry oracle (first computed there)
@@ -39,9 +47,9 @@ def test_symbol_order_and_parse():
 
 def test_init_development_seed_counts():
     grower = init_development(load_sample("d333"))
-    assert len(grower.f_alive) == 1
-    assert len(grower.e_alive) == 3
-    assert len(grower.v_alive) == 3
+    assert len(grower.uf_f) == 1
+    assert len(grower.uf_e) == 3
+    assert len(grower.uf_v) == 3
 
 
 def test_init_refuses_positive_excess():
@@ -328,3 +336,626 @@ def test_vertex_charts_are_bijections(devs):
                 chart = dev.vertex_chart(v)
                 assert len(chart) == group.order
                 assert sorted(chart.values()) == list(range(group.order))
+
+
+# -- the incremental grower against the grower it replaced -----------------
+
+
+def _ref_find(parent: list[int], x: int) -> int:
+    """Union-find root of x in the forest `parent`, compressing the path."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
+class ReferenceGrower:
+    """The grower as it was before its closure became incremental: each
+    propagation walks the whole chart, and each round scans every edge after
+    a breadth-first pass over the whole ball."""
+
+    def __init__(self, spec: TriangleGroupSpec):
+        verdict = npc_check(spec)
+        if not verdict.nonpositively_curved:
+            raise DevelopmentError(
+                f"spec is not nonpositively curved: excess {verdict.excess}"
+            )
+        self.spec = spec
+        self.verdict = verdict
+        self.k = spec.k
+        links = spec.local_links()
+        self.link_diameters = [link.diameter for link in links]
+        self.margin = 1 + max(self.link_diameters)
+        # designated generator powers per (vertex type, letter)
+        self.gen_pow: list[dict[int, list[int]]] = []
+        for ti in range(3):
+            group = spec.vertex_groups[ti]
+            table = {}
+            for pos, letter in enumerate(VERTEX_LETTERS[ti]):
+                g = spec.designated[ti][pos]
+                powers = [0]
+                for _ in range(1, self.k):
+                    powers.append(group.mult[powers[-1]][g])
+                table[letter] = powers
+            self.gen_pow.append(table)
+
+        self.f_edge: list[list[int]] = []
+        self.f_slot: list[list[int]] = []
+        self.f_vert: list[list[int]] = []
+        self.f_alive: list[bool] = []
+        self.f_prov: list[int] = []
+        self.uf_f: list[int] = []
+
+        self.e_letter: list[int] = []
+        self.e_slots: list[list[int]] = []
+        self.e_ends: list[list[int]] = []
+        self.e_alive: list[bool] = []
+        self.uf_e: list[int] = []
+
+        self.v_type: list[int] = []
+        self.v_chart: list[dict[int, int]] = []
+        self.v_edges: list[list[int]] = []
+        self.v_alive: list[bool] = []
+        self.uf_v: list[int] = []
+
+        self.face_q: deque[tuple[int, int]] = deque()
+        self.edge_q: deque[tuple[int, int]] = deque()
+        self.vert_q: deque[tuple[int, int]] = deque()
+        self.dirty: set[int] = set()
+
+        self._seed()
+
+    # -- construction ------------------------------------------------------
+
+    def _new_face(self, prov: int) -> int:
+        f = len(self.f_alive)
+        self.f_edge.append([-1, -1, -1])
+        self.f_slot.append([-1, -1, -1])
+        self.f_vert.append([-1, -1, -1])
+        self.f_alive.append(True)
+        self.f_prov.append(prov)
+        self.uf_f.append(f)
+        return f
+
+    def _new_edge(self, letter: int, ends: list[int]) -> int:
+        e = len(self.e_alive)
+        self.e_letter.append(letter)
+        self.e_slots.append([-1] * self.k)
+        self.e_ends.append(list(ends))
+        self.e_alive.append(True)
+        self.uf_e.append(e)
+        for v in ends:
+            self.v_edges[v].append(e)
+        return e
+
+    def _new_vertex(self, vtype: int) -> int:
+        v = len(self.v_alive)
+        self.v_type.append(vtype)
+        self.v_chart.append({})
+        self.v_edges.append([])
+        self.v_alive.append(True)
+        self.uf_v.append(v)
+        self.dirty.add(v)
+        return v
+
+    def _attach(self, face: int, letter: int, edge: int, slot: int) -> None:
+        self.f_edge[face][letter] = edge
+        self.f_slot[face][letter] = slot
+        self.e_slots[edge][slot] = face
+
+    def _seed(self) -> None:
+        face = self._new_face(0)
+        verts = [self._new_vertex(t) for t in range(3)]
+        for letter in range(3):
+            t1, t2 = LETTER_TYPES[letter]
+            edge = self._new_edge(letter, [verts[t1], verts[t2]])
+            self._attach(face, letter, edge, 0)
+        for t in range(3):
+            self.f_vert[face][t] = verts[t]
+            self.v_chart[verts[t]][face] = 0
+
+    # -- closure -----------------------------------------------------------
+
+    def _saturate_edge(self, e: int) -> None:
+        letter = self.e_letter[e]
+        slots = self.e_slots[e]
+        base_prov = min(self.f_prov[_ref_find(self.uf_f, f)] for f in slots if f != -1)
+        t1, t2 = LETTER_TYPES[letter]
+        third_type = 3 - t1 - t2
+        ends = [_ref_find(self.uf_v, v) for v in self.e_ends[e]]
+        self.e_ends[e] = ends
+        self.dirty.update(ends)
+        for j in range(self.k):
+            if slots[j] != -1:
+                continue
+            face = self._new_face(base_prov + 1)
+            self._attach(face, letter, e, j)
+            self.f_vert[face][t1] = ends[0]
+            self.f_vert[face][t2] = ends[1]
+            third = self._new_vertex(third_type)
+            self.f_vert[face][third_type] = third
+            for other in range(3):
+                if other == letter:
+                    continue
+                o1, o2 = LETTER_TYPES[other]
+                endpoints = [self.f_vert[face][o1], self.f_vert[face][o2]]
+                new_edge = self._new_edge(other, endpoints)
+                self._attach(face, other, new_edge, 0)
+
+    def _propagate(self, v: int) -> bool:
+        """Extend the chart at v across edge crossings; queue folds. Returns
+        True if the chart grew."""
+        vtype = self.v_type[v]
+        chart = self._chart_resolved(v)
+        edges = self._edges_at(v)
+        faces: list[int] = []
+        seen = set()
+        for e in edges:
+            for f in self.e_slots[e]:
+                if f != -1:
+                    rf = _ref_find(self.uf_f, f)
+                    if rf not in seen:
+                        seen.add(rf)
+                        faces.append(rf)
+        if not faces:
+            return False
+        grew = False
+        if not chart:
+            chart[min(faces)] = 0
+            grew = True
+        value_owner: dict[int, int] = {}
+        for f in sorted(chart):
+            owner = value_owner.get(chart[f])
+            if owner is None:
+                value_owner[chart[f]] = f
+            elif owner != f:
+                self.face_q.append((owner, f))
+        queue = sorted(chart)
+        qi = 0
+        gen_pow = self.gen_pow[vtype]
+        while qi < len(queue):
+            f = queue[qi]
+            qi += 1
+            base = chart.get(f)
+            if base is None:
+                continue
+            for letter in VERTEX_LETTERS[vtype]:
+                e = _ref_find(self.uf_e, self.f_edge[f][letter])
+                jf = self.f_slot[f][letter]
+                powers = gen_pow[letter]
+                group = self.spec.vertex_groups[vtype]
+                for j2, raw in enumerate(self.e_slots[e]):
+                    if raw == -1 or j2 == jf:
+                        continue
+                    f2 = _ref_find(self.uf_f, raw)
+                    val = group.mult[base][powers[(j2 - jf) % self.k]]
+                    have = chart.get(f2)
+                    if have is None:
+                        chart[f2] = val
+                        grew = True
+                        queue.append(f2)
+                        owner = value_owner.get(val)
+                        if owner is None:
+                            value_owner[val] = f2
+                        elif owner != f2:
+                            self.face_q.append((owner, f2))
+                    elif have != val:
+                        raise DevelopmentError(
+                            f"development inconsistency at vertex {v}: face {f2} "
+                            f"needs chart values {have} and {val}"
+                        )
+        return grew
+
+    def _edges_at(self, v: int) -> list[int]:
+        out = []
+        seen = set()
+        for e in self.v_edges[v]:
+            re = _ref_find(self.uf_e, e)
+            if self.e_alive[re] and re not in seen:
+                seen.add(re)
+                out.append(re)
+        out.sort()
+        self.v_edges[v] = list(out)
+        return out
+
+    def _process_queues(self) -> bool:
+        did = False
+        while self.face_q or self.edge_q or self.vert_q:
+            did = True
+            if self.face_q:
+                self._merge_faces(*self.face_q.popleft())
+            elif self.edge_q:
+                self._merge_edges(*self.edge_q.popleft())
+            else:
+                self._merge_vertices(*self.vert_q.popleft())
+        return did
+
+    def _merge_faces(self, a: int, b: int) -> None:
+        ra, rb = _ref_find(self.uf_f, a), _ref_find(self.uf_f, b)
+        if ra == rb:
+            return
+        keep, dead = min(ra, rb), max(ra, rb)
+        self.uf_f[dead] = keep
+        self.f_alive[dead] = False
+        self.f_prov[keep] = min(self.f_prov[keep], self.f_prov[dead])
+        for letter in range(3):
+            e1 = _ref_find(self.uf_e, self.f_edge[keep][letter])
+            e2 = _ref_find(self.uf_e, self.f_edge[dead][letter])
+            if e1 != e2:
+                self.edge_q.append((e1, e2))
+            elif self.f_slot[keep][letter] != self.f_slot[dead][letter]:
+                raise DevelopmentError(
+                    f"edge slot collision while folding faces {keep} and {dead}"
+                )
+        for t in range(3):
+            v1 = _ref_find(self.uf_v, self.f_vert[keep][t])
+            v2 = _ref_find(self.uf_v, self.f_vert[dead][t])
+            self.dirty.add(v1)
+            if v1 != v2:
+                self.dirty.add(v2)
+                self.vert_q.append((v1, v2))
+
+    def _merge_edges(self, a: int, b: int) -> None:
+        ra, rb = _ref_find(self.uf_e, a), _ref_find(self.uf_e, b)
+        if ra == rb:
+            return
+        if self.e_letter[ra] != self.e_letter[rb]:
+            raise DevelopmentError("cannot fold edges of different letters")
+        keep, dead = min(ra, rb), max(ra, rb)
+        letter = self.e_letter[keep]
+        roots_keep = {}
+        for j, f in enumerate(self.e_slots[keep]):
+            if f != -1:
+                roots_keep[_ref_find(self.uf_f, f)] = j
+        jk = jd = -1
+        for j, f in enumerate(self.e_slots[dead]):
+            if f != -1:
+                rf = _ref_find(self.uf_f, f)
+                if rf in roots_keep:
+                    jk, jd = roots_keep[rf], j
+                    break
+        if jk < 0:
+            raise DevelopmentError("edge fold without a shared face")
+        self.uf_e[dead] = keep
+        self.e_alive[dead] = False
+        delta = (jk - jd) % self.k
+        for j, f in enumerate(self.e_slots[dead]):
+            if f == -1:
+                continue
+            rf = _ref_find(self.uf_f, f)
+            target = (j + delta) % self.k
+            cur = self.e_slots[keep][target]
+            self.f_edge[rf][letter] = keep
+            self.f_slot[rf][letter] = target
+            if cur == -1:
+                self.e_slots[keep][target] = rf
+            else:
+                rc = _ref_find(self.uf_f, cur)
+                if rc != rf:
+                    self.face_q.append((rc, rf))
+        for i in range(2):
+            v1 = _ref_find(self.uf_v, self.e_ends[keep][i])
+            v2 = _ref_find(self.uf_v, self.e_ends[dead][i])
+            self.dirty.add(v1)
+            if v1 != v2:
+                self.dirty.add(v2)
+                self.vert_q.append((v1, v2))
+
+    def _merge_vertices(self, a: int, b: int) -> None:
+        ra, rb = _ref_find(self.uf_v, a), _ref_find(self.uf_v, b)
+        if ra == rb:
+            return
+        if self.v_type[ra] != self.v_type[rb]:
+            raise DevelopmentError("cannot fold vertices of different types")
+        keep, dead = min(ra, rb), max(ra, rb)
+        self.uf_v[dead] = keep
+        self.v_alive[dead] = False
+        self.dirty.discard(dead)
+        self.dirty.add(keep)
+        self.v_edges[keep].extend(self.v_edges[dead])
+        self.v_edges[dead] = []
+        ck = self._chart_resolved(keep)
+        cd = self._chart_resolved(dead)
+        # keep the larger chart; propagation rebuilds the rest in its frame,
+        # charts being unique up to left translation
+        if len(cd) > len(ck):
+            self.v_chart[keep] = cd
+        else:
+            self.v_chart[keep] = ck
+        self.v_chart[dead] = {}
+
+    def _chart_resolved(self, v: int) -> dict[int, int]:
+        """The chart at v keyed by face roots, stored back and returned."""
+        chart = self.v_chart[v]
+        out: dict[int, int] = {}
+        for f in sorted(chart):
+            rf = _ref_find(self.uf_f, f)
+            val = chart[f]
+            have = out.get(rf)
+            if have is None:
+                out[rf] = val
+            elif have != val:
+                raise DevelopmentError(
+                    f"development inconsistency at vertex {v}: face {rf} "
+                    f"needs chart values {have} and {val}"
+                )
+        self.v_chart[v] = out
+        return out
+
+    def _face_adjacency(self, f: int) -> list[int]:
+        out = []
+        for letter in range(3):
+            e = _ref_find(self.uf_e, self.f_edge[f][letter])
+            for raw in self.e_slots[e]:
+                if raw != -1:
+                    rf = _ref_find(self.uf_f, raw)
+                    if rf != f:
+                        out.append(rf)
+        return out
+
+    def _recompute_prov(self) -> None:
+        base = _ref_find(self.uf_f, 0)
+        dist = {base: 0}
+        queue = [base]
+        qi = 0
+        while qi < len(queue):
+            f = queue[qi]
+            qi += 1
+            for g in self._face_adjacency(f):
+                if g not in dist:
+                    dist[g] = dist[f] + 1
+                    queue.append(g)
+        for f in range(len(self.f_alive)):
+            if self.f_alive[f] and _ref_find(self.uf_f, f) == f:
+                self.f_prov[f] = dist.get(f, self.f_prov[f])
+
+    def _settle(self) -> bool:
+        any_change = False
+        while True:
+            merged = self._process_queues()
+            wave = sorted(self.dirty)
+            self.dirty.clear()
+            grew = False
+            for v in wave:
+                v = _ref_find(self.uf_v, v)
+                if not self.v_alive[v]:
+                    continue
+                if self._propagate(v):
+                    grew = True
+                if self.face_q or self.edge_q or self.vert_q:
+                    self._process_queues()
+                    merged = True
+            if not merged and not grew and not self.dirty:
+                return any_change
+            any_change = True
+
+    def grow(self, radius: int) -> None:
+        if radius < 0:
+            raise ValueError("radius must be nonnegative")
+        budget = radius + self.margin
+        self._settle()
+        while True:
+            self._recompute_prov()
+            created = False
+            for e in range(len(self.e_alive)):
+                if not self.e_alive[e] or _ref_find(self.uf_e, e) != e:
+                    continue
+                slots = self.e_slots[e]
+                if all(s != -1 for s in slots):
+                    continue
+                prov = min(self.f_prov[_ref_find(self.uf_f, f)] for f in slots if f != -1)
+                if prov <= budget - 1:
+                    self._saturate_edge(e)
+                    created = True
+            settled = self._settle()
+            if not created and not settled:
+                break
+        self._recompute_prov()
+
+    # -- finalization ------------------------------------------------------
+
+    def finalize(self, radius: int) -> Development:
+        uf_f, uf_e, uf_v = self.uf_f, self.uf_e, self.uf_v
+        base = _ref_find(uf_f, 0)
+        order: list[int] = [base]
+        pos = {base: 0}
+        dist = {base: 0}
+        qi = 0
+        k = self.k
+        while qi < len(order):
+            f = order[qi]
+            qi += 1
+            for letter in range(3):
+                e = _ref_find(uf_e, self.f_edge[f][letter])
+                jf = self.f_slot[f][letter]
+                for p in range(1, k):
+                    raw = self.e_slots[e][(jf + p) % k]
+                    if raw == -1:
+                        continue
+                    g = _ref_find(uf_f, raw)
+                    if g not in pos:
+                        pos[g] = len(order)
+                        dist[g] = dist[f] + 1
+                        order.append(g)
+
+        edge_order: list[int] = []
+        edge_pos: dict[int, int] = {}
+        vert_order: list[int] = []
+        vert_pos: dict[int, int] = {}
+        for f in order:
+            for letter in range(3):
+                e = _ref_find(uf_e, self.f_edge[f][letter])
+                if e not in edge_pos:
+                    edge_pos[e] = len(edge_order)
+                    edge_order.append(e)
+            for t in range(3):
+                v = _ref_find(uf_v, self.f_vert[f][t])
+                if v not in vert_pos:
+                    vert_pos[v] = len(vert_order)
+                    vert_order.append(v)
+
+        dev = Development(self.spec, radius, self.margin)
+        dev.dist = [dist[f] for f in order]
+        dev.final = [d <= radius for d in dev.dist]
+        rotations = {}
+        for e in edge_order:
+            filled = [
+                (pos[_ref_find(uf_f, f)], j)
+                for j, f in enumerate(self.e_slots[e])
+                if f != -1
+            ]
+            rotations[e] = min(filled)[1]
+        for f in order:
+            for letter in range(3):
+                e = _ref_find(uf_e, self.f_edge[f][letter])
+                dev.f_edge.append(edge_pos[e])
+                dev.f_slot.append((self.f_slot[f][letter] - rotations[e]) % k)
+            dev.f_vert.extend(vert_pos[_ref_find(uf_v, v)] for v in self.f_vert[f])
+        for e in edge_order:
+            rot = rotations[e]
+            row = self.e_slots[e]
+            for j in range(k):
+                raw = row[(j + rot) % k]
+                dev.edge_slots.append(pos[_ref_find(uf_f, raw)] if raw != -1 else -1)
+            dev.edge_letter.append(self.e_letter[e])
+            dev.edge_ends.extend(vert_pos[_ref_find(uf_v, v)] for v in self.e_ends[e])
+        for v in vert_order:
+            vtype = self.v_type[v]
+            group = self.spec.vertex_groups[vtype]
+            chart = self._chart_resolved(v)
+            renamed = {pos[f]: val for f, val in chart.items() if f in pos}
+            if renamed:
+                anchor = renamed[min(renamed)]
+                inv = group.inv(anchor)
+                renamed = {f: group.mult[inv][val] for f, val in renamed.items()}
+            dev.vert_type.append(vtype)
+            for pair in sorted(renamed.items()):
+                dev.vert_charts.extend(pair)
+            dev.vert_chart_offsets.append(len(dev.vert_charts))
+            dev.vert_edges.extend(
+                sorted({edge_pos[_ref_find(uf_e, e)] for e in self.v_edges[v] if self.e_alive[_ref_find(uf_e, e)]})
+            )
+            dev.vert_edge_offsets.append(len(dev.vert_edges))
+        return dev
+
+
+def _reference_build(spec, radius):
+    """The reference ball's bytes and its number of breadth-first passes."""
+    grower = ReferenceGrower(spec)
+    passes = []
+    full_pass = grower._recompute_prov
+
+    def counted():
+        passes.append(1)
+        full_pass()
+
+    grower._recompute_prov = counted
+    grower.grow(radius)
+    return development_to_json(grower.finalize(radius)), len(passes)
+
+
+def _fresh_distances(grower):
+    """Breadth-first distances from the base face over the live faces."""
+    k, uf_f, uf_e = grower.k, grower.uf_f, grower.uf_e
+    find = _ref_find
+    base = find(uf_f, 0)
+    dist = {base: 0}
+    queue = [base]
+    for f in queue:
+        for x in range(3 * f, 3 * f + 3):
+            e = find(uf_e, grower.f_edge[x])
+            for g in grower.e_slots[k * e:k * e + k]:
+                if g != -1:
+                    g = find(uf_f, g)
+                    if g not in dist:
+                        dist[g] = dist[f] + 1
+                        queue.append(g)
+    return dist
+
+
+def _checked_build(spec, radius):
+    """The ball's bytes and its number of rounds, checking before each
+    round and after the last that every live face's provisional distance
+    is its breadth-first distance."""
+    grower = init_development(spec)
+    rounds = []
+    scan = grower._saturate_frontier
+
+    def check():
+        fresh = _fresh_distances(grower)
+        live = [f for f, parent in enumerate(grower.uf_f) if parent == f]
+        assert sorted(fresh) == live, (spec.name, radius, len(rounds))
+        wrong = [f for f in live if grower.f_prov[f] != fresh[f]]
+        assert not wrong, (spec.name, radius, len(rounds), wrong[:5])
+        rounds.append(1)
+
+    def checked_scan(budget):
+        check()
+        return scan(budget)
+
+    grower._saturate_frontier = checked_scan
+    grower.grow(radius)
+    check()
+    return development_to_json(grower.finalize(radius)), len(rounds)
+
+
+def test_lowered_distances_spread_breadth_first():
+    """Folds on the samples never shorten a distance, so the repair pass is
+    driven by hand: with every face but the base far away and the base
+    lowered, it must give the breadth-first distances."""
+    grower = init_development(load_sample("f21_333"))
+    grower.grow(2)
+    fresh = _fresh_distances(grower)
+    for f in fresh:
+        grower.f_prov[f] = 1000
+    base = min(fresh, key=fresh.get)
+    grower.f_prov[base] = 0
+    grower.lowered.append(base)
+    grower._lower_prov()
+    assert {f: grower.f_prov[f] for f in fresh} == fresh
+    assert not grower.lowered
+
+
+@pytest.mark.parametrize("name", ["d236", "d244", "d333", "d444", "f21_333"])
+def test_grower_matches_reference_at_small_radii(name):
+    spec = load_sample(name)
+    for radius in range(4):
+        fast, rounds = _checked_build(spec, radius)
+        slow, passes = _reference_build(spec, radius)
+        assert fast == slow, (name, radius)
+        assert rounds == passes, (name, radius)
+
+
+@pytest.mark.parametrize(
+    "name, radius",
+    [("d333", 11), ("d244", 15), ("d236", 30), ("d444", 8), ("f21_333", 4)],
+)
+def test_grower_matches_reference_with_exact_distances(name, radius):
+    """Equal bytes, and the same rounds with every provisional distance
+    exact in each (17, 22, 39, 15 and 10 checks in order)."""
+    fast, rounds = _checked_build(load_sample(name), radius)
+    slow, passes = _reference_build(load_sample(name), radius)
+    assert fast == slow
+    assert rounds == passes
+
+
+def f155_333() -> TriangleGroupSpec:
+    """Z/31 : Z/5, of order 155, on its order-5 elements 2 and 4 at every
+    vertex type: the k = 5 analogue of f21_333."""
+    p = 31
+    group = group_from_permutations(
+        "F155", [tuple((x + 1) % p for x in range(p)), tuple(2 * x % p for x in range(p))]
+    )
+    spec = TriangleGroupSpec(5, (group,) * 3, ((2, 4),) * 3, name="f155_333")
+    spec.validate()
+    return spec
+
+
+def test_grower_matches_reference_at_k5():
+    spec = f155_333()
+    dev = grow_to_radius(spec, 0)
+    assert dev.face_count == 27187
+    slow, _ = _reference_build(spec, 0)
+    assert development_to_json(dev) == slow

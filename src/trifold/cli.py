@@ -8,7 +8,6 @@ Exit codes: 0 pass, 1 mathematical verdict negative or verification failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -55,6 +54,8 @@ def _reject_non_integer(text: str):
 
 
 def spec_hash(spec: TriangleGroupSpec) -> str:
+    import hashlib  # only build and automaton hash a spec
+
     blob = json.dumps(spec.to_document(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -438,8 +439,8 @@ def cmd_curvature(args) -> int:
         # ComplexError and a broken file's JSONDecodeError are ValueErrors
         raise UsageError(f"bad complex document: {exc}") from exc
     print(f"vertices {y.n_vertices}, edges {len(y.edges)}, faces {len(y.cells)}")
-    for v in range(y.n_vertices):
-        print(f"  vertex {v}: curvature {y.vertex_curvature(v)}*pi")
+    for v, curvature in enumerate(y.vertex_curvatures()):
+        print(f"  vertex {v}: curvature {curvature}*pi")
     for c in range(len(y.cells)):
         print(f"  face {c} (size {y.cells[c].size}): curvature {y.face_curvature(c)}*pi")
     verdict = y.gauss_bonnet()

@@ -46,7 +46,10 @@ class AngledComplex:
         self._validate()
 
     def _validate(self) -> None:
-        for eid, (u, v) in enumerate(self.edges):
+        edges = self.edges
+        # cells may share one corner tuple, whose signs are then checked once
+        checked: set[int] = set()
+        for eid, (u, v) in enumerate(edges):
             if u == v:
                 raise ComplexError(f"edge {eid} is a loop")
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
@@ -55,15 +58,18 @@ class AngledComplex:
             n = cell.size
             if n < 2 or len(cell.edges) != n or len(cell.corners) != n:
                 raise ComplexError(f"cell {cid} walk data is ragged")
-            for i in range(n):
-                a, b = cell.vertices[i], cell.vertices[(i + 1) % n]
-                if set(self.edges[cell.edges[i]]) != {a, b}:
+            walk = cell.vertices
+            for i, (eid, a, b) in enumerate(zip(cell.edges, walk, walk[1:] + walk[:1])):
+                u, v = edges[eid]
+                if not (u == a and v == b or u == b and v == a):
                     raise ComplexError(
                         f"cell {cid} edge {i} does not join consecutive walk vertices"
                     )
-            for angle in cell.corners:
-                if angle < 0:
+            corners = cell.corners
+            if id(corners) not in checked:
+                if min(corners) < 0:
                     raise ComplexError(f"cell {cid} has a negative corner")
+                checked.add(id(corners))
 
     # -- local structure ---------------------------------------------------
 
@@ -96,6 +102,30 @@ class AngledComplex:
     def vertex_curvature(self, v: int) -> AnglePi:
         return Fraction(2) - self.link_euler(v) - sum(self.corners_at(v), Fraction(0))
 
+    def _links(self) -> tuple[list[list[int]], list[list[tuple[int, int]]], list[list[AnglePi]]]:
+        """Every vertex's link_graph nodes and arcs and its corners_at, in
+        the same order, from one pass over the edges and one over the cells."""
+        nodes: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        arcs: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
+        corners: list[list[AnglePi]] = [[] for _ in range(self.n_vertices)]
+        for eid, (u, v) in enumerate(self.edges):
+            nodes[u].append(eid)
+            nodes[v].append(eid)
+        for cell in self.cells:
+            edges = cell.edges
+            for i, (w, angle) in enumerate(zip(cell.vertices, cell.corners)):
+                arcs[w].append((edges[i - 1], edges[i]))
+                corners[w].append(angle)
+        return nodes, arcs, corners
+
+    def vertex_curvatures(self) -> list[AnglePi]:
+        """vertex_curvature of every vertex, from one pass."""
+        nodes, arcs, corners = self._links()
+        return [
+            Fraction(2) - (len(n) - len(a)) - sum(c, Fraction(0))
+            for n, a, c in zip(nodes, arcs, corners)
+        ]
+
     def face_curvature(self, cid: int) -> AnglePi:
         cell = self.cells[cid]
         return sum(cell.corners, Fraction(0)) - (cell.size - 2)
@@ -104,9 +134,7 @@ class AngledComplex:
         return self.n_vertices - len(self.edges) + len(self.cells)
 
     def gauss_bonnet(self) -> "GaussBonnetVerdict":
-        total = sum(
-            (self.vertex_curvature(v) for v in range(self.n_vertices)), Fraction(0)
-        )
+        total = sum(self.vertex_curvatures(), Fraction(0))
         total += sum((self.face_curvature(c) for c in range(len(self.cells))), Fraction(0))
         rhs = Fraction(2 * self.euler_characteristic())
         return GaussBonnetVerdict(total, rhs)
@@ -153,8 +181,7 @@ class AngledComplex:
         boundary = [eid for eid, c in enumerate(incidence) if c == 1]
         if not boundary or not _single_simple_cycle(self, boundary):
             return False
-        for v in range(self.n_vertices):
-            nodes, arcs = self.link_graph(v)
+        for nodes, arcs, _corners in zip(*self._links()):
             if not nodes:
                 return False
             degree = {n: 0 for n in nodes}
@@ -390,8 +417,9 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
     Only the vertices and edges of ball faces are visited, and link cycles
     are enumerated inside the ball only.  omitted_cells counts the candidates
     that were enumerated and then rejected: torsion triples on saturated
-    edges of ball faces with a member outside the ball, and link cycles with
-    two consecutive faces that share no edge.
+    edges of ball faces with a member outside the ball.  No link cycle is
+    rejected, since two consecutive faces of one share the link node between
+    them, an edge at its vertex.
     """
     if radius > dev.radius:
         raise ComplexError("patch radius exceeds the trusted ball")
@@ -429,31 +457,29 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
     kinds: list[str] = []
     cell_vertex: list[int] = []
     omitted = 0
-    two_thirds = Fraction(2, 3)
+    # one corner tuple per cell size, shared by the cells of that size
+    link_corners: dict[int, tuple[AnglePi, ...]] = {}
 
     for v in ball_vertices:
         if not dev.vertex_complete(v):
             continue
-        for cycle in _link_cycles(dev, v, in_ball):
+        for cycle, nodes in _link_cycles(dev, v, in_ball):
             m = len(cycle)
-            walk_edges = []
-            ok = True
-            for i in range(m):
-                a, b = cycle[i], cycle[(i + 1) % m]
-                shared = dev.shared_edge(a, b)
-                if shared is None:
-                    ok = False
-                    break
-                walk_edges.append(cayley_edge(a, b, dev.edge_letter[shared]))
-            if not ok:
-                omitted += 1
-                continue
-            cells.append(Cell(tuple(cycle), tuple(walk_edges), (two_thirds,) * m))
+            # faces i - 1 and i of the cycle meet at node i, mod m
+            walk_edges = tuple(
+                cayley_edge(cycle[i - 1], cycle[i % m], dev.edge_letter[nodes[i % m]])
+                for i in range(1, m + 1)
+            )
+            corners = link_corners.get(m)
+            if corners is None:
+                corners = link_corners[m] = (Fraction(2, 3),) * m
+            cells.append(Cell(tuple(cycle), walk_edges, corners))
             kinds.append("link")
             cell_vertex.append(v)
 
     if dev.k >= 3:
         triples = _torsion_triples(dev.k)
+        zero_corners = (Fraction(0),) * 3
         for e in ball_edges:
             if not dev.edge_saturated(e):
                 continue
@@ -468,7 +494,7 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
                     cayley_edge(members[t], members[(t + 1) % 3], letter)
                     for t in range(3)
                 )
-                cells.append(Cell(members, walk_edges, (Fraction(0),) * 3))
+                cells.append(Cell(members, walk_edges, zero_corners))
                 kinds.append("torsion")
                 cell_vertex.append(-1)
 
@@ -487,9 +513,10 @@ def _torsion_triples(k: int) -> list[tuple[int, int, int]]:
     return sorted(base)
 
 
-def _link_cycles(dev: Development, v: int, keep: set[int]) -> list[list[int]]:
-    """Embedded cycles of the link at v made of faces in keep, returned as
-    face cycles.
+def _link_cycles(dev: Development, v: int, keep: set[int]) -> list[tuple[list[int], list[int]]]:
+    """Embedded cycles of the link at v made of faces in keep, each returned
+    as its face cycle and its node cycle: face i lies between nodes i and
+    i + 1 (mod the length).
 
     Nodes of the link are the edges at v, arcs the faces; an embedded node
     cycle of length 2m yields the 2m-gon of faces between consecutive nodes.
@@ -530,7 +557,7 @@ def _link_cycles(dev: Development, v: int, keep: set[int]) -> list[list[int]]:
                         for a, b in zip(closed, closed[1:]):
                             key = (a, b) if a < b else (b, a)
                             face_cycle.append(arc[key][0])
-                        cycles.append(face_cycle)
+                        cycles.append((face_cycle, path))
                 elif nxt > start and nxt not in seen:
                     stack.append((nxt, path + [nxt], seen | {nxt}))
     return cycles

@@ -77,6 +77,11 @@ class Development:
     c = vert_chart_offsets.  Face adjacency, the faces at a vertex and the
     chart as a dict are derived for one element when first asked for, then
     kept, so a suite pays only for the part of the ball it visits.
+
+    Distances are trusted out to `radius`.  `margin` is the grower's: it grew
+    the ball to radius + margin and kept the faces out to radius + margin - 1,
+    the farthest any reader goes (see `grower.py`), so every face here is at
+    most that far from the base face.
     """
 
     def __init__(self, spec: TriangleGroupSpec, radius: int, margin: int):
@@ -316,7 +321,7 @@ class Development:
 # -- serialization ---------------------------------------------------------
 
 
-DEVELOPMENT_FORMAT = "trifold-development/3"
+DEVELOPMENT_FORMAT = "trifold-development/4"
 
 
 def export_development(dev: Development) -> dict:
@@ -381,7 +386,8 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
     The parsed arrays become the ball's columns as they are.  Column lengths,
     offsets and every id are checked first, each column by its minimum and
     maximum, so a malformed document raises ValueError rather than failing
-    later inside a suite."""
+    later inside a suite; so does a face past radius + margin - 1, the extent
+    a ball is kept to."""
     if not isinstance(doc, dict):
         raise ValueError("not a development document")
     if doc.get("format") != DEVELOPMENT_FORMAT:
@@ -396,6 +402,9 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
     nf, ne, nv, k = len(dist), len(letters), len(types), dev.k
     if min(dist, default=0) < 0:
         raise ValueError("dist: a distance is negative")
+    extent = dev.radius + dev.margin - 1
+    if max(dist, default=0) > extent:
+        raise ValueError(f"dist: a face lies past radius + margin - 1 = {extent}")
     if not set(letters) <= set(LETTERS):
         raise ValueError("edge_letters: a letter is not a, b or c")
     if not set(types) <= {0, 1, 2}:

@@ -6,11 +6,33 @@ crossing from slot i to slot i' multiplies on the right by that letter to the
 power i'-i.  Each vertex carries a partial chart of the faces around it into
 its vertex group; the chart propagates across edge crossings by right
 multiplication, and whenever two face ids receive the same chart value at one
-vertex they are folded together.  Closure runs to a fixed point inside a
-working radius, after which breadth-first distances are trusted out to the
-requested radius: a margin of one more than the largest local-link diameter
-is enough because distances are determined by data within one link of the
-nearest minimal faces.
+vertex they are folded together.
+
+The margin, one more than delta, the largest local-link diameter, has two
+jobs.  It is the growth budget: closure runs to a fixed point within radius +
+margin, after which breadth-first distances are trusted out to the requested
+radius, which is enough because distances are determined by data within one
+link of the nearest minimal faces.  And one less than it is the stored
+extent: the finalized ball, which `build` also writes, keeps only the faces
+out to radius + margin - 1 = radius + delta, since no reader goes farther:
+
+- The trusted ball, and the interior vertices whose faces are all trusted,
+  lie within radius.
+- The star of a vertex of a trusted face spans at most delta layers, so it
+  ends by radius + delta, and completeness and charts at such a vertex read
+  nothing farther.  On all five samples the spread is exactly delta and some
+  such star reaches radius + delta (tests/test_development.py), so the
+  extent is tight: dropping one more layer would cut stars that are whole
+  today.
+- A face at radius + margin is at least delta + 1 steps from every trusted
+  face.  The fellow-traveller check's breadth-first searches start at
+  trusted faces and stop at delta + 1 steps, so they would meet such a face
+  only as a leaf at the cap, and no query asks for one.
+- Catacomb galleries are capped at the pair distance plus twice the margin
+  faces, which is no bound inside radius + delta, and none is proved here.
+  Every gallery result is checked to be the same with the outer layer kept
+  and dropped, at pair radii 1 to 3 on d333 and d444 and 1 to 2 on f21_333
+  (the half-girth-2 samples gate catacomb off).
 
 The closure is incremental; it reaches the same fixed point as walking every
 chart and every edge in each round, so the finalized ball is the same:
@@ -463,20 +485,25 @@ class _Grower:
     # -- finalization ------------------------------------------------------
 
     def finalize(self, radius: int) -> Development:
-        """Number faces breadth first from the base face, crossing each
-        face's edges letter by letter and each edge's slots upward from the
-        face's own; edges and vertices in order of first appearance."""
+        """Number faces breadth first from the base face out to radius +
+        margin - 1, crossing each face's edges letter by letter and each
+        edge's slots upward from the face's own; edges and vertices of the
+        kept faces in order of first appearance.  Slots holding a face past
+        that distance read -1, and charts leave such faces out."""
         uf_f, uf_e, uf_v = self.uf_f, self.uf_e, self.uf_v
         k, f_edge, f_slot, f_vert = self.k, self.f_edge, self.f_slot, self.f_vert
         e_slots, e_ends = self.e_slots, self.e_ends
+        extent = radius + self.margin - 1
         base = _find(uf_f, 0)
         order: list[int] = [base]
         pos = {base: 0}
         dist = [0]
         # ids met on the way are stored back as roots, so the passes after
-        # this one read them directly
+        # this one read them directly; the last layer's edges are read too,
+        # but add no face
         for i, f in enumerate(order):
             d = dist[i] + 1
+            more = d <= extent
             for x in range(3 * f, 3 * f + 3):
                 e = f_edge[x]
                 if uf_e[e] != e:
@@ -489,7 +516,7 @@ class _Grower:
                         continue
                     if uf_f[g] != g:
                         g = e_slots[s] = _find(uf_f, g)
-                    if g not in pos:
+                    if more and g not in pos:
                         pos[g] = len(order)
                         dist.append(d)
                         order.append(g)
@@ -536,7 +563,7 @@ class _Grower:
         # to the identity
         for v, edges in zip(vert_pos, vert_edges):
             group = self.spec.vertex_groups[self.v_type[v]]
-            chart = sorted([(pos[f], val) for f, val in self.v_chart[v].items()])
+            chart = sorted([(pos[f], val) for f, val in self.v_chart[v].items() if f in pos])
             row = group.mult[group.inv(chart[0][1])]
             for f, val in chart:
                 dev.vert_charts += (f, row[val])

@@ -239,6 +239,16 @@ def _offsets_short_of_data(doc):
     doc["vertex_edge_offsets"][-1] -= 1
 
 
+def _past_extent(doc):
+    doc["dist"][-1] = doc["radius"] + doc["margin"]
+
+
+def _format_3(doc):
+    """The flat columns of format 3, which is no longer read: it also held
+    the faces at distance radius + margin."""
+    doc["format"] = "trifold-development/3"
+
+
 def _format_2(doc):
     """The same ball in the nested rows of format 2, which is no longer
     read: one row per face, edge and vertex."""
@@ -294,8 +304,10 @@ def _format_1(doc):
         ("development.json", _negative_vertex),
         ("development.json", _float_id),
         ("development.json", _offsets_short_of_data),
+        ("development.json", _past_extent),
         ("development.json", _format_1),
         ("development.json", _format_2),
+        ("development.json", _format_3),
     ],
 )
 def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, content):
@@ -312,10 +324,12 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
     assert main(["verify", str(broken), "--suite", "cor1"]) == 2
     err = capsys.readouterr().err
     assert "malformed build directory" in err
-    if content in (_format_1, _format_2):
-        version = 1 if content is _format_1 else 2
+    if content in (_format_1, _format_2, _format_3):
+        version = (_format_1, _format_2, _format_3).index(content) + 1
         assert f"development format 'trifold-development/{version}'" in err
         assert "rebuild the ball" in err
+    if content is _past_extent:
+        assert "past radius + margin - 1" in err
 
 
 @pytest.mark.parametrize(
@@ -336,32 +350,32 @@ def test_invalid_numeric_arguments_exit_two(built, tmp_path, capsys, argv):
     assert not (tmp_path / "neg").exists()
 
 
-# sha256 of development.json (format 3), manifest.json and the lex-first
+# sha256 of development.json (format 4), manifest.json and the lex-first
 # machine's JSON, per sample: (ball radius, automaton flags, hashes).  The
-# manifest and machine hashes equal those of the format-1 and format-2 code.
+# manifest and machine hashes equal those of the format-1 to format-3 code.
 GOLDEN = {
     "d333": (11, [], (
-        "ebdbbba39c3f30d001f007a5dab994d640ec684c2befce25dfae53714ead7087",
+        "b6556c5ec45573e8c94907f2d18f3e3d74f9afbd7d4934b1bc1b22de633778c1",
         "c8b4c256b0841175c6f5460beb396a415075cd69b7b43c311aa668db478e69bb",
         "3450465844302073b9631a8ba41162109a4b01d5f1fefa982edd2f2e7241dbdd",
     )),
     "d244": (8, [], (
-        "567045baf480c873ac9660e650efeed63932c8cf75273c41420f45b014e35cdd",
+        "9290bd6edd8dcc738e4a334ad3261e8079bbe6163e28ab7c2c45ada57ace2525",
         "a6ec3d5897f7bb48a1526306fc3d0f56a7846aed18f2896acb586975b2b0e97c",
         "3ec8c41c897603bd662b279bda3f99021d9193871431c1ae72efe5ad6706a747",
     )),
     "d236": (5, [], (
-        "b93e016f2b8a6d7a5091b3cd6b7ee46ba6152b9b0580554e0d15156bf906b227",
+        "f832450b25d8061902db0234ae85d96d274313ded2ac41b8b6e370839d18cb88",
         "e1d08b9b32cd7c2211b80c3fa0fdd4ebbd37a582261824699db08f26be921052",
         "a3ac5c5804d538dd5a8c7fca9e173e8f972a1d1e0133416b792c9c948e52f27f",
     )),
     "d444": (6, ["--no-certify"], (
-        "f0636d46f229f07a0866cce4f035f77c4547ed3a6d63a5cd08ac072290392b8e",
+        "4b600c119e58d56f58e971d39aae443934eda4c4bd34808999ffef2282107799",
         "3d1b84ebbaf74d1f91fe73ebaa7ceaaa3117e172f12f0156208f8c04b4cebcf3",
         "72a6e966fec3ab3bf42c1666e93601810b38103e44a2f82f426248ac2e87d2dc",
     )),
     "f21_333": (4, ["--no-certify"], (
-        "9670efb9297459a28beb23fba95b9b3423e1db6dd5e01d6d558b711c1d774ea8",
+        "1b4f5ef9cca574e50512200278e764304f433613a3941adbd10400605cc7fc3a",
         "8776300f9442cf23af7995c82d6998e068fdd95818ac8dd3d2d3ab2f58de645b",
         "23654c12316051cdc56571a967d815345c07179942fa37f49a46f15d441fcdab",
     )),
@@ -396,13 +410,13 @@ HEAVY_MODULES = {
 }
 
 
-def _trifold_modules_after(code: str) -> set[str]:
-    """The trifold modules loaded once `code` has run in a fresh interpreter."""
+def _modules_after(code: str) -> set[str]:
+    """The modules loaded once `code` has run in a fresh interpreter."""
     import trifold
 
     src = str(Path(trifold.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    report = "import sys; print(*sorted(m for m in sys.modules if m.startswith('trifold')))"
+    report = "import sys; print(*sorted(sys.modules))"
     done = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"],
         env=env, capture_output=True, text=True, check=True,
@@ -411,7 +425,7 @@ def _trifold_modules_after(code: str) -> set[str]:
 
 
 def test_cli_import_loads_no_grower_or_suite_module():
-    loaded = _trifold_modules_after("import trifold.cli")
+    loaded = _modules_after("import trifold.cli")
     assert "trifold.cli" in loaded
     assert not loaded & HEAVY_MODULES
 
@@ -419,8 +433,10 @@ def test_cli_import_loads_no_grower_or_suite_module():
 def test_verify_does_not_load_the_grower(built, tmp_path):
     ball = tmp_path / "ball"
     shutil.copytree(built, ball)
-    loaded = _trifold_modules_after(
+    loaded = _modules_after(
         f"from trifold.cli import main\nassert main(['verify', {str(ball)!r}, '--suite', 'cor1']) == 0"
     )
     assert "trifold.development" in loaded
     assert "trifold.grower" not in loaded
+    # spec_hash is only for build and automaton
+    assert "hashlib" not in loaded

@@ -20,6 +20,7 @@ from trifold.curvature import (
     extract_disc_diagrams,
     ladder_fixture,
     polygon_fixture,
+    random_angles,
     triangle_fixture,
 )
 
@@ -277,6 +278,26 @@ def test_disc_extraction_and_exact_identity(dev333):
     for disc in discs:
         assert disc.is_disc()
         assert disc.gauss_bonnet().ok
+
+
+def test_one_pass_links_match_per_vertex_scans(devs):
+    """The links and curvatures of every vertex from one pass equal the
+    per-vertex scans, on fixtures, patches, discs and random angles."""
+    rng = random.Random(7)
+    complexes = [
+        triangle_fixture(F(1, 3)), triangle_fixture(F(0)), polygon_fixture(6, F(2, 3)),
+        ladder_fixture()[0].complex,
+    ]
+    for name in ("d333", "d244", "f21_333"):
+        patch = build_patch(devs[name], 3)
+        discs = extract_disc_diagrams(patch, 20, seed=11, max_cells=6)
+        complexes += [patch.complex, *discs, *(random_angles(d, rng) for d in discs)]
+    for y in complexes:
+        nodes, arcs, corners = y._links()
+        for v in range(y.n_vertices):
+            assert (nodes[v], arcs[v]) == y.link_graph(v)
+            assert corners[v] == y.corners_at(v)
+        assert y.vertex_curvatures() == [y.vertex_curvature(v) for v in range(y.n_vertices)]
 
 
 def test_interior_vertices_nonpositive_in_reduced_discs(devs):

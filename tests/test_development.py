@@ -1,9 +1,18 @@
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass
 
 import pytest
 
+from trifold.automata import (
+    AutomatonError,
+    _geodesic_machine_once,
+    build_geodesic_automaton,
+    build_lexfirst_automaton,
+    fellow_traveller_check,
+)
+from trifold.curvature import build_patch
 from trifold.development import (
     Development,
     DevelopmentError,
@@ -24,6 +33,7 @@ from trifold.groups import (
     group_from_permutations,
     npc_check,
 )
+from trifold.oracle import OracleError, source_geodesics
 from trifold.samples import dihedral, dihedral_reflections, load_sample
 
 # sphere sizes frozen from the exact-isometry oracle (first computed there)
@@ -336,6 +346,24 @@ def test_vertex_charts_are_bijections(devs):
                 chart = dev.vertex_chart(v)
                 assert len(chart) == group.order
                 assert sorted(chart.values()) == list(range(group.order))
+
+
+def test_vertex_stars_of_trusted_faces_end_by_radius_plus_delta(five_balls):
+    """The premise of the kept extent: the star of every vertex of a trusted
+    face is complete and spans at most delta layers, so it ends by radius +
+    delta = radius + margin - 1.  The spread is exactly delta and some star
+    reaches that far, so no further layer can be dropped."""
+    for dev in five_balls:
+        delta = max(link.diameter for link in dev.spec.local_links())
+        assert dev.margin == delta + 1
+        spread = reach = 0
+        for v in sorted({v for f in dev.ball_faces() for v in dev.f_vert[3 * f:3 * f + 3]}):
+            assert dev.vertex_complete(v), (dev.spec.name, v)
+            dists = [dev.dist[f] for f in dev.faces_at_vertex(v)]
+            spread = max(spread, max(dists) - min(dists))
+            reach = max(reach, max(dists))
+        assert spread == delta, dev.spec.name
+        assert reach == dev.radius + delta == max(dev.dist), dev.spec.name
 
 
 # -- the incremental grower against the grower it replaced -----------------
@@ -841,8 +869,9 @@ class ReferenceGrower:
         return dev
 
 
-def _reference_build(spec, radius):
-    """The reference ball's bytes and its number of breadth-first passes."""
+def _reference_grow(spec, radius):
+    """The reference ball, with its faces at distance radius + margin, and
+    its number of breadth-first passes."""
     grower = ReferenceGrower(spec)
     passes = []
     full_pass = grower._recompute_prov
@@ -853,7 +882,60 @@ def _reference_build(spec, radius):
 
     grower._recompute_prov = counted
     grower.grow(radius)
-    return development_to_json(grower.finalize(radius)), len(passes)
+    return grower.finalize(radius), len(passes)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_sample(name, radius):
+    return _reference_grow(load_sample(name), radius)
+
+
+def _drop_ring(dev):
+    """dev without its faces past radius + margin - 1: slots holding one
+    read -1, charts leave them out, and the edges and vertices are those of
+    the kept faces, renumbered in order of first appearance, each edge's
+    slots rotated to start at its least face and each chart translated to
+    send its least face to the identity."""
+    extent = dev.radius + dev.margin - 1
+    kept = [f for f, d in enumerate(dev.dist) if d <= extent]
+    n, k = len(kept), dev.k
+    assert kept == list(range(n))
+    edges = list(dict.fromkeys(dev.f_edge[:3 * n]))
+    verts = list(dict.fromkeys(dev.f_vert[:3 * n]))
+    edge_id = {e: i for i, e in enumerate(edges)}
+    vert_id = {v: i for i, v in enumerate(verts)}
+    out = Development(dev.spec, dev.radius, dev.margin)
+    out.dist, out.final = dev.dist[:n], dev.final[:n]
+    rotation = {}
+    for e in edges:
+        row = [f if f < n else -1 for f in dev.slots(e)]
+        j = rotation[e] = row.index(min(f for f in row if f != -1))
+        out.edge_slots += row[j:] + row[:j]
+        out.edge_letter.append(dev.edge_letter[e])
+        out.edge_ends += [vert_id[v] for v in dev.edge_ends[2 * e:2 * e + 2]]
+    for x in range(3 * n):
+        e = dev.f_edge[x]
+        out.f_edge.append(edge_id[e])
+        out.f_slot.append((dev.f_slot[x] - rotation[e]) % k)
+    out.f_vert = [vert_id[v] for v in dev.f_vert[:3 * n]]
+    for v in verts:
+        group = dev.spec.vertex_groups[dev.vert_type[v]]
+        out.vert_type.append(dev.vert_type[v])
+        out.vert_edges += sorted(edge_id[e] for e in dev.edges_at_vertex(v) if e in edge_id)
+        out.vert_edge_offsets.append(len(out.vert_edges))
+        chart = sorted((f, g) for f, g in dev.vertex_chart(v).items() if f < n)
+        shift = group.mult[group.inv(chart[0][1])]
+        for f, g in chart:
+            out.vert_charts += (f, shift[g])
+        out.vert_chart_offsets.append(len(out.vert_charts))
+    return out
+
+
+def _reference_build(spec, radius):
+    """The reference ball's bytes once its outer ring is dropped, and its
+    number of breadth-first passes."""
+    dev, passes = _reference_grow(spec, radius)
+    return development_to_json(_drop_ring(dev)), passes
 
 
 def _fresh_distances(grower):
@@ -928,16 +1010,16 @@ def test_grower_matches_reference_at_small_radii(name):
         assert rounds == passes, (name, radius)
 
 
-@pytest.mark.parametrize(
-    "name, radius",
-    [("d333", 11), ("d244", 15), ("d236", 30), ("d444", 8), ("f21_333", 4)],
-)
+REFERENCE_BALLS = [("d333", 11), ("d244", 15), ("d236", 30), ("d444", 8), ("f21_333", 4)]
+
+
+@pytest.mark.parametrize("name, radius", REFERENCE_BALLS)
 def test_grower_matches_reference_with_exact_distances(name, radius):
     """Equal bytes, and the same rounds with every provisional distance
     exact in each (17, 22, 39, 15 and 10 checks in order)."""
     fast, rounds = _checked_build(load_sample(name), radius)
-    slow, passes = _reference_build(load_sample(name), radius)
-    assert fast == slow
+    dev, passes = _reference_sample(name, radius)
+    assert fast == development_to_json(_drop_ring(dev))
     assert rounds == passes
 
 
@@ -956,6 +1038,74 @@ def f155_333() -> TriangleGroupSpec:
 def test_grower_matches_reference_at_k5():
     spec = f155_333()
     dev = grow_to_radius(spec, 0)
-    assert dev.face_count == 27187
+    assert dev.face_count == 4579
     slow, _ = _reference_build(spec, 0)
     assert development_to_json(dev) == slow
+
+
+def _outcome(call, *args):
+    """What call(*args) returns, or the type and message of the error it raises."""
+    try:
+        return call(*args)
+    except (DevelopmentError, InsufficientRadiusError, AutomatonError, OracleError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _answers(dev):
+    """Everything the readers of a ball take from it: each verify suite's
+    tuple, the fellow report, interior vertices, patches and both machines'
+    canonical forms, certified and not, and every catacomb pair's gallery."""
+    from trifold import cli
+
+    def machine(build, *args):
+        return build(dev, *args).canonical_form()
+
+    delta = dev.margin - 1
+    out = {
+        "interior": dev.interior_vertices(),
+        "cor1": _outcome(cli._suite_cor1, dev),
+        "cor2": _outcome(cli._suite_cor2, dev),
+        "enters": _outcome(cli._suite_enters, dev),
+        "conetypes": _outcome(cli._suite_conetypes, dev, 3),
+        "fellow": _outcome(cli._suite_fellow, dev, 1),
+        "fellow report": _outcome(fellow_traveller_check, dev, dev.radius - 1),
+        "gaussbonnet": _outcome(cli._suite_gaussbonnet, dev),
+    }
+    # the default radii of `trifold automaton` and the two below them
+    top = max(2, dev.radius - delta)
+    for radius in range(max(2, top - 2), top + 1):
+        out["geodesic", radius] = _outcome(machine, build_geodesic_automaton, radius)
+        out["geodesic once", radius] = _outcome(machine, _geodesic_machine_once, radius, {})
+    for radius in range(max(2, dev.radius - 2), dev.radius + 1):
+        out["lexfirst", radius] = _outcome(machine, build_lexfirst_automaton, radius)
+        out["lexfirst once", radius] = _outcome(machine, build_lexfirst_automaton, radius, False)
+    for radius in range(1, min(dev.radius, 4) + 1):
+        patch = build_patch(dev, radius)
+        y = patch.complex
+        out["patch", radius] = (
+            y.n_vertices, y.edges, y.cells, patch.edge_labels, patch.cell_kinds,
+            patch.omitted_cells, patch.vertex_of_cell,
+        )
+    # pair radius 3 on f21_333 takes about a minute per ball
+    for radius in range(1, 3 if dev.spec.name == "f21_333" else 4):
+        out["catacomb", radius] = _outcome(cli._suite_catacomb, dev, radius, None)
+        if 2 in dev.half_girths:
+            continue
+        for f1 in dev.ball_faces():
+            dists, found = source_geodesics(dev, f1, radius)
+            out[f1, radius] = {
+                f2: (dists[f2], path.path, gallery, crossings, unsure)
+                for f2, (path, gallery, crossings, unsure) in found.items()
+            }
+    return out
+
+
+@pytest.mark.parametrize("name, radius", REFERENCE_BALLS)
+def test_ring_answers_no_reader(name, radius):
+    """The reference ball, which keeps the faces at radius + margin, and the
+    ball without them give every reader the same answers."""
+    kept, _ = _reference_sample(name, radius)
+    dev = grow_to_radius(load_sample(name), radius)
+    assert dev.face_count < kept.face_count == len(kept.dist)
+    assert max(kept.dist) == radius + kept.margin
+    assert _answers(dev) == _answers(kept)

@@ -483,33 +483,20 @@ class FellowTravellerReport:
         return self.ok
 
 
-def fellow_traveller_check(
-    dev: Development, radius: int, workers: int = 1
-) -> FellowTravellerReport:
+def fellow_traveller_check(dev: Development, radius: int) -> FellowTravellerReport:
     """Synchronous deviation of lex-first words of adjacent elements.
 
     For every element within the radius and every generator keeping its
     neighbor inside the trusted ball, the two lex-first words are compared
     index by index, the shorter one held at its endpoint; the bound is the
     largest local-link diameter.  The asynchronous deviation is reported as a
-    diagnostic alongside.  Pair checking partitions deterministically across
-    workers and merges with a fixed reduction order.
+    diagnostic alongside.
     """
     if dev.radius < radius + 1:
         raise InsufficientRadiusError("need the ball trusted one step past the radius")
     words, parents = lexfirst_words(dev, radius + 1)
     delta = max(link.diameter for link in dev.spec.local_links())
-    tasks = []
-    skipped = 0
-    for f in dev.ball_faces():
-        if dev.dist[f] > radius:
-            continue
-        for s in range(dev.symbol_count):
-            g = dev.neighbor(f, s)
-            if g is None or not dev.final[g]:
-                skipped += 1
-                continue
-            tasks.append((f, s, g))
+    cap = delta + 1
     chains: dict[int, list[int]] = {0: [0]}
 
     def chain(f: int) -> list[int]:
@@ -519,37 +506,6 @@ def fellow_traveller_check(
             chains[f] = got
         return got
 
-    for f, _s, g in tasks:
-        chain(f)
-        chain(g)
-
-    if workers > 1 and len(tasks) >= 4 * workers:
-        chunks = [tasks[i::workers] for i in range(workers)]
-        partials = _fellow_parallel(dev, chains, delta, chunks, workers)
-    else:
-        partials = [_fellow_chunk(dev, chains, delta, tasks)]
-
-    observed_sync = 0
-    observed_async = 0
-    worst = None
-    violations = []
-    pairs = 0
-    for part in partials:
-        pairs += part["pairs"]
-        violations.extend(part["violations"])
-        observed_async = max(observed_async, part["async"])
-        if part["sync"] > observed_sync:
-            observed_sync = part["sync"]
-            worst = part["worst"]
-    if worst is not None:
-        worst = (words[worst[0]], worst[1], worst[2])
-    return FellowTravellerReport(
-        delta, observed_sync, observed_async, pairs, skipped, worst, violations
-    )
-
-
-def _fellow_chunk(dev, chains, delta, tasks) -> dict:
-    cap = delta + 1
     dist_cache: dict[int, dict[int, int]] = {}
 
     def capped_dist(x: int, y: int) -> int | None:
@@ -561,57 +517,38 @@ def _fellow_chunk(dev, chains, delta, tasks) -> dict:
             dist_cache[x] = dx
         return dx.get(y)
 
-    sync = 0
-    async_dev = 0
+    observed_sync = 0
+    observed_async = 0
     worst = None
     violations = []
     pairs = 0
-    for f, s, g in tasks:
-        pairs += 1
-        cf, cg = chains[f], chains[g]
-        n = max(len(cf), len(cg))
-        for i in range(1, n):
-            x = cf[i] if i < len(cf) else cf[-1]
-            y = cg[i] if i < len(cg) else cg[-1]
-            d = capped_dist(x, y)
-            if d is None or d > delta:
-                violations.append((f, dev.symbols[s].name(), i, d))
-                d = cap
-            if d > sync:
-                sync = d
-                worst = (f, dev.symbols[s].name(), i)
-        a = _async_side(cf, cg, capped_dist, cap)
-        b = _async_side(cg, cf, capped_dist, cap)
-        async_dev = max(async_dev, a, b)
-    return {
-        "pairs": pairs, "sync": sync, "async": async_dev,
-        "worst": worst, "violations": violations,
-    }
-
-
-_WORKER_STATE: dict = {}
-
-
-def _fellow_worker(chunk_index: int) -> dict:
-    state = _WORKER_STATE
-    return _fellow_chunk(
-        state["dev"], state["chains"], state["delta"], state["chunks"][chunk_index]
+    skipped = 0
+    for f in dev.ball_faces():
+        if dev.dist[f] > radius:
+            continue
+        for s in range(dev.symbol_count):
+            g = dev.neighbor(f, s)
+            if g is None or not dev.final[g]:
+                skipped += 1
+                continue
+            pairs += 1
+            cf, cg = chain(f), chain(g)
+            for i in range(1, max(len(cf), len(cg))):
+                x = cf[i] if i < len(cf) else cf[-1]
+                y = cg[i] if i < len(cg) else cg[-1]
+                d = capped_dist(x, y)
+                if d is None or d > delta:
+                    violations.append((f, dev.symbols[s].name(), i, d))
+                    d = cap
+                if d > observed_sync:
+                    observed_sync = d
+                    worst = (words[f], dev.symbols[s].name(), i)
+            a = _async_side(cf, cg, capped_dist, cap)
+            b = _async_side(cg, cf, capped_dist, cap)
+            observed_async = max(observed_async, a, b)
+    return FellowTravellerReport(
+        delta, observed_sync, observed_async, pairs, skipped, worst, violations
     )
-
-
-def _fellow_parallel(dev, chains, delta, chunks, workers):
-    import multiprocessing
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return [_fellow_chunk(dev, chains, delta, c) for c in chunks]
-    _WORKER_STATE.update(dev=dev, chains=chains, delta=delta, chunks=chunks)
-    try:
-        with ctx.Pool(workers) as pool:
-            return pool.map(_fellow_worker, range(len(chunks)))
-    finally:
-        _WORKER_STATE.clear()
 
 
 def _async_side(cf, cg, capped_dist, cap) -> int:

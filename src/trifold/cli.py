@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -285,11 +284,11 @@ def _suite_catacomb(dev: Development, radius: int | None, maxlen: int | None):
     )
 
 
-def _suite_fellow(dev: Development, workers: int):
+def _suite_fellow(dev: Development):
     from .automata import fellow_traveller_check
 
     radius = dev.radius - 1
-    report = fellow_traveller_check(dev, radius, workers=workers)
+    report = fellow_traveller_check(dev, radius)
     msg = (
         f"delta {report.delta}, observed sync {report.observed_sync}, "
         f"async {report.observed_async}, pairs {report.pairs_checked}"
@@ -360,7 +359,6 @@ def cmd_verify(args) -> int:
     dev = _load_devdir(args.devdir)
     # a malformed manifest is reported before any suite runs
     manifest = _load_manifest(args.devdir)
-    workers = int(os.environ.get("TRIFOLD_WORKERS", "1"))
     wanted = SUITES if args.suite == "all" else (args.suite,)
     verdicts = {}
     data_updates = {}
@@ -379,7 +377,7 @@ def cmd_verify(args) -> int:
             elif suite == "catacomb":
                 status, ok, msg = _suite_catacomb(dev, args.radius, args.maxlen)
             elif suite == "fellow":
-                status, ok, msg, data = _suite_fellow(dev, workers)
+                status, ok, msg, data = _suite_fellow(dev)
                 data_updates.update({"delta": data["delta"]})
             else:
                 status, ok, msg = _suite_gaussbonnet(dev)

@@ -166,9 +166,7 @@ def stabilization_radius(dev: Development, radius: int) -> int | None:
             r0 = r
         else:
             break
-    if r0 is None or r0 == radius:
-        return None if r0 is None else r0
-    return r0
+    return None if r0 == radius else r0
 
 
 @dataclass

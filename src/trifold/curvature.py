@@ -152,21 +152,7 @@ class AngledComplex:
         return [eid for eid, c in enumerate(self.edge_face_incidence()) if c == 1]
 
     def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return False
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {0}
-        queue = [0]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n_vertices
+        return _connected(_adjacency(range(self.n_vertices), self.edges))
 
     def is_disc(self) -> bool:
         """Connected, every edge in at most two cells, every link a path or a
@@ -182,15 +168,8 @@ class AngledComplex:
         if not boundary or not _single_simple_cycle(self, boundary):
             return False
         for nodes, arcs, _corners in zip(*self._links()):
-            if not nodes:
-                return False
-            degree = {n: 0 for n in nodes}
-            for a, b in arcs:
-                degree[a] += 1
-                degree[b] += 1
-            if any(d > 2 for d in degree.values()):
-                return False
-            if not _link_connected(nodes, arcs):
+            adj = _adjacency(nodes, arcs)
+            if any(len(near) > 2 for near in adj.values()) or not _connected(adj):
                 return False
         return True
 
@@ -202,44 +181,34 @@ class AngledComplex:
 
 
 def _single_simple_cycle(y: AngledComplex, edge_ids: list[int]) -> bool:
-    degree: dict[int, int] = {}
-    for eid in edge_ids:
-        for v in y.edges[eid]:
-            degree[v] = degree.get(v, 0) + 1
-    if any(d != 2 for d in degree.values()):
-        return False
-    # connected 2-regular graph with as many edges as vertices is one cycle
-    verts = sorted(degree)
-    adj = {v: [] for v in verts}
-    for eid in edge_ids:
-        u, v = y.edges[eid]
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {verts[0]}
-    queue = [verts[0]]
-    while queue:
-        u = queue.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(verts) and len(edge_ids) == len(verts)
+    # a connected 2-regular graph is one cycle
+    pairs = [y.edges[eid] for eid in edge_ids]
+    adj = _adjacency({v for pair in pairs for v in pair}, pairs)
+    return all(len(near) == 2 for near in adj.values()) and _connected(adj)
 
 
-def _link_connected(nodes: list[int], arcs: list[tuple[int, int]]) -> bool:
-    adj = {n: [] for n in nodes}
-    for a, b in arcs:
+def _adjacency(nodes, pairs) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {n: [] for n in nodes}
+    for a, b in pairs:
         adj[a].append(b)
         adj[b].append(a)
-    seen = {nodes[0]}
-    queue = [nodes[0]]
+    return adj
+
+
+def _connected(adj: dict[int, list[int]]) -> bool:
+    """Whether the graph with these adjacency lists is nonempty and connected."""
+    if not adj:
+        return False
+    start = next(iter(adj))
+    seen = {start}
+    queue = [start]
     while queue:
         u = queue.pop()
         for w in adj[u]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
-    return len(seen) == len(nodes)
+    return len(seen) == len(adj)
 
 
 @dataclass
@@ -543,23 +512,31 @@ def _link_cycles(dev: Development, v: int, keep: set[int]) -> list[tuple[list[in
             raise ComplexError(
                 "parallel link arcs found; half-girth below 2 is unsupported"
             )
-    cycles: list[list[int]] = []
-    order = sorted(nodes)
-    for start in order:
-        stack = [(start, [start], {start})]
-        while stack:
-            node, path, seen = stack.pop()
-            for nxt in sorted(set(node_adj[node])):
-                if nxt == start and len(path) >= 3:
-                    if path[1] < path[-1]:
-                        face_cycle = []
-                        closed = path + [start]
-                        for a, b in zip(closed, closed[1:]):
-                            key = (a, b) if a < b else (b, a)
-                            face_cycle.append(arc[key][0])
-                        cycles.append((face_cycle, path))
-                elif nxt > start and nxt not in seen:
-                    stack.append((nxt, path + [nxt], seen | {nxt}))
+    # larger neighbours first; with no parallel arcs none is listed twice
+    for near in node_adj.values():
+        near.sort(reverse=True)
+    cycles: list[tuple[list[int], list[int]]] = []
+
+    def extend(path: list[int], on_path: set[int]) -> None:
+        # a pre-order walk over the node paths from path[0] through larger
+        # nodes; path and on_path are extended in place and restored
+        start, near = path[0], node_adj[path[-1]]
+        if len(path) >= 3 and start in near and path[1] < path[-1]:
+            closed = path + [start]
+            face_cycle = []
+            for a, b in zip(closed, closed[1:]):
+                face_cycle.append(arc[(a, b) if a < b else (b, a)][0])
+            cycles.append((face_cycle, list(path)))
+        for nxt in near:
+            if nxt > start and nxt not in on_path:
+                path.append(nxt)
+                on_path.add(nxt)
+                extend(path, on_path)
+                path.pop()
+                on_path.remove(nxt)
+
+    for start in sorted(nodes):
+        extend([start], {start})
     return cycles
 
 

@@ -308,31 +308,24 @@ def enumerate_galleries(dev: Development, f1: int, f2: int, max_len: int) -> lis
     Consecutive faces must share an edge and may not repeat immediately.
     """
     _require_metric_gate(dev)
-    out = []
-    for faces in _walks(dev, f1, f2, max_len, simple=False):
-        out.append(unfold_gallery(dev, faces))
-    return out
-
-
-def _walks(dev: Development, f1: int, f2: int, max_len: int, simple: bool):
     # a face read below is at most max_len - 2 steps from the goal
     dist_to_goal = dev.bfs_from(f2, max_len)
+    out = []
     stack = [(f1,)]
     while stack:
         walk = stack.pop()
         cur = walk[-1]
         if cur == f2:
-            yield list(walk)
+            out.append(unfold_gallery(dev, list(walk)))
         remaining = max_len - len(walk)
         if remaining <= 0:
             continue
         for nxt in reversed(dev.adjacent_faces(cur)):
-            if nxt == walk[-1] or (simple and nxt in walk):
-                continue
             d = dist_to_goal.get(nxt)
             if d is None or d > remaining - 1:
                 continue
             stack.append(walk + (nxt,))
+    return out
 
 
 # -- exact funnel over a portal sleeve ------------------------------------------
@@ -409,13 +402,13 @@ def path_length(path: list[GalleryPoint]) -> RadicalSum:
 
 
 # path lengths are enclosed in integer multiples of 2**-_ROOT_BITS, which
-# settles nearly every length comparison without building a RadicalSum
+# settles nearly every length comparison without reducing square roots
 _ROOT_BITS = 40
 
 
 class _MeasuredPath:
-    """A path with an exact or a rigorously enclosed length; the RadicalSum
-    length is built only when neither settles a comparison."""
+    """A path with an exact or a rigorously enclosed length; _compare_roots
+    settles a comparison that neither decides."""
 
     def __init__(self, path: list[GalleryPoint]):
         self.path = path
@@ -441,13 +434,6 @@ class _MeasuredPath:
             total += r
         else:
             self.square = (total * total, n0)
-        self._length: RadicalSum | None = None
-
-    @property
-    def length(self) -> RadicalSum:
-        if self._length is None:
-            self._length = path_length(self.path)
-        return self._length
 
     def shorter_than(self, other: _MeasuredPath) -> bool:
         if self.square is not None and other.square is not None:
@@ -456,7 +442,9 @@ class _MeasuredPath:
             return False
         if self.hi < other.lo:
             return True
-        return self.length.compare(other.length) < 0
+        return _compare_roots(
+            [(1, n) for n in self.squares], [(1, n) for n in other.squares]
+        ) < 0
 
     def exceeded_by(self, q: int | Fraction) -> bool:
         """Whether sqrt(q) is longer than the path, for rational q >= 0."""
@@ -468,7 +456,10 @@ class _MeasuredPath:
             return True
         if num < self.lo * self.lo * den:
             return False
-        return RadicalSum.sqrt_of(q).compare(self.length) > 0
+        # sqrt(q) = sqrt(numerator * den) / den; num is shifted by now
+        return _compare_roots(
+            [(Fraction(1, den), q.numerator * den)], [(1, n) for n in self.squares]
+        ) > 0
 
 
 def _check_path_in_sleeve(
@@ -573,7 +564,7 @@ def cat0_geodesic(dev: Development, f1: int, f2: int, max_len: int) -> GeodesicR
 def _geodesic_result(
     path: _MeasuredPath, gallery: Gallery, crossings: int, inconclusive: bool
 ) -> GeodesicResult:
-    length = path.length
+    length = path_length(path.path)
     unscale = Fraction(1, _UNFOLD_SCALE)
     return GeodesicResult(
         length.squared() * (unscale * unscale),

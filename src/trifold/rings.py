@@ -82,9 +82,6 @@ class Q3:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> Q3:
-        return Q3(self.p, -self.q)
-
     def norm(self) -> Fraction:
         return self.p * self.p - 3 * self.q * self.q
 

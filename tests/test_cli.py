@@ -440,3 +440,21 @@ def test_verify_does_not_load_the_grower(built, tmp_path):
     assert "trifold.grower" not in loaded
     # spec_hash is only for build and automaton
     assert "hashlib" not in loaded
+
+
+def test_no_module_reads_the_environment():
+    # every option of trifold is a command-line argument
+    import ast
+
+    import trifold
+
+    package = Path(trifold.__file__).resolve().parent
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                readers.append((path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                if any(alias.name in ("environ", "getenv") for alias in node.names):
+                    readers.append((path.name, node.lineno))
+    assert readers == []

@@ -82,6 +82,10 @@ def test_table_successor_rows_and_multiplicities(dev333):
 
 
 def test_stabilization_radius_d333(dev333):
+    # the tables change through radius 4 and then persist
+    assert stabilization_radius(dev333, 3) is None
+    assert stabilization_radius(dev333, 4) is None
+    assert stabilization_radius(dev333, 5) == 4
     assert stabilization_radius(dev333, 7) == 4
 
 

@@ -1067,7 +1067,7 @@ def _answers(dev):
         "cor2": _outcome(cli._suite_cor2, dev),
         "enters": _outcome(cli._suite_enters, dev),
         "conetypes": _outcome(cli._suite_conetypes, dev, 3),
-        "fellow": _outcome(cli._suite_fellow, dev, 1),
+        "fellow": _outcome(cli._suite_fellow, dev),
         "fellow report": _outcome(fellow_traveller_check, dev, dev.radius - 1),
         "gaussbonnet": _outcome(cli._suite_gaussbonnet, dev),
     }

@@ -24,10 +24,12 @@ from trifold.oracle import (
     segment_point_sqdist,
     source_geodesics,
     sqdist,
+    _MeasuredPath,
+    _ROOT_BITS,
     _geodesic_result,
     _segment_crosses,
 )
-from trifold import rings
+from trifold import oracle, rings
 from trifold.rings import Q3, RadicalSum
 from trifold.samples import load_sample
 
@@ -410,3 +412,58 @@ def test_cat0_source_beyond_max_len(dev333):
     with pytest.raises(OracleError, match="no gallery within max_len"):
         cat0_geodesic(dev333, 0, f2, 5)
     assert cat0_geodesic(dev333, 0, f2, 6).crossings == 5
+
+
+def _random_steps(rng: random.Random) -> list[tuple[int, int]]:
+    while True:
+        steps = [(rng.randrange(-4, 5), rng.randrange(-3, 4)) for _ in range(rng.randrange(1, 5))]
+        if (0, 0) not in steps:
+            return steps
+
+
+def _path_of(rng: random.Random, steps: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    path = [(rng.randrange(-9, 10), rng.randrange(-9, 10))]
+    for dx, dy in steps:
+        path.append((path[-1][0] + dx, path[-1][1] + dy))
+    return path
+
+
+@pytest.mark.parametrize("bits", [_ROOT_BITS, 2])
+def test_measured_path_comparisons_match_radical_sums(monkeypatch, bits):
+    # a path with permuted segments has an equal length and other
+    # breakpoints; no enclosure parts the two, so the exact fallback decides.
+    # Two-bit enclosures also send near misses and exceeded_by there.
+    calls = []
+    compare_roots = oracle._compare_roots
+
+    def counted(xs, ys):
+        calls.append(xs)
+        return compare_roots(xs, ys)
+
+    monkeypatch.setattr(oracle, "_ROOT_BITS", bits)
+    monkeypatch.setattr(oracle, "_compare_roots", counted)
+    rng = random.Random(3141 + bits)
+    ties = 0
+    for _ in range(800):
+        steps = _random_steps(rng)
+        a = _MeasuredPath(_path_of(rng, steps))
+        if rng.random() < 0.5:
+            rng.shuffle(steps)
+        else:
+            steps = _random_steps(rng)
+        b = _MeasuredPath(_path_of(rng, steps))
+        la, lb = path_length(a.path), path_length(b.path)
+        ties += la.compare(lb) == 0
+        assert a.shorter_than(b) == (la.compare(lb) < 0)
+        assert b.shorter_than(a) == (lb.compare(la) < 0)
+        qs = [sum(a.squares), Fraction(rng.randrange(400), rng.randrange(1, 9))]
+        if bits == 2:
+            # squared lengths inside the enclosure, which only the fallback parts
+            qs += [Fraction(x * y, 1 << 2 * bits) for x, y in ((a.lo, a.lo), (a.lo, a.hi), (a.hi, a.hi))]
+        for q in qs:
+            assert a.exceeded_by(q) == (RadicalSum.sqrt_of(q).compare(la) > 0), (a.path, q)
+    assert ties > 200
+    # exceeded_by passes its rational as the only term with a fraction
+    from_exceeded = sum(isinstance(xs[0][0], Fraction) for xs in calls)
+    assert len(calls) - from_exceeded > 200
+    assert from_exceeded > (200 if bits == 2 else -1)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -400,6 +401,101 @@ def test_golden_build_bytes(tmp_path, name):
         machine = tmp_path / "geodesic.json"
         assert main(["automaton", str(out), "--kind", "geodesic", "--out", str(machine)]) == 0
         assert sha(machine) == GOLDEN_GEODESIC_D333
+
+
+# sha256 of what one `verify` call prints and of manifest.json after it, each
+# call on a fresh copy of the built ball: (suite arguments, exit code, stdout
+# hash, manifest hash) per call.  f21_333 at radius 4 runs its suites one by
+# one.
+GOLDEN_VERIFY = {
+    ("d333", 11): [
+        (["all", "--radius", "2"], 0,
+         "2c5c5118a5a231230256812d518e9763a8ab720f8e162b5568c717b62dd4d26c",
+         "c72d531a3b9d0c7176ca81ce15a47c829a132d524f8d5c418203a4c9fa452605"),
+    ],
+    ("d333", 3): [
+        (["all"], 1,
+         "e3579f8195287c805125e2685a0300672e147fdbac7a67997d5e6caeac8d5206",
+         "ae4e8f5b5e28ca224483cdf4e03e3b976a83de022629e1bfded47eef2d80826d"),
+    ],
+    ("d444", 8): [
+        (["all", "--radius", "1"], 1,
+         "07bf07762ad483ebd892e055d52f8da0356e9bcf59503c4e7428855fe14dca3a",
+         "87c17eb196c0f36de80844463c93417716452b30249220998d85737dccb11759"),
+    ],
+    ("d444", 9): [
+        (["all", "--radius", "1"], 1,
+         "110a87894a2c21fa353838a75306658955a28b4912ff9eb88eecd870e32edda7",
+         "cff71edaeff4a951428503eaab738cfca9b2d5202d964a6667d3ad626b19aefd"),
+    ],
+    ("d244", 15): [
+        (["all"], 1,
+         "22a99c65bc76efb811f3c397190abcaa136594bad00d79edba8e6c000fdf08c2",
+         "16c08c8da004b3f6366142a542d543c0398f5a365697be88c5f671774873a327"),
+    ],
+    ("d244", 6): [
+        (["all"], 1,
+         "cbcbd3f6cf98379d449949065be7a1db8b6501a83e7762ff288887ad88c35b5d",
+         "7af65484a19c3d556e55dadd62a03903b1a8e19b4c04eac2f87207dfaa4ba358"),
+    ],
+    ("d236", 30): [
+        (["all"], 1,
+         "db568a924b1231fa481a83074a082e56bd8492775acb56f0818128962130a639",
+         "9fe1a91e0671277eb6a5cf4eb2e8429e1baa56701fa599454670005e82e3cb8c"),
+    ],
+    ("d236", 8): [
+        (["all"], 1,
+         "5e2002ca8357818a19909a952eb96496cebcb2c8140a2274af417f35d5f6f416",
+         "8f0397885420ebd6992725a60ed38f64a541a32eb6819bca0ab818972773f526"),
+    ],
+    ("f21_333", 4): [
+        (["cor1"], 0,
+         "d326455233d3c31a700e511e527b2b54898255582a4dc56febb99a62de98358f",
+         "d00845ee729b6634b0ef5a0143d516e51916ecfb2f15428249e58c273e8f4a4a"),
+        (["cor2"], 0,
+         "4bae892e904a3c2f17b6220ae5be3c626d57cedc017a0e4ac4f64b30e9388039",
+         "b4733ed7881cce63f071b71713c4f2450326014eed79de26dbd202ed99b0c44a"),
+        (["enters"], 0,
+         "56e183dd317ac8b01295ddc7fa54886f7bf0645d370b6699c497434189fe8a68",
+         "f95c9d5f3c0e11a97bde53c84de22fcad12a73d8e04f98cd52ed3ac1369d0d31"),
+        (["conetypes"], 0,
+         "d1a0c6f15fdd0770b6dcd0a0bd728275d1936b0fb245fcf0feecefab4ff1a996",
+         "5f60070a8a6b432c42e5f275b0c618c8fb12aec8092d319e781f7681f915c53c"),
+        (["fellow"], 0,
+         "eef41f647f8cde417ec19d18220370e4939fabde389307d3d3068a038a778a8d",
+         "e94c031e1856c5829f8d70d5e80cdc365678f5e7d8b3481fd3a67ba5f1adcd2e"),
+        (["gaussbonnet"], 0,
+         "64a93a699e56812faf40078d1ed7d278588917a4f3ac00029d805772ac6bf9fd",
+         "8b545a378bfc7afe78be060fc98e106c5772530503b1bbe76469847505b4f9ea"),
+        (["catacomb", "--radius", "1"], 0,
+         "1d12900b630bad090866b851289aeedfc6d54304f78bf7525a796398cef84efe",
+         "df7c64e6eeee150bf5fb8d5904214ba76397f5f042943fa8cecd5d2b0f5a265a"),
+    ],
+}
+
+# the shape of a verify line; perfbench/facts.py parses it
+SUITE_LINE = re.compile(r"^(\w+): (pass|fail|skip) \((.*)\)$")
+
+
+@pytest.mark.parametrize("name, radius", list(GOLDEN_VERIFY))
+def test_golden_verify_lines_and_manifest(tmp_path, capsys, name, radius):
+    import hashlib
+
+    ball = tmp_path / "ball"
+    assert main(["build", name, "--radius", str(radius), "--out", str(ball)]) == 0
+    for suites, code, *expected in GOLDEN_VERIFY[name, radius]:
+        run = tmp_path / "run"
+        shutil.rmtree(run, ignore_errors=True)
+        shutil.copytree(ball, run)
+        capsys.readouterr()
+        assert main(["verify", str(run), "--suite", *suites]) == code, suites
+        out = capsys.readouterr().out
+        assert all(SUITE_LINE.match(line) for line in out.splitlines()), out
+        got = [
+            hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256((run / "manifest.json").read_bytes()).hexdigest(),
+        ]
+        assert got == expected, suites
 
 
 # modules a call should compile only when it runs the command or suite

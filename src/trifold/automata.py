@@ -495,7 +495,7 @@ def fellow_traveller_check(dev: Development, radius: int) -> FellowTravellerRepo
     if dev.radius < radius + 1:
         raise InsufficientRadiusError("need the ball trusted one step past the radius")
     words, parents = lexfirst_words(dev, radius + 1)
-    delta = max(link.diameter for link in dev.spec.local_links())
+    delta = dev.spec.delta
     cap = delta + 1
     chains: dict[int, list[int]] = {0: [0]}
 

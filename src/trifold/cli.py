@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -28,8 +29,6 @@ from .development import (
 # grower, cones, automata, curvature and oracle are imported inside the
 # commands and suites that use them, so a call pays only for the modules it
 # runs
-
-SUITES = ("cor1", "cor2", "enters", "conetypes", "catacomb", "fellow", "gaussbonnet")
 
 
 class UsageError(ValueError):
@@ -124,7 +123,6 @@ def cmd_build(args) -> int:
         json.dumps(spec.to_document(), sort_keys=True, indent=1) + "\n"
     )
     (outdir / "development.json").write_text(development_to_json(dev))
-    links = spec.local_links()
     manifest = {
         "format": "trifold-manifest/1",
         "tool_version": __version__,
@@ -135,8 +133,8 @@ def cmd_build(args) -> int:
         "margin": dev.margin,
         "half_girths": [None if r is math.inf else int(r) for r in verdict.half_girths],
         "verdict": verdict.kind,
-        "delta": max(l.diameter for l in links),
-        "link_diameters": [l.diameter for l in links],
+        "delta": spec.delta,
+        "link_diameters": [l.diameter for l in spec.local_links()],
         "sphere_sizes": dev.sphere_sizes,
         "cone_type_count": None,
         "stabilization_radius": None,
@@ -152,9 +150,8 @@ def cmd_automaton(args) -> int:
     from .automata import build_geodesic_automaton, build_lexfirst_automaton
 
     dev = _load_devdir(args.devdir)
-    diameter = max(l.diameter for l in dev.spec.local_links())
     if args.kind == "geodesic":
-        radius = args.radius if args.radius is not None else dev.radius - diameter
+        radius = args.radius if args.radius is not None else dev.radius - dev.spec.delta
         machine = build_geodesic_automaton(dev, radius)
     else:
         radius = args.radius if args.radius is not None else dev.radius
@@ -171,24 +168,34 @@ def cmd_automaton(args) -> int:
     return 0
 
 
-def _suite_cor1(dev: Development) -> tuple[str, bool, str]:
+@dataclass(frozen=True)
+class Verdict:
+    """What one verify suite found: a status of "pass", "fail" or "skip", the
+    message printed after it, and the manifest.json fields the suite sets."""
+
+    status: str
+    message: str
+    manifest: dict = field(default_factory=dict)
+
+
+def _suite_cor1(dev: Development) -> Verdict:
     checked = 0
     for v in dev.interior_vertices():
         dev.minimal_triangles(v)
         checked += 1
-    return "pass", True, f"minimal faces pairwise adjacent at {checked} interior vertices"
+    return Verdict("pass", f"minimal faces pairwise adjacent at {checked} interior vertices")
 
 
-def _suite_cor2(dev: Development) -> tuple[str, bool, str]:
+def _suite_cor2(dev: Development) -> Verdict:
     checked = 0
     for v in dev.interior_vertices():
         for f in dev.faces_at_vertex(v):
             dev.local_distance(v, f)
             checked += 1
-    return "pass", True, f"distance decomposition holds at {checked} vertex-face pairs"
+    return Verdict("pass", f"distance decomposition holds at {checked} vertex-face pairs")
 
 
-def _suite_enters(dev: Development) -> tuple[str, bool, str]:
+def _suite_enters(dev: Development) -> Verdict:
     checked = 0
     bad = []
     for v in dev.interior_vertices():
@@ -204,30 +211,28 @@ def _suite_enters(dev: Development) -> tuple[str, bool, str]:
                 if dev.local_distance(v, f) > 1:
                     bad.append((v, f))
     if bad:
-        return "fail", False, f"geodesics enter {len(bad)} links too far from minimal faces"
-    return "pass", True, f"every geodesic entry point within one step of minimal ({checked} checked)"
+        return Verdict("fail", f"geodesics enter {len(bad)} links too far from minimal faces")
+    return Verdict("pass", f"every geodesic entry point within one step of minimal ({checked} checked)")
 
 
-def _suite_conetypes(dev: Development, depth: int) -> tuple[str, bool, str, dict]:
+def _suite_conetypes(dev: Development, depth: int) -> Verdict:
     from .cones import enumerate_cone_types, signature_counts, verify_cone_determination
 
-    diameter = max(l.diameter for l in dev.spec.local_links())
-    table_radius = dev.radius - diameter
+    table_radius = dev.radius - dev.spec.delta
     if table_radius < 2:
-        return "skip", True, "ball too small for cone tables", {}
-    counts = signature_counts(dev, table_radius)
-    stable = len(counts) >= 3 and counts[-1] == counts[-2] == counts[-3]
+        return Verdict("skip", "ball too small for cone tables")
+    # each signature within table_radius is computed once; at half-girths of
+    # 3 or more, signatures are also the classes whose determination is checked
+    signatures = {}
+    counts = signature_counts(dev, table_radius, signatures)
+    stable = counts[-1] == counts[-2] == counts[-3]
     det_radius = max(0, min(table_radius, dev.radius - depth))
-    table = enumerate_cone_types(dev, table_radius - 1)
-    data = {
+    table = enumerate_cone_types(dev, table_radius - 1, signatures)
+    manifest = {
         "cone_type_count": counts[-1],
-        "stabilization_radius": next(
-            (r for r in range(len(counts)) if counts[r] == counts[-1]), None
-        ),
-        "signature_counts": counts,
-        "coherent": table.coherent,
+        "stabilization_radius": counts.index(counts[-1]),
     }
-    classes = None
+    classes = signatures
     partition = ""
     if any(r == 2 for r in dev.half_girths):
         # equal signatures do not determine cone types at a half-girth of 2;
@@ -236,17 +241,17 @@ def _suite_conetypes(dev: Development, depth: int) -> tuple[str, bool, str, dict
         # radius where the signature count settles says nothing about them
         from .automata import build_geodesic_automaton, lexfirst_words
 
-        data["stabilization_radius"] = None
+        manifest["stabilization_radius"] = None
         try:
             machine = build_geodesic_automaton(dev, table_radius)
         except InsufficientRadiusError as exc:
-            data["cone_type_count"] = None
-            return "fail", False, (
+            manifest["cone_type_count"] = None
+            return Verdict("fail", (
                 f"signature counts {counts}; a half-girth is 2, so cone types are "
                 f"all-geodesics machine states, and the machine does not certify at "
                 f"table radius {table_radius}: {exc}"
-            ), data
-        data["cone_type_count"] = machine.n_live
+            ), manifest)
+        manifest["cone_type_count"] = machine.n_live
         classes = {}
         for f, word in lexfirst_words(dev, det_radius)[0].items():
             q = machine.start
@@ -254,51 +259,47 @@ def _suite_conetypes(dev: Development, depth: int) -> tuple[str, bool, str, dict
                 q = machine.step(q, sym)
             classes[f] = q
         if not all(machine.is_accepting(q) for q in classes.values()):
-            return "fail", False, (
+            return Verdict("fail", (
                 f"signature counts {counts}; the all-geodesics machine certified at "
                 f"table radius {table_radius} rejects a lex-first word"
-            ), data
+            ), manifest)
         partition = f" over {machine.n_live} machine states"
     report = verify_cone_determination(dev, det_radius, depth=depth, classes=classes)
-    ok = stable and report.ok
     msg = (
         f"signature counts {counts}; "
         f"determination depth {depth}{partition}: "
         f"{'pass' if report.ok else f'fail {report.counterexample}'}; "
         f"successor rows {'coherent' if table.coherent else 'INCOHERENT (half-girth 2 territory)'}"
     )
-    return ("pass" if ok else "fail"), ok, msg, data
+    return Verdict("pass" if stable and report.ok else "fail", msg, manifest)
 
 
-def _suite_catacomb(dev: Development, radius: int | None, maxlen: int | None):
+def _suite_catacomb(dev: Development, radius: int | None, maxlen: int | None) -> Verdict:
     if any(r == 2 for r in dev.half_girths):
-        return "skip", True, "gated, skipped: a half-girth equals 2, so the unit equilateral metric is not nonpositively curved"
+        return Verdict("skip", "gated, skipped: a half-girth equals 2, so the unit equilateral metric is not nonpositively curved")
     from .oracle import catacomb_check
 
     use_radius = radius if radius is not None else min(4, dev.radius - 1)
     report = catacomb_check(dev, use_radius, maxlen)
     if report.ok:
-        return "pass", True, f"crossing counts equal ball distances on {report.pairs_checked} pairs (radius {use_radius})"
-    return "fail", False, (
-        f"{len(report.failures)} crossing mismatches, {len(report.inconclusive)} inconclusive"
-    )
+        return Verdict("pass", f"crossing counts equal ball distances on {report.pairs_checked} pairs (radius {use_radius})")
+    return Verdict("fail", f"{len(report.failures)} crossing mismatches, {len(report.inconclusive)} inconclusive")
 
 
-def _suite_fellow(dev: Development):
+def _suite_fellow(dev: Development) -> Verdict:
     from .automata import fellow_traveller_check
 
-    radius = dev.radius - 1
-    report = fellow_traveller_check(dev, radius)
+    report = fellow_traveller_check(dev, dev.radius - 1)
     msg = (
         f"delta {report.delta}, observed sync {report.observed_sync}, "
         f"async {report.observed_async}, pairs {report.pairs_checked}"
     )
     if report.ok:
-        return "pass", True, msg, {"delta": report.delta}
-    return "fail", False, msg + f", violations {len(report.violations)}", {"delta": report.delta}
+        return Verdict("pass", msg)
+    return Verdict("fail", msg + f", violations {len(report.violations)}")
 
 
-def _suite_gaussbonnet(dev: Development):
+def _suite_gaussbonnet(dev: Development) -> Verdict:
     import random
 
     from fractions import Fraction as F
@@ -315,28 +316,40 @@ def _suite_gaussbonnet(dev: Development):
     fixtures = [triangle_fixture(F(1, 3)), triangle_fixture(F(0)), polygon_fixture(6, F(2, 3))]
     for y in fixtures:
         if not y.gauss_bonnet().ok:
-            return "fail", False, "trivial fixture failed"
+            return Verdict("fail", "trivial fixture failed")
         checks += 1
     patch_radius = min(dev.radius, 4)
     patch = build_patch(dev, patch_radius)
     if not all(c.size >= 6 for c, k in zip(patch.complex.cells, patch.cell_kinds) if k == "link") and not any(
         r == 2 for r in dev.half_girths
     ):
-        return "fail", False, "a link cell shorter than 6 appeared despite half-girths >= 3"
+        return Verdict("fail", "a link cell shorter than 6 appeared despite half-girths >= 3")
     discs = extract_disc_diagrams(patch, 30, seed=20259, max_cells=6)
     rng = random.Random(414243)
     for disc in discs:
         if not disc.gauss_bonnet().ok:
-            return "fail", False, "disc subpatch failed the exact identity"
+            return Verdict("fail", "disc subpatch failed the exact identity")
         checks += 1
         for _ in range(3):
             reshuffled = random_angles(disc, rng)
             if not reshuffled.gauss_bonnet().ok:
-                return "fail", False, "random angle reassignment failed the exact identity"
+                return Verdict("fail", "random angle reassignment failed the exact identity")
             checks += 1
     if checks < 100:
-        return "fail", False, f"only {checks} fixtures audited; need at least 100"
-    return "pass", True, f"exact identity verified on {checks} fixtures"
+        return Verdict("fail", f"only {checks} fixtures audited; need at least 100")
+    return Verdict("pass", f"exact identity verified on {checks} fixtures")
+
+
+# the verify suites in `--suite all` order, each called with (ball, arguments)
+SUITES = {
+    "cor1": lambda dev, args: _suite_cor1(dev),
+    "cor2": lambda dev, args: _suite_cor2(dev),
+    "enters": lambda dev, args: _suite_enters(dev),
+    "conetypes": lambda dev, args: _suite_conetypes(dev, args.depth),
+    "catacomb": lambda dev, args: _suite_catacomb(dev, args.radius, args.maxlen),
+    "fellow": lambda dev, args: _suite_fellow(dev),
+    "gaussbonnet": lambda dev, args: _suite_gaussbonnet(dev),
+}
 
 
 def _load_manifest(devdir: str) -> dict | None:
@@ -359,41 +372,22 @@ def cmd_verify(args) -> int:
     dev = _load_devdir(args.devdir)
     # a malformed manifest is reported before any suite runs
     manifest = _load_manifest(args.devdir)
-    wanted = SUITES if args.suite == "all" else (args.suite,)
-    verdicts = {}
-    data_updates = {}
-    all_ok = True
-    for suite in wanted:
+    wanted = list(SUITES) if args.suite == "all" else [args.suite]
+    failed = False
+    for name in wanted:
         try:
-            if suite == "cor1":
-                status, ok, msg = _suite_cor1(dev)
-            elif suite == "cor2":
-                status, ok, msg = _suite_cor2(dev)
-            elif suite == "enters":
-                status, ok, msg = _suite_enters(dev)
-            elif suite == "conetypes":
-                status, ok, msg, data = _suite_conetypes(dev, args.depth)
-                data_updates.update(data)
-            elif suite == "catacomb":
-                status, ok, msg = _suite_catacomb(dev, args.radius, args.maxlen)
-            elif suite == "fellow":
-                status, ok, msg, data = _suite_fellow(dev)
-                data_updates.update({"delta": data["delta"]})
-            else:
-                status, ok, msg = _suite_gaussbonnet(dev)
+            verdict = SUITES[name](dev, args)
         except _failure_errors() as exc:
-            status, ok, msg = "fail", False, str(exc)
-        verdicts[suite] = status
-        all_ok = all_ok and ok
-        print(f"{suite}: {status} ({msg})")
+            verdict = Verdict("fail", str(exc))
+        print(f"{name}: {verdict.status} ({verdict.message})")
+        failed = failed or verdict.status == "fail"
+        if manifest is not None:
+            manifest["verdicts"][name] = verdict.status
+            manifest.update(verdict.manifest)
     if manifest is not None:
-        manifest["verdicts"].update(verdicts)
-        for key in ("cone_type_count", "stabilization_radius"):
-            if key in data_updates:
-                manifest[key] = data_updates[key]
         _write_manifest(Path(args.devdir), manifest)
         _log_run(Path(args.devdir), f"verify suites={','.join(wanted)}")
-    return 0 if all_ok else 1
+    return 1 if failed else 0
 
 
 def cmd_oracle(args) -> int:
@@ -491,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites on a persisted ball")
     p.add_argument("devdir")
-    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p.add_argument("--radius", type=int, default=None, help="pair radius for catacomb")
     p.add_argument("--maxlen", type=int, default=None)
     p.add_argument("--depth", type=int, default=3)

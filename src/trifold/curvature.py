@@ -324,7 +324,6 @@ class DiscDiagram:
         cell = self.complex.cells[cid]
         if cell.size < 6 or cid not in self.g_cells(name):
             raise ComplexError("classification applies to non-triangle cells on the path")
-        census_j = self.census(name)
         path_vertices = set(self.paths[name].vertices)
         mine = path_vertices.intersection(cell.vertices)
         j = 0
@@ -562,7 +561,7 @@ def extract_disc_diagrams(
     out: list[AngledComplex] = []
     seen_choices: set[tuple[int, ...]] = set()
     attempts = 0
-    while len(out) < count and attempts < count * 60:
+    while y.cells and len(out) < count and attempts < count * 60:
         attempts += 1
         chosen = [rng.randrange(len(y.cells))]
         target = rng.randint(1, max_cells)

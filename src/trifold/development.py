@@ -156,15 +156,11 @@ class Development:
             chart = self._charts[v] = dict(zip(pairs[::2], pairs[1::2]))
         return chart
 
-    def neighbor(self, f: int, symbol: int | GeneratorSymbol) -> int | None:
-        if isinstance(symbol, GeneratorSymbol):
-            letter, power = symbol.letter, symbol.power
-        else:
-            letter, power = divmod(symbol, self.k - 1)
-            power += 1
+    def neighbor(self, f: int, symbol: int) -> int | None:
+        letter, power = divmod(symbol, self.k - 1)
         x = 3 * f + letter
         k = self.k
-        raw = self.edge_slots[k * self.f_edge[x] + (self.f_slot[x] + power) % k]
+        raw = self.edge_slots[k * self.f_edge[x] + (self.f_slot[x] + power + 1) % k]
         return None if raw == -1 else raw
 
     def neighbors(self, f: int) -> dict[GeneratorSymbol, int]:
@@ -324,6 +320,11 @@ class Development:
 DEVELOPMENT_FORMAT = "trifold-development/4"
 
 
+def trust_margin(spec: TriangleGroupSpec) -> int:
+    """1 + delta, how far past its trusted radius a ball is grown (see grower.py)."""
+    return 1 + spec.delta
+
+
 def export_development(dev: Development) -> dict:
     """The ball as one flat JSON array per column (see the README for the
     layout).
@@ -386,8 +387,8 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
     The parsed arrays become the ball's columns as they are.  Column lengths,
     offsets and every id are checked first, each column by its minimum and
     maximum, so a malformed document raises ValueError rather than failing
-    later inside a suite; so does a face past radius + margin - 1, the extent
-    a ball is kept to."""
+    later inside a suite; so do a margin other than `trust_margin` and a face
+    past radius + margin - 1, the extent a ball is kept to."""
     if not isinstance(doc, dict):
         raise ValueError("not a development document")
     if doc.get("format") != DEVELOPMENT_FORMAT:
@@ -396,6 +397,8 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
             f"rebuild the ball"
         )
     dev = Development(spec, int(doc["radius"]), int(doc["margin"]))
+    if dev.margin != trust_margin(spec):
+        raise ValueError(f"margin: {dev.margin} is not 1 + delta = {trust_margin(spec)}")
     dist = doc["dist"]
     letters = doc["edge_letters"]
     types = doc["vertex_types"]

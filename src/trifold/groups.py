@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
@@ -389,6 +390,11 @@ class TriangleGroupSpec:
             local_link(group, x, y, self.k)
             for group, (x, y) in zip(self.vertex_groups, self.designated)
         ]
+
+    @cached_property
+    def delta(self) -> int:
+        """The largest local-link diameter."""
+        return max(link.diameter for link in self.local_links())
 
     def coset_graphs(self) -> list[CosetGraph]:
         return [

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .development import Development, DevelopmentError
+from .development import Development, DevelopmentError, trust_margin
 from .groups import LETTER_TYPES, VERTEX_LETTERS, TriangleGroupSpec, npc_check
 
 
@@ -92,9 +92,7 @@ class _Grower:
         self.spec = spec
         self.verdict = verdict
         self.k = spec.k
-        links = spec.local_links()
-        self.link_diameters = [link.diameter for link in links]
-        self.margin = 1 + max(self.link_diameters)
+        self.margin = trust_margin(spec)
         # per vertex type, (letter, designated generator powers) for its two letters
         self.gen_pow: list[list[tuple[int, list[int]]]] = []
         for ti in range(3):

@@ -220,6 +220,25 @@ def test_verify_conetypes_half_girth_two(tmp_path, capsys, radius, status, expec
     assert manifest["stabilization_radius"] is None
 
 
+@pytest.mark.parametrize(
+    "name, radius", [("d333", 0), ("d333", 1), ("d333", 2), ("d444", 0), ("d244", 0), ("f21_333", 0)]
+)
+def test_verify_gaussbonnet_on_a_patch_without_cells(tmp_path, capsys, name, radius):
+    # the patch of so small a ball has no cells to draw a disc from, so only
+    # the three fixed fixtures are audited
+    out = tmp_path / name
+    assert main(["build", name, "--radius", str(radius), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), "--suite", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert lines[-1] == "gaussbonnet: fail (only 3 fixtures audited; need at least 100)"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["verdicts"]) == sorted(
+        ["cor1", "cor2", "enters", "conetypes", "catacomb", "fellow", "gaussbonnet"]
+    )
+
+
 def _ragged_row(doc):
     del doc["face_edges"][17]
 
@@ -242,6 +261,11 @@ def _offsets_short_of_data(doc):
 
 def _past_extent(doc):
     doc["dist"][-1] = doc["radius"] + doc["margin"]
+
+
+def _wrong_margin(doc):
+    """d333 has delta 3, so its margin is 4."""
+    doc["margin"] = 9
 
 
 def _format_3(doc):
@@ -306,6 +330,7 @@ def _format_1(doc):
         ("development.json", _float_id),
         ("development.json", _offsets_short_of_data),
         ("development.json", _past_extent),
+        ("development.json", _wrong_margin),
         ("development.json", _format_1),
         ("development.json", _format_2),
         ("development.json", _format_3),
@@ -331,6 +356,8 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
         assert "rebuild the ball" in err
     if content is _past_extent:
         assert "past radius + margin - 1" in err
+    if content is _wrong_margin:
+        assert "margin: 9 is not 1 + delta = 4" in err
 
 
 @pytest.mark.parametrize(

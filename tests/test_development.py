@@ -1053,7 +1053,7 @@ def _outcome(call, *args):
 
 def _answers(dev):
     """Everything the readers of a ball take from it: each verify suite's
-    tuple, the fellow report, interior vertices, patches and both machines'
+    Verdict, the fellow report, interior vertices, patches and both machines'
     canonical forms, certified and not, and every catacomb pair's gallery."""
     from trifold import cli
 

@@ -241,17 +241,16 @@ def minimize(a: GeodesicAutomaton) -> GeodesicAutomaton:
 # -- shared refinement machinery -------------------------------------------------
 
 
-def _refine_to_machine(kind, dev, radius, depth_of, children, seed_cls, metadata):
-    """Horizon-limited residual refinement over ball nodes.
+def _refine_to_machine(kind, dev, radius, children, seed_cls, metadata):
+    """Horizon-limited residual refinement over the faces within radius.
 
-    depth_of[f] is the node depth, children[f] maps symbol index to the child
-    node, seed_cls[f] is the starting class.  Nodes merge only while every
+    A face's depth is its distance, children[f] maps symbol index to the child
+    face, seed_cls[f] is the starting class.  Nodes merge only while every
     residual either can see agrees; refinement stops at the first level whose
     partition repeats on the still-visible domain, and every transition target
     must itself be a state, otherwise the radius is declared too small.
     """
     n_sym = dev.symbol_count
-    nodes = sorted(seed_cls)
     cls = dict(seed_cls)
 
     def blocks(assignment, domain):
@@ -262,14 +261,14 @@ def _refine_to_machine(kind, dev, radius, depth_of, children, seed_cls, metadata
 
     level = 0
     while True:
-        domain_next = [f for f in nodes if depth_of[f] <= radius - level - 1]
-        if not domain_next:
+        domain = dev.ball_faces(radius - level - 1)
+        if not domain:
             raise InsufficientRadiusError(
                 f"{kind}: no residual horizon left at level {level}; radius too small"
             )
         keys = {}
         new_cls = {}
-        for f in sorted(domain_next):
+        for f in domain:
             key = (
                 cls[f],
                 tuple(
@@ -280,12 +279,11 @@ def _refine_to_machine(kind, dev, radius, depth_of, children, seed_cls, metadata
             if key not in keys:
                 keys[key] = len(keys)
             new_cls[f] = keys[key]
-        if blocks(cls, domain_next) == blocks(new_cls, domain_next):
+        if blocks(cls, domain) == blocks(new_cls, domain):
             break
         cls = new_cls
         level += 1
 
-    domain = [f for f in nodes if depth_of[f] <= radius - level - 1]
     state_of_class = {}
     for f in domain:
         if cls[f] not in state_of_class:
@@ -323,7 +321,7 @@ def _refine_to_machine(kind, dev, radius, depth_of, children, seed_cls, metadata
 
 def _geodesic_machine_once(dev: Development, radius: int,
                            sig_cache: dict[int, Signature]) -> GeodesicAutomaton:
-    nodes = [f for f in dev.ball_faces() if dev.dist[f] <= radius]
+    nodes = dev.ball_faces(radius)
     for f in nodes:
         if f not in sig_cache:
             sig_cache[f] = cone_signature(dev, f)
@@ -342,24 +340,27 @@ def _geodesic_machine_once(dev: Development, radius: int,
             if g is not None and dev.final[g] and dev.dist[g] == dev.dist[f] + 1:
                 row[s] = g
         children[f] = row
-    depth_of = {f: dev.dist[f] for f in nodes}
     machine = _refine_to_machine(
-        "all-geodesics", dev, radius, depth_of, children, seed,
+        "all-geodesics", dev, radius, children, seed,
         {"signature_count": len(sig_ids)},
     )
     return machine
 
 
-def build_geodesic_automaton(dev: Development, radius: int) -> GeodesicAutomaton:
+def build_geodesic_automaton(
+    dev: Development, radius: int, cache: dict[int, Signature] | None = None
+) -> GeodesicAutomaton:
     """Machine accepting exactly the geodesic words, states from cone types.
 
     The machine built one radius earlier must be isomorphic, which is the
     stabilization certificate; the metadata records both the signature count
     and the refinement level (zero whenever signatures determine successors).
+    Signatures are read from and added to `cache`, as in `signature_counts`.
     """
     if radius < 2:
         raise InsufficientRadiusError("need radius at least 2 for a certificate")
-    cache: dict[int, Signature] = {}
+    if cache is None:
+        cache = {}
     current = _geodesic_machine_once(dev, radius, cache)
     previous = _geodesic_machine_once(dev, radius - 1, cache)
     if current.canonical_form() != previous.canonical_form():
@@ -381,31 +382,28 @@ def lexfirst_words(dev: Development, radius: int):
     """
     if radius > dev.radius:
         raise InsufficientRadiusError("ball not trusted that far")
-    by_dist: dict[int, list[int]] = {}
-    for f in dev.ball_faces():
-        if dev.dist[f] <= radius:
-            by_dist.setdefault(dev.dist[f], []).append(f)
     words: dict[int, tuple[int, ...]] = {0: ()}
     parents: dict[int, int] = {}
     inverse = [
         sym.letter * (dev.k - 1) + (dev.k - sym.power) - 1 for sym in dev.symbols
     ]
-    for d in range(1, radius + 1):
-        for f in sorted(by_dist.get(d, [])):
-            best = None
-            best_parent = None
-            for s in range(dev.symbol_count):
-                g = dev.neighbor(f, inverse[s])
-                if g is None or not dev.final[g] or dev.dist[g] != d - 1:
-                    continue
-                cand = words[g] + (s,)
-                if best is None or cand < best:
-                    best = cand
-                    best_parent = g
-            if best is None:
-                raise InsufficientRadiusError(f"face {f} has no predecessor in the ball")
-            words[f] = best
-            parents[f] = best_parent
+    # a face's predecessors precede it in the breadth-first numbering
+    for f in dev.ball_faces(radius)[1:]:
+        d = dev.dist[f]
+        best = None
+        best_parent = None
+        for s in range(dev.symbol_count):
+            g = dev.neighbor(f, inverse[s])
+            if g is None or not dev.final[g] or dev.dist[g] != d - 1:
+                continue
+            cand = words[g] + (s,)
+            if best is None or cand < best:
+                best = cand
+                best_parent = g
+        if best is None:
+            raise InsufficientRadiusError(f"face {f} has no predecessor in the ball")
+        words[f] = best
+        parents[f] = best_parent
     return words, parents
 
 
@@ -450,15 +448,13 @@ def _lexfirst_machine_once(
 ) -> GeodesicAutomaton:
     """The machine of the lex-first tree cut at `radius`; `words` and `parents`
     come from `lexfirst_words` at `radius` or beyond."""
-    words = {f: w for f, w in words.items() if len(w) <= radius}
-    children: dict[int, dict[int, int]] = {f: {} for f in words}
-    for f, parent in parents.items():
-        if f in words:
-            children[parent][words[f][-1]] = f
-    depth_of = {f: len(words[f]) for f in words}
-    seed = {f: 0 for f in words}
+    ball = dev.ball_faces(radius)
+    children: dict[int, dict[int, int]] = {f: {} for f in ball}
+    for f in ball[1:]:
+        children[parents[f]][words[f][-1]] = f
+    seed = dict.fromkeys(ball, 0)
     return _refine_to_machine(
-        "lex-first", dev, radius, depth_of, children, seed, {"elements": len(words)}
+        "lex-first", dev, radius, children, seed, {"elements": len(ball)}
     )
 
 
@@ -523,9 +519,7 @@ def fellow_traveller_check(dev: Development, radius: int) -> FellowTravellerRepo
     violations = []
     pairs = 0
     skipped = 0
-    for f in dev.ball_faces():
-        if dev.dist[f] > radius:
-            continue
+    for f in dev.ball_faces(radius):
         for s in range(dev.symbol_count):
             g = dev.neighbor(f, s)
             if g is None or not dev.final[g]:

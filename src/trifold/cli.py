@@ -243,7 +243,7 @@ def _suite_conetypes(dev: Development, depth: int) -> Verdict:
 
         manifest["stabilization_radius"] = None
         try:
-            machine = build_geodesic_automaton(dev, table_radius)
+            machine = build_geodesic_automaton(dev, table_radius, signatures)
         except InsufficientRadiusError as exc:
             manifest["cone_type_count"] = None
             return Verdict("fail", (

@@ -93,9 +93,7 @@ def enumerate_cone_types(
 
     entries: dict[Signature, ConeTypeEntry] = {}
     incoherent: list[tuple[Signature, int, int]] = []
-    for f in dev.ball_faces():
-        if dev.dist[f] > radius:
-            continue
+    for f in dev.ball_faces(radius):
         sig = sig_of(f)
         increases = []
         successors = []
@@ -133,19 +131,18 @@ def signature_counts(
     if cache is None:
         cache = {}
     seen: set[Signature] = set()
-    by_dist: dict[int, list[int]] = {}
-    for f in dev.ball_faces():
-        if dev.dist[f] <= radius:
-            by_dist.setdefault(dev.dist[f], []).append(f)
     counts = []
+    done = 0
     for r in range(radius + 1):
-        for f in by_dist.get(r, []):
+        ball = dev.ball_faces(r)
+        for f in ball[done:]:
             sig = cache.get(f)
             if sig is None:
                 sig = cone_signature(dev, f)
                 cache[f] = sig
             seen.add(sig)
         counts.append(len(seen))
+        done = len(ball)
     return counts
 
 
@@ -194,14 +191,13 @@ def verify_cone_determination(
     all-geodesics machine, which determine cone types at every half-girth).
     """
     groups: dict = {}
-    for f in dev.ball_faces():
-        if dev.dist[f] <= radius:
-            label = cone_signature(dev, f) if classes is None else classes[f]
-            groups.setdefault(label, []).append(f)
+    for f in dev.ball_faces(radius):
+        label = cone_signature(dev, f) if classes is None else classes[f]
+        groups.setdefault(label, []).append(f)
     words_checked = 0
     classes_checked = 0
     for label in sorted(groups):
-        members = sorted(groups[label])
+        members = groups[label]
         if len(members) < 2:
             continue
         classes_checked += 1

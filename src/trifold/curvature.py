@@ -391,12 +391,10 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
     """
     if radius > dev.radius:
         raise ComplexError("patch radius exceeds the trusted ball")
-    ball = [f for f in dev.ball_faces() if dev.dist[f] <= radius]
-    in_ball = set(ball)
-    n = len(ball)
-    # ball elements are the canonical prefix 0..n-1, so ids map to themselves
-    # and the ball's corners and edges are the first 3n column entries
-    assert ball == list(range(n))
+    # the ball is the prefix 0..n-1 of the face numbering, so ids map to
+    # themselves and the ball's corners and edges are the first 3n column entries
+    in_ball = dev.ball_faces(radius)
+    n = len(in_ball)
     edge_index: dict[tuple[int, int], int] = {}
     edges: list[tuple[int, int]] = []
     labels: list[int] = []
@@ -416,7 +414,7 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
     ball_edges = sorted(set(dev.f_edge[:3 * n]))
 
     for e in ball_edges:
-        slots = [f for f in dev.slots(e) if f != -1 and f in in_ball]
+        slots = [f for f in dev.slots(e) if f in in_ball]
         for i in range(len(slots)):
             for j in range(i + 1, len(slots)):
                 cayley_edge(slots[i], slots[j], dev.edge_letter[e])
@@ -481,7 +479,7 @@ def _torsion_triples(k: int) -> list[tuple[int, int, int]]:
     return sorted(base)
 
 
-def _link_cycles(dev: Development, v: int, keep: set[int]) -> list[tuple[list[int], list[int]]]:
+def _link_cycles(dev: Development, v: int, keep: range) -> list[tuple[list[int], list[int]]]:
     """Embedded cycles of the link at v made of faces in keep, each returned
     as its face cycle and its node cycle: face i lies between nodes i and
     i + 1 (mod the length).

@@ -12,6 +12,7 @@ imported only when a ball is grown, and `_find`, `_Grower`,
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import le
@@ -78,6 +79,9 @@ class Development:
     chart as a dict are derived for one element when first asked for, then
     kept, so a suite pays only for the part of the ball it visits.
 
+    Faces are numbered breadth first, so `dist` starts at 0 and never
+    decreases, and the faces within any radius r form the prefix
+    `ball_faces(r)`; `import_development` rejects a column that breaks this.
     Distances are trusted out to `radius`.  `margin` is the grower's: it grew
     the ball to radius + margin and kept the faces out to radius + margin - 1,
     the farthest any reader goes (see `grower.py`), so every face here is at
@@ -125,14 +129,14 @@ class Development:
 
     @property
     def sphere_sizes(self) -> list[int]:
-        sizes = [0] * (self.radius + 1)
-        for f in range(self.face_count):
-            if self.final[f]:
-                sizes[self.dist[f]] += 1
-        return sizes
+        ends = [len(self.ball_faces(r)) for r in range(-1, self.radius + 1)]
+        return [b - a for a, b in zip(ends, ends[1:])]
 
-    def ball_faces(self) -> list[int]:
-        return [f for f in range(self.face_count) if self.final[f]]
+    def ball_faces(self, radius: int | None = None) -> range:
+        """The faces within `radius` of the base face, capped at the trusted
+        radius (the default): a prefix of the breadth-first numbering."""
+        r = self.radius if radius is None else min(radius, self.radius)
+        return range(bisect_right(self.dist, r))
 
     def slots(self, e: int) -> list[int]:
         """The face in each of edge e's k slots, -1 where none is built."""
@@ -231,9 +235,9 @@ class Development:
     def interior_vertices(self) -> list[int]:
         """Complete vertices whose faces are all final, in ascending order.
 
-        Such a vertex carries a final face, so only vertices of trusted faces
-        are candidates."""
-        candidates = sorted({v for f in self.ball_faces() for v in self.f_vert[3 * f:3 * f + 3]})
+        Such a vertex carries a final face, so only the corners of the trusted
+        faces, the first 3n entries of f_vert, are candidates."""
+        candidates = sorted(set(self.f_vert[:3 * len(self.ball_faces())]))
         return [
             v
             for v in candidates
@@ -387,8 +391,9 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
     The parsed arrays become the ball's columns as they are.  Column lengths,
     offsets and every id are checked first, each column by its minimum and
     maximum, so a malformed document raises ValueError rather than failing
-    later inside a suite; so do a margin other than `trust_margin` and a face
-    past radius + margin - 1, the extent a ball is kept to."""
+    later inside a suite; so do a margin other than `trust_margin`, a `dist`
+    column that does not start at 0 or that decreases, and a face past
+    radius + margin - 1, the extent a ball is kept to."""
     if not isinstance(doc, dict):
         raise ValueError("not a development document")
     if doc.get("format") != DEVELOPMENT_FORMAT:
@@ -403,10 +408,10 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
     letters = doc["edge_letters"]
     types = doc["vertex_types"]
     nf, ne, nv, k = len(dist), len(letters), len(types), dev.k
-    if min(dist, default=0) < 0:
-        raise ValueError("dist: a distance is negative")
+    if dist[:1] != [0] or not all(map(le, dist, dist[1:])):
+        raise ValueError("dist: the column does not start at 0 or it decreases")
     extent = dev.radius + dev.margin - 1
-    if max(dist, default=0) > extent:
+    if dist[-1] > extent:
         raise ValueError(f"dist: a face lies past radius + margin - 1 = {extent}")
     if not set(letters) <= set(LETTERS):
         raise ValueError("edge_letters: a letter is not a, b or c")
@@ -444,11 +449,8 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
 
 def embeds_in(small: Development, big: Development) -> bool:
     """The trusted ball of `small` must appear verbatim at the start of `big`."""
-    ball = small.ball_faces()
-    n = len(ball)
-    if ball != list(range(n)):
-        return False
-    if [big.dist[f] for f in range(n)] != [small.dist[f] for f in range(n)]:
+    n = len(small.ball_faces())
+    if big.dist[:n] != small.dist[:n]:
         return False
     for f in range(n):
         for s in range(small.symbol_count):

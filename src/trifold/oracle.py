@@ -12,8 +12,8 @@ for (X, Y*sqrt(3)), so its predicates are plain integer arithmetic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from fractions import Fraction
 from math import isqrt
 
@@ -121,12 +121,12 @@ def compare_balls(dev: Development, ball: IsometryBall, radius: int) -> BallComp
         raise OracleError("isometry oracle covers only 2-fold specs")
     if radius > dev.radius or radius > ball.radius:
         raise OracleError("both balls must be trusted out to the requested radius")
-    dev_ball = [f for f in range(dev.face_count) if dev.final[f] and dev.dist[f] <= radius]
-    oracle_ball = [e for e in range(len(ball.elements)) if ball.dist[e] <= radius]
-    if len(dev_ball) != len(oracle_ball):
+    dev_size = len(dev.ball_faces(radius))
+    oracle_size = bisect_right(ball.dist, radius)  # also numbered breadth first
+    if dev_size != oracle_size:
         return BallComparison(
             False, radius, 0,
-            f"ball sizes differ: development {len(dev_ball)}, oracle {len(oracle_ball)}",
+            f"ball sizes differ: development {dev_size}, oracle {oracle_size}",
         )
     match = {0: 0}
     queue = [0]
@@ -159,10 +159,10 @@ def compare_balls(dev: Development, ball: IsometryBall, radius: int) -> BallComp
             else:
                 match[f2] = w2
                 queue.append(f2)
-    if len(match) != len(dev_ball) or len(set(match.values())) != len(oracle_ball):
+    if len(match) != dev_size or len(set(match.values())) != oracle_size:
         return BallComparison(
             False, radius, len(match),
-            f"matched {len(match)} of {len(dev_ball)} faces",
+            f"matched {len(match)} of {dev_size} faces",
         )
     return BallComparison(True, radius, len(match))
 
@@ -727,32 +727,31 @@ def _bound_sign(funnel: _Funnel, num: int, den: int, tail: int, path: _MeasuredP
     return _compare_roots(bound, [(1, square) for square in path.squares])
 
 
-@lru_cache(maxsize=1 << 16)
-def _root_form(n: int) -> tuple[int, int]:
-    """(c, m) with n = c * c * m and m square-free, for n > 0."""
-    c, m, p = 1, n, 2
-    while p * p <= m:
-        while m % (p * p) == 0:
-            m //= p * p
-            c *= p
-        p += 1 if p == 2 else 2
-    return c, m
-
-
 def _compare_roots(xs: list[tuple[Fraction | int, int]], ys: list[tuple[Fraction | int, int]]) -> int:
     """The sign of sum(a * sqrt(n)) over xs minus the same over ys, for
     coefficients a > 0 and integers n >= 0.
 
-    Square roots of distinct square-free integers are linearly independent
-    over the rationals, so the sums are equal exactly when their reduced
-    forms are; otherwise enclosures of growing precision part them."""
+    Terms whose radicands multiply to a perfect square share a square-free
+    part, and are put in one class: sqrt(n) = r / m * sqrt(m) for the class's
+    first radicand m and r = isqrt(n * m).  Square roots of distinct
+    square-free integers are linearly independent over the rationals, so the
+    sums are equal exactly when their coefficients agree in every class;
+    otherwise enclosures of growing precision part them."""
+    classes: list[int] = []
     forms = []
     for terms in (xs, ys):
         form: dict[int, Fraction | int] = {}
         for a, n in terms:
-            if n:
-                c, m = _root_form(n)
-                form[m] = form.get(m, 0) + a * c
+            if not n:
+                continue
+            for m in classes:
+                r = isqrt(n * m)
+                if r * r == n * m:
+                    break
+            else:
+                classes.append(n)
+                m = r = n
+            form[m] = form.get(m, 0) + a * Fraction(r, m)
         forms.append(form)
     if forms[0] == forms[1]:
         return 0
@@ -792,9 +791,9 @@ def source_geodesics(
     cat0_geodesic(dev, f1, f2, cap), where cap is max_len or the ball
     distance plus twice the margin.
     """
-    final = dev.final
+    trusted = len(dev.ball_faces())
     dists = dev.bfs_from(f1, radius)
-    targets = sorted(f2 for f2, d in dists.items() if f2 > f1 and final[f2] and d <= radius)
+    targets = sorted(f2 for f2 in dists if f1 < f2 < trusted)
     if not targets:
         return dists, {}
     caps = [max_len if max_len is not None else dists[f2] + 2 * dev.margin for f2 in targets]

@@ -100,8 +100,10 @@ def test_verify_fault_injection_fails(built, tmp_path, capsys):
     broken = tmp_path / "broken"
     shutil.copytree(built, broken)
     doc = json.loads((broken / "development.json").read_text())
-    victim = doc["dist"].index(2)
-    doc["dist"][victim] = 9
+    # the last face at distance 2 moves to distance 3: the column still never
+    # decreases, so the ball loads, but the decomposition breaks
+    victim = doc["dist"].index(3) - 1
+    doc["dist"][victim] = 3
     (broken / "development.json").write_text(json.dumps(doc))
     assert main(["verify", str(broken), "--suite", "cor2"]) == 1
 
@@ -263,6 +265,13 @@ def _past_extent(doc):
     doc["dist"][-1] = doc["radius"] + doc["margin"]
 
 
+def _dist_decreases(doc):
+    """A face at distance 1 swaps its distance with one at distance 2."""
+    dist = doc["dist"]
+    i, j = dist.index(1), dist.index(2)
+    dist[i], dist[j] = dist[j], dist[i]
+
+
 def _wrong_margin(doc):
     """d333 has delta 3, so its margin is 4."""
     doc["margin"] = 9
@@ -331,6 +340,7 @@ def _format_1(doc):
         ("development.json", _offsets_short_of_data),
         ("development.json", _past_extent),
         ("development.json", _wrong_margin),
+        ("development.json", _dist_decreases),
         ("development.json", _format_1),
         ("development.json", _format_2),
         ("development.json", _format_3),
@@ -358,6 +368,8 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
         assert "past radius + margin - 1" in err
     if content is _wrong_margin:
         assert "margin: 9 is not 1 + delta = 4" in err
+    if content is _dist_decreases:
+        assert "dist: the column does not start at 0 or it decreases" in err
 
 
 @pytest.mark.parametrize(
@@ -581,3 +593,27 @@ def test_no_module_reads_the_environment():
                 if any(alias.name in ("environ", "getenv") for alias in node.names):
                     readers.append((path.name, node.lineno))
     assert readers == []
+
+
+def test_runtime_imports_only_stdlib():
+    # pyproject.toml declares no dependencies: every import is of trifold
+    # itself or of the standard library
+    import ast
+
+    import trifold
+
+    package = Path(trifold.__file__).resolve().parent
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "trifold" and top not in sys.stdlib_module_names:
+                    outside.append((path.name, node.lineno, name))
+    assert outside == []

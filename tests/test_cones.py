@@ -17,11 +17,12 @@ FROZEN_COUNTS = {"d333": 16, "d244": 20, "d236": 24, "d444": 22, "f21_333": 79}
 TABLE_RADII = {"d333": 8, "d244": 8, "d236": 13, "d444": 7, "f21_333": 6}
 
 
-@pytest.mark.parametrize("name", ["d333", "d444"])
+@pytest.mark.parametrize("name", ["d333", "d444", "d244", "d236"])
 def test_conetypes_suite_computes_each_signature_once(devs, monkeypatch, name):
-    # half-girths of 3 or more, where the signatures are also the classes
-    # whose determination is checked
-    from trifold import cli, cones
+    # at half-girths of 3 or more the signatures are also the classes whose
+    # determination is checked; at a half-girth of 2 the all-geodesics
+    # machine reads them too
+    from trifold import automata, cli, cones
 
     original = cones.cone_signature
     faces = []
@@ -31,10 +32,11 @@ def test_conetypes_suite_computes_each_signature_once(devs, monkeypatch, name):
         return original(dev, f)
 
     monkeypatch.setattr(cones, "cone_signature", counted)
+    monkeypatch.setattr(automata, "cone_signature", counted)
     dev = devs[name]
     cli._suite_conetypes(dev, 3)
     table_radius = dev.radius - (dev.margin - 1)
-    assert sorted(faces) == [f for f in dev.ball_faces() if dev.dist[f] <= table_radius]
+    assert sorted(faces) == list(dev.ball_faces(table_radius))
 
 
 def test_base_signature_is_nonnegative(devs):

@@ -77,6 +77,20 @@ def test_sphere_sizes_match_frozen_oracle_values(name):
     assert dev.sphere_sizes == ORACLE_SPHERES[name]
 
 
+@pytest.mark.parametrize("name", ["d333", "d244", "d236", "d444", "f21_333"])
+def test_ball_faces_match_whole_ball_filter(devs, name):
+    dev = devs[name]
+    for radius in range(dev.radius + 2):
+        expected = [f for f in range(dev.face_count) if dev.final[f] and dev.dist[f] <= radius]
+        assert list(dev.ball_faces(radius)) == expected, radius
+    assert list(dev.ball_faces()) == [f for f in range(dev.face_count) if dev.final[f]]
+    sizes = [0] * (dev.radius + 1)
+    for f in range(dev.face_count):
+        if dev.final[f]:
+            sizes[dev.dist[f]] += 1
+    assert dev.sphere_sizes == sizes
+
+
 def test_distance_queries(dev333):
     assert dev333.distance(0) == 0
     for s in range(dev333.symbol_count):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -467,3 +468,28 @@ def test_measured_path_comparisons_match_radical_sums(monkeypatch, bits):
     from_exceeded = sum(isinstance(xs[0][0], Fraction) for xs in calls)
     assert len(calls) - from_exceeded > 200
     assert from_exceeded > (200 if bits == 2 else -1)
+
+
+def test_exceeded_by_with_a_large_prime_radicand(monkeypatch):
+    # the first segment's squared length is a prime of 81 bits; the exact
+    # fallback classes radicands by perfect-square products, never by
+    # factoring, so it returns at once
+    calls = []
+    compare_roots = oracle._compare_roots
+
+    def counted(xs, ys):
+        calls.append(xs)
+        return compare_roots(xs, ys)
+
+    monkeypatch.setattr(oracle, "_compare_roots", counted)
+    x = 1099511627858
+    path = _MeasuredPath([(0, 0), (x, 5), (x + 1, 5)])
+    assert path.squares == [x * x + 75, 1] and path.squares[0].bit_length() == 81
+    length = path_length(path.path)
+    start = time.perf_counter()
+    # squared lengths at and inside the enclosure, which only the fallback parts
+    for a, b in ((path.lo, path.lo), (path.lo, path.hi), (path.hi, path.hi)):
+        q = Fraction(a * b, 1 << 2 * _ROOT_BITS)
+        assert path.exceeded_by(q) == (RadicalSum.sqrt_of(q).compare(length) > 0), q
+    assert time.perf_counter() - start < 1
+    assert len(calls) == 3

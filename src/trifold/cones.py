@@ -174,9 +174,6 @@ class DeterminationReport:
     words_checked: int
     counterexample: tuple[int, int, tuple[int, ...]] | None = None
 
-    def __bool__(self):
-        return self.ok
-
 
 def verify_cone_determination(
     dev: Development, radius: int, depth: int = 3, classes: dict | None = None

@@ -15,6 +15,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain
 from operator import le
 
 from .groups import LETTERS, LETTER_TYPES, TriangleGroupSpec
@@ -69,23 +70,26 @@ class Development:
     """Finalized, immutable ball with canonical breadth-first numbering.
 
     The columns are flat lists with a fixed number of entries per element:
-    face f's edge, slot and vertex for letter or vertex type t are
-    f_edge[3*f + t], f_slot[3*f + t] and f_vert[3*f + t]; edge e's k slots
-    are edge_slots[k*e:k*e + k] and its ends edge_ends[2*e:2*e + 2].  The
-    two ragged vertex columns have an offsets column each: vertex v's edges
-    are vert_edges[o[v]:o[v + 1]] for o = vert_edge_offsets, and its chart is
-    the (face, element) pairs in vert_charts[c[v]:c[v + 1]] for
-    c = vert_chart_offsets.  Face adjacency, the faces at a vertex and the
-    chart as a dict are derived for one element when first asked for, then
-    kept, so a suite pays only for the part of the ball it visits.
+    face f's edge, slot, vertex and element for letter or vertex type t are
+    f_edge[3*f + t], f_slot[3*f + t], f_vert[3*f + t] and f_elem[3*f + t],
+    the element being f's value in the chart of its type-t vertex.  These
+    five face columns, with `dist`, are the ball; `derive_columns` builds
+    the rest from them in one pass: edge e's letter, its k slots
+    edge_slots[k*e:k*e + k] and its ends edge_ends[2*e:2*e + 2], and vertex
+    v's type and its edges vert_edges[o[v]:o[v + 1]] for o =
+    vert_edge_offsets.  Face adjacency, the faces at a vertex and its chart
+    are derived for one element when first asked for, then kept, so a suite
+    pays only for the part of the ball it visits.
 
     Faces are numbered breadth first, so `dist` starts at 0 and never
     decreases, and the faces within any radius r form the prefix
-    `ball_faces(r)`; `import_development` rejects a column that breaks this.
-    Distances are trusted out to `radius`.  `margin` is the grower's: it grew
-    the ball to radius + margin and kept the faces out to radius + margin - 1,
-    the farthest any reader goes (see `grower.py`), so every face here is at
-    most that far from the base face.
+    `ball_faces(r)`.  Edges and vertices are numbered in order of first
+    appearance, each edge's first face holds its slot 0 and each vertex's
+    first face is the identity of its chart.  Distances are trusted out to
+    `radius`.  `margin` is the grower's: it grew the ball to radius + margin
+    and kept the faces out to radius + margin - 1, the farthest any reader
+    goes (see `grower.py`), so every face here is at most that far from the
+    base face.
     """
 
     def __init__(self, spec: TriangleGroupSpec, radius: int, margin: int):
@@ -100,17 +104,94 @@ class Development:
         self.f_edge: list[int] = []
         self.f_slot: list[int] = []
         self.f_vert: list[int] = []
+        self.f_elem: list[int] = []
         self.edge_letter: list[int] = []
         self.edge_slots: list[int] = []
         self.edge_ends: list[int] = []
         self.vert_type: list[int] = []
         self.vert_edges: list[int] = []
         self.vert_edge_offsets: list[int] = [0]
-        self.vert_charts: list[int] = []
-        self.vert_chart_offsets: list[int] = [0]
         self._adjacency: dict[int, list[int]] = {}
         self._vert_faces: dict[int, list[int]] = {}
         self._charts: dict[int, dict[int, int]] = {}
+
+    def derive_columns(self) -> None:
+        """Build the edge and vertex columns from the face columns in one
+        pass, checking that these describe one canonical ball; ValueError
+        where they do not.
+
+        Faces are read in order, and each face by its corner types and then
+        its letters.  An edge or vertex first met there takes the next id,
+        which the face column must hold, and takes its letter and ends, or
+        its type, from that face, whose slot on the edge must be 0 and whose
+        element at the vertex the identity.  Every later appearance must
+        agree, no two faces may hold one slot of an edge, and every element
+        must lie in its vertex group.  `dist` must start at 0 and never
+        decrease, and each later face must have a neighbour one closer and
+        none closer, so it is the breadth-first distance; as faces are
+        numbered by distance, the nearest face on an edge is its first."""
+        k, dist = self.k, self.dist
+        f_edge, f_slot, f_vert, f_elem = self.f_edge, self.f_slot, self.f_vert, self.f_elem
+        if dist[:1] != [0] or not all(map(le, dist, dist[1:])):
+            raise ValueError("dist: the column does not start at 0 or it decreases")
+        for t, group in enumerate(self.spec.vertex_groups):
+            elements = f_elem[t::3]
+            if elements and (min(elements) < 0 or max(elements) >= group.order):
+                raise ValueError(f"face_elements: an element at a V{t + 1} vertex lies outside its group")
+        edge_letter: list[int] = []
+        edge_slots: list[int] = []
+        edge_ends: list[int] = []
+        edge_near: list[int] = []  # the distance of the edge's first face
+        vert_type: list[int] = []
+        vert_edges: list[list[int]] = []  # ascending, as edges are met in order
+        blank = [-1] * k
+        ne = nv = 0
+        for f, d in enumerate(dist):
+            x = 3 * f
+            corners = f_vert[x:x + 3]
+            for t, v in enumerate(corners):
+                if v >= nv:
+                    if v > nv:
+                        raise ValueError(f"face_vertices: vertex {v} is not numbered by first appearance")
+                    if f_elem[x + t]:
+                        raise ValueError(f"face_elements: vertex {v}'s first face {f} is not the identity")
+                    vert_type.append(t)
+                    vert_edges.append([])
+                    nv += 1
+                elif vert_type[v] != t:
+                    raise ValueError(f"face_vertices: vertex {v} appears under two types")
+            near = d  # the least distance on f's edges
+            for letter, (t1, t2) in enumerate(LETTER_TYPES):
+                e, j = f_edge[x + letter], f_slot[x + letter]
+                a, b = corners[t1], corners[t2]
+                if e >= ne:
+                    if e > ne:
+                        raise ValueError(f"face_edges: edge {e} is not numbered by first appearance")
+                    if j:
+                        raise ValueError(f"face_slots: edge {e}'s first face {f} is not in slot 0")
+                    edge_letter.append(letter)
+                    edge_ends += (a, b)
+                    edge_slots += blank
+                    edge_near.append(d)
+                    vert_edges[a].append(e)
+                    vert_edges[b].append(e)
+                    ne += 1
+                elif edge_letter[e] != letter:
+                    raise ValueError(f"face_edges: edge {e} appears under two letters")
+                elif edge_ends[2 * e] != a or edge_ends[2 * e + 1] != b:
+                    raise ValueError(f"face_edges: edge {e} appears with two pairs of ends")
+                elif edge_near[e] < near:
+                    near = edge_near[e]
+                s = k * e + j
+                if edge_slots[s] != -1:
+                    raise ValueError(f"face_slots: slot {j} of edge {e} is claimed by faces {edge_slots[s]} and {f}")
+                edge_slots[s] = f
+            if f and near != d - 1:
+                raise ValueError(f"dist: face {f} at distance {d} has no neighbour at {d - 1}, or one nearer")
+        self.edge_letter, self.edge_slots, self.edge_ends = edge_letter, edge_slots, edge_ends
+        self.vert_type = vert_type
+        self.vert_edges = list(chain.from_iterable(vert_edges))
+        self.vert_edge_offsets = list(accumulate(map(len, vert_edges), initial=0))
 
     # -- derived data ------------------------------------------------------
 
@@ -155,9 +236,8 @@ class Development:
         """The chart at v: face to element of its vertex group, by ascending face."""
         chart = self._charts.get(v)
         if chart is None:
-            offsets = self.vert_chart_offsets
-            pairs = self.vert_charts[offsets[v]:offsets[v + 1]]
-            chart = self._charts[v] = dict(zip(pairs[::2], pairs[1::2]))
+            t, elements = self.vert_type[v], self.f_elem
+            chart = self._charts[v] = {f: elements[3 * f + t] for f in self.faces_at_vertex(v)}
         return chart
 
     def neighbor(self, f: int, symbol: int) -> int | None:
@@ -218,8 +298,6 @@ class Development:
     def vertex_complete(self, v: int) -> bool:
         order = self.spec.vertex_groups[self.vert_type[v]].order
         if len(self.faces_at_vertex(v)) != order:
-            return False
-        if len(self.vertex_chart(v)) != order:
             return False
         return all(self.edge_saturated(e) for e in self.edges_at_vertex(v))
 
@@ -321,7 +399,7 @@ class Development:
 # -- serialization ---------------------------------------------------------
 
 
-DEVELOPMENT_FORMAT = "trifold-development/4"
+DEVELOPMENT_FORMAT = "trifold-development/5"
 
 
 def trust_margin(spec: TriangleGroupSpec) -> int:
@@ -330,30 +408,23 @@ def trust_margin(spec: TriangleGroupSpec) -> int:
 
 
 def export_development(dev: Development) -> dict:
-    """The ball as one flat JSON array per column (see the README for the
-    layout).
+    """The ball as its header and one flat JSON array per face column (see
+    the README for the layout).
 
-    The lists are the ball's own, not copies; `final` is not stored, since it
-    is `dist <= radius`."""
+    The lists are the ball's own, not copies.  Nothing derived is stored:
+    not `final`, which is `dist <= radius`, nor the edge and vertex columns,
+    which `derive_columns` rebuilds."""
     return {
         "format": DEVELOPMENT_FORMAT,
         "name": dev.spec.name,
         "k": dev.k,
         "radius": dev.radius,
         "margin": dev.margin,
-        "sphere_sizes": dev.sphere_sizes,
         "dist": dev.dist,
         "face_edges": dev.f_edge,
         "face_slots": dev.f_slot,
         "face_vertices": dev.f_vert,
-        "edge_letters": "".join([LETTERS[x] for x in dev.edge_letter]),
-        "edge_slots": dev.edge_slots,
-        "edge_ends": dev.edge_ends,
-        "vertex_types": dev.vert_type,
-        "vertex_charts": dev.vert_charts,
-        "vertex_chart_offsets": dev.vert_chart_offsets,
-        "vertex_edges": dev.vert_edges,
-        "vertex_edge_offsets": dev.vert_edge_offsets,
+        "face_elements": dev.f_elem,
     }
 
 
@@ -361,39 +432,26 @@ def development_to_json(dev: Development) -> str:
     return json.dumps(export_development(dev), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _column(doc: dict, name: str, length: int | None, low: int, high: int) -> list[int]:
-    """`doc[name]`, checked to hold `length` entries (any number if None),
-    each in low..high-1."""
+def _column(doc: dict, name: str, length: int, high: int | None = None) -> list[int]:
+    """`doc[name]`, checked to hold `length` entries, each in 0..high-1
+    unless `high` is None."""
     column = doc[name]
-    if length is not None and len(column) != length:
+    if len(column) != length:
         raise ValueError(f"{name} has {len(column)} entries, expected {length}")
-    if column and (min(column) < low or max(column) >= high):
-        raise ValueError(f"{name}: an entry lies outside {low}..{high - 1}")
+    if high is not None and column and (min(column) < 0 or max(column) >= high):
+        raise ValueError(f"{name}: an entry lies outside 0..{high - 1}")
     return column
-
-
-def _ragged(doc: dict, name: str, rows: int, low: int, high: int) -> tuple[list[int], list[int]]:
-    """`doc[name]`, checked as by _column, and its offsets column, checked to
-    hold rows + 1 ascending entries from 0 to the length of `doc[name]`."""
-    data = _column(doc, name, None, low, high)
-    offsets_name = f"{name[:-1]}_offsets"
-    offsets = _column(doc, offsets_name, rows + 1, 0, len(data) + 1)
-    if offsets[0] != 0 or offsets[-1] != len(data) or not all(map(le, offsets, offsets[1:])):
-        raise ValueError(
-            f"{offsets_name} does not ascend from 0 to {len(data)}, the length of {name}"
-        )
-    return data, offsets
 
 
 def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
     """Rebuild a ball from `export_development`'s document.
 
-    The parsed arrays become the ball's columns as they are.  Column lengths,
-    offsets and every id are checked first, each column by its minimum and
-    maximum, so a malformed document raises ValueError rather than failing
-    later inside a suite; so do a margin other than `trust_margin`, a `dist`
-    column that does not start at 0 or that decreases, and a face past
-    radius + margin - 1, the extent a ball is kept to."""
+    The parsed arrays become the ball's face columns as they are, and
+    `derive_columns` builds the rest, rejecting face columns that disagree
+    with each other.  Before that, a margin other than `trust_margin`, a
+    face past radius + margin - 1, the extent a ball is kept to, and a face
+    column of the wrong length or with an id or slot out of range raise
+    ValueError, so a malformed document never fails later inside a suite."""
     if not isinstance(doc, dict):
         raise ValueError("not a development document")
     if doc.get("format") != DEVELOPMENT_FORMAT:
@@ -405,45 +463,17 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
     if dev.margin != trust_margin(spec):
         raise ValueError(f"margin: {dev.margin} is not 1 + delta = {trust_margin(spec)}")
     dist = doc["dist"]
-    letters = doc["edge_letters"]
-    types = doc["vertex_types"]
-    nf, ne, nv, k = len(dist), len(letters), len(types), dev.k
-    if dist[:1] != [0] or not all(map(le, dist, dist[1:])):
-        raise ValueError("dist: the column does not start at 0 or it decreases")
+    n = 3 * len(dist)
     extent = dev.radius + dev.margin - 1
-    if dist[-1] > extent:
+    if max(dist, default=0) > extent:
         raise ValueError(f"dist: a face lies past radius + margin - 1 = {extent}")
-    if not set(letters) <= set(LETTERS):
-        raise ValueError("edge_letters: a letter is not a, b or c")
-    if not set(types) <= {0, 1, 2}:
-        raise ValueError("vertex_types: a type is not 0, 1 or 2")
     dev.dist = dist
     dev.final = [d <= dev.radius for d in dist]
-    dev.f_edge = _column(doc, "face_edges", 3 * nf, 0, ne)
-    dev.f_slot = _column(doc, "face_slots", 3 * nf, 0, k)
-    dev.f_vert = _column(doc, "face_vertices", 3 * nf, 0, nv)
-    dev.edge_letter = list(map(LETTERS.index, letters))
-    dev.edge_slots = _column(doc, "edge_slots", k * ne, -1, nf)
-    dev.edge_ends = _column(doc, "edge_ends", 2 * ne, 0, nv)
-    dev.vert_type = types
-    dev.vert_edges, dev.vert_edge_offsets = _ragged(doc, "vertex_edges", nv, 0, ne)
-    orders = [g.order for g in spec.vertex_groups]
-    charts, offsets = _ragged(doc, "vertex_charts", nv, 0, max(nf, *orders))
-    elements = charts[1::2]
-    if (
-        any(x & 1 for x in offsets)
-        or max(charts[::2], default=0) >= nf
-        or (
-            # below the least group order no element needs its vertex's type
-            max(elements, default=0) >= min(orders)
-            and any(
-                max(elements[i // 2:j // 2], default=0) >= orders[t]
-                for t, i, j in zip(types, offsets, offsets[1:])
-            )
-        )
-    ):
-        raise ValueError("vertex_charts: a row is not pairs of a face and an element of its vertex group")
-    dev.vert_charts, dev.vert_chart_offsets = charts, offsets
+    dev.f_edge = _column(doc, "face_edges", n, n)
+    dev.f_slot = _column(doc, "face_slots", n, dev.k)
+    dev.f_vert = _column(doc, "face_vertices", n, n)
+    dev.f_elem = _column(doc, "face_elements", n)  # checked by type in derive_columns
+    dev.derive_columns()
     return dev
 
 

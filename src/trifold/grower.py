@@ -34,6 +34,15 @@ out to radius + margin - 1 = radius + delta, since no reader goes farther:
   and dropped, at pair radii 1 to 3 on d333 and d444 and 1 to 2 on f21_333
   (the half-girth-2 samples gate catacomb off).
 
+The outer layer at radius + margin is grown but never stored, and it still
+cannot go: folds made while growing it merge edges and vertices of the kept
+faces.  At k = 5, f155_333 (tests/test_development.py) grown at radius 0 to
+radius + delta, one layer short, keeps its 4,579 faces and their distances
+but ends with 8,445 edges and 3,867 vertices, where the full budget gives
+8,013 and 3,435.  At k <= 3 the two budgets give equal bytes on all five
+samples at every radius from 0 to 11 (d333), 15 (d244), 19 (d236), 7 (d444)
+and 3 (f21_333).
+
 The closure is incremental; it reaches the same fixed point as walking every
 chart and every edge in each round, so the finalized ball is the same:
 
@@ -485,23 +494,25 @@ class _Grower:
     def finalize(self, radius: int) -> Development:
         """Number faces breadth first from the base face out to radius +
         margin - 1, crossing each face's edges letter by letter and each
-        edge's slots upward from the face's own; edges and vertices of the
-        kept faces in order of first appearance.  Slots holding a face past
-        that distance read -1, and charts leave such faces out."""
+        edge's slots upward from the face's own, and edges and vertices of
+        the kept faces in order of first appearance.  Only the face columns
+        are built here; `Development.derive_columns` builds the rest from
+        them, so slots holding a face past that distance read -1 and charts
+        leave such faces out."""
         uf_f, uf_e, uf_v = self.uf_f, self.uf_e, self.uf_v
         k, f_edge, f_slot, f_vert = self.k, self.f_edge, self.f_slot, self.f_vert
-        e_slots, e_ends = self.e_slots, self.e_ends
+        e_slots = self.e_slots
         extent = radius + self.margin - 1
         base = _find(uf_f, 0)
         order: list[int] = [base]
-        pos = {base: 0}
+        seen = {base}
         dist = [0]
-        # ids met on the way are stored back as roots, so the passes after
-        # this one read them directly; the last layer's edges are read too,
-        # but add no face
+        # faces are met in breadth-first order, so the first face at the
+        # extent ends the search: it and the faces after it add none
         for i, f in enumerate(order):
             d = dist[i] + 1
-            more = d <= extent
+            if d > extent:
+                break
             for x in range(3 * f, 3 * f + 3):
                 e = f_edge[x]
                 if uf_e[e] != e:
@@ -514,61 +525,48 @@ class _Grower:
                         continue
                     if uf_f[g] != g:
                         g = e_slots[s] = _find(uf_f, g)
-                    if more and g not in pos:
-                        pos[g] = len(order)
+                    if g not in seen:
+                        seen.add(g)
                         dist.append(d)
                         order.append(g)
 
         # edges and vertices are numbered in order of first appearance; an
         # edge's slots are rotated to start at its first face, the first to
-        # cross it
+        # cross it, and a vertex's chart is left-translated to send its first
+        # face to the identity
         dev = Development(self.spec, radius, self.margin)
         dev.dist = dist
         dev.final = [d <= radius for d in dist]
+        groups = self.spec.vertex_groups
         edge_pos: dict[int, int] = {}
         edge_rot: list[int] = []
         vert_pos: dict[int, int] = {}
-        vert_edges: list[set[int]] = []
+        charts: list[tuple[dict[int, int], list[int]]] = []  # chart, translation
         for f in order:
             x = 3 * f
-            numbers = []
             for letter in range(3):
                 e = f_edge[x + letter]
+                if uf_e[e] != e:
+                    e = _find(uf_e, e)
                 n = edge_pos.get(e)
                 if n is None:
                     n = edge_pos[e] = len(edge_rot)
                     edge_rot.append(f_slot[x + letter])
-                numbers.append(n)
+                dev.f_edge.append(n)
                 dev.f_slot.append((f_slot[x + letter] - edge_rot[n]) % k)
-            dev.f_edge += numbers
-            for t, (l1, l2) in enumerate(VERTEX_LETTERS):
+            for t in range(3):
                 v = f_vert[x + t]
                 if uf_v[v] != v:
                     v = _find(uf_v, v)
                 n = vert_pos.get(v)
                 if n is None:
-                    n = vert_pos[v] = len(vert_edges)
-                    vert_edges.append(set())
+                    n = vert_pos[v] = len(charts)
+                    chart = self.v_chart[v]
+                    charts.append((chart, groups[t].mult[groups[t].inv(chart[f])]))
+                chart, row = charts[n]
                 dev.f_vert.append(n)
-                vert_edges[n].update((numbers[l1], numbers[l2]))
-        for e, rot in zip(edge_pos, edge_rot):
-            row = e_slots[k * e:k * e + k]
-            dev.edge_slots += [pos.get(g, -1) for g in row[rot:] + row[:rot]]
-            a, b = e_ends[2 * e:2 * e + 2]
-            dev.edge_ends += (vert_pos[_find(uf_v, a)], vert_pos[_find(uf_v, b)])
-        dev.edge_letter = [self.e_letter[e] for e in edge_pos]
-        # each chart is renumbered and left-translated to send its first face
-        # to the identity
-        for v, edges in zip(vert_pos, vert_edges):
-            group = self.spec.vertex_groups[self.v_type[v]]
-            chart = sorted([(pos[f], val) for f, val in self.v_chart[v].items() if f in pos])
-            row = group.mult[group.inv(chart[0][1])]
-            for f, val in chart:
-                dev.vert_charts += (f, row[val])
-            dev.vert_chart_offsets.append(len(dev.vert_charts))
-            dev.vert_edges += sorted(edges)
-            dev.vert_edge_offsets.append(len(dev.vert_edges))
-        dev.vert_type = [self.v_type[v] for v in vert_pos]
+                dev.f_elem.append(row[chart[f]])
+        dev.derive_columns()
         return dev
 
 

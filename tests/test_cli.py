@@ -10,7 +10,8 @@ import pytest
 
 from trifold.cli import main
 from trifold.curvature import complex_to_document, ladder_fixture
-from trifold.samples import write_sample
+from trifold.development import import_development
+from trifold.samples import load_sample, write_sample
 
 
 @pytest.fixture(scope="module")
@@ -100,12 +101,14 @@ def test_verify_fault_injection_fails(built, tmp_path, capsys):
     broken = tmp_path / "broken"
     shutil.copytree(built, broken)
     doc = json.loads((broken / "development.json").read_text())
-    # the last face at distance 2 moves to distance 3: the column still never
-    # decreases, so the ball loads, but the decomposition breaks
-    victim = doc["dist"].index(3) - 1
-    doc["dist"][victim] = 3
+    # the first face at distance 3 takes another element in the chart of its
+    # V2 vertex: the columns still agree, so the ball loads, but the cone
+    # signatures no longer determine the successor rows
+    x = 3 * doc["dist"].index(3) + 1
+    doc["face_elements"][x] = (doc["face_elements"][x] + 1) % 6
     (broken / "development.json").write_text(json.dumps(doc))
-    assert main(["verify", str(broken), "--suite", "cor2"]) == 1
+    assert main(["verify", str(broken), "--suite", "conetypes"]) == 1
+    assert "successor rows INCOHERENT" in capsys.readouterr().out
 
 
 def test_automaton_export_json_and_dot(built, tmp_path, capsys):
@@ -245,8 +248,8 @@ def _ragged_row(doc):
     del doc["face_edges"][17]
 
 
-def _face_out_of_range(doc):
-    doc["edge_slots"][7 * doc["k"]] = len(doc["dist"])
+def _slot_out_of_range(doc):
+    doc["face_slots"][3 * 7] = doc["k"]
 
 
 def _negative_vertex(doc):
@@ -254,11 +257,7 @@ def _negative_vertex(doc):
 
 
 def _float_id(doc):
-    doc["edge_slots"][7 * doc["k"]] = 1.0
-
-
-def _offsets_short_of_data(doc):
-    doc["vertex_edge_offsets"][-1] -= 1
+    doc["face_edges"][3 * 7] = 1.0
 
 
 def _past_extent(doc):
@@ -272,20 +271,95 @@ def _dist_decreases(doc):
     dist[i], dist[j] = dist[j], dist[i]
 
 
+def _second_face_at_distance_0(doc):
+    doc["dist"][1] = 0
+
+
+def _distance_not_breadth_first(doc):
+    """The last face at distance 2 moves to distance 3: the column still
+    never decreases, but the face keeps a neighbour at distance 1."""
+    victim = doc["dist"].index(3) - 1
+    doc["dist"][victim] = 3
+
+
 def _wrong_margin(doc):
     """d333 has delta 3, so its margin is 4."""
     doc["margin"] = 9
 
 
+def _later_appearance(column, t):
+    """The first index of `column` past face 0 at letter or vertex type t
+    whose id appeared before."""
+    return next(x for x in range(3 + t, len(column), 3) if column[x] in column[:x])
+
+
+def _slot_claimed_twice(doc):
+    """A face on an edge of face 0 takes face 0's slot there."""
+    edges = doc["face_edges"]
+    x = next(x for x in range(3, len(edges)) if edges[x] in edges[:3])
+    doc["face_slots"][x] = doc["face_slots"][edges.index(edges[x])]
+
+
+def _edge_under_two_letters(doc):
+    """A face's b edge is replaced by face 0's a edge."""
+    edges = doc["face_edges"]
+    edges[_later_appearance(edges, 1)] = edges[0]
+
+
+def _vertex_under_two_types(doc):
+    """A face's V2 vertex is replaced by face 0's V1 vertex."""
+    vertices = doc["face_vertices"]
+    vertices[_later_appearance(vertices, 1)] = vertices[0]
+
+
+def _edges_renumbered(doc):
+    """Edges 1 and 2 trade ids, so they are not numbered by first appearance."""
+    swap = {1: 2, 2: 1}
+    doc["face_edges"] = [swap.get(e, e) for e in doc["face_edges"]]
+
+
+def _element_outside_group(doc):
+    """Every vertex group of d333 has order 6."""
+    doc["face_elements"][3 * 5 + 1] = 6
+
+
+def _format_4(doc):
+    """The same ball in format 4, which is no longer read: besides the face
+    columns but for `face_elements`, it stored the edge and vertex columns
+    that format 5 derives, and each vertex's chart as pairs of a face and
+    its element."""
+    dev = import_development(doc, load_sample(doc["name"]))
+    charts, chart_offsets = [], [0]
+    for v in range(len(dev.vert_type)):
+        for pair in dev.vertex_chart(v).items():
+            charts += pair
+        chart_offsets.append(len(charts))
+    del doc["face_elements"]
+    doc.update(
+        format="trifold-development/4",
+        sphere_sizes=dev.sphere_sizes,
+        edge_letters="".join("abc"[x] for x in dev.edge_letter),
+        edge_slots=dev.edge_slots,
+        edge_ends=dev.edge_ends,
+        vertex_types=dev.vert_type,
+        vertex_charts=charts,
+        vertex_chart_offsets=chart_offsets,
+        vertex_edges=dev.vert_edges,
+        vertex_edge_offsets=dev.vert_edge_offsets,
+    )
+
+
 def _format_3(doc):
-    """The flat columns of format 3, which is no longer read: it also held
-    the faces at distance radius + margin."""
+    """The flat columns of format 4, but labelled format 3, which is no
+    longer read: it also held the faces at distance radius + margin."""
+    _format_4(doc)
     doc["format"] = "trifold-development/3"
 
 
 def _format_2(doc):
     """The same ball in the nested rows of format 2, which is no longer
     read: one row per face, edge and vertex."""
+    _format_4(doc)
     for name, width in (("face_edges", 3), ("face_slots", 3), ("face_vertices", 3),
                         ("edge_slots", doc["k"]), ("edge_ends", 2)):
         column = doc[name]
@@ -334,16 +408,23 @@ def _format_1(doc):
         ("spec.json", '{"k": 2, "vertex_gr'),
         ("spec.json", "[]"),
         ("development.json", _ragged_row),
-        ("development.json", _face_out_of_range),
+        ("development.json", _slot_out_of_range),
         ("development.json", _negative_vertex),
         ("development.json", _float_id),
-        ("development.json", _offsets_short_of_data),
         ("development.json", _past_extent),
         ("development.json", _wrong_margin),
         ("development.json", _dist_decreases),
+        ("development.json", _second_face_at_distance_0),
+        ("development.json", _distance_not_breadth_first),
+        ("development.json", _slot_claimed_twice),
+        ("development.json", _edge_under_two_letters),
+        ("development.json", _vertex_under_two_types),
+        ("development.json", _edges_renumbered),
+        ("development.json", _element_outside_group),
         ("development.json", _format_1),
         ("development.json", _format_2),
         ("development.json", _format_3),
+        ("development.json", _format_4),
     ],
 )
 def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, content):
@@ -360,16 +441,25 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
     assert main(["verify", str(broken), "--suite", "cor1"]) == 2
     err = capsys.readouterr().err
     assert "malformed build directory" in err
-    if content in (_format_1, _format_2, _format_3):
-        version = (_format_1, _format_2, _format_3).index(content) + 1
+    formats = (_format_1, _format_2, _format_3, _format_4)
+    if content in formats:
+        version = formats.index(content) + 1
         assert f"development format 'trifold-development/{version}'" in err
         assert "rebuild the ball" in err
-    if content is _past_extent:
-        assert "past radius + margin - 1" in err
-    if content is _wrong_margin:
-        assert "margin: 9 is not 1 + delta = 4" in err
-    if content is _dist_decreases:
-        assert "dist: the column does not start at 0 or it decreases" in err
+    expected = {
+        _past_extent: "past radius + margin - 1",
+        _wrong_margin: "margin: 9 is not 1 + delta = 4",
+        _dist_decreases: "dist: the column does not start at 0 or it decreases",
+        _second_face_at_distance_0: "dist: face 1 at distance 0 has no neighbour at -1",
+        _distance_not_breadth_first: "at distance 3 has no neighbour at 2, or one nearer",
+        _slot_claimed_twice: "is claimed by faces 0 and",
+        _edge_under_two_letters: "appears under two letters",
+        _vertex_under_two_types: "appears under two types",
+        _edges_renumbered: "face_edges: edge 2 is not numbered by first appearance",
+        _element_outside_group: "an element at a V2 vertex lies outside its group",
+    }
+    if content in expected:
+        assert expected[content] in err
 
 
 @pytest.mark.parametrize(
@@ -390,32 +480,32 @@ def test_invalid_numeric_arguments_exit_two(built, tmp_path, capsys, argv):
     assert not (tmp_path / "neg").exists()
 
 
-# sha256 of development.json (format 4), manifest.json and the lex-first
+# sha256 of development.json (format 5), manifest.json and the lex-first
 # machine's JSON, per sample: (ball radius, automaton flags, hashes).  The
-# manifest and machine hashes equal those of the format-1 to format-3 code.
+# manifest and machine hashes equal those of the format-1 to format-4 code.
 GOLDEN = {
     "d333": (11, [], (
-        "b6556c5ec45573e8c94907f2d18f3e3d74f9afbd7d4934b1bc1b22de633778c1",
+        "acab8ceb6c2a4435c58b06c49c8dee5e2eebddcb87793a9c8cd8d5984e9f3c32",
         "c8b4c256b0841175c6f5460beb396a415075cd69b7b43c311aa668db478e69bb",
         "3450465844302073b9631a8ba41162109a4b01d5f1fefa982edd2f2e7241dbdd",
     )),
     "d244": (8, [], (
-        "9290bd6edd8dcc738e4a334ad3261e8079bbe6163e28ab7c2c45ada57ace2525",
+        "723b26da5cf7a2300e286e98ee055270e52d141441a99b6d24101273940da87a",
         "a6ec3d5897f7bb48a1526306fc3d0f56a7846aed18f2896acb586975b2b0e97c",
         "3ec8c41c897603bd662b279bda3f99021d9193871431c1ae72efe5ad6706a747",
     )),
     "d236": (5, [], (
-        "f832450b25d8061902db0234ae85d96d274313ded2ac41b8b6e370839d18cb88",
+        "8790e2c964463442cba1539039891723d796b5c947ba68c8b3049017a46b22ba",
         "e1d08b9b32cd7c2211b80c3fa0fdd4ebbd37a582261824699db08f26be921052",
         "a3ac5c5804d538dd5a8c7fca9e173e8f972a1d1e0133416b792c9c948e52f27f",
     )),
     "d444": (6, ["--no-certify"], (
-        "4b600c119e58d56f58e971d39aae443934eda4c4bd34808999ffef2282107799",
+        "308ae8f3be552bde75efc472bbd6cf973e3e13d300b6f711867a7ba6b9ee63bd",
         "3d1b84ebbaf74d1f91fe73ebaa7ceaaa3117e172f12f0156208f8c04b4cebcf3",
         "72a6e966fec3ab3bf42c1666e93601810b38103e44a2f82f426248ac2e87d2dc",
     )),
     "f21_333": (4, ["--no-certify"], (
-        "1b4f5ef9cca574e50512200278e764304f433613a3941adbd10400605cc7fc3a",
+        "2536341624d9abd7e315db3809a949f3f257b7249f9c34aece3593c0c3dbda18",
         "8776300f9442cf23af7995c82d6998e068fdd95818ac8dd3d2d3ab2f58de645b",
         "23654c12316051cdc56571a967d815345c07179942fa37f49a46f15d441fcdab",
     )),

@@ -1,5 +1,6 @@
 import functools
 import json
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -272,11 +273,11 @@ def test_monotone_embedding():
     assert embeds_in(small, big)
 
 
-COLUMNS = (
-    "radius", "margin", "dist", "final", "f_edge", "f_slot", "f_vert", "edge_letter",
-    "edge_slots", "edge_ends", "vert_type", "vert_edges", "vert_edge_offsets",
-    "vert_charts", "vert_chart_offsets",
+DERIVED_COLUMNS = (
+    "edge_letter", "edge_slots", "edge_ends", "vert_type", "vert_edges", "vert_edge_offsets",
 )
+COLUMNS = ("radius", "margin", "dist", "final", "f_edge", "f_slot", "f_vert", "f_elem",
+           *DERIVED_COLUMNS)
 
 
 @pytest.fixture(scope="module")
@@ -293,18 +294,17 @@ def _rows(column, width):
 def _reference_caches(dev):
     """Per face its adjacency, per edge whether it is saturated, and per
     vertex its faces, chart and completeness, by plain loops over the
-    columns regrouped into the rows that format 2 stored."""
+    columns regrouped into rows: one per face, edge and vertex."""
     f_edge, f_vert = _rows(dev.f_edge, 3), _rows(dev.f_vert, 3)
     edge_slots = _rows(dev.edge_slots, dev.k)
     edge_rows = dev.vert_edge_offsets
     vert_edges = [dev.vert_edges[i:j] for i, j in zip(edge_rows, edge_rows[1:])]
-    chart_rows = dev.vert_chart_offsets
-    charts = [dev.vert_charts[i:j] for i, j in zip(chart_rows, chart_rows[1:])]
-    charts = [dict(zip(c[::2], c[1::2])) for c in charts]
     vert_faces = [[] for _ in dev.vert_type]
+    charts = [{} for _ in dev.vert_type]
     for f in range(dev.face_count):
         for t in range(3):
             vert_faces[f_vert[f][t]].append(f)
+            charts[f_vert[f][t]][f] = dev.f_elem[3 * f + t]
     adjacency = []
     for f in range(dev.face_count):
         near = set()
@@ -863,6 +863,7 @@ class ReferenceGrower:
                 dev.edge_slots.append(pos[_ref_find(uf_f, raw)] if raw != -1 else -1)
             dev.edge_letter.append(self.e_letter[e])
             dev.edge_ends.extend(vert_pos[_ref_find(uf_v, v)] for v in self.e_ends[e])
+        charts = []
         for v in vert_order:
             vtype = self.v_type[v]
             group = self.spec.vertex_groups[vtype]
@@ -873,13 +874,15 @@ class ReferenceGrower:
                 inv = group.inv(anchor)
                 renamed = {f: group.mult[inv][val] for f, val in renamed.items()}
             dev.vert_type.append(vtype)
-            for pair in sorted(renamed.items()):
-                dev.vert_charts.extend(pair)
-            dev.vert_chart_offsets.append(len(dev.vert_charts))
+            charts.append(dict(sorted(renamed.items())))
             dev.vert_edges.extend(
                 sorted({edge_pos[_ref_find(uf_e, e)] for e in self.v_edges[v] if self.e_alive[_ref_find(uf_e, e)]})
             )
             dev.vert_edge_offsets.append(len(dev.vert_edges))
+        dev.f_elem = [charts[v][f] for f in range(len(order)) for v in dev.f_vert[3 * f:3 * f + 3]]
+        # the charts go where the ball keeps the ones it derives, so every
+        # reader of this ball reads these
+        dev._charts = dict(enumerate(charts))
         return dev
 
 
@@ -901,48 +904,30 @@ def _reference_grow(spec, radius):
 
 @functools.lru_cache(maxsize=None)
 def _reference_sample(name, radius):
-    return _reference_grow(load_sample(name), radius)
+    spec = f155_333() if name == "f155_333" else load_sample(name)
+    return _reference_grow(spec, radius)
+
+
+def _derived_copy(dev, faces=None):
+    """A ball holding the first `faces` faces of dev (all by default) with
+    their face columns, and every other column derived from those."""
+    n = dev.face_count if faces is None else faces
+    out = Development(dev.spec, dev.radius, dev.margin)
+    out.dist, out.final = dev.dist[:n], dev.final[:n]
+    out.f_edge, out.f_slot = dev.f_edge[:3 * n], dev.f_slot[:3 * n]
+    out.f_vert, out.f_elem = dev.f_vert[:3 * n], dev.f_elem[:3 * n]
+    out.derive_columns()
+    return out
 
 
 def _drop_ring(dev):
-    """dev without its faces past radius + margin - 1: slots holding one
-    read -1, charts leave them out, and the edges and vertices are those of
-    the kept faces, renumbered in order of first appearance, each edge's
-    slots rotated to start at its least face and each chart translated to
-    send its least face to the identity."""
-    extent = dev.radius + dev.margin - 1
-    kept = [f for f, d in enumerate(dev.dist) if d <= extent]
-    n, k = len(kept), dev.k
-    assert kept == list(range(n))
-    edges = list(dict.fromkeys(dev.f_edge[:3 * n]))
-    verts = list(dict.fromkeys(dev.f_vert[:3 * n]))
-    edge_id = {e: i for i, e in enumerate(edges)}
-    vert_id = {v: i for i, v in enumerate(verts)}
-    out = Development(dev.spec, dev.radius, dev.margin)
-    out.dist, out.final = dev.dist[:n], dev.final[:n]
-    rotation = {}
-    for e in edges:
-        row = [f if f < n else -1 for f in dev.slots(e)]
-        j = rotation[e] = row.index(min(f for f in row if f != -1))
-        out.edge_slots += row[j:] + row[:j]
-        out.edge_letter.append(dev.edge_letter[e])
-        out.edge_ends += [vert_id[v] for v in dev.edge_ends[2 * e:2 * e + 2]]
-    for x in range(3 * n):
-        e = dev.f_edge[x]
-        out.f_edge.append(edge_id[e])
-        out.f_slot.append((dev.f_slot[x] - rotation[e]) % k)
-    out.f_vert = [vert_id[v] for v in dev.f_vert[:3 * n]]
-    for v in verts:
-        group = dev.spec.vertex_groups[dev.vert_type[v]]
-        out.vert_type.append(dev.vert_type[v])
-        out.vert_edges += sorted(edge_id[e] for e in dev.edges_at_vertex(v) if e in edge_id)
-        out.vert_edge_offsets.append(len(out.vert_edges))
-        chart = sorted((f, g) for f, g in dev.vertex_chart(v).items() if f < n)
-        shift = group.mult[group.inv(chart[0][1])]
-        for f, g in chart:
-            out.vert_charts += (f, shift[g])
-        out.vert_chart_offsets.append(len(out.vert_charts))
-    return out
+    """dev without its faces past radius + margin - 1.  They are the last
+    faces, and the edges and vertices of the faces before them come first,
+    with each edge's least face in slot 0 and each vertex's least face the
+    identity of its chart, so the face columns are cut and the rest derived;
+    `derive_columns` checks all of this.  Slots holding a dropped face read
+    -1 and charts leave such faces out."""
+    return _derived_copy(dev, bisect_right(dev.dist, dev.radius + dev.margin - 1))
 
 
 def _reference_build(spec, radius):
@@ -1049,12 +1034,44 @@ def f155_333() -> TriangleGroupSpec:
     return spec
 
 
-def test_grower_matches_reference_at_k5():
-    spec = f155_333()
-    dev = grow_to_radius(spec, 0)
-    assert dev.face_count == 4579
-    slow, _ = _reference_build(spec, 0)
-    assert development_to_json(dev) == slow
+@pytest.fixture(scope="module")
+def k5_ball():
+    return grow_to_radius(f155_333(), 0)
+
+
+def test_grower_matches_reference_at_k5(k5_ball):
+    assert k5_ball.face_count == 4579
+    slow, _ = _reference_sample("f155_333", 0)
+    assert development_to_json(k5_ball) == development_to_json(_drop_ring(slow))
+
+
+def test_outer_layer_growth_matters_at_k5(k5_ball):
+    """Grown one layer short, to radius + delta, the stored extent, the
+    f155_333 ball keeps its faces and their distances but not its edges and
+    vertices: folds made while growing the layer it never stores merge
+    them."""
+    grower = init_development(f155_333())
+    grower.margin -= 1
+    grower.grow(0)
+    grower.margin += 1
+    short = grower.finalize(0)
+    assert short.dist == k5_ball.dist
+    assert (len(k5_ball.edge_letter), len(k5_ball.vert_type)) == (8013, 3435)
+    assert (len(short.edge_letter), len(short.vert_type)) == (8445, 3867)
+    assert development_to_json(short) != development_to_json(k5_ball)
+
+
+@pytest.mark.parametrize("name, radius", [*REFERENCE_BALLS, ("f155_333", 0)])
+def test_reference_columns_equal_derived_columns(name, radius):
+    """The edge and vertex columns and the charts that ReferenceGrower
+    builds on its own, outer layer and all, equal those that
+    `derive_columns` builds from its face columns."""
+    dev, _ = _reference_sample(name, radius)
+    again = _derived_copy(dev)
+    for column in DERIVED_COLUMNS:
+        assert getattr(again, column) == getattr(dev, column), column
+    vertices = range(len(dev.vert_type))
+    assert [again.vertex_chart(v) for v in vertices] == [dev.vertex_chart(v) for v in vertices]
 
 
 def _outcome(call, *args):

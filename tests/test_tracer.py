@@ -1,0 +1,37 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from trifold.cli import _load_devdir
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _traced(tmp_path, run_id, *argv):
+    """Run one CLI call under perfbench/tracer.py; its exit code must be 0.
+    Returns the trace it wrote."""
+    out = tmp_path / f"{run_id}.json"
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(out), run_id, *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(out.read_text())
+
+
+def test_tracer_runs_build_and_verify(tmp_path):
+    """The tracer wraps the names it reads off the trifold modules, and the
+    work counters it takes from finalize's ball match the ball built."""
+    ball = tmp_path / "d333"
+    build = _traced(tmp_path, "build", "build", "d333", "--radius", "2", "--out", str(ball))
+    dev = _load_devdir(str(ball))
+    counts = build["counts"]
+    assert counts["development.faces_built"] == dev.face_count
+    assert counts["development.edges"] == len(dev.edge_letter)
+    assert counts["development.vertices"] == len(dev.vert_type)
+    verify = _traced(tmp_path, "verify", "verify", str(ball), "--suite", "cor1")
+    assert verify["counts"]["development.import_calls"] == 1

@@ -114,7 +114,10 @@ def cmd_build(args) -> int:
 
     spec = _load_spec(args.spec)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make build directory {outdir}: {exc}") from exc
     grower = init_development(spec)
     verdict = grower.verdict
     dev = grow_to_radius(grower, args.radius)
@@ -447,7 +450,12 @@ def cmd_sample(args) -> int:
         return 0
     if not args.name or not args.out:
         raise UsageError("need a sample name and --out")
-    write_sample(args.name, args.out)
+    if args.name not in SAMPLE_BUILDERS:
+        raise UsageError(f"unknown sample {args.name!r}; available: {', '.join(sample_names())}")
+    try:
+        write_sample(args.name, args.out)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {args.name} to {args.out}")
     return 0
 

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 from operator import le
 
-from .groups import LETTERS, LETTER_TYPES, TriangleGroupSpec
+from .groups import LETTERS, LETTER_TYPES, VERTEX_LETTERS, TriangleGroupSpec
 
 
 class DevelopmentError(RuntimeError):
@@ -126,24 +126,46 @@ class Development:
         its type, from that face, whose slot on the edge must be 0 and whose
         element at the vertex the identity.  Every later appearance must
         agree, no two faces may hold one slot of an edge, and every element
-        must lie in its vertex group.  `dist` must start at 0 and never
-        decrease, and each later face must have a neighbour one closer and
-        none closer, so it is the breadth-first distance; as faces are
-        numbered by distance, the nearest face on an edge is its first."""
+        must lie in its vertex group.  The charts must be injective and
+        follow the crossing rule: at both ends of an edge, the face in slot
+        j holds the element of the face in slot 0 times the designated
+        generator of the edge's letter to the power j.  `dist` must start at
+        0 and never decrease, and each later face must have a neighbour one
+        closer and none closer, so it is the breadth-first distance; as
+        faces are numbered by distance, the nearest face on an edge is its
+        first."""
         k, dist = self.k, self.dist
         f_edge, f_slot, f_vert, f_elem = self.f_edge, self.f_slot, self.f_vert, self.f_elem
         if dist[:1] != [0] or not all(map(le, dist, dist[1:])):
             raise ValueError("dist: the column does not start at 0 or it decreases")
-        for t, group in enumerate(self.spec.vertex_groups):
+        groups = self.spec.vertex_groups
+        for t, group in enumerate(groups):
             elements = f_elem[t::3]
             if elements and (min(elements) < 0 or max(elements) >= group.order):
                 raise ValueError(f"face_elements: an element at a V{t + 1} vertex lies outside its group")
+        # per letter, its types t1 and t2 and, at each end of its edges, the
+        # crossing rule: rows[x][j] is x times the designated generator of
+        # the letter to the power j
+        steps = []
+        for letter, types in enumerate(LETTER_TYPES):
+            ends = []
+            for t in types:
+                gen = self.spec.designated[t][VERTEX_LETTERS[t].index(letter)]
+                mult = groups[t].mult
+                powers = [0]
+                for _ in range(1, k):
+                    powers.append(mult[powers[-1]][gen])
+                ends.append([[row[p] for p in powers] for row in mult])
+            steps.append((letter, *types, *ends))
         edge_letter: list[int] = []
         edge_slots: list[int] = []
         edge_ends: list[int] = []
         edge_near: list[int] = []  # the distance of the edge's first face
         vert_type: list[int] = []
         vert_edges: list[list[int]] = []  # ascending, as edges are met in order
+        # charted[m*v + x] is set once a face holds element x at vertex v
+        m = max(group.order for group in groups)
+        charted = bytearray(m * (max(f_vert, default=-1) + 1))
         blank = [-1] * k
         ne = nv = 0
         for f, d in enumerate(dist):
@@ -160,8 +182,12 @@ class Development:
                     nv += 1
                 elif vert_type[v] != t:
                     raise ValueError(f"face_vertices: vertex {v} appears under two types")
+                c = m * v + f_elem[x + t]
+                if charted[c]:
+                    raise ValueError(f"face_elements: face {f} repeats an element of vertex {v}'s chart")
+                charted[c] = 1
             near = d  # the least distance on f's edges
-            for letter, (t1, t2) in enumerate(LETTER_TYPES):
+            for letter, t1, t2, rows1, rows2 in steps:
                 e, j = f_edge[x + letter], f_slot[x + letter]
                 a, b = corners[t1], corners[t2]
                 if e >= ne:
@@ -186,6 +212,10 @@ class Development:
                 if edge_slots[s] != -1:
                     raise ValueError(f"face_slots: slot {j} of edge {e} is claimed by faces {edge_slots[s]} and {f}")
                 edge_slots[s] = f
+                if j:
+                    y = 3 * edge_slots[k * e]  # the edge's first face, in slot 0
+                    if f_elem[x + t1] != rows1[f_elem[y + t1]][j] or f_elem[x + t2] != rows2[f_elem[y + t2]][j]:
+                        raise ValueError(f"face_elements: face {f} breaks the crossing rule on edge {e}")
             if f and near != d - 1:
                 raise ValueError(f"dist: face {f} at distance {d} has no neighbour at {d - 1}, or one nearer")
         self.edge_letter, self.edge_slots, self.edge_ends = edge_letter, edge_slots, edge_ends
@@ -449,9 +479,10 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
     The parsed arrays become the ball's face columns as they are, and
     `derive_columns` builds the rest, rejecting face columns that disagree
     with each other.  Before that, a margin other than `trust_margin`, a
-    face past radius + margin - 1, the extent a ball is kept to, and a face
-    column of the wrong length or with an id or slot out of range raise
-    ValueError, so a malformed document never fails later inside a suite."""
+    farthest face other than at radius + margin - 1, the extent a ball is
+    kept to, and a face column of the wrong length or with an id or slot
+    out of range raise ValueError, so a malformed document never fails
+    later inside a suite."""
     if not isinstance(doc, dict):
         raise ValueError("not a development document")
     if doc.get("format") != DEVELOPMENT_FORMAT:
@@ -465,8 +496,11 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
     dist = doc["dist"]
     n = 3 * len(dist)
     extent = dev.radius + dev.margin - 1
-    if max(dist, default=0) > extent:
+    reach = max(dist, default=0)
+    if reach > extent:
         raise ValueError(f"dist: a face lies past radius + margin - 1 = {extent}")
+    if reach < extent:
+        raise ValueError(f"radius: the faces reach distance {reach}, short of radius + margin - 1 = {extent}")
     dev.dist = dist
     dev.final = [d <= dev.radius for d in dist]
     dev.f_edge = _column(doc, "face_edges", n, n)

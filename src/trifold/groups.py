@@ -84,13 +84,6 @@ class FiniteGroup:
     def inv(self, x: int) -> int:
         return self._inv[x]
 
-    def power(self, x: int, e: int) -> int:
-        e %= self.element_order(x)
-        out = 0
-        for _ in range(e):
-            out = self.mult[out][x]
-        return out
-
     def element_order(self, x: int) -> int:
         k = 1
         y = x

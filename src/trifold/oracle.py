@@ -287,45 +287,9 @@ def unfold_gallery(dev: Development, faces: list[int]) -> Gallery:
     return Gallery(list(faces), edges, placements, portals)
 
 
-def _extend_gallery(dev: Development, gallery: Gallery, nxt: int) -> Gallery:
-    edge, placed, portal = _unfold_step(dev, gallery.placements[-1], gallery.faces[-1], nxt)
-    return Gallery(
-        gallery.faces + [nxt],
-        gallery.edges + [edge],
-        gallery.placements + [placed],
-        gallery.portals + [portal],
-    )
-
-
 def centroid(placed: dict[int, GalleryPoint]) -> GalleryPoint:
     (x0, y0), (x1, y1), (x2, y2) = placed[0], placed[1], placed[2]
     return ((x0 + x1 + x2) // 3, (y0 + y1 + y2) // 3)
-
-
-def enumerate_galleries(dev: Development, f1: int, f2: int, max_len: int) -> list[Gallery]:
-    """All face sequences from f1 to f2 of at most max_len faces, unfolded.
-
-    Consecutive faces must share an edge and may not repeat immediately.
-    """
-    _require_metric_gate(dev)
-    # a face read below is at most max_len - 2 steps from the goal
-    dist_to_goal = dev.bfs_from(f2, max_len)
-    out = []
-    stack = [(f1,)]
-    while stack:
-        walk = stack.pop()
-        cur = walk[-1]
-        if cur == f2:
-            out.append(unfold_gallery(dev, list(walk)))
-        remaining = max_len - len(walk)
-        if remaining <= 0:
-            continue
-        for nxt in reversed(dev.adjacent_faces(cur)):
-            d = dist_to_goal.get(nxt)
-            if d is None or d > remaining - 1:
-                continue
-            stack.append(walk + (nxt,))
-    return out
 
 
 # -- exact funnel over a portal sleeve ------------------------------------------
@@ -446,21 +410,6 @@ class _MeasuredPath:
             [(1, n) for n in self.squares], [(1, n) for n in other.squares]
         ) < 0
 
-    def exceeded_by(self, q: int | Fraction) -> bool:
-        """Whether sqrt(q) is longer than the path, for rational q >= 0."""
-        num, den = q.numerator, q.denominator
-        if self.square is not None:
-            return num * self.square[1] > self.square[0] * den
-        num <<= 2 * _ROOT_BITS
-        if num > self.hi * self.hi * den:
-            return True
-        if num < self.lo * self.lo * den:
-            return False
-        # sqrt(q) = sqrt(numerator * den) / den; num is shifted by now
-        return _compare_roots(
-            [(Fraction(1, den), q.numerator * den)], [(1, n) for n in self.squares]
-        ) > 0
-
 
 def _check_path_in_sleeve(
     path: list[GalleryPoint], oriented: list[tuple[GalleryPoint, GalleryPoint]]
@@ -513,52 +462,18 @@ def cat0_geodesic(dev: Development, f1: int, f2: int, max_len: int) -> GeodesicR
     Simple connectivity plus nonpositive curvature then make the gallery-wise
     minimum global once max_len exceeds the crossing count of the true
     geodesic; the inconclusive flag reports when the winner sits at the
-    search boundary.  Branches whose entry portal already lies farther from
-    the start than the best path are pruned exactly.
+    search boundary.  This is the one-target case of the gallery search that
+    source_geodesics runs (_search).
     """
     _require_metric_gate(dev)
     if f1 == f2:
-        g = unfold_gallery(dev, [f1])
         zero = RadicalSum(0)
-        return GeodesicResult(zero, zero, g, [centroid(g.placements[0])], 0)
-    # a face read below is at most max_len - 2 steps from the goal
-    dist_to_goal = dev.bfs_from(f2, max_len)
-    if f1 not in dist_to_goal:
+        gallery = Gallery([f1], [], [dict(_BASE_CORNERS)], [])
+        return GeodesicResult(zero, zero, gallery, [centroid(_BASE_CORNERS)], 0)
+    table = dev.bfs_from(f2, max_len)
+    if f1 not in table:
         raise OracleError("no gallery within max_len; raise max_len")
-    best: tuple[_MeasuredPath, Gallery, int, bool] | None = None
-    base_gallery = unfold_gallery(dev, [f1])
-    start = centroid(base_gallery.placements[0])
-    stack: list[tuple[tuple[int, ...], Gallery]] = [((f1,), base_gallery)]
-    while stack:
-        walk, gallery = stack.pop()
-        cur = walk[-1]
-        if cur == f2:
-            # a walk that holds f2 cannot reach it again, so it ends here
-            oriented = orient_portals(gallery, start)
-            path = _MeasuredPath(funnel_path(oriented, start, centroid(gallery.placements[-1])))
-            if best is None or path.shorter_than(best[0]):
-                _check_path_in_sleeve(path.path, oriented)
-                crossings = count_crossings(dev, gallery, path.path)
-                best = (path, gallery, crossings, len(walk) >= max_len)
-            continue
-        remaining = max_len - len(walk)
-        if remaining <= 0:
-            continue
-        for nxt in reversed(dev.adjacent_faces(cur)):
-            if nxt in walk:
-                continue
-            d = dist_to_goal.get(nxt)
-            if d is None or d > remaining - 1:
-                continue
-            extended = _extend_gallery(dev, gallery, nxt)
-            if best is not None:
-                a, b, _, _ = extended.portals[-1]
-                if best[0].exceeded_by(segment_point_sqdist(a, b, start)):
-                    continue
-            stack.append((walk + (nxt,), extended))
-    if best is None:
-        raise OracleError("no gallery within max_len; raise max_len")
-    return _geodesic_result(*best)
+    return _geodesic_result(*_search(dev, f1, [f2], [max_len], [table])[0])
 
 
 def _geodesic_result(
@@ -824,14 +739,15 @@ def _gallery_path(dev: Development, faces: list[int]) -> _MeasuredPath:
 def _search(
     dev: Development, f1: int, targets: list[int], caps: list[int], tables: list[dict[int, int]]
 ) -> list[_Best]:
-    """cat0_geodesic's best gallery from f1 to every target, from one search.
+    """The best gallery from f1 to every target, from one search.
 
     The search walks the simple galleries from f1 depth first, neighbours in
-    adjacent_faces order, as cat0_geodesic does, and keeps a branch only
-    while some target off the walk can still be reached within its cap and
-    improved.  Each target keeps the first gallery of least length in that
-    order, which is cat0_geodesic's winner, because a branch is dropped for
-    a target only when no gallery through it could tie that winner:
+    adjacent_faces order, and keeps a branch only while some target off the
+    walk can still be reached within its cap and improved.  Each target
+    keeps the first gallery of least length in that order among those of at
+    most its cap faces, whatever the other targets, because a branch is
+    dropped for a target only when no gallery through it could tie that
+    winner:
 
     - reach: tables[i] holds goal distances from targets[i] out to some
       depth; a face missing from it is farther, so it is a lower bound;

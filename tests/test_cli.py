@@ -95,18 +95,26 @@ def test_verify_gated_catacomb(tmp_path, capsys):
     assert "gated, skipped" in capsys.readouterr().out
 
 
-def test_verify_fault_injection_fails(built, tmp_path, capsys):
+def test_verify_fault_injection_fails(built, tmp_path, capsys, monkeypatch):
     import shutil
+
+    from trifold import cli
 
     broken = tmp_path / "broken"
     shutil.copytree(built, broken)
-    doc = json.loads((broken / "development.json").read_text())
-    # the first face at distance 3 takes another element in the chart of its
-    # V2 vertex: the columns still agree, so the ball loads, but the cone
-    # signatures no longer determine the successor rows
-    x = 3 * doc["dist"].index(3) + 1
-    doc["face_elements"][x] = (doc["face_elements"][x] + 1) % 6
-    (broken / "development.json").write_text(json.dumps(doc))
+    load = cli._load_devdir
+
+    def faulty(devdir):
+        # the first face at distance 3 takes another element in the chart of
+        # its V2 vertex, after the load, which rejects such a file (see
+        # _element_changed): the cone signatures no longer determine the
+        # successor rows
+        dev = load(devdir)
+        x = 3 * dev.dist.index(3) + 1
+        dev.f_elem[x] = (dev.f_elem[x] + 1) % 6
+        return dev
+
+    monkeypatch.setattr(cli, "_load_devdir", faulty)
     assert main(["verify", str(broken), "--suite", "conetypes"]) == 1
     assert "successor rows INCOHERENT" in capsys.readouterr().out
 
@@ -282,6 +290,11 @@ def _distance_not_breadth_first(doc):
     doc["dist"][victim] = 3
 
 
+def _radius_raised(doc):
+    """The header claims radius 12 for faces grown to radius 9."""
+    doc["radius"] = 12
+
+
 def _wrong_margin(doc):
     """d333 has delta 3, so its margin is 4."""
     doc["margin"] = 9
@@ -321,6 +334,28 @@ def _edges_renumbered(doc):
 def _element_outside_group(doc):
     """Every vertex group of d333 has order 6."""
     doc["face_elements"][3 * 5 + 1] = 6
+
+
+def _charts_swapped(doc):
+    """Faces 1 and 2 trade their elements at vertex 0, face 0's V1 corner."""
+    assert doc["face_vertices"][3] == doc["face_vertices"][6] == 0
+    elements = doc["face_elements"]
+    elements[3], elements[6] = elements[6], elements[3]
+
+
+def _element_changed(doc):
+    """Face 4 takes another element in the chart of its V2 vertex."""
+    doc["face_elements"][3 * 4 + 1] = (doc["face_elements"][3 * 4 + 1] + 1) % 6
+
+
+def _vertex_merged(doc):
+    """The last vertex is glued onto face 0's corner of its type: every
+    chart still follows the crossing rule, but that corner's chart now
+    holds the identity twice."""
+    vertices = doc["face_vertices"]
+    last = max(vertices)
+    t = vertices.index(last) % 3
+    doc["face_vertices"] = [vertices[t] if v == last else v for v in vertices]
 
 
 def _format_4(doc):
@@ -421,6 +456,10 @@ def _format_1(doc):
         ("development.json", _vertex_under_two_types),
         ("development.json", _edges_renumbered),
         ("development.json", _element_outside_group),
+        ("development.json", _charts_swapped),
+        ("development.json", _element_changed),
+        ("development.json", _vertex_merged),
+        ("development.json", _radius_raised),
         ("development.json", _format_1),
         ("development.json", _format_2),
         ("development.json", _format_3),
@@ -457,6 +496,10 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
         _vertex_under_two_types: "appears under two types",
         _edges_renumbered: "face_edges: edge 2 is not numbered by first appearance",
         _element_outside_group: "an element at a V2 vertex lies outside its group",
+        _charts_swapped: "face_elements: face 1 breaks the crossing rule on edge 0",
+        _element_changed: "face_elements: face 4 breaks the crossing rule on edge 3",
+        _vertex_merged: "face_elements: face 234 repeats an element of vertex 1's chart",
+        _radius_raised: "radius: the faces reach distance 12, short of radius + margin - 1 = 15",
     }
     if content in expected:
         assert expected[content] in err
@@ -478,6 +521,22 @@ def test_invalid_numeric_arguments_exit_two(built, tmp_path, capsys, argv):
     assert main(argv) == 2
     assert "must be at least" in capsys.readouterr().err
     assert not (tmp_path / "neg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["sample", "nonexist", "--out", "{tmp}/s.json"], "unknown sample 'nonexist'"),
+        (["sample", "d333", "--out", "{tmp}/missing/s.json"], "cannot write"),
+        (["build", "d333", "--radius", "1", "--out", "{tmp}/file/d333"], "cannot make build directory"),
+    ],
+    ids=["unknown_sample", "sample_into_missing_dir", "build_under_a_file"],
+)
+def test_unknown_sample_or_unwritable_out_exits_two(tmp_path, capsys, argv, expected):
+    (tmp_path / "file").write_text("")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert expected in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 # sha256 of development.json (format 5), manifest.json and the lex-first

@@ -8,11 +8,13 @@ import pytest
 from trifold.development import grow_to_radius
 from trifold.oracle import (
     GROUP_IDS,
+    Gallery,
+    GeodesicResult,
     OracleError,
     catacomb_check,
     cat0_geodesic,
     compare_balls,
-    enumerate_galleries,
+    count_crossings,
     funnel_path,
     isometry_ball,
     orient_portals,
@@ -27,12 +29,124 @@ from trifold.oracle import (
     sqdist,
     _MeasuredPath,
     _ROOT_BITS,
+    _check_path_in_sleeve,
     _geodesic_result,
+    _require_metric_gate,
     _segment_crosses,
+    _unfold_step,
 )
 from trifold import oracle, rings
 from trifold.rings import Q3, RadicalSum
 from trifold.samples import load_sample
+
+
+# -- the per-pair reference search ------------------------------------------------
+#
+# One depth-first search per pair, kept here as the reference the shared
+# gallery search (oracle._search, behind cat0_geodesic and source_geodesics)
+# is compared against.  It prunes with its own exact bound: a branch dies
+# once the distance from the start to its entry portal exceeds the best path.
+
+
+def _extend_gallery(dev, gallery, nxt):
+    edge, placed, portal = _unfold_step(dev, gallery.placements[-1], gallery.faces[-1], nxt)
+    return Gallery(
+        gallery.faces + [nxt],
+        gallery.edges + [edge],
+        gallery.placements + [placed],
+        gallery.portals + [portal],
+    )
+
+
+def _exceeded_by(path, q):
+    """Whether sqrt(q) is longer than the measured path, for rational q >= 0.
+
+    Reads _ROOT_BITS and _compare_roots off the oracle module, so the tests
+    that patch them reach this too."""
+    num, den = q.numerator, q.denominator
+    if path.square is not None:
+        return num * path.square[1] > path.square[0] * den
+    num <<= 2 * oracle._ROOT_BITS
+    if num > path.hi * path.hi * den:
+        return True
+    if num < path.lo * path.lo * den:
+        return False
+    # sqrt(q) = sqrt(numerator * den) / den; num is shifted by now
+    return oracle._compare_roots(
+        [(Fraction(1, den), q.numerator * den)], [(1, n) for n in path.squares]
+    ) > 0
+
+
+def enumerate_galleries(dev, f1, f2, max_len):
+    """All face sequences from f1 to f2 of at most max_len faces, unfolded.
+
+    Consecutive faces must share an edge and may not repeat immediately."""
+    # a face read below is at most max_len - 2 steps from the goal
+    dist_to_goal = dev.bfs_from(f2, max_len)
+    out = []
+    stack = [(f1,)]
+    while stack:
+        walk = stack.pop()
+        cur = walk[-1]
+        if cur == f2:
+            out.append(unfold_gallery(dev, list(walk)))
+        remaining = max_len - len(walk)
+        if remaining <= 0:
+            continue
+        for nxt in reversed(dev.adjacent_faces(cur)):
+            d = dist_to_goal.get(nxt)
+            if d is None or d > remaining - 1:
+                continue
+            stack.append(walk + (nxt,))
+    return out
+
+
+def reference_geodesic(dev, f1, f2, max_len) -> GeodesicResult:
+    """cat0_geodesic by its own depth-first search over the simple galleries
+    from f1 to f2: the first gallery of least length in that order."""
+    _require_metric_gate(dev)
+    if f1 == f2:
+        g = unfold_gallery(dev, [f1])
+        zero = RadicalSum(0)
+        return GeodesicResult(zero, zero, g, [centroid(g.placements[0])], 0)
+    # a face read below is at most max_len - 2 steps from the goal
+    dist_to_goal = dev.bfs_from(f2, max_len)
+    if f1 not in dist_to_goal:
+        raise OracleError("no gallery within max_len; raise max_len")
+    best = None
+    base_gallery = unfold_gallery(dev, [f1])
+    start = centroid(base_gallery.placements[0])
+    stack = [((f1,), base_gallery)]
+    while stack:
+        walk, gallery = stack.pop()
+        cur = walk[-1]
+        if cur == f2:
+            # a walk that holds f2 cannot reach it again, so it ends here
+            oriented = orient_portals(gallery, start)
+            path = _MeasuredPath(funnel_path(oriented, start, centroid(gallery.placements[-1])))
+            if best is None or path.shorter_than(best[0]):
+                _check_path_in_sleeve(path.path, oriented)
+                crossings = count_crossings(dev, gallery, path.path)
+                best = (path, gallery, crossings, len(walk) >= max_len)
+            continue
+        remaining = max_len - len(walk)
+        if remaining <= 0:
+            continue
+        for nxt in reversed(dev.adjacent_faces(cur)):
+            if nxt in walk:
+                continue
+            d = dist_to_goal.get(nxt)
+            if d is None or d > remaining - 1:
+                continue
+            extended = _extend_gallery(dev, gallery, nxt)
+            if best is not None:
+                a, b, _, _ = extended.portals[-1]
+                if _exceeded_by(best[0], segment_point_sqdist(a, b, start)):
+                    continue
+            stack.append((walk + (nxt,), extended))
+    if best is None:
+        raise OracleError("no gallery within max_len; raise max_len")
+    return _geodesic_result(*best)
 
 
 def test_isometry_ball_basics():
@@ -98,7 +212,7 @@ def test_compare_balls_self_and_fault_injection():
 def test_metric_gate_blocks_half_girth_two():
     dev = grow_to_radius(load_sample("d244"), 3)
     with pytest.raises(OracleError, match="metric oracle unavailable"):
-        enumerate_galleries(dev, 0, 1, 3)
+        cat0_geodesic(dev, 0, 1, 3)
     with pytest.raises(OracleError, match="metric oracle unavailable"):
         catacomb_check(dev, 2)
 
@@ -282,23 +396,27 @@ def test_catacomb_hyperbolic_sample():
 # -- one search per source against the per-pair search ----------------------------
 
 
+def _assert_same_result(result, ref, pair):
+    assert (result.crossings, result.inconclusive) == (ref.crossings, ref.inconclusive), pair
+    assert result.length == ref.length, pair
+    assert result.squared_length == ref.squared_length, pair
+    assert result.gallery == ref.gallery, pair
+    assert result.path == ref.path, pair
+
+
 def _assert_source_search_matches_per_pair(dev, radius, max_len=None, sources=None):
-    """Every pair of the shared search equals cat0_geodesic field for field;
-    returns the number of pairs."""
+    """Every pair of the shared search, and cat0_geodesic on it, equals the
+    per-pair reference field for field; returns the number of pairs."""
     pairs = 0
     for f1 in dev.ball_faces() if sources is None else sources:
         dists, found = source_geodesics(dev, f1, radius, max_len)
         expected = [f2 for f2 in dev.ball_faces() if f2 > f1 and dists.get(f2, radius + 1) <= radius]
         assert list(found) == expected
         for f2, entry in found.items():
-            shared = _geodesic_result(*entry)
             cap = max_len if max_len is not None else dists[f2] + 2 * dev.margin
-            ref = cat0_geodesic(dev, f1, f2, cap)
-            assert (shared.crossings, shared.inconclusive) == (ref.crossings, ref.inconclusive), (f1, f2)
-            assert shared.length == ref.length, (f1, f2)
-            assert shared.squared_length == ref.squared_length, (f1, f2)
-            assert shared.gallery == ref.gallery, (f1, f2)
-            assert shared.path == ref.path, (f1, f2)
+            ref = reference_geodesic(dev, f1, f2, cap)
+            _assert_same_result(_geodesic_result(*entry), ref, (f1, f2))
+            _assert_same_result(cat0_geodesic(dev, f1, f2, cap), ref, (f1, f2))
         pairs += len(found)
     return pairs
 
@@ -323,6 +441,33 @@ def test_source_search_matches_per_pair_max_len():
         cat0_geodesic(dev, 0, f2, 2)
     with pytest.raises(OracleError, match="no gallery within max_len"):
         source_geodesics(dev, 0, 2, max_len=2)
+
+
+@pytest.mark.parametrize("name, radius", [("d333", 3), ("d444", 2)])
+def test_cat0_geodesic_matches_reference_off_the_catacomb_pairs(name, radius):
+    # pairs no catacomb run asks for: one face twice, a source above its
+    # target, targets and sources outside the trusted ball, and caps at and
+    # below the pair distance that admit no gallery; results and errors agree
+    dev = grow_to_radius(load_sample(name), radius)
+    first = {d: dev.dist.index(d) for d in range(dev.dist[-1] + 1)}
+    outside, last = first[radius + 1], dev.face_count - 1
+    pairs = [(0, 0), (first[2], first[2]), (first[3], 0), (first[3], first[1] + 1),
+             (0, outside), (first[2], outside), (outside, first[1]), (outside, outside),
+             (first[1], last)]
+    raised = 0
+    for f1, f2 in pairs:
+        d = dev.bfs_from(f1)[f2]
+        for cap in sorted({1, d, d + 1, d + 3, d + 2 * dev.margin}):
+            try:
+                ref = reference_geodesic(dev, f1, f2, cap)
+            except OracleError as exc:
+                with pytest.raises(OracleError) as got:
+                    cat0_geodesic(dev, f1, f2, cap)
+                assert str(got.value) == str(exc), (f1, f2, cap)
+                raised += 1
+                continue
+            _assert_same_result(cat0_geodesic(dev, f1, f2, cap), ref, (f1, f2, cap))
+    assert raised >= 10
 
 
 def test_source_search_matches_per_pair_f21():
@@ -433,7 +578,7 @@ def _path_of(rng: random.Random, steps: list[tuple[int, int]]) -> list[tuple[int
 def test_measured_path_comparisons_match_radical_sums(monkeypatch, bits):
     # a path with permuted segments has an equal length and other
     # breakpoints; no enclosure parts the two, so the exact fallback decides.
-    # Two-bit enclosures also send near misses and exceeded_by there.
+    # Two-bit enclosures also send near misses and _exceeded_by there.
     calls = []
     compare_roots = oracle._compare_roots
 
@@ -462,9 +607,9 @@ def test_measured_path_comparisons_match_radical_sums(monkeypatch, bits):
             # squared lengths inside the enclosure, which only the fallback parts
             qs += [Fraction(x * y, 1 << 2 * bits) for x, y in ((a.lo, a.lo), (a.lo, a.hi), (a.hi, a.hi))]
         for q in qs:
-            assert a.exceeded_by(q) == (RadicalSum.sqrt_of(q).compare(la) > 0), (a.path, q)
+            assert _exceeded_by(a, q) == (RadicalSum.sqrt_of(q).compare(la) > 0), (a.path, q)
     assert ties > 200
-    # exceeded_by passes its rational as the only term with a fraction
+    # _exceeded_by passes its rational as the only term with a fraction
     from_exceeded = sum(isinstance(xs[0][0], Fraction) for xs in calls)
     assert len(calls) - from_exceeded > 200
     assert from_exceeded > (200 if bits == 2 else -1)
@@ -490,6 +635,6 @@ def test_exceeded_by_with_a_large_prime_radicand(monkeypatch):
     # squared lengths at and inside the enclosure, which only the fallback parts
     for a, b in ((path.lo, path.lo), (path.lo, path.hi), (path.hi, path.hi)):
         q = Fraction(a * b, 1 << 2 * _ROOT_BITS)
-        assert path.exceeded_by(q) == (RadicalSum.sqrt_of(q).compare(length) > 0), q
+        assert _exceeded_by(path, q) == (RadicalSum.sqrt_of(q).compare(length) > 0), q
     assert time.perf_counter() - start < 1
     assert len(calls) == 3

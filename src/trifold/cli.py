@@ -282,7 +282,7 @@ def _suite_catacomb(dev: Development, radius: int | None, maxlen: int | None) ->
         return Verdict("skip", "gated, skipped: a half-girth equals 2, so the unit equilateral metric is not nonpositively curved")
     from .oracle import catacomb_check
 
-    use_radius = radius if radius is not None else min(4, dev.radius - 1)
+    use_radius = radius if radius is not None else max(0, min(4, dev.radius - 1))
     report = catacomb_check(dev, use_radius, maxlen)
     if report.ok:
         return Verdict("pass", f"crossing counts equal ball distances on {report.pairs_checked} pairs (radius {use_radius})")

@@ -478,11 +478,11 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
 
     The parsed arrays become the ball's face columns as they are, and
     `derive_columns` builds the rest, rejecting face columns that disagree
-    with each other.  Before that, a margin other than `trust_margin`, a
-    farthest face other than at radius + margin - 1, the extent a ball is
-    kept to, and a face column of the wrong length or with an id or slot
-    out of range raise ValueError, so a malformed document never fails
-    later inside a suite."""
+    with each other.  Before that, a negative radius, a margin other than
+    `trust_margin`, a farthest face other than at radius + margin - 1, the
+    extent a ball is kept to, and a face column of the wrong length or with
+    an id or slot out of range raise ValueError, so a malformed document
+    never fails later inside a suite."""
     if not isinstance(doc, dict):
         raise ValueError("not a development document")
     if doc.get("format") != DEVELOPMENT_FORMAT:
@@ -491,6 +491,8 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
             f"rebuild the ball"
         )
     dev = Development(spec, int(doc["radius"]), int(doc["margin"]))
+    if dev.radius < 0:
+        raise ValueError(f"radius: {dev.radius} is negative")
     if dev.margin != trust_margin(spec):
         raise ValueError(f"margin: {dev.margin} is not 1 + delta = {trust_margin(spec)}")
     dist = doc["dist"]

@@ -248,18 +248,6 @@ def _require_metric_gate(dev: Development) -> None:
         )
 
 
-def _unfold_step(dev: Development, placed: dict[int, GalleryPoint], cur: int, nxt: int):
-    """The edge shared by faces cur and nxt, the placement of nxt reflected
-    across it, and the portal between the two faces."""
-    edge = dev.shared_edge(cur, nxt)
-    if edge is None:
-        raise OracleError(f"faces {cur} and {nxt} share no edge")
-    s0, s1 = dev.letter_types[dev.edge_letter[edge]]
-    beyond, _ = _step_across(placed, s0, s1, 3 - s0 - s1)
-    va, vb = dev.edge_ends[2 * edge:2 * edge + 2]
-    return edge, dict(enumerate(beyond)), (placed[s0], placed[s1], va, vb)
-
-
 def _step_across(
     placed: dict[int, GalleryPoint] | tuple[GalleryPoint, ...], s0: int, s1: int, other: int
 ) -> tuple[tuple[GalleryPoint, ...], tuple[GalleryPoint, GalleryPoint]]:
@@ -274,20 +262,7 @@ def _step_across(
     return tuple(beyond), ((a, b) if area2(c, apex, a) > 0 else (b, a))
 
 
-def unfold_gallery(dev: Development, faces: list[int]) -> Gallery:
-    """Place the gallery in the plane as glued unit equilateral triangles."""
-    placements = [dict(_BASE_CORNERS)]
-    edges = []
-    portals = []
-    for cur, nxt in zip(faces, faces[1:]):
-        edge, placed, portal = _unfold_step(dev, placements[-1], cur, nxt)
-        edges.append(edge)
-        placements.append(placed)
-        portals.append(portal)
-    return Gallery(list(faces), edges, placements, portals)
-
-
-def centroid(placed: dict[int, GalleryPoint]) -> GalleryPoint:
+def centroid(placed: dict[int, GalleryPoint] | tuple[GalleryPoint, ...]) -> GalleryPoint:
     (x0, y0), (x1, y1), (x2, y2) = placed[0], placed[1], placed[2]
     return ((x0 + x1 + x2) // 3, (y0 + y1 + y2) // 3)
 
@@ -345,24 +320,9 @@ def funnel_path(
     return deduped
 
 
-def orient_portals(gallery: Gallery, start: GalleryPoint) -> list[tuple[GalleryPoint, GalleryPoint]]:
-    """Order each portal's endpoints as (left, right) seen along the walk."""
-    oriented = []
-    for i, (a, b, _va, _vb) in enumerate(gallery.portals):
-        apex_before = next(p for p in gallery.placements[i].values() if p != a and p != b)
-        apex_after = next(p for p in gallery.placements[i + 1].values() if p != a and p != b)
-        if area2(apex_before, apex_after, a) > 0:
-            oriented.append((a, b))
-        else:
-            oriented.append((b, a))
-    return oriented
-
-
 def path_length(path: list[GalleryPoint]) -> RadicalSum:
-    total = RadicalSum(0)
-    for a, b in zip(path, path[1:]):
-        total = total + RadicalSum.sqrt_of(sqdist(a, b))
-    return total
+    """The length of the path, in the units of the unfolding."""
+    return RadicalSum((1, sqdist(a, b)) for a, b in zip(path, path[1:]))
 
 
 # path lengths are enclosed in integer multiples of 2**-_ROOT_BITS, which
@@ -371,8 +331,8 @@ _ROOT_BITS = 40
 
 
 class _MeasuredPath:
-    """A path with an exact or a rigorously enclosed length; _compare_roots
-    settles a comparison that neither decides."""
+    """A path with an exact or a rigorously enclosed length;
+    RadicalSum.compare settles a comparison that neither decides."""
 
     def __init__(self, path: list[GalleryPoint]):
         self.path = path
@@ -406,8 +366,8 @@ class _MeasuredPath:
             return False
         if self.hi < other.lo:
             return True
-        return _compare_roots(
-            [(1, n) for n in self.squares], [(1, n) for n in other.squares]
+        return RadicalSum((1, n) for n in self.squares).compare(
+            RadicalSum((1, n) for n in other.squares)
         ) < 0
 
 
@@ -467,7 +427,7 @@ def cat0_geodesic(dev: Development, f1: int, f2: int, max_len: int) -> GeodesicR
     """
     _require_metric_gate(dev)
     if f1 == f2:
-        zero = RadicalSum(0)
+        zero = RadicalSum()
         gallery = Gallery([f1], [], [dict(_BASE_CORNERS)], [])
         return GeodesicResult(zero, zero, gallery, [centroid(_BASE_CORNERS)], 0)
     table = dev.bfs_from(f2, max_len)
@@ -639,56 +599,7 @@ def _bound_sign(funnel: _Funnel, num: int, den: int, tail: int, path: _MeasuredP
     the funnel's path to its apex, then sqrt(num / den) from the apex to the
     portal, then sqrt(tail)."""
     bound = [(Fraction(1, den), num * den), (1, tail)] + [(1, square) for square in funnel[2]]
-    return _compare_roots(bound, [(1, square) for square in path.squares])
-
-
-def _compare_roots(xs: list[tuple[Fraction | int, int]], ys: list[tuple[Fraction | int, int]]) -> int:
-    """The sign of sum(a * sqrt(n)) over xs minus the same over ys, for
-    coefficients a > 0 and integers n >= 0.
-
-    Terms whose radicands multiply to a perfect square share a square-free
-    part, and are put in one class: sqrt(n) = r / m * sqrt(m) for the class's
-    first radicand m and r = isqrt(n * m).  Square roots of distinct
-    square-free integers are linearly independent over the rationals, so the
-    sums are equal exactly when their coefficients agree in every class;
-    otherwise enclosures of growing precision part them."""
-    classes: list[int] = []
-    forms = []
-    for terms in (xs, ys):
-        form: dict[int, Fraction | int] = {}
-        for a, n in terms:
-            if not n:
-                continue
-            for m in classes:
-                r = isqrt(n * m)
-                if r * r == n * m:
-                    break
-            else:
-                classes.append(n)
-                m = r = n
-            form[m] = form.get(m, 0) + a * Fraction(r, m)
-        forms.append(form)
-    if forms[0] == forms[1]:
-        return 0
-    bits = 2 * _ROOT_BITS
-    while True:
-        (xlo, xhi), (ylo, yhi) = (_enclose(form, bits) for form in forms)
-        if xlo > yhi:
-            return 1
-        if xhi < ylo:
-            return -1
-        bits *= 2
-
-
-def _enclose(form: dict[int, Fraction | int], bits: int) -> tuple[int, int]:
-    """lo <= 2**bits * sum(a * sqrt(m)) <= hi, for a > 0."""
-    lo = hi = 0
-    for m, a in form.items():
-        num, den = a.numerator, a.denominator
-        r = isqrt(m << 2 * bits)
-        lo += num * r // den
-        hi += -(-num * (r + 1) // den)
-    return lo, hi
+    return RadicalSum(bound).compare(RadicalSum((1, square) for square in path.squares))
 
 
 # one target's best gallery: measured path, gallery, crossings, inconclusive
@@ -730,10 +641,14 @@ def _descending_gallery(dev: Development, f1: int, to_goal: dict[int, int]) -> l
 
 
 def _gallery_path(dev: Development, faces: list[int]) -> _MeasuredPath:
-    gallery = unfold_gallery(dev, faces)
-    start = centroid(gallery.placements[0])
-    oriented = orient_portals(gallery, start)
-    return _MeasuredPath(funnel_path(oriented, start, centroid(gallery.placements[-1])))
+    """The funnel path through the gallery, unfolded as _search unfolds."""
+    placed = (_BASE_CORNERS[0], _BASE_CORNERS[1], _BASE_CORNERS[2])
+    oriented = []
+    for cur, nxt in zip(faces, faces[1:]):
+        s0, s1 = dev.letter_types[dev.edge_letter[dev.shared_edge(cur, nxt)]]
+        placed, portal = _step_across(placed, s0, s1, 3 - s0 - s1)
+        oriented.append(portal)
+    return _MeasuredPath(funnel_path(oriented, centroid(_BASE_CORNERS), centroid(placed)))
 
 
 def _search(

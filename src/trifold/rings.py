@@ -2,8 +2,9 @@
 
 Reflection matrices of the Euclidean triangle groups, unfolded triangle
 corners and squared distances all have coordinates of the form p + q*sqrt(3)
-with rational p, q.  Path lengths are finite sums of square roots of such
-values; RadicalSum keeps them exact and comparable.
+with rational p, q.  The gallery kernel puts unfolded corners at (X, Y*sqrt(3))
+with integer X and Y, so its path lengths are sums of square roots of
+integers; RadicalSum keeps them exact and comparable.
 """
 
 from __future__ import annotations
@@ -14,17 +15,6 @@ from fractions import Fraction
 
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _fraction_sqrt(f: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if f < 0:
-        return None
-    num = math.isqrt(f.numerator)
-    den = math.isqrt(f.denominator)
-    if num * num != f.numerator or den * den != f.denominator:
-        return None
-    return Fraction(num, den)
 
 
 class Q3:
@@ -118,42 +108,8 @@ class Q3:
             return 0
         return big_is_rational if self.p > 0 else -big_is_rational
 
-    def sqrt(self) -> Q3 | None:
-        """Nonnegative square root inside the field, or None if irrational."""
-        s = self.sign()
-        if s < 0:
-            return None
-        if s == 0:
-            return Q3(0, 0)
-        if self.q == 0:
-            u = _fraction_sqrt(_as_fraction(self.p))
-            if u is not None:
-                return Q3(u, 0)
-            v = _fraction_sqrt(_as_fraction(self.p) / 3)
-            if v is not None:
-                return Q3(0, v)
-            return None
-        t = _fraction_sqrt(_as_fraction(self.norm()))
-        if t is None:
-            return None
-        half = Fraction(1, 2)
-        for cand in ((self.p + t) * half, (self.p - t) * half):
-            u = _fraction_sqrt(cand)
-            if u is not None and u != 0:
-                v = self.q / (2 * u)
-                root = Q3(u, v)
-                if root * root == self:
-                    return root if root.sign() >= 0 else -root
-        return None
-
     def __float__(self):
         return float(self.p) + float(self.q) * math.sqrt(3.0)
-
-    def interval(self, prec: int) -> tuple[Fraction, Fraction]:
-        lo3, hi3 = _sqrt3_interval(prec)
-        if self.q >= 0:
-            return (self.p + self.q * lo3, self.p + self.q * hi3)
-        return (self.p + self.q * hi3, self.p + self.q * lo3)
 
 
 def _coerce(x) -> Q3:
@@ -164,212 +120,99 @@ def _coerce(x) -> Q3:
     raise TypeError(f"cannot coerce {type(x).__name__} into Q3")
 
 
-_SQRT3_CACHE: dict[int, tuple[Fraction, Fraction]] = {}
-
-
-def _sqrt3_interval(prec: int) -> tuple[Fraction, Fraction]:
-    got = _SQRT3_CACHE.get(prec)
-    if got is None:
-        scale = 1 << prec
-        root = math.isqrt(3 * scale * scale)
-        got = (Fraction(root, scale), Fraction(root + 1, scale))
-        _SQRT3_CACHE[prec] = got
-    return got
-
-
-def _sqrt_interval(lo: Fraction, hi: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of sqrt on a nonnegative rational interval."""
-    if lo < 0:
-        lo = Fraction(0)
-    scale = 1 << prec
-    nlo = math.isqrt((lo.numerator * scale * scale) // lo.denominator) if lo else 0
-    nhi = math.isqrt(-(-hi.numerator * scale * scale // hi.denominator)) + 1
-    return (Fraction(nlo, scale), Fraction(nhi, scale))
+# RadicalSum.compare first encloses both sums in integer multiples of
+# 2**-_FIRST_BITS, which parts nearly every pair of distinct lengths
+_FIRST_BITS = 80
 
 
 class RadicalSum:
-    """const + sum of signed square roots of Q(sqrt 3) values, kept canonical.
+    """sum(a * sqrt(n)) over the terms (a, n), for rational a >= 0 and
+    integers n >= 0; terms with a or n zero are dropped.
 
-    Radicands are pairwise inequivalent modulo field squares, so two values
-    are equal exactly when their representations coincide.  Strict comparison
-    refines rational interval enclosures until the two values separate, which
-    terminates because distinct exact reals eventually do.
+    Terms whose radicands multiply to a perfect square share a square-free
+    part, and compare and == put them in one class: sqrt(n) = r / m * sqrt(m)
+    for the class's first radicand m and r = isqrt(n * m).  Square roots of
+    distinct square-free integers are linearly independent over the
+    rationals, so two sums are equal exactly when their coefficients agree
+    in every class; otherwise enclosures of growing precision part them.
+    Radicands are never factored.  One value has many spellings (sqrt(8) is
+    2 * sqrt(2)), so the type is not hashable.
     """
 
-    __slots__ = ("const", "terms")
+    __slots__ = ("terms",)
+    __hash__ = None
 
-    def __init__(self, const: Q3 | int | Fraction = 0, terms=None):
-        self.const = _coerce(const)
-        self.terms: dict[Q3, int] = {}
-        if terms:
-            for z, s in terms.items():
-                self._insert(s, z)
+    def __init__(self, terms=()):
+        self.terms = tuple((a, n) for a, n in terms if a and n)
+        if any(a < 0 or n < 0 for a, n in self.terms):
+            raise ValueError("RadicalSum wants coefficients and radicands >= 0")
 
-    @classmethod
-    def sqrt_of(cls, z: Q3 | int | Fraction) -> RadicalSum:
-        out = cls()
-        out._insert(1, _coerce(z))
-        return out
+    def _forms(self, other: RadicalSum) -> list[dict[int, Fraction]]:
+        """Both sums as {class radicand: coefficient}, over shared classes."""
+        classes: list[int] = []
+        forms = []
+        for terms in (self.terms, other.terms):
+            form: dict[int, Fraction] = {}
+            for a, n in terms:
+                for m in classes:
+                    r = math.isqrt(n * m)
+                    if r * r == n * m:
+                        break
+                else:
+                    classes.append(n)
+                    m = r = n
+                form[m] = form.get(m, 0) + a * Fraction(r, m)
+            forms.append(form)
+        return forms
 
-    def _insert(self, sign: int, z: Q3) -> None:
-        if sign == 0 or z.is_zero():
-            return
-        if z.sign() < 0:
-            raise ValueError("negative radicand")
-        root = z.sqrt()
-        if root is not None:
-            self.const = self.const + (root if sign > 0 else -root)
-            return
-        for w in list(self.terms):
-            ratio = z / w
-            s = ratio.sqrt()
-            if s is not None:
-                # sigma*sqrt(z) + tau*sqrt(w) = (sigma*s + tau)*sqrt(w)
-                coeff = (s if sign > 0 else -s) + (1 if self.terms[w] > 0 else -1)
-                del self.terms[w]
-                csign = coeff.sign()
-                if csign != 0:
-                    self._insert(csign, coeff * coeff * w)
-                return
-        self.terms[z] = sign
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Q3)):
-            other = RadicalSum(other)
-        out = RadicalSum(self.const + other.const, dict(self.terms))
-        for z, s in other.terms.items():
-            out._insert(s, z)
-        return out
-
-    def __neg__(self):
-        return RadicalSum(-self.const, {z: -s for z, s in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Q3)):
-            other = RadicalSum(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Q3)):
-            other = RadicalSum(other)
-        out = RadicalSum(self.const * other.const)
-        for z, s in other.terms.items():
-            _insert_scaled(out, self.const, s, z)
-        for z, s in self.terms.items():
-            _insert_scaled(out, other.const, s, z)
-        for z1, s1 in self.terms.items():
-            for z2, s2 in other.terms.items():
-                out._insert(s1 * s2, z1 * z2)
-        return out
-
-    def squared(self) -> RadicalSum:
-        return self * self
-
-    def is_field_element(self) -> bool:
-        return not self.terms
-
-    def as_field_element(self) -> Q3:
-        if self.terms:
-            raise ValueError("value has irrational square-root terms")
-        return self.const
+    def compare(self, other: RadicalSum) -> int:
+        """The sign of self minus other."""
+        forms = self._forms(other)
+        if forms[0] == forms[1]:
+            return 0
+        bits = _FIRST_BITS
+        while True:
+            (xlo, xhi), (ylo, yhi) = (_bounds(form, bits) for form in forms)
+            if xlo > yhi:
+                return 1
+            if xhi < ylo:
+                return -1
+            bits *= 2
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Q3)):
-            other = RadicalSum(other)
         if not isinstance(other, RadicalSum):
             return NotImplemented
-        return self.const == other.const and self.terms == other.terms
+        forms = self._forms(other)
+        return forms[0] == forms[1]
 
-    def __hash__(self):
-        return hash((self.const, frozenset(self.terms.items())))
+    def squared(self) -> RadicalSum:
+        terms = self.terms
+        return RadicalSum(
+            [(a * a * n, 1) for a, n in terms]
+            + [(2 * a * b, n * m) for i, (a, n) in enumerate(terms) for b, m in terms[i + 1:]]
+        )
 
-    def interval(self, prec: int) -> tuple[Fraction, Fraction]:
-        lo, hi = self.const.interval(prec)
-        for z, s in self.terms.items():
-            zlo, zhi = z.interval(prec)
-            rlo, rhi = _sqrt_interval(zlo, zhi, prec)
-            if s > 0:
-                lo, hi = lo + rlo, hi + rhi
-            else:
-                lo, hi = lo - rhi, hi - rlo
-        return lo, hi
+    def __mul__(self, c):
+        """The sum scaled by a rational c >= 0."""
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        return RadicalSum((c * a, n) for a, n in self.terms)
 
-    def compare(self, other) -> int:
-        if isinstance(other, (int, Fraction, Q3)):
-            other = RadicalSum(other)
-        if self == other:
-            return 0
-        fast = _compare_fast(self, other)
-        if fast is not None:
-            return fast
-        prec = 16
-        while prec <= 1 << 14:
-            alo, ahi = self.interval(prec)
-            blo, bhi = other.interval(prec)
-            if ahi < blo:
-                return -1
-            if bhi < alo:
-                return 1
-            prec *= 2
-        raise RuntimeError("interval refinement failed to separate values")
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def sign(self) -> int:
-        return self.compare(RadicalSum(0))
-
-    def __float__(self):
-        value = float(self.const)
-        for z, s in self.terms.items():
-            value += s * math.sqrt(float(z))
-        return value
+    __rmul__ = __mul__
 
     def __repr__(self):
-        return f"RadicalSum({float(self):.6f})"
+        return f"RadicalSum({list(self.terms)})"
 
 
-def _insert_scaled(out: RadicalSum, coeff: Q3, sign: int, z: Q3) -> None:
-    """Add coeff * sign * sqrt(z) to out."""
-    cs = coeff.sign()
-    if cs == 0:
-        return
-    out._insert(sign * cs, coeff * coeff * z)
-
-
-def _compare_fast(a: RadicalSum, b: RadicalSum) -> int | None:
-    """Square-root-free comparison for the common one-term shapes."""
-    if not a.terms and not b.terms:
-        return (a.const - b.const).sign()
-    if a.const == b.const and len(a.terms) == 1 and len(b.terms) == 1:
-        (za, sa), = a.terms.items()
-        (zb, sb), = b.terms.items()
-        if sa == sb:
-            diff = (za - zb).sign()
-            return diff if sa > 0 else -diff
-        return 1 if sa > 0 else -1
-    if not a.terms and len(b.terms) == 1:
-        flipped = _compare_const_vs_sqrt(a.const - b.const, *next(iter(b.terms.items())))
-        return flipped
-    if not b.terms and len(a.terms) == 1:
-        got = _compare_const_vs_sqrt(b.const - a.const, *next(iter(a.terms.items())))
-        return None if got is None else -got
-    return None
-
-
-def _compare_const_vs_sqrt(c: Q3, z: Q3, sign: int) -> int | None:
-    """Sign of c - sign*sqrt(z), exact via one squaring."""
-    cs = c.sign()
-    if sign > 0:
-        if cs <= 0:
-            return -1 if z.sign() > 0 or cs < 0 else 0
-        return (c * c - z).sign()
-    if cs >= 0:
-        return 1 if z.sign() > 0 or cs > 0 else 0
-    return -(c * c - z).sign()
+def _bounds(form: dict[int, Fraction], bits: int) -> tuple[int, int]:
+    """lo <= 2**bits * sum(a * sqrt(m)) <= hi over form's items (m, a)."""
+    lo = hi = 0
+    for m, a in form.items():
+        num, den = a.numerator, a.denominator
+        r = math.isqrt(m << 2 * bits)
+        lo += num * r // den
+        hi += -(-num * (r + 1) // den)
+    return lo, hi
 
 
 # -- planar points and vectors ------------------------------------------------

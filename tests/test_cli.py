@@ -88,6 +88,15 @@ def test_verify_all_suites(built, capsys):
     assert manifest["stabilization_radius"] == 4
 
 
+def test_verify_catacomb_at_radius_zero(tmp_path, capsys):
+    # the default pair radius is one below the ball's, but never below 0
+    out = tmp_path / "r0"
+    assert main(["build", "d333", "--radius", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), "--suite", "catacomb"]) == 0
+    assert capsys.readouterr().out == "catacomb: pass (crossing counts equal ball distances on 0 pairs (radius 0))\n"
+
+
 def test_verify_gated_catacomb(tmp_path, capsys):
     out = tmp_path / "d244"
     assert main(["build", "d244", "--radius", "4", "--out", str(out)]) == 0
@@ -295,6 +304,16 @@ def _radius_raised(doc):
     doc["radius"] = 12
 
 
+def _negative_radius(doc):
+    """The ball cut to its faces within distance 2, which is radius + margin
+    - 1 for d333 at radius -1, under that radius."""
+    n = sum(d <= 2 for d in doc["dist"])
+    doc["dist"] = doc["dist"][:n]
+    for name in ("face_edges", "face_slots", "face_vertices", "face_elements"):
+        doc[name] = doc[name][:3 * n]
+    doc["radius"] = -1
+
+
 def _wrong_margin(doc):
     """d333 has delta 3, so its margin is 4."""
     doc["margin"] = 9
@@ -460,6 +479,7 @@ def _format_1(doc):
         ("development.json", _element_changed),
         ("development.json", _vertex_merged),
         ("development.json", _radius_raised),
+        ("development.json", _negative_radius),
         ("development.json", _format_1),
         ("development.json", _format_2),
         ("development.json", _format_3),
@@ -500,6 +520,7 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
         _element_changed: "face_elements: face 4 breaks the crossing rule on edge 3",
         _vertex_merged: "face_elements: face 234 repeats an element of vertex 1's chart",
         _radius_raised: "radius: the faces reach distance 12, short of radius + margin - 1 = 15",
+        _negative_radius: "radius: -1 is negative",
     }
     if content in expected:
         assert expected[content] in err

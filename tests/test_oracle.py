@@ -17,27 +17,29 @@ from trifold.oracle import (
     count_crossings,
     funnel_path,
     isometry_ball,
-    orient_portals,
     path_length,
     reflection_generators,
-    unfold_gallery,
     centroid,
     area2,
     on_segment,
     segment_point_sqdist,
     source_geodesics,
     sqdist,
+    _BASE_CORNERS,
     _MeasuredPath,
     _ROOT_BITS,
     _check_path_in_sleeve,
     _geodesic_result,
     _require_metric_gate,
     _segment_crosses,
-    _unfold_step,
+    _step_across,
 )
 from trifold import oracle, rings
 from trifold.rings import Q3, RadicalSum
 from trifold.samples import load_sample
+
+import q3_radicals
+from q3_radicals import reference
 
 
 # -- the per-pair reference search ------------------------------------------------
@@ -46,6 +48,46 @@ from trifold.samples import load_sample
 # gallery search (oracle._search, behind cat0_geodesic and source_geodesics)
 # is compared against.  It prunes with its own exact bound: a branch dies
 # once the distance from the start to its entry portal exceeds the best path.
+# It unfolds each gallery whole, into placements by vertex type, and orients
+# the portals afterwards from the apexes on either side.
+
+
+def _unfold_step(dev, placed, cur, nxt):
+    """The edge shared by faces cur and nxt, the placement of nxt reflected
+    across it, and the portal between the two faces."""
+    edge = dev.shared_edge(cur, nxt)
+    if edge is None:
+        raise OracleError(f"faces {cur} and {nxt} share no edge")
+    s0, s1 = dev.letter_types[dev.edge_letter[edge]]
+    beyond, _ = _step_across(placed, s0, s1, 3 - s0 - s1)
+    va, vb = dev.edge_ends[2 * edge:2 * edge + 2]
+    return edge, dict(enumerate(beyond)), (placed[s0], placed[s1], va, vb)
+
+
+def unfold_gallery(dev, faces):
+    """Place the gallery in the plane as glued unit equilateral triangles."""
+    placements = [dict(_BASE_CORNERS)]
+    edges = []
+    portals = []
+    for cur, nxt in zip(faces, faces[1:]):
+        edge, placed, portal = _unfold_step(dev, placements[-1], cur, nxt)
+        edges.append(edge)
+        placements.append(placed)
+        portals.append(portal)
+    return Gallery(list(faces), edges, placements, portals)
+
+
+def orient_portals(gallery):
+    """Order each portal's endpoints as (left, right) seen along the walk."""
+    oriented = []
+    for i, (a, b, _va, _vb) in enumerate(gallery.portals):
+        apex_before = next(p for p in gallery.placements[i].values() if p != a and p != b)
+        apex_after = next(p for p in gallery.placements[i + 1].values() if p != a and p != b)
+        if area2(apex_before, apex_after, a) > 0:
+            oriented.append((a, b))
+        else:
+            oriented.append((b, a))
+    return oriented
 
 
 def _extend_gallery(dev, gallery, nxt):
@@ -61,8 +103,8 @@ def _extend_gallery(dev, gallery, nxt):
 def _exceeded_by(path, q):
     """Whether sqrt(q) is longer than the measured path, for rational q >= 0.
 
-    Reads _ROOT_BITS and _compare_roots off the oracle module, so the tests
-    that patch them reach this too."""
+    Reads _ROOT_BITS off the oracle module and compares through
+    rings.RadicalSum.compare, so the tests that patch them reach this too."""
     num, den = q.numerator, q.denominator
     if path.square is not None:
         return num * path.square[1] > path.square[0] * den
@@ -72,8 +114,8 @@ def _exceeded_by(path, q):
     if num < path.lo * path.lo * den:
         return False
     # sqrt(q) = sqrt(numerator * den) / den; num is shifted by now
-    return oracle._compare_roots(
-        [(Fraction(1, den), q.numerator * den)], [(1, n) for n in path.squares]
+    return RadicalSum([(Fraction(1, den), q.numerator * den)]).compare(
+        RadicalSum((1, n) for n in path.squares)
     ) > 0
 
 
@@ -107,7 +149,7 @@ def reference_geodesic(dev, f1, f2, max_len) -> GeodesicResult:
     _require_metric_gate(dev)
     if f1 == f2:
         g = unfold_gallery(dev, [f1])
-        zero = RadicalSum(0)
+        zero = RadicalSum()
         return GeodesicResult(zero, zero, g, [centroid(g.placements[0])], 0)
     # a face read below is at most max_len - 2 steps from the goal
     dist_to_goal = dev.bfs_from(f2, max_len)
@@ -122,7 +164,7 @@ def reference_geodesic(dev, f1, f2, max_len) -> GeodesicResult:
         cur = walk[-1]
         if cur == f2:
             # a walk that holds f2 cannot reach it again, so it ends here
-            oriented = orient_portals(gallery, start)
+            oriented = orient_portals(gallery)
             path = _MeasuredPath(funnel_path(oriented, start, centroid(gallery.placements[-1])))
             if best is None or path.shorter_than(best[0]):
                 _check_path_in_sleeve(path.path, oriented)
@@ -263,10 +305,10 @@ def test_unfolding_consecutive_triangles_share_edges(dev333):
 
 def test_cat0_same_face_and_adjacent(dev333):
     same = cat0_geodesic(dev333, 0, 0, 3)
-    assert same.crossings == 0 and same.length == RadicalSum(0)
+    assert same.crossings == 0 and same.length == RadicalSum()
     adj = cat0_geodesic(dev333, 0, 1, 6)
     assert adj.crossings == 1
-    assert adj.squared_length.as_field_element() == Q3(Fraction(1, 3))
+    assert adj.squared_length == RadicalSum([(Fraction(1, 3), 1)])
 
 
 def test_cat0_flat_distances_are_straight_lines(dev333):
@@ -281,10 +323,8 @@ def test_cat0_flat_distances_are_straight_lines(dev333):
         assert result.crossings == d
         assert not result.inconclusive
         assert len(result.path) >= 2
-        straight = RadicalSum.sqrt_of(
-            sqdist(centroid(result.gallery.placements[0]),
-                   centroid(result.gallery.placements[-1]))
-        ) * Fraction(1, 6)
+        straight = RadicalSum([(Fraction(1, 6), sqdist(centroid(result.gallery.placements[0]),
+                                                      centroid(result.gallery.placements[-1])))])
         assert result.length.compare(straight) == 0
 
 
@@ -304,7 +344,9 @@ def test_cat0_length_monotone_in_distance(dev333):
 
 def test_funnel_against_visibility_graph_oracle(dev333):
     # brute-force shortest path over sleeve corners, admissibility checked
-    # per portal, independently of the funnel
+    # per portal, independently of the funnel, in the reference sums
+    RadicalSum = q3_radicals.RadicalSum
+
     def brute(portals, s, t):
         nodes = [("s", s)] + [
             (i, p) for i, pair in enumerate(portals) for p in pair
@@ -350,10 +392,10 @@ def test_funnel_against_visibility_graph_oracle(dev333):
         for gallery in enumerate_galleries(dev333, 0, f2, dev333.dist[f2] + 2)[:6]:
             s = centroid(gallery.placements[0])
             t = centroid(gallery.placements[-1])
-            oriented = orient_portals(gallery, s)
+            oriented = orient_portals(gallery)
             fast = path_length(funnel_path(oriented, s, t))
             slow = brute(oriented, s, t)
-            assert fast.compare(slow) == 0
+            assert reference(fast).compare(slow) == 0
 
 
 def test_catacomb_small_radius():
@@ -580,14 +622,14 @@ def test_measured_path_comparisons_match_radical_sums(monkeypatch, bits):
     # breakpoints; no enclosure parts the two, so the exact fallback decides.
     # Two-bit enclosures also send near misses and _exceeded_by there.
     calls = []
-    compare_roots = oracle._compare_roots
+    compare = RadicalSum.compare
 
     def counted(xs, ys):
-        calls.append(xs)
-        return compare_roots(xs, ys)
+        calls.append(xs.terms)
+        return compare(xs, ys)
 
     monkeypatch.setattr(oracle, "_ROOT_BITS", bits)
-    monkeypatch.setattr(oracle, "_compare_roots", counted)
+    monkeypatch.setattr(RadicalSum, "compare", counted)
     rng = random.Random(3141 + bits)
     ties = 0
     for _ in range(800):
@@ -598,7 +640,7 @@ def test_measured_path_comparisons_match_radical_sums(monkeypatch, bits):
         else:
             steps = _random_steps(rng)
         b = _MeasuredPath(_path_of(rng, steps))
-        la, lb = path_length(a.path), path_length(b.path)
+        la, lb = reference(path_length(a.path)), reference(path_length(b.path))
         ties += la.compare(lb) == 0
         assert a.shorter_than(b) == (la.compare(lb) < 0)
         assert b.shorter_than(a) == (lb.compare(la) < 0)
@@ -607,7 +649,7 @@ def test_measured_path_comparisons_match_radical_sums(monkeypatch, bits):
             # squared lengths inside the enclosure, which only the fallback parts
             qs += [Fraction(x * y, 1 << 2 * bits) for x, y in ((a.lo, a.lo), (a.lo, a.hi), (a.hi, a.hi))]
         for q in qs:
-            assert _exceeded_by(a, q) == (RadicalSum.sqrt_of(q).compare(la) > 0), (a.path, q)
+            assert _exceeded_by(a, q) == (q3_radicals.RadicalSum.sqrt_of(q).compare(la) > 0), (a.path, q)
     assert ties > 200
     # _exceeded_by passes its rational as the only term with a fraction
     from_exceeded = sum(isinstance(xs[0][0], Fraction) for xs in calls)
@@ -620,21 +662,21 @@ def test_exceeded_by_with_a_large_prime_radicand(monkeypatch):
     # fallback classes radicands by perfect-square products, never by
     # factoring, so it returns at once
     calls = []
-    compare_roots = oracle._compare_roots
+    compare = RadicalSum.compare
 
     def counted(xs, ys):
-        calls.append(xs)
-        return compare_roots(xs, ys)
+        calls.append(xs.terms)
+        return compare(xs, ys)
 
-    monkeypatch.setattr(oracle, "_compare_roots", counted)
+    monkeypatch.setattr(RadicalSum, "compare", counted)
     x = 1099511627858
     path = _MeasuredPath([(0, 0), (x, 5), (x + 1, 5)])
     assert path.squares == [x * x + 75, 1] and path.squares[0].bit_length() == 81
-    length = path_length(path.path)
+    length = reference(path_length(path.path))
     start = time.perf_counter()
     # squared lengths at and inside the enclosure, which only the fallback parts
     for a, b in ((path.lo, path.lo), (path.lo, path.hi), (path.hi, path.hi)):
         q = Fraction(a * b, 1 << 2 * _ROOT_BITS)
-        assert _exceeded_by(path, q) == (RadicalSum.sqrt_of(q).compare(length) > 0), q
+        assert _exceeded_by(path, q) == (q3_radicals.RadicalSum.sqrt_of(q).compare(length) > 0), q
     assert time.perf_counter() - start < 1
     assert len(calls) == 3

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,9 @@ from trifold.rings import (
     segment_point_sqdist,
     sqdist,
 )
+
+import q3_radicals
+from q3_radicals import q3_sqrt, reference
 
 
 def rand_q3(rng, span=8):
@@ -50,21 +54,25 @@ def test_sign_matches_float():
     assert (-tiny).sign() == -1
 
 
+# -- the Q(sqrt 3) reference sums of tests/q3_radicals.py -------------------------
+
+
 def test_exact_square_roots_in_field():
-    assert Q3(4).sqrt() == Q3(2)
-    assert Q3(12).sqrt() == Q3(0, 2)  # sqrt(12) = 2*sqrt(3)
-    assert Q3(7, 4).sqrt() == Q3(2, 1)  # (2 + sqrt3)^2 = 7 + 4 sqrt3
-    assert Q3(2, 1).sqrt() is None
-    assert Q3(-1).sqrt() is None
+    assert q3_sqrt(Q3(4)) == Q3(2)
+    assert q3_sqrt(Q3(12)) == Q3(0, 2)  # sqrt(12) = 2*sqrt(3)
+    assert q3_sqrt(Q3(7, 4)) == Q3(2, 1)  # (2 + sqrt3)^2 = 7 + 4 sqrt3
+    assert q3_sqrt(Q3(2, 1)) is None
+    assert q3_sqrt(Q3(-1)) is None
     rng = random.Random(3)
     for _ in range(100):
         a = rand_q3(rng)
         sq = a * a
-        root = sq.sqrt()
+        root = q3_sqrt(sq)
         assert root is not None and root * root == sq and root.sign() >= 0
 
 
 def test_radical_sum_combines_equivalent_radicands():
+    RadicalSum = q3_radicals.RadicalSum
     # sqrt(2+sqrt3) + sqrt(8+4 sqrt3) = 3 sqrt(2+sqrt3) = sqrt(18+9 sqrt3)
     a = RadicalSum.sqrt_of(Q3(2, 1)) + RadicalSum.sqrt_of(Q3(8, 4))
     assert a == RadicalSum.sqrt_of(Q3(18, 9))
@@ -74,6 +82,7 @@ def test_radical_sum_combines_equivalent_radicands():
 
 
 def test_radical_sum_compare_and_identities():
+    RadicalSum = q3_radicals.RadicalSum
     rng = random.Random(4)
     values = [Q3(2, 1), Q3(5, 0), Q3(1, 0), Q3(6, 3), Q3(11, 6)]
     for _ in range(100):
@@ -99,6 +108,76 @@ def test_radical_sum_compare_and_identities():
     # (sqrt a - sqrt a) vanishes structurally
     z = RadicalSum.sqrt_of(Q3(2, 1)) - RadicalSum.sqrt_of(Q3(2, 1))
     assert z == RadicalSum(0)
+
+
+# -- integer-radicand sums against the reference -----------------------------------
+
+
+def _random_root_sum(rng):
+    """Up to four terms a * sqrt(n), zero coefficients and radicands among
+    them; radicands share square-free parts often, so classes merge."""
+    terms = []
+    for _ in range(rng.randrange(5)):
+        a = Fraction(rng.randrange(4), rng.randrange(1, 4))
+        n = rng.choice((0, 1, 2, 3, 5, 6, 7)) * rng.choice((1, 1, 4, 9, 12))
+        terms.append((a, n))
+    return RadicalSum(terms)
+
+
+def test_radical_sum_matches_reference_on_random_sums():
+    rng = random.Random(15)
+    ties = 0
+    for _ in range(1500):
+        x, y = _random_root_sum(rng), _random_root_sum(rng)
+        rx, ry = reference(x), reference(y)
+        got = x.compare(y)
+        assert got == rx.compare(ry), (x, y)
+        assert y.compare(x) == -got
+        assert (x == y) == (rx == ry) == (got == 0), (x, y)
+        ties += got == 0
+        assert reference(x.squared()) == rx.squared(), x
+        c = Fraction(rng.randrange(5), rng.randrange(1, 5))
+        assert reference(x * c) == rx * c == reference(c * x), (x, c)
+    assert ties > 100
+
+
+def test_radical_sum_equal_under_other_radicands():
+    assert RadicalSum([(1, 8)]) == RadicalSum([(2, 2)])
+    assert RadicalSum([(1, 8)]).compare(RadicalSum([(2, 2)])) == 0
+    assert RadicalSum([(1, 12), (1, 3)]) == RadicalSum([(1, 27)])
+    assert RadicalSum([(1, 12), (1, 3)]).compare(RadicalSum([(1, 27)])) == 0
+    # perfect squares are rationals: sqrt(4) + sqrt(9) = 5 * sqrt(1)
+    assert RadicalSum([(1, 4), (1, 9)]) == RadicalSum([(5, 1)])
+    # terms with a zero coefficient or radicand are zero
+    assert RadicalSum([(0, 5), (3, 0)]) == RadicalSum()
+    assert RadicalSum([(0, 5), (1, 2)]).compare(RadicalSum([(1, 2)])) == 0
+    assert RadicalSum([(1, 2)]).compare(RadicalSum()) == 1
+    assert RadicalSum([(1, 2)]).squared() == RadicalSum([(2, 1)])
+    assert RadicalSum([(1, 2), (1, 8)]).squared() == RadicalSum([(18, 1)])
+    with pytest.raises(TypeError):
+        hash(RadicalSum())
+    with pytest.raises(ValueError):
+        RadicalSum([(-1, 2)])
+
+
+def test_radical_sum_with_a_large_prime_radicand():
+    # an 81-bit prime radicand and the rationals that enclose its root
+    # closest at 80 bits: only a finer enclosure parts them, and the classes
+    # are found by perfect-square products, never by factoring
+    p = 1099511627858 ** 2 + 75
+    r = math.isqrt(p << 160)
+    below = RadicalSum([(Fraction(r, 1 << 80), 1)])
+    above = RadicalSum([(Fraction(r + 1, 1 << 80), 1)])
+    root = RadicalSum([(1, p)])
+    start = time.perf_counter()
+    assert root.compare(below) == 1 and below.compare(root) == -1
+    assert root.compare(above) == -1
+    assert RadicalSum([(1, p), (1, 4 * p)]) == RadicalSum([(3, p)])
+    assert RadicalSum([(1, p), (1, 4 * p)]).compare(RadicalSum([(1, 9 * p), (1, 1)])) == -1
+    assert root.squared() == RadicalSum([(p, 1)])
+    assert time.perf_counter() - start < 1
+    assert reference(root).compare(reference(below)) == 1
+    assert reference(root).compare(reference(above)) == -1
 
 
 def test_point_predicates():

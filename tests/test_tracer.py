@@ -35,6 +35,8 @@ def test_tracer_runs_build_and_verify(tmp_path):
     assert counts["development.vertices"] == len(dev.vert_type)
     verify = _traced(tmp_path, "verify", "verify", str(ball), "--suite", "cor1")
     assert verify["counts"]["development.import_calls"] == 1
-    # the oracle names it wraps resolve, and the catacomb entry point is hit
+    # the oracle names it wraps resolve, the catacomb entry point is hit, and
+    # the gallery search's exact length comparisons go through RadicalSum
     catacomb = _traced(tmp_path, "catacomb", "verify", str(ball), "--suite", "catacomb", "--radius", "1")
     assert catacomb["counts"]["oracle.catacomb_calls"] == 1
+    assert catacomb["counts"]["rings.compare_calls"] == 9

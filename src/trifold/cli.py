@@ -285,7 +285,10 @@ def _suite_catacomb(dev: Development, radius: int | None, maxlen: int | None) ->
     use_radius = radius if radius is not None else max(0, min(4, dev.radius - 1))
     report = catacomb_check(dev, use_radius, maxlen)
     if report.ok:
-        return Verdict("pass", f"crossing counts equal ball distances on {report.pairs_checked} pairs (radius {use_radius})")
+        reach = f"radius {use_radius}"
+        if report.pairs_checked and report.farthest < use_radius:
+            reach = f"radius {report.farthest}; no pair is farther apart"
+        return Verdict("pass", f"crossing counts equal ball distances on {report.pairs_checked} pairs ({reach})")
     return Verdict("fail", f"{len(report.failures)} crossing mismatches, {len(report.inconclusive)} inconclusive")
 
 

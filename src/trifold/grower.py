@@ -1,12 +1,43 @@
-"""Growing balls of the triangle complex by link closure and folding.
+"""Growing balls of the triangle complex by link closure.
 
 Faces of the complex correspond to group elements; the base face is the
 identity.  Each edge carries a letter and k face slots indexed mod k, and
 crossing from slot i to slot i' multiplies on the right by that letter to the
 power i'-i.  Each vertex carries a partial chart of the faces around it into
-its vertex group; the chart propagates across edge crossings by right
-multiplication, and whenever two face ids receive the same chart value at one
-vertex they are folded together.
+its vertex group, and its inverse, from chart value to face.  Growth
+saturates open edges, and the charts say at creation time what each slot
+needs, so a face is made only where no chart knows it (the define-versus-
+deduce choice of coset enumeration, Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, ch. 5).  Each deduction is an identification
+that the closure below would make anyway:
+
+- The face in a slot.  The chart values at the edge's two ends of a face
+  on it, crossed to the empty slot, are those of the face that belongs
+  there.  If either chart already holds that value, at face h, then h goes
+  in the slot and its own edge of the letter is folded with this one: a
+  fresh face would be charted with that value and folded into h in the same
+  settle.
+- The other two edges and the third corner of a new face.  The face is
+  charted at the edge's ends at once.  At the end it shares with each other
+  edge, a charted face in the same coset of that letter's generator lies
+  on that edge, and the new face goes in the slot the crossing rule gives,
+  with its third corner and chart value there taken from the found face.
+  This is done only when the edge holds a face below the budget: such an
+  edge is saturated before `grow` returns, and the face it gets in that slot
+  has the new face's chart value, so the closure folds them.  Provisional
+  distances only drop, so an edge below the budget now is below it then.
+- Edges of the outer layer, whose faces are all at the budget, are left
+  alone, since the closure never saturates them: at k = 5 an identification
+  made across them would change the kept bytes (see below).
+
+On every sample ball measured, f155_333 at radius 0 included, these
+deductions make every identification: no fold runs, and the grower
+allocates exactly the faces, edges and vertices it keeps
+(tests/test_development.py checks this on f21_333 at radius 4 and d444 at
+radius 8).  The folds below stay as the backstop, and whatever is made
+fresh where the charts cannot tell is folded away as before;
+tests/test_development.py grows every sample with the deductions switched
+off and gets the same bytes.
 
 The margin, one more than delta, the largest local-link diameter, has two
 jobs.  It is the growth budget: closure runs to a fixed point within radius +
@@ -35,8 +66,8 @@ out to radius + margin - 1 = radius + delta, since no reader goes farther:
   (the half-girth-2 samples gate catacomb off).
 
 The outer layer at radius + margin is grown but never stored, and it still
-cannot go: folds made while growing it merge edges and vertices of the kept
-faces.  At k = 5, f155_333 (tests/test_development.py) grown at radius 0 to
+cannot go: identifications made while growing it merge edges and vertices
+of the kept faces.  At k = 5, f155_333 (tests/test_development.py) grown at radius 0 to
 radius + delta, one layer short, keeps its 4,579 faces and their distances
 but ends with 8,445 edges and 3,867 vertices, where the full budget gives
 8,013 and 3,435.  At k <= 3 the two budgets give equal bytes on all five
@@ -48,21 +79,26 @@ chart and every edge in each round, so the finalized ball is the same:
 
 - A vertex's chart is closed under the crossings of its faces' edges except
   at the faces it is marked dirty with, and propagation expands only from
-  those.  Saturating an edge or folding two edges marks one face on that
-  edge at both its ends, which reaches the others across it; folding a face
-  into another marks the survivor where it took over the folded face's
-  chart value.  A new vertex is charted at its one face when it is made.
+  those.  A new face is charted at its corners when it is made, which keeps
+  the charts closed; a new vertex is charted at its one face.  Folding two
+  edges marks the shared face at both ends, which reaches the others across
+  it, and placing a known face in a slot also marks the edge's seed there;
+  folding a face into another marks the survivor where it took over the
+  folded face's chart value.
 - A vertex fold merges the two charts by the left translation that agrees on
   a face they share; a chart value met twice queues a face fold.  Without a
   shared face the smaller chart is dropped, and propagation from the dirty
   faces recharts its faces in the larger chart's frame.
 - Chart keys are re-rooted when a face folds, at the folded face's corners,
-  which are the only vertices that chart it.  The open edges are kept as a
-  frontier in ascending order, so a round scans only those.
+  which are the only vertices that chart it, and the inverse charts are
+  kept in step at every insert, fold and re-key.  The open edges are kept as
+  a frontier in ascending order, so a round scans only those.
 - Provisional distances only drop.  A face fold keeps the smaller; an edge
-  fold lowers its faces to one more than the least among them; after the
-  closure settles, a breadth-first pass from the lowered faces makes every
-  distance exact again before the next round reads them.
+  fold lowers its faces to one more than the least among them; a known face
+  placed in a slot, or a new face placed on a known edge, queues the faces
+  from which its new neighbours' distances may drop; after the closure
+  settles, a breadth-first pass from the lowered faces makes every distance
+  exact again before the next round reads them.
 """
 
 from __future__ import annotations
@@ -114,6 +150,9 @@ class _Grower:
                     powers.append(group.mult[powers[-1]][g])
                 table.append((letter, powers))
             self.gen_pow.append(table)
+        # the same powers by vertex type and letter, None where the letter
+        # does not meet the type
+        self.pow_of = [[dict(table).get(letter) for letter in range(3)] for table in self.gen_pow]
 
         self.f_edge: list[int] = []
         self.f_slot: list[int] = []
@@ -128,6 +167,7 @@ class _Grower:
 
         self.v_type: list[int] = []
         self.v_chart: list[dict[int, int] | None] = []
+        self.v_inv: list[dict[int, int] | None] = []  # chart value -> a face holding it
         self.uf_v: list[int] = []
 
         self.face_q: deque[tuple[int, int]] = deque()
@@ -165,6 +205,7 @@ class _Grower:
         v = len(self.uf_v)
         self.v_type.append(vtype)
         self.v_chart.append({face: 0})
+        self.v_inv.append({0: face})
         self.uf_v.append(v)
         return v
 
@@ -191,45 +232,164 @@ class _Grower:
 
     # -- closure -----------------------------------------------------------
 
-    def _saturate_edge(self, e: int, near: int) -> None:
-        """Fill e's empty slots with new faces at distance near + 1."""
-        k, uf_f, uf_v, slots = self.k, self.uf_f, self.uf_v, self.e_slots
+    def _saturate_edge(self, e: int, seed: int, js: int, budget: int) -> None:
+        """Fill e's empty slots.  seed, in slot js, is a face on e of least
+        provisional distance.  Crossed to an empty slot, seed's chart values
+        at e's ends are those of the face the slot needs: a face either chart
+        already holds there is placed in the slot, and its own edge of e's
+        letter is folded with e; otherwise a new face at distance one more
+        than seed's is made and charted there, with its other edges and its
+        third corner taken from the charts where they are known."""
+        k, uf_f, uf_e, uf_v = self.k, self.uf_f, self.uf_e, self.uf_v
+        slots, f_edge = self.e_slots, self.f_edge
         letter = self.e_letter[e]
         t1, t2 = LETTER_TYPES[letter]
-        third_type = 3 - t1 - t2
         a = _find(uf_v, self.e_ends[2 * e])
         b = _find(uf_v, self.e_ends[2 * e + 1])
         self.e_ends[2 * e:2 * e + 2] = a, b
+        groups = self.spec.vertex_groups
+        inv_a, inv_b = self.v_inv[a], self.v_inv[b]
+        row_a = groups[t1].mult[self.v_chart[a][seed]]
+        row_b = groups[t2].mult[self.v_chart[b][seed]]
+        pow_a, pow_b = self.pow_of[t1][letter], self.pow_of[t2][letter]
+        near = self.f_prov[seed] + 1
         x = k * e
-        # one face on e reaches every other across e, the new ones too
-        seed = next(f for f in slots[x:x + k] if f != -1)
-        self._mark_dirty(a, seed)
-        self._mark_dirty(b, seed)
         for j in range(k):
             if slots[x + j] != -1:
                 continue
-            face = self._new_face(near + 1)
-            self._attach(face, letter, e, j)
-            corners = [-1, -1, -1]
-            corners[t1], corners[t2] = a, b
-            corners[third_type] = self._new_vertex(third_type, face)
-            self.f_vert[3 * face:3 * face + 3] = corners
-            for other in range(3):
-                if other != letter:
-                    o1, o2 = LETTER_TYPES[other]
-                    self._attach(face, other, self._new_edge(other, corners[o1], corners[o2]), 0)
+            p = (j - js) % k
+            va, vb = row_a[pow_a[p]], row_b[pow_b[p]]
+            h, h2 = inv_a.get(va), inv_b.get(vb)
+            if h is None and h2 is None:
+                self._make_face(e, j, near, budget, a, va, b, vb)
+                continue
+            # the face belongs in slot j: a new one would be charted here and
+            # folded into it in the same settle
+            if h is None:
+                h = h2
+            elif h2 is not None and _find(uf_f, h2) != _find(uf_f, h):
+                self.face_q.append((h, h2))
+            if uf_f[h] != h:
+                h = _find(uf_f, h)
+            slots[x + j] = h
+            he = f_edge[3 * h + letter]
+            if uf_e[he] != he:
+                he = _find(uf_e, he)
+            if he == e:
+                raise DevelopmentError(f"edge slot collision while placing face {h} on edge {e}")
+            self.edge_q.append((e, he))
+            self.lowered += (seed, h)
+            # the edge fold may drop the chart at a or b that holds h; seed
+            # recharts h's side from the other
+            self._mark_dirty(a, seed)
+            self._mark_dirty(b, seed)
+
+    def _make_face(self, e: int, j: int, prov: int, budget: int, a: int, va: int, b: int, vb: int) -> None:
+        """A new face in slot j of e, charted at e's ends a and b with values
+        va and vb.  Its other edges and its third corner are taken from the
+        charts where `_known_edge` finds them, and made fresh where not."""
+        letter = self.e_letter[e]
+        t1, t2 = LETTER_TYPES[letter]
+        t3 = 3 - t1 - t2
+        face = self._new_face(prov)
+        self._attach(face, letter, e, j)
+        self.v_chart[a][face] = va
+        self.v_inv[a][va] = face
+        self.v_chart[b][face] = vb
+        self.v_inv[b][vb] = face
+        known = [
+            (other, self._known_edge(other, t3, a, va, budget) if t1 in LETTER_TYPES[other]
+             else self._known_edge(other, t3, b, vb, budget))
+            for other in range(3) if other != letter
+        ]
+        corners = [-1, -1, -1]
+        corners[t1], corners[t2] = a, b
+        first = next((item for _, item in known if item is not None), None)
+        if first is None:
+            corners[t3] = self._new_vertex(t3, face)
+        else:
+            c, val = first[1:3]
+            corners[t3] = c
+            self.v_chart[c][face] = val
+            inv = self.v_inv[c]
+            if inv.setdefault(val, face) != face:
+                self.face_q.append((inv[val], face))
+        self.f_vert[3 * face:3 * face + 3] = corners
+        for other, item in known:
+            # a second known edge whose far corner or chart value there
+            # disagrees with the first is made fresh and left to the folds
+            if item is None or item[1:3] != first[1:3]:
+                o1, o2 = LETTER_TYPES[other]
+                self._attach(face, other, self._new_edge(other, corners[o1], corners[o2]), 0)
+                continue
+            i, _, _, nearest, low, high = item
+            self._attach(face, other, i // self.k, i % self.k)
+            # a gap of more than one between the distances of the new face
+            # and the edge's faces is closed by lowering from the nearer side
+            if prov > low + 1:
+                self.lowered.append(nearest)
+            if high > prov + 1:
+                self.lowered.append(face)
+
+    def _known_edge(self, letter: int, t3: int, u: int, value: int, budget: int):
+        """The existing edge of `letter` at vertex u for a new face with chart
+        value `value` there, or None.  The chart at u holds a face on that
+        edge if it holds one in value's coset of the letter's generator.  The
+        edge is taken only when it holds a face below the budget, which the
+        closure saturates before it stops, making the same identification;
+        edges of the outer layer are left open.  Returns the edge's slot
+        index for the new face, the third corner of type t3 as the found
+        face has it, the new face's chart value there, and a face of least
+        provisional distance on the edge with the least and the greatest
+        distance there."""
+        k, uf_f, slots, prov = self.k, self.uf_f, self.e_slots, self.f_prov
+        tu = self.v_type[u]
+        row = self.spec.vertex_groups[tu].mult[value]
+        powers = self.pow_of[tu][letter]
+        inv = self.v_inv[u]
+        for q in range(1, k):
+            g = inv.get(row[powers[q]])
+            if g is not None:
+                break
+        else:
+            return None
+        if uf_f[g] != g:
+            g = _find(uf_f, g)
+        x = 3 * g + letter
+        e = self.f_edge[x]
+        if self.uf_e[e] != e:
+            e = _find(self.uf_e, e)
+        # crossing from g's slot to the new face's multiplies by the
+        # generator to the power -q, at both ends
+        i = k * e + (self.f_slot[x] - q) % k
+        if slots[i] != -1:
+            return None
+        low, high, nearest = budget, -1, -1
+        for f in slots[k * e:k * e + k]:
+            if f != -1:
+                if uf_f[f] != f:
+                    f = _find(uf_f, f)
+                d = prov[f]
+                if d < low:
+                    low, nearest = d, f
+                if d > high:
+                    high = d
+        if nearest < 0:
+            return None
+        c = _find(self.uf_v, self.f_vert[3 * g + t3])
+        val = self.spec.vertex_groups[t3].mult[self.v_chart[c][g]][self.pow_of[t3][letter][k - q]]
+        return i, c, val, nearest, low, high
 
     def _propagate(self, v: int, queue: list[int]) -> None:
         """Extend the chart at v across the edge crossings of the faces in
         `queue` and of every face it newly charts; queue folds for values
         met twice."""
         k = self.k
-        chart = self.v_chart[v]
+        chart, inv = self.v_chart[v], self.v_inv[v]
         mult = self.spec.vertex_groups[self.v_type[v]].mult
         steps = self.gen_pow[self.v_type[v]]
         uf_f, uf_e, slots = self.uf_f, self.uf_e, self.e_slots
         f_edge, f_slot = self.f_edge, self.f_slot
-        owner = None
         queue = list(dict.fromkeys(queue))
         for f in queue:
             r = uf_f[f]
@@ -256,11 +416,9 @@ class _Grower:
                     val = row[powers[p]]
                     have = chart.get(f2)
                     if have is None:
-                        if owner is None:
-                            owner = {val: g for g, val in chart.items()}
                         chart[f2] = val
                         queue.append(f2)
-                        first = owner.setdefault(val, f2)
+                        first = inv.setdefault(val, f2)
                         if first != f2:
                             self.face_q.append((first, f2))
                     elif have != val:
@@ -308,7 +466,9 @@ class _Grower:
                 if have is None:
                     chart[keep] = val
                     self._mark_dirty(v2, keep)
-                elif have != val:
+                if have is None or have == val:
+                    self.v_inv[v2][val] = keep
+                else:
                     raise DevelopmentError(
                         f"development inconsistency at vertex {v2}: face {keep} "
                         f"needs chart values {have} and {val}"
@@ -383,10 +543,12 @@ class _Grower:
             self.dirty.setdefault(keep, []).extend(seeds)
         # merge the smaller chart into the larger by the left translation
         # that agrees on a shared face; charts are unique up to one
-        ck, cd = self.v_chart[keep], self.v_chart[dead]
-        self.v_chart[dead] = None
-        big, small = (cd, ck) if len(cd) > len(ck) else (ck, cd)
-        self.v_chart[keep] = big
+        if len(self.v_chart[dead]) > len(self.v_chart[keep]):
+            big, owner, small = self.v_chart[dead], self.v_inv[dead], self.v_chart[keep]
+        else:
+            big, owner, small = self.v_chart[keep], self.v_inv[keep], self.v_chart[dead]
+        self.v_chart[keep], self.v_inv[keep] = big, owner
+        self.v_chart[dead] = self.v_inv[dead] = None
         group = self.spec.vertex_groups[self.v_type[keep]]
         shift = None
         for f, val in small.items():
@@ -400,7 +562,6 @@ class _Grower:
             # larger one's frame, which is closed everywhere else
             return
         row = group.mult[shift]
-        owner = {val: f for f, val in big.items()}
         for f, val in small.items():
             val = row[val]
             have = big.get(f)
@@ -457,29 +618,32 @@ class _Grower:
         k, uf_f, uf_e, slots, prov = self.k, self.uf_f, self.uf_e, self.e_slots, self.f_prov
         frontier, self.frontier = self.frontier, []
         still_open = []
+        saturated = False
         for e in frontier:
             if uf_e[e] != e:
                 continue
-            near = budget
+            near, seed, js = budget, -1, -1
             full = True
-            for f in slots[k * e:k * e + k]:
+            x = k * e
+            for j in range(k):
+                f = slots[x + j]
                 if f == -1:
                     full = False
                 else:
                     if uf_f[f] != f:
                         f = _find(uf_f, f)
                     if prov[f] < near:
-                        near = prov[f]
+                        near, seed, js = prov[f], f, j
             if full:
                 continue
             if near < budget:
-                self._saturate_edge(e, near)
+                self._saturate_edge(e, seed, js, budget)
+                saturated = True
             else:
                 still_open.append(e)
-        created = bool(self.frontier)
         still_open += self.frontier
         self.frontier = still_open
-        return created
+        return saturated
 
     def grow(self, radius: int) -> None:
         if radius < 0:

@@ -516,6 +516,7 @@ class CrossingReport:
     pairs_checked: int
     failures: list[tuple[int, int, int, int]] = field(default_factory=list)
     inconclusive: list[tuple[int, int]] = field(default_factory=list)
+    farthest: int = 0  # the largest ball distance of a checked pair
 
     def __bool__(self):
         return self.ok
@@ -527,16 +528,17 @@ def catacomb_check(dev: Development, radius: int, max_len: int | None = None) ->
     _require_metric_gate(dev)
     failures = []
     inconclusive = []
-    pairs = 0
+    pairs = farthest = 0
     for f1 in dev.ball_faces():
         dists, found = source_geodesics(dev, f1, radius, max_len)
         pairs += len(found)
         for f2, (_path, _gallery, crossings, unsure) in found.items():
+            farthest = max(farthest, dists[f2])
             if unsure:
                 inconclusive.append((f1, f2))
             elif crossings != dists[f2]:
                 failures.append((f1, f2, dists[f2], crossings))
-    return CrossingReport(not failures and not inconclusive, pairs, failures, inconclusive)
+    return CrossingReport(not failures and not inconclusive, pairs, failures, inconclusive, farthest)
 
 
 # A gallery path from the start crosses a portal, then runs inside the

@@ -1,4 +1,6 @@
-"""The Q(sqrt 3) radical sums that trifold.rings.RadicalSum is tested against.
+"""The Q(sqrt 3) radical sums that trifold.rings.RadicalSum is tested against,
+and the Q(sqrt 3) point predicates that the gallery kernel's integer ones
+are tested against.
 
 Radicands here are field elements p + q*sqrt(3), reduced modulo field
 squares by exact square roots in the field, and comparisons refine
@@ -13,7 +15,7 @@ import math
 from fractions import Fraction
 
 from trifold import rings
-from trifold.rings import Q3, _as_fraction, _coerce
+from trifold.rings import Q3, Point, _as_fraction, _coerce, dot, p_sub
 
 
 def _fraction_sqrt(f: Fraction) -> Fraction | None:
@@ -277,3 +279,53 @@ def reference(value: rings.RadicalSum) -> RadicalSum:
     for a, n in value.terms:
         out = out + RadicalSum.sqrt_of(n) * a
     return out
+
+
+# -- planar point predicates ---------------------------------------------------
+
+
+def p_add(a: Point, b: Point) -> Point:
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def p_scale(a: Point, c) -> Point:
+    c = _coerce(c)
+    return (a[0] * c, a[1] * c)
+
+
+def cross(a: Point, b: Point) -> Q3:
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def area2(a: Point, b: Point, c: Point) -> Q3:
+    """Twice the signed area of the triangle a, b, c."""
+    return cross(p_sub(b, a), p_sub(c, a))
+
+
+def sqdist(a: Point, b: Point) -> Q3:
+    d = p_sub(a, b)
+    return dot(d, d)
+
+
+def on_segment(p: Point, a: Point, b: Point) -> bool:
+    """Exact membership of p in the closed segment [a, b]."""
+    if area2(a, b, p).sign() != 0:
+        return False
+    d = p_sub(b, a)
+    t = dot(p_sub(p, a), d)
+    return t.sign() >= 0 and (t - dot(d, d)).sign() <= 0
+
+
+def segment_point_sqdist(a: Point, b: Point, p: Point) -> Q3:
+    """Exact squared distance from point p to segment [a, b]."""
+    d = p_sub(b, a)
+    dd = dot(d, d)
+    if dd.sign() == 0:
+        return sqdist(a, p)
+    t = dot(p_sub(p, a), d)
+    if t.sign() <= 0:
+        return sqdist(a, p)
+    if (t - dd).sign() >= 0:
+        return sqdist(b, p)
+    foot = p_add(a, p_scale(d, t / dd))
+    return sqdist(foot, p)

@@ -97,6 +97,21 @@ def test_verify_catacomb_at_radius_zero(tmp_path, capsys):
     assert capsys.readouterr().out == "catacomb: pass (crossing counts equal ball distances on 0 pairs (radius 0))\n"
 
 
+def test_verify_catacomb_names_the_radius_reached(tmp_path, capsys):
+    # no pair of the d333 r2 ball's 10 trusted faces is more than 4 apart
+    out = tmp_path / "r2"
+    assert main(["build", "d333", "--radius", "2", "--out", str(out)]) == 0
+    lines = {}
+    for radius in (3, 4, 5, 9):
+        capsys.readouterr()
+        assert main(["verify", str(out), "--suite", "catacomb", "--radius", str(radius)]) == 0
+        lines[radius] = capsys.readouterr().out
+    passed = "catacomb: pass (crossing counts equal ball distances on "
+    assert lines[3] == passed + "36 pairs (radius 3))\n"
+    assert lines[4] == passed + "45 pairs (radius 4))\n"
+    assert lines[5] == lines[9] == passed + "45 pairs (radius 4; no pair is farther apart))\n"
+
+
 def test_verify_gated_catacomb(tmp_path, capsys):
     out = tmp_path / "d244"
     assert main(["build", "d244", "--radius", "4", "--out", str(out)]) == 0

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 from bisect import bisect_right
 from collections import deque
@@ -34,6 +35,7 @@ from trifold.groups import (
     group_from_permutations,
     npc_check,
 )
+from trifold.grower import _find, _Grower
 from trifold.oracle import OracleError, source_geodesics
 from trifold.samples import dihedral, dihedral_reflections, load_sample
 
@@ -956,11 +958,11 @@ def _fresh_distances(grower):
     return dist
 
 
-def _checked_build(spec, radius):
+def _checked_build(spec, radius, make=init_development):
     """The ball's bytes and its number of rounds, checking before each
     round and after the last that every live face's provisional distance
-    is its breadth-first distance."""
-    grower = init_development(spec)
+    is its breadth-first distance.  `make` makes the grower from spec."""
+    grower = make(spec)
     rounds = []
     scan = grower._saturate_frontier
 
@@ -1059,6 +1061,104 @@ def test_outer_layer_growth_matters_at_k5(k5_ball):
     assert (len(k5_ball.edge_letter), len(k5_ball.vert_type)) == (8013, 3435)
     assert (len(short.edge_letter), len(short.vert_type)) == (8445, 3867)
     assert development_to_json(short) != development_to_json(k5_ball)
+
+
+class FoldingGrower(_Grower):
+    """The grower with every deduction switched off: each empty slot gets a
+    fresh face with fresh edges and a fresh third corner, charted only by
+    propagation, and the folds make every identification."""
+
+    def _saturate_edge(self, e, seed, js, budget):
+        k, uf_v, slots = self.k, self.uf_v, self.e_slots
+        letter = self.e_letter[e]
+        t1, t2 = LETTER_TYPES[letter]
+        t3 = 3 - t1 - t2
+        a = _find(uf_v, self.e_ends[2 * e])
+        b = _find(uf_v, self.e_ends[2 * e + 1])
+        self.e_ends[2 * e:2 * e + 2] = a, b
+        self._mark_dirty(a, seed)
+        self._mark_dirty(b, seed)
+        for j in range(k):
+            if slots[k * e + j] != -1:
+                continue
+            face = self._new_face(self.f_prov[seed] + 1)
+            self._attach(face, letter, e, j)
+            corners = [-1, -1, -1]
+            corners[t1], corners[t2] = a, b
+            corners[t3] = self._new_vertex(t3, face)
+            self.f_vert[3 * face:3 * face + 3] = corners
+            for other in range(3):
+                if other != letter:
+                    o1, o2 = LETTER_TYPES[other]
+                    self._attach(face, other, self._new_edge(other, corners[o1], corners[o2]), 0)
+
+
+class BlindGrower(_Grower):
+    """The grower finding no edge in the charts: a new face is still charted
+    at its edge's ends, so a later slot finds it there, but its other edges
+    and third corner are made fresh and folded."""
+
+    def _known_edge(self, letter, t3, u, value, budget):
+        return None
+
+
+def _live(parent):
+    return sum(1 for x, root in enumerate(parent) if root == x)
+
+
+@pytest.mark.parametrize("grower_class", [FoldingGrower, BlindGrower])
+@pytest.mark.parametrize(
+    "name, radius", [("d333", 6), ("d244", 9), ("d236", 12), ("d444", 5), ("f21_333", 3), ("f155_333", 0)]
+)
+def test_folds_alone_give_the_same_bytes(grower_class, name, radius):
+    """With the deductions switched off the folds, propagation and inverse
+    charts give the same ball, with every provisional distance exact before
+    each round, and they do run: edges are made and folded away."""
+    spec = f155_333() if name == "f155_333" else load_sample(name)
+    grown = []
+
+    def make(spec):
+        grown.append(grower_class(spec))
+        return grown[0]
+
+    folded, _ = _checked_build(spec, radius, make)
+    assert folded == development_to_json(grow_to_radius(spec, radius))
+    assert len(grown[0].uf_e) > _live(grown[0].uf_e)
+
+
+@pytest.mark.parametrize(
+    "name, radius, kept, folding",
+    [
+        ("f21_333", 4, (10759, 17415, 6657), (14863, 29727, 14865)),
+        ("d444", 8, (6718, 12753, 6036), (7402, 14805, 7404)),
+    ],
+)
+def test_grower_allocates_only_what_it_keeps(name, radius, kept, folding):
+    """The grower allocates exactly the faces, edges and vertices it keeps,
+    the live roots of its union-find forests; making every face fresh and
+    folding allocates the larger counts."""
+    spec = load_sample(name)
+    for grower_class, allocated in ((_Grower, kept), (FoldingGrower, folding)):
+        grower = grower_class(spec)
+        grower.grow(radius)
+        forests = (grower.uf_f, grower.uf_e, grower.uf_v)
+        assert tuple(map(len, forests)) == allocated, grower_class.__name__
+        assert tuple(map(_live, forests)) == kept, grower_class.__name__
+
+
+@pytest.mark.parametrize(
+    "name, radius, digest",
+    [
+        ("f21_333", 5, "45052e6687d07d0c12696a4b339ffd61a4ff6e9b61777f305e92e35139db39a5"),
+        ("d444", 9, "0be626191a79cf2850f4d69351a398422b8a7d47eca4107a06b1739a47258c6c"),
+        ("d236", 19, "f0db2ccefa060f999be6bc5229716bc48bc3d61cda9d4889eafe95c5444bfb8e"),
+    ],
+)
+def test_bytes_beyond_golden_radii(name, radius, digest):
+    """The sha256 of balls past the golden radii, as the create-then-fold
+    grower wrote them."""
+    data = development_to_json(grow_to_radius(load_sample(name), radius))
+    assert hashlib.sha256(data.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name, radius", [*REFERENCE_BALLS, ("f155_333", 0)])

@@ -34,7 +34,7 @@ from trifold.oracle import (
     _segment_crosses,
     _step_across,
 )
-from trifold import oracle, rings
+from trifold import oracle
 from trifold.rings import Q3, RadicalSum
 from trifold.samples import load_sample
 
@@ -527,19 +527,19 @@ def _q3_point(p):
 
 
 def _reference_segment_crosses(p, q, a, b):
-    """The closed-segment predicate over Q(sqrt 3) points, via rings."""
+    """The closed-segment predicate over Q(sqrt 3) points."""
     p, q, a, b = (_q3_point(x) for x in (p, q, a, b))
-    d1 = rings.area2(p, q, a).sign()
-    d2 = rings.area2(p, q, b).sign()
-    d3 = rings.area2(a, b, p).sign()
-    d4 = rings.area2(a, b, q).sign()
+    d1 = q3_radicals.area2(p, q, a).sign()
+    d2 = q3_radicals.area2(p, q, b).sign()
+    d3 = q3_radicals.area2(a, b, p).sign()
+    d4 = q3_radicals.area2(a, b, q).sign()
     if d1 * d2 < 0 and d3 * d4 < 0:
         return True
     return (
-        (d1 == 0 and rings.on_segment(a, p, q))
-        or (d2 == 0 and rings.on_segment(b, p, q))
-        or (d3 == 0 and rings.on_segment(p, a, b))
-        or (d4 == 0 and rings.on_segment(q, a, b))
+        (d1 == 0 and q3_radicals.on_segment(a, p, q))
+        or (d2 == 0 and q3_radicals.on_segment(b, p, q))
+        or (d3 == 0 and q3_radicals.on_segment(p, a, b))
+        or (d4 == 0 and q3_radicals.on_segment(q, a, b))
     )
 
 
@@ -573,11 +573,11 @@ def test_integer_predicates_match_q3_reference():
     for a, b, p, q in _lattice_cases(2024, 3000):
         qa, qb, qp = _q3_point(a), _q3_point(b), _q3_point(p)
         # twice the signed area is sqrt(3) times the integer area2
-        assert rings.area2(qa, qb, qp) == Q3(0, area2(a, b, p))
-        assert rings.area2(qa, qb, qp).sign() == (area2(a, b, p) > 0) - (area2(a, b, p) < 0)
-        assert rings.sqdist(qa, qp) == Q3(sqdist(a, p))
-        assert rings.on_segment(qp, qa, qb) == on_segment(p, a, b)
-        assert rings.segment_point_sqdist(qa, qb, qp) == Q3(segment_point_sqdist(a, b, p))
+        assert q3_radicals.area2(qa, qb, qp) == Q3(0, area2(a, b, p))
+        assert q3_radicals.area2(qa, qb, qp).sign() == (area2(a, b, p) > 0) - (area2(a, b, p) < 0)
+        assert q3_radicals.sqdist(qa, qp) == Q3(sqdist(a, p))
+        assert q3_radicals.on_segment(qp, qa, qb) == on_segment(p, a, b)
+        assert q3_radicals.segment_point_sqdist(qa, qb, qp) == Q3(segment_point_sqdist(a, b, p))
         assert _segment_crosses(p, q, a, b) == _reference_segment_crosses(p, q, a, b)
 
 

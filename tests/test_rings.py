@@ -5,21 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from trifold.rings import (
-    Isometry,
-    Q3,
-    RadicalSum,
-    area2,
-    cross,
-    dot,
-    on_segment,
-    pt,
-    segment_point_sqdist,
-    sqdist,
-)
+from trifold.rings import Isometry, Q3, RadicalSum, pt
 
 import q3_radicals
-from q3_radicals import q3_sqrt, reference
+from q3_radicals import area2, on_segment, q3_sqrt, reference, segment_point_sqdist, sqdist
 
 
 def rand_q3(rng, span=8):

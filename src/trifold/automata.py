@@ -502,16 +502,14 @@ def fellow_traveller_check(dev: Development, radius: int) -> FellowTravellerRepo
             chains[f] = got
         return got
 
-    dist_cache: dict[int, dict[int, int]] = {}
+    # per face, the distances to the faces at most cap steps away
+    tables: dict[int, dict[int, int]] = {}
 
-    def capped_dist(x: int, y: int) -> int | None:
-        if x == y:
-            return 0
-        dx = dist_cache.get(x)
-        if dx is None:
-            dx = dev.bfs_from(x, cap)
-            dist_cache[x] = dx
-        return dx.get(y)
+    def table(x: int) -> dict[int, int]:
+        got = tables.get(x)
+        if got is None:
+            got = tables[x] = dev.bfs_from(x, cap)
+        return got
 
     observed_sync = 0
     observed_async = 0
@@ -527,33 +525,38 @@ def fellow_traveller_check(dev: Development, radius: int) -> FellowTravellerRepo
                 continue
             pairs += 1
             cf, cg = chain(f), chain(g)
-            for i in range(1, max(len(cf), len(cg))):
+            # both chains run down one tree from face 0, so they agree on a
+            # prefix and share no face after it
+            shared = 1
+            while shared < len(cf) and shared < len(cg) and cf[shared] == cg[shared]:
+                shared += 1
+            for i in range(shared, max(len(cf), len(cg))):
                 x = cf[i] if i < len(cf) else cf[-1]
                 y = cg[i] if i < len(cg) else cg[-1]
-                d = capped_dist(x, y)
+                d = 0 if x == y else table(x).get(y)
                 if d is None or d > delta:
                     violations.append((f, dev.symbols[s].name(), i, d))
                     d = cap
                 if d > observed_sync:
                     observed_sync = d
                     worst = (words[f], dev.symbols[s].name(), i)
-            a = _async_side(cf, cg, capped_dist, cap)
-            b = _async_side(cg, cf, capped_dist, cap)
-            observed_async = max(observed_async, a, b)
+            observed_async = max(
+                observed_async,
+                _async_side(cf[shared:], cg, table, cap),
+                _async_side(cg[shared:], cf, table, cap),
+            )
     return FellowTravellerReport(
         delta, observed_sync, observed_async, pairs, skipped, worst, violations
     )
 
 
-def _async_side(cf, cg, capped_dist, cap) -> int:
+def _async_side(tail: list[int], other: list[int], table, cap: int) -> int:
+    """The largest distance from a face of tail to the nearest face of
+    other, cap when none is within reach, 0 for an empty tail."""
     out = 0
-    for x in cf:
-        best = None
-        for y in cg:
-            d = capped_dist(x, y)
-            if d is not None and (best is None or d < best):
-                best = d
-                if best == 0:
-                    break
-        out = max(out, cap if best is None else best)
+    for x in tail:
+        near = [d for d in map(table(x).get, other) if d is not None]
+        best = min(near) if near else cap
+        if best > out:
+            out = best
     return out

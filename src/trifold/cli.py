@@ -219,11 +219,11 @@ def _suite_enters(dev: Development) -> Verdict:
 
 
 def _suite_conetypes(dev: Development, depth: int) -> Verdict:
-    from .cones import enumerate_cone_types, signature_counts, verify_cone_determination
-
     table_radius = dev.radius - dev.spec.delta
     if table_radius < 2:
         return Verdict("skip", "ball too small for cone tables")
+    from .cones import enumerate_cone_types, signature_counts, verify_cone_determination
+
     # each signature within table_radius is computed once; at half-girths of
     # 3 or more, signatures are also the classes whose determination is checked
     signatures = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, lcm
 
 from .development import Development
 
@@ -134,10 +135,35 @@ class AngledComplex:
         return self.n_vertices - len(self.edges) + len(self.cells)
 
     def gauss_bonnet(self) -> "GaussBonnetVerdict":
-        total = sum(self.vertex_curvatures(), Fraction(0))
-        total += sum((self.face_curvature(c) for c in range(len(self.cells))), Fraction(0))
+        """Total vertex and face curvature against twice the Euler
+        characteristic.
+
+        Every corner is scaled by L, the lcm of the corner denominators, so
+        the vertex and face terms add up as integers and the total is one
+        Fraction(total, L): the exact sum of vertex_curvatures and of every
+        face_curvature.
+        """
+        # cells may share one corner tuple, which is then scaled once
+        distinct = {id(cell.corners): cell.corners for cell in self.cells}
+        scale = lcm(*(a.denominator for corners in distinct.values() for a in corners))
+        scaled = {}
+        for key, corners in distinct.items():
+            ints = [a.numerator * (scale // a.denominator) for a in corners]
+            scaled[key] = (ints, sum(ints) - (len(ints) - 2) * scale)
+        # per vertex, L times (2 - link nodes + link arcs - corners): each
+        # edge end is a node, each corner an arc
+        vertex = [2 * scale] * self.n_vertices
+        for u, v in self.edges:
+            vertex[u] -= scale
+            vertex[v] -= scale
+        faces = 0
+        for cell in self.cells:
+            ints, face = scaled[id(cell.corners)]
+            for w, a in zip(cell.vertices, ints):
+                vertex[w] += scale - a
+            faces += face
         rhs = Fraction(2 * self.euler_characteristic())
-        return GaussBonnetVerdict(total, rhs)
+        return GaussBonnetVerdict(Fraction(sum(vertex) + faces, scale), rhs)
 
     # -- surface structure ---------------------------------------------------
 
@@ -557,9 +583,12 @@ def extract_disc_diagrams(
         return disc_memo[key]
 
     out: list[AngledComplex] = []
-    seen_choices: set[tuple[int, ...]] = set()
+    # every set drawn has 1 to max_cells distinct cells; once each such set
+    # has been drawn, every later draw repeats one and adds no disc
+    possible = sum(comb(len(y.cells), size) for size in range(1, max_cells + 1))
+    drawn: set[tuple[int, ...]] = set()
     attempts = 0
-    while y.cells and len(out) < count and attempts < count * 60:
+    while y.cells and len(out) < count and attempts < count * 60 and len(drawn) < possible:
         attempts += 1
         chosen = [rng.randrange(len(y.cells))]
         target = rng.randint(1, max_cells)
@@ -574,10 +603,10 @@ def extract_disc_diagrams(
             elif rng.random() < 0.5:
                 break
         key = tuple(sorted(chosen))
-        if key in seen_choices:
+        if key in drawn:
             continue
+        drawn.add(key)
         if is_disc(chosen):
-            seen_choices.add(key)
             out.append(_subcomplex(y, chosen))
     return out
 
@@ -648,13 +677,17 @@ def polygon_fixture(n: int, corner: AnglePi) -> AngledComplex:
     return AngledComplex(n, edges, [Cell(tuple(range(n)), tuple(range(n)), (c,) * n)])
 
 
+# the corners random_angles draws from: _RANDOM_CORNERS[a][b - 1] is a/b
+_RANDOM_CORNERS = tuple(tuple(Fraction(a, b) for b in range(1, 7)) for a in range(7))
+
+
 def random_angles(y: AngledComplex, rng: random.Random) -> AngledComplex:
     """y with every corner replaced by a random fraction a/b, 0 <= a < 7 and
-    1 <= b < 7, drawn cell by cell from rng."""
+    1 <= b < 7, drawn cell by cell from rng, a before b."""
     cells = []
     for cell in y.cells:
         corners = tuple(
-            Fraction(rng.randrange(0, 7), rng.randrange(1, 7)) for _ in cell.corners
+            _RANDOM_CORNERS[rng.randrange(0, 7)][rng.randrange(1, 7) - 1] for _ in cell.corners
         )
         cells.append(Cell(cell.vertices, cell.edges, corners))
     return AngledComplex(y.n_vertices, list(y.edges), cells)

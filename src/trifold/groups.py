@@ -60,17 +60,26 @@ class FiniteGroup:
         for x in range(n):
             if self.mult[0][x] != x or self.mult[x][0] != x:
                 raise GroupError(f"{self.name}: element 0 is not the identity at {x}")
+        # Light's test: the s with (xs)y = x(sy) for all x and y include 0
+        # and are closed under products, so it is enough to check s over a
+        # set whose right products from 0 reach every element; each s taken
+        # is the least element not yet reached
         m = self.mult
-        for x in range(n):
-            mx = m[x]
-            for y in range(n):
-                mxy = mx[y]
-                my = m[y]
-                for z in range(n):
-                    if m[mxy][z] != mx[my[z]]:
+        gens: list[int] = []
+        reached = {0}
+        while len(reached) < n:
+            s = next(x for x in range(n) if x not in reached)
+            ms = m[s]
+            for x in range(n):
+                mx = m[x]
+                mxs = m[mx[s]]
+                for y in range(n):
+                    if mxs[y] != mx[ms[y]]:
                         raise GroupError(
-                            f"{self.name}: associativity fails at ({x},{y},{z})"
+                            f"{self.name}: associativity fails at ({x},{s},{y})"
                         )
+            gens.append(s)
+            reached = self.generated_subgroup(gens)
 
     def _inverse_table(self) -> list[int]:
         inv = [0] * self.order

@@ -529,8 +529,12 @@ def catacomb_check(dev: Development, radius: int, max_len: int | None = None) ->
     failures = []
     inconclusive = []
     pairs = farthest = 0
+    # one goal table per target, shared by its sources; sources ascend and
+    # every target lies above its source, so f1's table is done with
+    tables: dict[int, dict[int, int]] = {}
     for f1 in dev.ball_faces():
-        dists, found = source_geodesics(dev, f1, radius, max_len)
+        tables.pop(f1, None)
+        dists, found = source_geodesics(dev, f1, radius, max_len, tables)
         pairs += len(found)
         for f2, (_path, _gallery, crossings, unsure) in found.items():
             farthest = max(farthest, dists[f2])
@@ -609,7 +613,11 @@ _Best = tuple[_MeasuredPath, Gallery, int, bool]
 
 
 def source_geodesics(
-    dev: Development, f1: int, radius: int, max_len: int | None = None
+    dev: Development,
+    f1: int,
+    radius: int,
+    max_len: int | None = None,
+    tables: dict[int, dict[int, int]] | None = None,
 ) -> tuple[dict[int, int], dict[int, _Best]]:
     """The catacomb pairs (f1, f2) with f1 < f2, both trusted and at most
     radius apart, solved by one gallery search from f1.
@@ -617,7 +625,9 @@ def source_geodesics(
     Returns the ball distances from f1 and, in ascending f2, the best gallery
     of each pair.  For every pair, _geodesic_result of that entry equals
     cat0_geodesic(dev, f1, f2, cap), where cap is max_len or the ball
-    distance plus twice the margin.
+    distance plus twice the margin.  tables holds goal tables by target, out
+    to radius + 2; those missing are added to it, so sources with the same
+    radius can share them.
     """
     trusted = len(dev.ball_faces())
     dists = dev.bfs_from(f1, radius)
@@ -626,9 +636,14 @@ def source_geodesics(
         return dists, {}
     caps = [max_len if max_len is not None else dists[f2] + 2 * dev.margin for f2 in targets]
     # the goal tables only bound reach, so any depth is sound; two beyond
-    # the pair distance keeps them small on a hyperbolic ball
-    tables = [dev.bfs_from(f2, dists[f2] + 2) for f2 in targets]
-    return dists, dict(zip(targets, _search(dev, f1, targets, caps, tables)))
+    # the pair radius keeps them small on a hyperbolic ball
+    if tables is None:
+        tables = {}
+    for f2 in targets:
+        if f2 not in tables:
+            tables[f2] = dev.bfs_from(f2, radius + 2)
+    goals = [tables[f2] for f2 in targets]
+    return dists, dict(zip(targets, _search(dev, f1, targets, caps, goals)))
 
 
 def _descending_gallery(dev: Development, f1: int, to_goal: dict[int, int]) -> list[int]:

@@ -1,7 +1,9 @@
 import pytest
 
+from trifold import automata
 from trifold.automata import (
     AutomatonError,
+    FellowTravellerReport,
     GeodesicAutomaton,
     _lexfirst_machine_once,
     build_geodesic_automaton,
@@ -272,3 +274,105 @@ def test_fellow_traveller_prefix_pairs_deviate_by_one(dev333):
     report = fellow_traveller_check(dev333, 4)
     assert report.delta == 3
     assert 1 <= report.observed_sync <= report.delta
+
+
+# -- the per-pair distance scan that fellow_traveller_check replaced ----------------
+
+
+def _capped_dist_fellow(dev, radius, sides):
+    """fellow_traveller_check comparing every index of both chains and
+    scanning the asynchronous side with one capped_dist call per face pair;
+    each pair's two asynchronous sides are appended to sides."""
+    words, parents = lexfirst_words(dev, radius + 1)
+    delta = dev.spec.delta
+    cap = delta + 1
+    chains = {0: [0]}
+
+    def chain(f):
+        if f not in chains:
+            chains[f] = chain(parents[f]) + [f]
+        return chains[f]
+
+    dist_cache = {}
+
+    def capped_dist(x, y):
+        if x == y:
+            return 0
+        if x not in dist_cache:
+            dist_cache[x] = dev.bfs_from(x, cap)
+        return dist_cache[x].get(y)
+
+    def async_side(cf, cg):
+        out = 0
+        for x in cf:
+            best = None
+            for y in cg:
+                d = capped_dist(x, y)
+                if d is not None and (best is None or d < best):
+                    best = d
+                    if best == 0:
+                        break
+            out = max(out, cap if best is None else best)
+        return out
+
+    observed_sync = observed_async = pairs = skipped = 0
+    worst, violations = None, []
+    for f in dev.ball_faces(radius):
+        for s in range(dev.symbol_count):
+            g = dev.neighbor(f, s)
+            if g is None or not dev.final[g]:
+                skipped += 1
+                continue
+            pairs += 1
+            cf, cg = chain(f), chain(g)
+            for i in range(1, max(len(cf), len(cg))):
+                x = cf[i] if i < len(cf) else cf[-1]
+                y = cg[i] if i < len(cg) else cg[-1]
+                d = capped_dist(x, y)
+                if d is None or d > delta:
+                    violations.append((f, dev.symbols[s].name(), i, d))
+                    d = cap
+                if d > observed_sync:
+                    observed_sync = d
+                    worst = (words[f], dev.symbols[s].name(), i)
+            sides += [async_side(cf, cg), async_side(cg, cf)]
+            observed_async = max(observed_async, *sides[-2:])
+    return FellowTravellerReport(delta, observed_sync, observed_async, pairs, skipped, worst, violations)
+
+
+def _assert_fellow_matches_capped_dist_scan(monkeypatch, dev, radius):
+    """The report, and each pair's two asynchronous sides, equal the
+    reference scan's; returns the report."""
+    sides = []
+    original = automata._async_side
+
+    def recorded(*args):
+        sides.append(original(*args))
+        return sides[-1]
+
+    monkeypatch.setattr(automata, "_async_side", recorded)
+    report = fellow_traveller_check(dev, radius)
+    expected_sides = []
+    assert report == _capped_dist_fellow(dev, radius, expected_sides)
+    assert sides == expected_sides and len(sides) == 2 * report.pairs_checked
+    return report
+
+
+@pytest.mark.parametrize("name, ball_radius, radius", [
+    ("d333", None, 5), ("d333", None, 10), ("d244", None, 5), ("d236", None, 5),
+    ("d444", None, 5), ("d444", 8, 7), ("f21_333", 4, 3),
+])
+def test_fellow_report_matches_capped_dist_scan(monkeypatch, devs, name, ball_radius, radius):
+    # the session balls, and the d444 and f21_333 balls the benchmark verifies
+    dev = devs[name] if ball_radius is None else grow_to_radius(load_sample(name), ball_radius)
+    _assert_fellow_matches_capped_dist_scan(monkeypatch, dev, radius)
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+def test_fellow_report_matches_capped_dist_scan_with_violations(monkeypatch, delta):
+    # a bound below the links' diameter: violations, the cap and pairs out of
+    # reach all appear, at the indices the full scan gives them
+    dev = grow_to_radius(load_sample("d444"), 6)
+    monkeypatch.setattr(dev.spec, "delta", delta)
+    report = _assert_fellow_matches_capped_dist_scan(monkeypatch, dev, 5)
+    assert None in {v[3] for v in report.violations}

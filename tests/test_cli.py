@@ -762,6 +762,16 @@ def test_verify_does_not_load_the_grower(built, tmp_path):
     assert "hashlib" not in loaded
 
 
+def test_conetypes_skip_loads_no_cone_module(tmp_path):
+    # table radius 3 - delta 3 < 2: the suite prints skip before it needs cones
+    ball = tmp_path / "ball"
+    assert main(["build", "d333", "--radius", "3", "--out", str(ball)]) == 0
+    loaded = _modules_after(
+        f"from trifold.cli import main\nassert main(['verify', {str(ball)!r}, '--suite', 'conetypes']) == 0"
+    )
+    assert "trifold.cli" in loaded and "trifold.cones" not in loaded
+
+
 def test_no_module_reads_the_environment():
     # every option of trifold is a command-line argument
     import ast

@@ -424,7 +424,8 @@ def _full_scan_patch(dev, radius):
 
 
 def _full_scan_discs(patch, count, seed, max_cells):
-    """extract_disc_diagrams with the fringe taken over every cell and no memo."""
+    """extract_disc_diagrams with the fringe taken over every cell, no memo,
+    and no stop once every set of at most max_cells cells has been drawn."""
     rng = random.Random(seed)
     y = patch.complex
     cell_edges = [set(c.edges) for c in y.cells]
@@ -479,3 +480,52 @@ def test_patch_and_discs_match_full_scan(devs, name):
             assert _disc_fields(extract_disc_diagrams(patch, 30, seed=20259)) == _disc_fields(
                 _full_scan_discs(patch, 30, seed=20259, max_cells=6)
             )
+
+
+# -- the Fraction kernels that gauss_bonnet and random_angles replaced ------------
+
+
+def _fraction_gauss_bonnet(y):
+    """gauss_bonnet's two sides as Fraction sums over vertex_curvatures and
+    every face_curvature."""
+    lhs = sum(y.vertex_curvatures(), F(0))
+    lhs += sum((y.face_curvature(c) for c in range(len(y.cells))), F(0))
+    return lhs, F(2 * y.euler_characteristic())
+
+
+def _fraction_random_angles(y, rng):
+    """random_angles drawing each corner as Fraction(a, b)."""
+    cells = [
+        Cell(c.vertices, c.edges, tuple(F(rng.randrange(0, 7), rng.randrange(1, 7)) for _ in c.corners))
+        for c in y.cells
+    ]
+    return AngledComplex(y.n_vertices, list(y.edges), cells)
+
+
+@pytest.mark.parametrize("name", ["d333", "d244", "d236", "d444", "f21_333"])
+def test_integer_gauss_bonnet_and_angle_table_match_fractions(devs, name):
+    """On the gaussbonnet suite's complexes (fixtures, the patch at radius
+    min(r, 4), its discs and their random_angles copies), the integer sum
+    gives the Fraction sum's verdict, and random_angles draws the Fraction
+    reference's corners with the same draws."""
+    dev = devs[name]
+    patch = build_patch(dev, min(dev.radius, 4))
+    discs = extract_disc_diagrams(patch, 30, seed=20259, max_cells=6)
+    complexes = [
+        triangle_fixture(F(1, 3)), triangle_fixture(F(0)), polygon_fixture(6, F(2, 3)),
+        ladder_fixture()[0].complex, patch.complex, *discs,
+    ]
+    rng, reference_rng = random.Random(414243), random.Random(414243)
+    for disc in discs:
+        for _ in range(3):
+            got = random_angles(disc, rng)
+            assert got.cells == _fraction_random_angles(disc, reference_rng).cells
+            complexes.append(got)
+    assert rng.getstate() == reference_rng.getstate()
+    for y in complexes:
+        verdict = y.gauss_bonnet()
+        assert (verdict.lhs, verdict.rhs) == _fraction_gauss_bonnet(y)
+        assert verdict.ok
+    # denominators 1 to 6 over shared and unshared corner tuples
+    assert {a.denominator for y in complexes for c in y.cells for a in c.corners} >= {1, 2, 3, 5}
+

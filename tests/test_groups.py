@@ -1,11 +1,13 @@
 import math
 import random
+import re
 
 import pytest
 
 from fractions import Fraction
 
 from trifold.groups import (
+    FiniteGroup,
     GroupError,
     build_coset_graph,
     group_from_permutations,
@@ -23,6 +25,7 @@ from trifold.samples import (
     frobenius21,
     frobenius21_generators,
     load_sample,
+    SAMPLE_BUILDERS,
 )
 
 
@@ -78,6 +81,80 @@ def test_associativity_failure_is_an_error():
     m[3][2], m[3][4] = m[3][4], m[3][2]
     with pytest.raises(GroupError):
         load_group(doc)
+
+
+def _cube_failure(mult):
+    """The first triple (x, y, z) with (xy)z != x(yz), over the whole cube."""
+    n = len(mult)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if mult[mult[x][y]][z] != mult[x][mult[y][z]]:
+                    return (x, y, z)
+    return None
+
+
+def _row_cycle_swaps(mult):
+    """Latin squares with identity 0 made from mult by trading, for each
+    pair of rows x1 < x2 other than 0, the entries of the first of their row
+    cycles that avoids column 0."""
+    n = len(mult)
+    for x1 in range(1, n):
+        for x2 in range(x1 + 1, n):
+            column_of = {v: y for y, v in enumerate(mult[x2])}
+            for y0 in range(1, n):
+                cycle = [y0]
+                while (y := column_of[mult[x1][cycle[-1]]]) != y0:
+                    cycle.append(y)
+                if 0 not in cycle:
+                    swapped = [list(row) for row in mult]
+                    for y in cycle:
+                        swapped[x1][y], swapped[x2][y] = mult[x2][y], mult[x1][y]
+                    yield swapped
+                    break
+
+
+def test_light_associativity_test_matches_the_full_cube():
+    groups = {g.name: g for name in SAMPLE_BUILDERS for g in load_sample(name).vertex_groups}
+    groups.update((f"Z{n}", load_group(cyclic_doc(n))) for n in range(1, 8))
+    groups["D2"] = dihedral(2)
+    failing = 0
+    for group in groups.values():
+        assert _cube_failure(group.mult) is None, group.name
+        for mult in _row_cycle_swaps(group.mult):
+            if _cube_failure(mult) is None:
+                FiniteGroup("swapped", mult)
+                continue
+            with pytest.raises(GroupError, match="associativity fails") as err:
+                FiniteGroup("swapped", mult)
+            # the triple named really fails
+            x, s, y = map(int, re.search(r"at \((\d+),(\d+),(\d+)\)", str(err.value)).groups())
+            assert mult[mult[x][s]][y] != mult[x][mult[s][y]]
+            failing += 1
+    assert failing > 200
+
+
+def test_light_associativity_test_checks_past_a_nuclear_generator():
+    # Z2 x L for a non-associative loop L of order 5, with (a, l) numbered
+    # 2l + a: the first generator, 1 = (1, e), passes (xs)y = x(sy) for all
+    # x and y, so only a later generator exposes the failure
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    assert _cube_failure(loop) is not None
+    mult = [
+        [2 * loop[l][m] + (a + b) % 2 for m in range(5) for b in range(2)]
+        for l in range(5) for a in range(2)
+    ]
+    assert all(mult[mult[x][1]][y] == mult[x][mult[1][y]] for x in range(10) for y in range(10))
+    with pytest.raises(GroupError, match="associativity fails") as err:
+        FiniteGroup("Z2xL5", mult)
+    x, s, y = map(int, re.search(r"at \((\d+),(\d+),(\d+)\)", str(err.value)).groups())
+    assert s != 1 and mult[mult[x][s]][y] != mult[x][mult[s][y]]
 
 
 def test_coset_graph_klein_four():

@@ -518,6 +518,74 @@ def test_source_search_matches_per_pair_f21():
     assert _assert_source_search_matches_per_pair(dev, 1, sources=dev.ball_faces()[::9]) > 50
 
 
+# -- goal tables shared across sources against one table per pair -----------------
+
+
+def _one_table_per_pair(dev, f1, radius):
+    """source_geodesics with a goal table of its own for every pair, two
+    steps past the pair's distance."""
+    trusted = len(dev.ball_faces())
+    dists = dev.bfs_from(f1, radius)
+    targets = sorted(f2 for f2 in dists if f1 < f2 < trusted)
+    if not targets:
+        return dists, {}
+    caps = [dists[f2] + 2 * dev.margin for f2 in targets]
+    tables = [dev.bfs_from(f2, dists[f2] + 2) for f2 in targets]
+    return dists, dict(zip(targets, oracle._search(dev, f1, targets, caps, tables)))
+
+
+def _assert_shared_tables_match_per_pair(dev, radius):
+    """Run the sources as catacomb_check does, sharing and dropping goal
+    tables, and compare every entry with the per-pair tables; returns the
+    pairs and the distinct targets."""
+    tables = {}
+    pairs, targets = 0, set()
+    for f1 in dev.ball_faces():
+        tables.pop(f1, None)
+        dists, found = source_geodesics(dev, f1, radius, None, tables)
+        expected_dists, expected = _one_table_per_pair(dev, f1, radius)
+        assert dists == expected_dists and list(found) == list(expected)
+        for f2, entry in found.items():
+            got, ref = _geodesic_result(*entry), _geodesic_result(*expected[f2])
+            _assert_same_result(got, ref, (f1, f2))
+        assert min(tables, default=f1 + 1) > f1
+        pairs += len(found)
+        targets.update(found)
+    return pairs, targets
+
+
+def _catacomb_bfs_calls(dev, radius):
+    calls = []
+    original = dev.bfs_from
+
+    def counted(start, cap=None):
+        calls.append((start, cap))
+        return original(start, cap)
+
+    dev.bfs_from = counted
+    try:
+        report = catacomb_check(dev, radius)
+    finally:
+        del dev.bfs_from
+    return report, calls
+
+
+@pytest.mark.parametrize("name, ball_radius, pair_radii", [
+    ("d333", 11, (1, 2)), ("d444", 8, (1, 2)), ("f21_333", 4, (1,)),
+])
+def test_shared_goal_tables_match_one_table_per_pair(dev333, name, ball_radius, pair_radii):
+    dev = dev333 if name == "d333" else grow_to_radius(load_sample(name), ball_radius)
+    assert dev.radius == ball_radius
+    for radius in pair_radii:
+        pairs, targets = _assert_shared_tables_match_per_pair(dev, radius)
+        report, calls = _catacomb_bfs_calls(dev, radius)
+        assert report.ok and report.pairs_checked == pairs > len(targets)
+        # one search from each source and one goal table per target
+        assert [f for f, cap in calls if cap == radius] == list(dev.ball_faces())
+        assert sorted(f for f, cap in calls if cap == radius + 2) == sorted(targets)
+        assert len(calls) == len(dev.ball_faces()) + len(targets)
+
+
 # -- integer gallery kernel against the Q(sqrt 3) reference -----------------------
 
 

@@ -142,6 +142,14 @@ class AngledComplex:
         the vertex and face terms add up as integers and the total is one
         Fraction(total, L): the exact sum of vertex_curvatures and of every
         face_curvature.
+
+        The identity holds for every complex `_validate` accepts, whatever
+        the corners: each corner enters once with a minus sign in its
+        vertex's curvature and once with a plus sign in its cell's, so the
+        left side is sum over v of (2 - link nodes + link arcs) minus sum
+        over cells of (size - 2), which is 2V - 2E + 2F.  An audit built on
+        it exercises the complex's construction and validation, not the
+        angles.
         """
         # cells may share one corner tuple, which is then scaled once
         distinct = {id(cell.corners): cell.corners for cell in self.cells}

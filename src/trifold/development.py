@@ -4,9 +4,9 @@ Faces of the complex correspond to group elements; the base face is the
 identity.  Each edge carries a letter and k face slots indexed mod k, and
 crossing from slot i to slot i' multiplies on the right by that letter to the
 power i'-i.  Each vertex carries a chart of the faces around it into its
-vertex group.  `grower.py` grows a ball by link closure and folding; it is
-imported only when a ball is grown, and `_find`, `_Grower`,
-`init_development` and `grow_to_radius` still resolve here.
+vertex group.  `grower.py` grows a ball by deduction from the charts; it is
+imported only when a ball is grown, and `_Grower`, `init_development` and
+`grow_to_radius` still resolve here.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .groups import LETTERS, LETTER_TYPES, VERTEX_LETTERS, TriangleGroupSpec
 
 
 class DevelopmentError(RuntimeError):
-    """The closure found contradictory chart values; the spec cannot develop."""
+    """Growth found contradictory chart values, or an identification the
+    deductions rule out (see grower.py); the spec cannot develop."""
 
 
 class InsufficientRadiusError(ValueError):
@@ -54,7 +55,7 @@ def symbols_for(k: int) -> list[GeneratorSymbol]:
     return [GeneratorSymbol(l, p) for l in range(3) for p in range(1, k)]
 
 
-_GROWER_NAMES = ("_find", "_Grower", "init_development", "grow_to_radius")
+_GROWER_NAMES = ("_Grower", "init_development", "grow_to_radius")
 
 
 def __getattr__(name: str):

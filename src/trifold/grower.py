@@ -1,51 +1,70 @@
-"""Growing balls of the triangle complex by link closure.
+"""Growing balls of the triangle complex by deduction.
 
 Faces of the complex correspond to group elements; the base face is the
 identity.  Each edge carries a letter and k face slots indexed mod k, and
 crossing from slot i to slot i' multiplies on the right by that letter to the
-power i'-i.  Each vertex carries a partial chart of the faces around it into
-its vertex group, and its inverse, from chart value to face.  Growth
-saturates open edges, and the charts say at creation time what each slot
-needs, so a face is made only where no chart knows it (the define-versus-
-deduce choice of coset enumeration, Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, ch. 5).  Each deduction is an identification
-that the closure below would make anyway:
+power i'-i.  Each vertex carries a chart of the faces around it into its
+vertex group, and its inverse, from chart value to face.  Growth saturates
+open edges, and the charts say at creation time what each slot needs, so a
+face, edge or vertex is made only where no chart knows it (the
+define-versus-deduce choice of coset enumeration, Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, ch. 5).  Growth is this one pass:
+every face, edge and vertex is made once and never merged.
 
 - The face in a slot.  The chart values at the edge's two ends of a face
   on it, crossed to the empty slot, are those of the face that belongs
-  there.  If either chart already holds that value, at face h, then h goes
-  in the slot and its own edge of the letter is folded with this one: a
-  fresh face would be charted with that value and folded into h in the same
-  settle.
-- The other two edges and the third corner of a new face.  The face is
-  charted at the edge's ends at once.  At the end it shares with each other
-  edge, a charted face in the same coset of that letter's generator lies
-  on that edge, and the new face goes in the slot the crossing rule gives,
-  with its third corner and chart value there taken from the found face.
-  This is done only when the edge holds a face below the budget: such an
-  edge is saturated before `grow` returns, and the face it gets in that slot
-  has the new face's chart value, so the closure folds them.  Provisional
-  distances only drop, so an edge below the budget now is below it then.
-- Edges of the outer layer, whose faces are all at the budget, are left
-  alone, since the closure never saturates them: at k = 5 an identification
-  made across them would change the kept bytes (see below).
+  there.  Neither chart may hold that value yet; the face is made there
+  at one more than the least distance on the edge, and charted at both
+  ends.
+- The other two edges and the third corner of a new face.  At the end it
+  shares with each other edge, a charted face in the same coset of that
+  letter's generator lies on that edge, and the new face goes in the slot
+  the crossing rule gives, with its third corner and chart value there
+  taken from the found face.  This is done only when the edge holds a face
+  below the budget; edges of the outer layer, whose faces are all at the
+  budget, are left alone.  Where no edge is found, the edge, or the third
+  corner, is made fresh.
 
-On every sample ball measured, f155_333 at radius 0 included, these
-deductions make every identification: no fold runs, and the grower
-allocates exactly the faces, edges and vertices it keeps
-(tests/test_development.py checks this on f21_333 at radius 4 and d444 at
-radius 8).  The folds below stay as the backstop, and whatever is made
-fresh where the charts cannot tell is folded away as before;
-tests/test_development.py grows every sample with the deductions switched
-off and gets the same bytes.
+Why this is complete.  It rests on two of the paper's local facts about the
+development of a nonpositively curved k-fold triangle of groups, which the
+`cor1` and `cor2` suites of `trifold verify` check on every ball: C1, the
+faces of least distance at a vertex are pairwise adjacent, and C4, the
+distance of a face at a vertex is the least distance there plus its distance
+in the vertex's link from those minimal faces.
+
+1. By induction, round n saturates exactly the open edges that carry a face
+   at distance n - 1.  At that point every face at distance n - 1 or less
+   is present exactly once, with `f_prov` equal to its true distance.
+2. Every present face at a vertex is in that vertex's chart.  So a new face
+   F, made in slot j of edge ab, is truly new.  F's other edge at a or b
+   exists exactly when some face on it is present, and `_known_edge` then
+   finds that edge.
+3. Suppose F's third corner c already has a present face G.  Apply C4 at c.
+   If F is not minimal at c, a neighbour of F across ac or bc lies at
+   distance n - 1 and is present.  If F is minimal at c, then G is minimal
+   too, and by C1 G is adjacent to F across ac or bc.  The development is
+   CAT(0), so two vertices span at most one edge.  Either way, c is found
+   whenever F lies below the budget.
+4. At the budget layer, the fresh edges and corners belong only to faces at
+   the budget.  Those faces lie past the stored extent (below).
+
+Each identification the argument rules out raises `DevelopmentError`,
+naming its face, edge or vertex: a slot whose face is already charted, a
+known edge whose slot for the new face is taken, two known edges that
+disagree on the third corner or its chart value, a chart value already held
+there, and a new face more than one layer from a face on a known edge.  So a
+spec that broke the argument could never yield a wrong ball.
+tests/test_development.py checks the bytes against an independent grower
+that makes every face fresh and folds duplicates away, and checks that
+switching off the edge deduction raises on every sample.
 
 The margin, one more than delta, the largest local-link diameter, has two
-jobs.  It is the growth budget: closure runs to a fixed point within radius +
-margin, after which breadth-first distances are trusted out to the requested
-radius, which is enough because distances are determined by data within one
-link of the nearest minimal faces.  And one less than it is the stored
-extent: the finalized ball, which `build` also writes, keeps only the faces
-out to radius + margin - 1 = radius + delta, since no reader goes farther:
+jobs.  It is the growth budget: growth runs within radius + margin, after
+which breadth-first distances are trusted out to the requested radius, which
+is enough because distances are determined by data within one link of the
+nearest minimal faces.  And one less than it is the stored extent: the
+finalized ball, which `build` also writes, keeps only the faces out to
+radius + margin - 1 = radius + delta, since no reader goes farther:
 
 - The trusted ball, and the interior vertices whose faces are all trusted,
   lie within radius.
@@ -66,67 +85,32 @@ out to radius + margin - 1 = radius + delta, since no reader goes farther:
   (the half-girth-2 samples gate catacomb off).
 
 The outer layer at radius + margin is grown but never stored, and it still
-cannot go: identifications made while growing it merge edges and vertices
-of the kept faces.  At k = 5, f155_333 (tests/test_development.py) grown at radius 0 to
-radius + delta, one layer short, keeps its 4,579 faces and their distances
-but ends with 8,445 edges and 3,867 vertices, where the full budget gives
-8,013 and 3,435.  At k <= 3 the two budgets give equal bytes on all five
-samples at every radius from 0 to 11 (d333), 15 (d244), 19 (d236), 7 (d444)
-and 3 (f21_333).
+cannot go: growing it is what finds the edges and corners of the faces at
+the stored extent.  Grown one layer short, those faces are the budget layer,
+and by step 4 they get fresh edges and corners where they share ones.  At
+k = 5, f155_333 (tests/test_development.py) grown at radius 0 to radius +
+delta keeps its 4,579 faces and their distances but ends with 8,445 edges
+and 3,867 vertices, where the full budget gives 8,013 and 3,435.  At k <= 3
+the two budgets give equal bytes on all five samples at every radius from 0
+to 11 (d333), 15 (d244), 19 (d236), 7 (d444) and 3 (f21_333).
 
-The closure is incremental; it reaches the same fixed point as walking every
-chart and every edge in each round, so the finalized ball is the same:
-
-- A vertex's chart is closed under the crossings of its faces' edges except
-  at the faces it is marked dirty with, and propagation expands only from
-  those.  A new face is charted at its corners when it is made, which keeps
-  the charts closed; a new vertex is charted at its one face.  Folding two
-  edges marks the shared face at both ends, which reaches the others across
-  it, and placing a known face in a slot also marks the edge's seed there;
-  folding a face into another marks the survivor where it took over the
-  folded face's chart value.
-- A vertex fold merges the two charts by the left translation that agrees on
-  a face they share; a chart value met twice queues a face fold.  Without a
-  shared face the smaller chart is dropped, and propagation from the dirty
-  faces recharts its faces in the larger chart's frame.
-- Chart keys are re-rooted when a face folds, at the folded face's corners,
-  which are the only vertices that chart it, and the inverse charts are
-  kept in step at every insert, fold and re-key.  The open edges are kept as
-  a frontier in ascending order, so a round scans only those.
-- Provisional distances only drop.  A face fold keeps the smaller; an edge
-  fold lowers its faces to one more than the least among them; a known face
-  placed in a slot, or a new face placed on a known edge, queues the faces
-  from which its new neighbours' distances may drop; after the closure
-  settles, a breadth-first pass from the lowered faces makes every distance
-  exact again before the next round reads them.
+The open edges are kept as a frontier in ascending order, so a round scans
+only those.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .development import Development, DevelopmentError, trust_margin
 from .groups import LETTER_TYPES, VERTEX_LETTERS, TriangleGroupSpec, npc_check
 
 
-def _find(parent: list[int], x: int) -> int:
-    """Union-find root of x in the forest `parent`, compressing the path."""
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
-
-
 class _Grower:
-    """Mutable closure state; finalize() emits the canonical Development.
+    """Growth state; finalize() emits the canonical Development.
 
     The columns are flat: face f's edge, slot and corner for letter or vertex
     type t are f_edge[3*f + t], f_slot[3*f + t] and f_vert[3*f + t]; edge e's
-    k slots are e_slots[k*e:k*e + k] and its ends e_ends[2*e:2*e + 2].  An
-    element is alive while it is its own union-find root; a folded vertex's
-    chart is dropped."""
+    k slots are e_slots[k*e:k*e + k] and its ends e_ends[2*e:2*e + 2].  Every
+    face, edge and vertex allocated is kept."""
 
     def __init__(self, spec: TriangleGroupSpec):
         verdict = npc_check(spec)
@@ -138,75 +122,61 @@ class _Grower:
         self.verdict = verdict
         self.k = spec.k
         self.margin = trust_margin(spec)
-        # per vertex type, (letter, designated generator powers) for its two letters
-        self.gen_pow: list[list[tuple[int, list[int]]]] = []
+        # per vertex type and letter, the designated generator's powers, None
+        # where the letter does not meet the type
+        self.pow_of: list[list[list[int] | None]] = []
         for ti in range(3):
             group = spec.vertex_groups[ti]
-            table = []
+            row: list[list[int] | None] = [None] * 3
             for pos, letter in enumerate(VERTEX_LETTERS[ti]):
                 g = spec.designated[ti][pos]
                 powers = [0]
                 for _ in range(1, self.k):
                     powers.append(group.mult[powers[-1]][g])
-                table.append((letter, powers))
-            self.gen_pow.append(table)
-        # the same powers by vertex type and letter, None where the letter
-        # does not meet the type
-        self.pow_of = [[dict(table).get(letter) for letter in range(3)] for table in self.gen_pow]
+                row[letter] = powers
+            self.pow_of.append(row)
 
         self.f_edge: list[int] = []
         self.f_slot: list[int] = []
         self.f_vert: list[int] = []
         self.f_prov: list[int] = []
-        self.uf_f: list[int] = []
 
         self.e_letter: list[int] = []
         self.e_slots: list[int] = []
         self.e_ends: list[int] = []
-        self.uf_e: list[int] = []
 
         self.v_type: list[int] = []
-        self.v_chart: list[dict[int, int] | None] = []
-        self.v_inv: list[dict[int, int] | None] = []  # chart value -> a face holding it
-        self.uf_v: list[int] = []
-
-        self.face_q: deque[tuple[int, int]] = deque()
-        self.edge_q: deque[tuple[int, int]] = deque()
-        self.vert_q: deque[tuple[int, int]] = deque()
-        self.dirty: dict[int, list[int]] = {}  # vertex -> faces to expand from
-        # open edges, ascending; each round drops the folded and full ones
+        self.v_chart: list[dict[int, int]] = []
+        self.v_inv: list[dict[int, int]] = []  # chart value -> the face holding it
+        # open edges, ascending; each round drops the full ones
         self.frontier: list[int] = []
-        self.lowered: list[int] = []  # faces whose provisional distance dropped
 
         self._seed()
 
     # -- construction ------------------------------------------------------
 
     def _new_face(self, prov: int) -> int:
-        f = len(self.uf_f)
+        f = len(self.f_prov)
         self.f_edge += (-1, -1, -1)
         self.f_slot += (-1, -1, -1)
         self.f_vert += (-1, -1, -1)
         self.f_prov.append(prov)
-        self.uf_f.append(f)
         return f
 
     def _new_edge(self, letter: int, a: int, b: int) -> int:
-        e = len(self.uf_e)
+        e = len(self.e_letter)
         self.e_letter.append(letter)
         self.e_slots += [-1] * self.k
         self.e_ends += (a, b)
-        self.uf_e.append(e)
         self.frontier.append(e)
         return e
 
     def _new_vertex(self, vtype: int, face: int) -> int:
         """A vertex charted at its one face."""
-        v = len(self.uf_v)
+        v = len(self.v_type)
         self.v_type.append(vtype)
         self.v_chart.append({face: 0})
         self.v_inv.append({0: face})
-        self.uf_v.append(v)
         return v
 
     def _attach(self, face: int, letter: int, edge: int, slot: int) -> None:
@@ -222,31 +192,18 @@ class _Grower:
             t1, t2 = LETTER_TYPES[letter]
             self._attach(face, letter, self._new_edge(letter, verts[t1], verts[t2]), 0)
 
-    def _mark_dirty(self, v: int, face: int) -> None:
-        """Have the next propagation at v expand from face."""
-        seeds = self.dirty.get(v)
-        if seeds is None:
-            self.dirty[v] = [face]
-        else:
-            seeds.append(face)
-
-    # -- closure -----------------------------------------------------------
+    # -- growth ------------------------------------------------------------
 
     def _saturate_edge(self, e: int, seed: int, js: int, budget: int) -> None:
         """Fill e's empty slots.  seed, in slot js, is a face on e of least
-        provisional distance.  Crossed to an empty slot, seed's chart values
-        at e's ends are those of the face the slot needs: a face either chart
-        already holds there is placed in the slot, and its own edge of e's
-        letter is folded with e; otherwise a new face at distance one more
-        than seed's is made and charted there, with its other edges and its
-        third corner taken from the charts where they are known."""
-        k, uf_f, uf_e, uf_v = self.k, self.uf_f, self.uf_e, self.uf_v
-        slots, f_edge = self.e_slots, self.f_edge
+        distance.  Crossed to an empty slot, seed's chart values at e's ends
+        are those of the face the slot needs, which neither chart may hold
+        yet: a new face at distance one more than seed's is made and charted
+        there."""
+        k, slots = self.k, self.e_slots
         letter = self.e_letter[e]
         t1, t2 = LETTER_TYPES[letter]
-        a = _find(uf_v, self.e_ends[2 * e])
-        b = _find(uf_v, self.e_ends[2 * e + 1])
-        self.e_ends[2 * e:2 * e + 2] = a, b
+        a, b = self.e_ends[2 * e:2 * e + 2]
         groups = self.spec.vertex_groups
         inv_a, inv_b = self.v_inv[a], self.v_inv[b]
         row_a = groups[t1].mult[self.v_chart[a][seed]]
@@ -259,30 +216,10 @@ class _Grower:
                 continue
             p = (j - js) % k
             va, vb = row_a[pow_a[p]], row_b[pow_b[p]]
-            h, h2 = inv_a.get(va), inv_b.get(vb)
-            if h is None and h2 is None:
-                self._make_face(e, j, near, budget, a, va, b, vb)
-                continue
-            # the face belongs in slot j: a new one would be charted here and
-            # folded into it in the same settle
-            if h is None:
-                h = h2
-            elif h2 is not None and _find(uf_f, h2) != _find(uf_f, h):
-                self.face_q.append((h, h2))
-            if uf_f[h] != h:
-                h = _find(uf_f, h)
-            slots[x + j] = h
-            he = f_edge[3 * h + letter]
-            if uf_e[he] != he:
-                he = _find(uf_e, he)
-            if he == e:
-                raise DevelopmentError(f"edge slot collision while placing face {h} on edge {e}")
-            self.edge_q.append((e, he))
-            self.lowered += (seed, h)
-            # the edge fold may drop the chart at a or b that holds h; seed
-            # recharts h's side from the other
-            self._mark_dirty(a, seed)
-            self._mark_dirty(b, seed)
+            h = inv_a.get(va, inv_b.get(vb))
+            if h is not None:
+                raise DevelopmentError(f"slot {j} of edge {e} needs face {h}, which is already charted")
+            self._make_face(e, j, near, budget, a, va, b, vb)
 
     def _make_face(self, e: int, j: int, prov: int, budget: int, a: int, va: int, b: int, vb: int) -> None:
         """A new face in slot j of e, charted at e's ends a and b with values
@@ -298,51 +235,45 @@ class _Grower:
         self.v_chart[b][face] = vb
         self.v_inv[b][vb] = face
         known = [
-            (other, self._known_edge(other, t3, a, va, budget) if t1 in LETTER_TYPES[other]
-             else self._known_edge(other, t3, b, vb, budget))
+            (other, self._known_edge(face, other, t3, a, va, budget) if t1 in LETTER_TYPES[other]
+             else self._known_edge(face, other, t3, b, vb, budget))
             for other in range(3) if other != letter
         ]
         corners = [-1, -1, -1]
         corners[t1], corners[t2] = a, b
-        first = next((item for _, item in known if item is not None), None)
-        if first is None:
+        found = [item[1:] for _, item in known if item is not None]
+        if not found:
             corners[t3] = self._new_vertex(t3, face)
         else:
-            c, val = first[1:3]
+            c, val = found[0]
+            if found[-1] != found[0]:
+                raise DevelopmentError(
+                    f"the known edges of face {face} disagree on its corner of type {t3}: {found}"
+                )
+            held = self.v_inv[c].setdefault(val, face)
+            if held != face:
+                raise DevelopmentError(
+                    f"face {face} needs chart value {val} at vertex {c}, which face {held} holds"
+                )
             corners[t3] = c
             self.v_chart[c][face] = val
-            inv = self.v_inv[c]
-            if inv.setdefault(val, face) != face:
-                self.face_q.append((inv[val], face))
         self.f_vert[3 * face:3 * face + 3] = corners
         for other, item in known:
-            # a second known edge whose far corner or chart value there
-            # disagrees with the first is made fresh and left to the folds
-            if item is None or item[1:3] != first[1:3]:
+            if item is None:
                 o1, o2 = LETTER_TYPES[other]
                 self._attach(face, other, self._new_edge(other, corners[o1], corners[o2]), 0)
-                continue
-            i, _, _, nearest, low, high = item
-            self._attach(face, other, i // self.k, i % self.k)
-            # a gap of more than one between the distances of the new face
-            # and the edge's faces is closed by lowering from the nearer side
-            if prov > low + 1:
-                self.lowered.append(nearest)
-            if high > prov + 1:
-                self.lowered.append(face)
+            else:
+                self._attach(face, other, item[0] // self.k, item[0] % self.k)
 
-    def _known_edge(self, letter: int, t3: int, u: int, value: int, budget: int):
-        """The existing edge of `letter` at vertex u for a new face with chart
-        value `value` there, or None.  The chart at u holds a face on that
-        edge if it holds one in value's coset of the letter's generator.  The
-        edge is taken only when it holds a face below the budget, which the
-        closure saturates before it stops, making the same identification;
-        edges of the outer layer are left open.  Returns the edge's slot
-        index for the new face, the third corner of type t3 as the found
-        face has it, the new face's chart value there, and a face of least
-        provisional distance on the edge with the least and the greatest
-        distance there."""
-        k, uf_f, slots, prov = self.k, self.uf_f, self.e_slots, self.f_prov
+    def _known_edge(self, face: int, letter: int, t3: int, u: int, value: int, budget: int):
+        """The existing edge of `letter` at vertex u for the new face `face`,
+        with chart value `value` there, or None.  The chart at u holds a face
+        on that edge if it holds one in value's coset of the letter's
+        generator.  The edge is taken only when it holds a face below the
+        budget; edges of the outer layer are left open.  Returns the edge's
+        slot index for the new face, the third corner of type t3 as the found
+        face has it, and the new face's chart value there."""
+        k, slots, prov = self.k, self.e_slots, self.f_prov
         tu = self.v_type[u]
         row = self.spec.vertex_groups[tu].mult[value]
         powers = self.pow_of[tu][letter]
@@ -353,275 +284,35 @@ class _Grower:
                 break
         else:
             return None
-        if uf_f[g] != g:
-            g = _find(uf_f, g)
         x = 3 * g + letter
         e = self.f_edge[x]
-        if self.uf_e[e] != e:
-            e = _find(self.uf_e, e)
         # crossing from g's slot to the new face's multiplies by the
         # generator to the power -q, at both ends
         i = k * e + (self.f_slot[x] - q) % k
         if slots[i] != -1:
+            raise DevelopmentError(
+                f"face {face} needs slot {i - k * e} of edge {e}, which face {slots[i]} holds"
+            )
+        dists = [prov[f] for f in slots[k * e:k * e + k] if f != -1]
+        if min(dists) >= budget:
             return None
-        low, high, nearest = budget, -1, -1
-        for f in slots[k * e:k * e + k]:
-            if f != -1:
-                if uf_f[f] != f:
-                    f = _find(uf_f, f)
-                d = prov[f]
-                if d < low:
-                    low, nearest = d, f
-                if d > high:
-                    high = d
-        if nearest < 0:
-            return None
-        c = _find(self.uf_v, self.f_vert[3 * g + t3])
+        d = prov[face]
+        if not d - 1 <= min(dists) <= max(dists) <= d + 1:
+            raise DevelopmentError(
+                f"face {face} at distance {d} meets faces at distances {dists} on edge {e}"
+            )
+        c = self.f_vert[3 * g + t3]
         val = self.spec.vertex_groups[t3].mult[self.v_chart[c][g]][self.pow_of[t3][letter][k - q]]
-        return i, c, val, nearest, low, high
-
-    def _propagate(self, v: int, queue: list[int]) -> None:
-        """Extend the chart at v across the edge crossings of the faces in
-        `queue` and of every face it newly charts; queue folds for values
-        met twice."""
-        k = self.k
-        chart, inv = self.v_chart[v], self.v_inv[v]
-        mult = self.spec.vertex_groups[self.v_type[v]].mult
-        steps = self.gen_pow[self.v_type[v]]
-        uf_f, uf_e, slots = self.uf_f, self.uf_e, self.e_slots
-        f_edge, f_slot = self.f_edge, self.f_slot
-        queue = list(dict.fromkeys(queue))
-        for f in queue:
-            r = uf_f[f]
-            if uf_f[r] != r:
-                r = _find(uf_f, r)
-            base = chart.get(r)
-            if base is None:
-                continue
-            row = mult[base]
-            for letter, powers in steps:
-                x = 3 * r + letter
-                e = f_edge[x]
-                if uf_e[e] != e:
-                    e = f_edge[x] = _find(uf_e, e)
-                jf = f_slot[x]
-                ke = k * e
-                for p in range(1, k):
-                    i = ke + (jf + p) % k
-                    f2 = slots[i]
-                    if f2 == -1:
-                        continue
-                    if uf_f[f2] != f2:
-                        f2 = slots[i] = _find(uf_f, f2)
-                    val = row[powers[p]]
-                    have = chart.get(f2)
-                    if have is None:
-                        chart[f2] = val
-                        queue.append(f2)
-                        first = inv.setdefault(val, f2)
-                        if first != f2:
-                            self.face_q.append((first, f2))
-                    elif have != val:
-                        raise DevelopmentError(
-                            f"development inconsistency at vertex {v}: face {f2} "
-                            f"needs chart values {have} and {val}"
-                        )
-
-    def _process_queues(self) -> None:
-        while self.face_q or self.edge_q or self.vert_q:
-            if self.face_q:
-                self._merge_faces(*self.face_q.popleft())
-            elif self.edge_q:
-                self._merge_edges(*self.edge_q.popleft())
-            else:
-                self._merge_vertices(*self.vert_q.popleft())
-
-    def _merge_faces(self, a: int, b: int) -> None:
-        uf_f, uf_e, uf_v = self.uf_f, self.uf_e, self.uf_v
-        ra, rb = _find(uf_f, a), _find(uf_f, b)
-        if ra == rb:
-            return
-        keep, dead = min(ra, rb), max(ra, rb)
-        uf_f[dead] = keep
-        if self.f_prov[dead] < self.f_prov[keep]:
-            self.f_prov[keep] = self.f_prov[dead]
-            self.lowered.append(keep)
-        xk, xd = 3 * keep, 3 * dead
-        for letter in range(3):
-            e1 = _find(uf_e, self.f_edge[xk + letter])
-            e2 = _find(uf_e, self.f_edge[xd + letter])
-            if e1 != e2:
-                self.edge_q.append((e1, e2))
-            elif self.f_slot[xk + letter] != self.f_slot[xd + letter]:
-                raise DevelopmentError(
-                    f"edge slot collision while folding faces {keep} and {dead}"
-                )
-        for t in range(3):
-            v1 = _find(uf_v, self.f_vert[xk + t])
-            v2 = _find(uf_v, self.f_vert[xd + t])
-            chart = self.v_chart[v2]
-            val = chart.pop(dead, None)
-            if val is not None:
-                have = chart.get(keep)
-                if have is None:
-                    chart[keep] = val
-                    self._mark_dirty(v2, keep)
-                if have is None or have == val:
-                    self.v_inv[v2][val] = keep
-                else:
-                    raise DevelopmentError(
-                        f"development inconsistency at vertex {v2}: face {keep} "
-                        f"needs chart values {have} and {val}"
-                    )
-            if v1 != v2:
-                self.vert_q.append((v1, v2))
-
-    def _merge_edges(self, a: int, b: int) -> None:
-        uf_f, uf_e, uf_v = self.uf_f, self.uf_e, self.uf_v
-        ra, rb = _find(uf_e, a), _find(uf_e, b)
-        if ra == rb:
-            return
-        if self.e_letter[ra] != self.e_letter[rb]:
-            raise DevelopmentError("cannot fold edges of different letters")
-        keep, dead = min(ra, rb), max(ra, rb)
-        letter = self.e_letter[keep]
-        k, slots = self.k, self.e_slots
-        xk, xd = k * keep, k * dead
-        # both edges' slots are stored back as roots
-        for x in (*range(xk, xk + k), *range(xd, xd + k)):
-            f = slots[x]
-            if f != -1 and uf_f[f] != f:
-                slots[x] = _find(uf_f, f)
-        on_keep = slots[xk:xk + k]
-        on_dead = slots[xd:xd + k]
-        jd = next((j for j, f in enumerate(on_dead) if f != -1 and f in on_keep), -1)
-        if jd < 0:
-            raise DevelopmentError("edge fold without a shared face")
-        shared = on_dead[jd]
-        uf_e[dead] = keep
-        delta = (on_keep.index(shared) - jd) % k
-        for j, f in enumerate(on_dead):
-            if f == -1:
-                continue
-            target = (j + delta) % k
-            self.f_edge[3 * f + letter] = keep
-            self.f_slot[3 * f + letter] = target
-            cur = slots[xk + target]
-            if cur == -1:
-                slots[xk + target] = f
-            elif cur != f:
-                self.face_q.append((cur, f))
-        # faces on one edge are adjacent
-        prov = self.f_prov
-        faces = [f for f in slots[xk:xk + k] if f != -1]
-        near = min([prov[f] for f in faces]) + 1
-        for f in faces:
-            if prov[f] > near:
-                prov[f] = near
-                self.lowered.append(f)
-        # the shared face reaches every face now on the edge: wherever a face
-        # of either edge is charted, so is the shared face
-        for i in range(2):
-            v1 = _find(uf_v, self.e_ends[2 * keep + i])
-            v2 = _find(uf_v, self.e_ends[2 * dead + i])
-            self._mark_dirty(v1, shared)
-            if v1 != v2:
-                self._mark_dirty(v2, shared)
-                self.vert_q.append((v1, v2))
-
-    def _merge_vertices(self, a: int, b: int) -> None:
-        uf_v = self.uf_v
-        ra, rb = _find(uf_v, a), _find(uf_v, b)
-        if ra == rb:
-            return
-        if self.v_type[ra] != self.v_type[rb]:
-            raise DevelopmentError("cannot fold vertices of different types")
-        keep, dead = min(ra, rb), max(ra, rb)
-        uf_v[dead] = keep
-        seeds = self.dirty.pop(dead, None)
-        if seeds is not None:
-            self.dirty.setdefault(keep, []).extend(seeds)
-        # merge the smaller chart into the larger by the left translation
-        # that agrees on a shared face; charts are unique up to one
-        if len(self.v_chart[dead]) > len(self.v_chart[keep]):
-            big, owner, small = self.v_chart[dead], self.v_inv[dead], self.v_chart[keep]
-        else:
-            big, owner, small = self.v_chart[keep], self.v_inv[keep], self.v_chart[dead]
-        self.v_chart[keep], self.v_inv[keep] = big, owner
-        self.v_chart[dead] = self.v_inv[dead] = None
-        group = self.spec.vertex_groups[self.v_type[keep]]
-        shift = None
-        for f, val in small.items():
-            have = big.get(f)
-            if have is not None:
-                shift = group.mult[have][group.inv(val)]
-                break
-        if shift is None:
-            # nothing to align by: the smaller chart is dropped, and
-            # propagation from the dirty faces recharts its faces in the
-            # larger one's frame, which is closed everywhere else
-            return
-        row = group.mult[shift]
-        for f, val in small.items():
-            val = row[val]
-            have = big.get(f)
-            if have is None:
-                big[f] = val
-                first = owner.setdefault(val, f)
-                if first != f:
-                    self.face_q.append((first, f))
-            elif have != val:
-                raise DevelopmentError(
-                    f"development inconsistency at vertex {keep}: face {f} "
-                    f"needs chart values {have} and {val}"
-                )
-
-    def _lower_prov(self) -> None:
-        """Carry the drops in provisional distance to the lowered faces'
-        neighbours, breadth first, so every distance is exact again."""
-        k, uf_f, uf_e = self.k, self.uf_f, self.uf_e
-        f_edge, slots, prov = self.f_edge, self.e_slots, self.f_prov
-        queue, self.lowered = self.lowered, []
-        for f in queue:
-            f = _find(uf_f, f)
-            d = prov[f] + 1
-            for x in range(3 * f, 3 * f + 3):
-                ke = k * _find(uf_e, f_edge[x])
-                for g in slots[ke:ke + k]:
-                    if g != -1:
-                        g = _find(uf_f, g)
-                        if prov[g] > d:
-                            prov[g] = d
-                            queue.append(g)
-
-    def _settle(self) -> None:
-        """Run folds and seeded propagation to a fixed point, then repair the
-        provisional distances."""
-        dirty = self.dirty
-        while True:
-            self._process_queues()
-            if not dirty:
-                break
-            for v in sorted(dirty):
-                seeds = dirty.pop(v, None)
-                if seeds is None:
-                    continue  # folded earlier in this wave; its seeds moved on
-                self._propagate(v, seeds)
-                if self.face_q or self.edge_q or self.vert_q:
-                    self._process_queues()
-        self._lower_prov()
+        return i, c, val
 
     def _saturate_frontier(self, budget: int) -> bool:
-        """One round: saturate every open edge with a face at provisional
-        distance below `budget`, in ascending edge order.  Returns whether
-        any was."""
-        k, uf_f, uf_e, slots, prov = self.k, self.uf_f, self.uf_e, self.e_slots, self.f_prov
+        """One round: saturate every open edge with a face at distance below
+        `budget`, in ascending edge order.  Returns whether any was."""
+        k, slots, prov = self.k, self.e_slots, self.f_prov
         frontier, self.frontier = self.frontier, []
         still_open = []
         saturated = False
         for e in frontier:
-            if uf_e[e] != e:
-                continue
             near, seed, js = budget, -1, -1
             full = True
             x = k * e
@@ -629,11 +320,8 @@ class _Grower:
                 f = slots[x + j]
                 if f == -1:
                     full = False
-                else:
-                    if uf_f[f] != f:
-                        f = _find(uf_f, f)
-                    if prov[f] < near:
-                        near, seed, js = prov[f], f, j
+                elif prov[f] < near:
+                    near, seed, js = prov[f], f, j
             if full:
                 continue
             if near < budget:
@@ -649,9 +337,8 @@ class _Grower:
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         budget = radius + self.margin
-        self._settle()
         while self._saturate_frontier(budget):
-            self._settle()
+            pass
 
     # -- finalization ------------------------------------------------------
 
@@ -663,13 +350,11 @@ class _Grower:
         are built here; `Development.derive_columns` builds the rest from
         them, so slots holding a face past that distance read -1 and charts
         leave such faces out."""
-        uf_f, uf_e, uf_v = self.uf_f, self.uf_e, self.uf_v
         k, f_edge, f_slot, f_vert = self.k, self.f_edge, self.f_slot, self.f_vert
         e_slots = self.e_slots
         extent = radius + self.margin - 1
-        base = _find(uf_f, 0)
-        order: list[int] = [base]
-        seen = {base}
+        order: list[int] = [0]
+        seen = {0}
         dist = [0]
         # faces are met in breadth-first order, so the first face at the
         # extent ends the search: it and the faces after it add none
@@ -678,18 +363,10 @@ class _Grower:
             if d > extent:
                 break
             for x in range(3 * f, 3 * f + 3):
-                e = f_edge[x]
-                if uf_e[e] != e:
-                    e = f_edge[x] = _find(uf_e, e)
-                ke, jf = k * e, f_slot[x]
+                ke, jf = k * f_edge[x], f_slot[x]
                 for p in range(1, k + 1):  # the face's own slot last
-                    s = ke + (jf + p) % k
-                    g = e_slots[s]
-                    if g == -1:
-                        continue
-                    if uf_f[g] != g:
-                        g = e_slots[s] = _find(uf_f, g)
-                    if g not in seen:
+                    g = e_slots[ke + (jf + p) % k]
+                    if g != -1 and g not in seen:
                         seen.add(g)
                         dist.append(d)
                         order.append(g)
@@ -710,8 +387,6 @@ class _Grower:
             x = 3 * f
             for letter in range(3):
                 e = f_edge[x + letter]
-                if uf_e[e] != e:
-                    e = _find(uf_e, e)
                 n = edge_pos.get(e)
                 if n is None:
                     n = edge_pos[e] = len(edge_rot)
@@ -720,8 +395,6 @@ class _Grower:
                 dev.f_slot.append((f_slot[x + letter] - edge_rot[n]) % k)
             for t in range(3):
                 v = f_vert[x + t]
-                if uf_v[v] != v:
-                    v = _find(uf_v, v)
                 n = vert_pos.get(v)
                 if n is None:
                     n = vert_pos[v] = len(charts)
@@ -735,7 +408,7 @@ class _Grower:
 
 
 def init_development(spec: TriangleGroupSpec) -> _Grower:
-    """Seed the closure with the base face anchored to the identity."""
+    """Seed the growth with the base face anchored to the identity."""
     return _Grower(spec)
 
 

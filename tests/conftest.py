@@ -1,6 +1,6 @@
 import pytest
 
-from trifold.development import grow_to_radius
+from trifold.grower import grow_to_radius
 from trifold.samples import load_sample
 
 # trusted radii large enough for every suite run below; growing is the

@@ -25,7 +25,8 @@ from trifold.curvature import (
     random_angles,
     triangle_fixture,
 )
-from trifold.development import development_to_json, embeds_in, grow_to_radius
+from trifold.development import development_to_json, embeds_in
+from trifold.grower import grow_to_radius
 from trifold.oracle import catacomb_check, compare_balls, isometry_ball
 from trifold.samples import load_sample, sample_names
 

@@ -13,7 +13,8 @@ from trifold.automata import (
     lexfirst_words,
     minimize,
 )
-from trifold.development import GeneratorSymbol, InsufficientRadiusError, grow_to_radius
+from trifold.development import GeneratorSymbol, InsufficientRadiusError
+from trifold.grower import grow_to_radius
 from trifold.samples import load_sample
 
 MACHINE_RADII = {"d333": 8, "d244": 10, "d236": 23, "d444": 7, "f21_333": 6}

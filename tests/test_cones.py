@@ -8,7 +8,8 @@ from trifold.cones import (
     stabilization_radius,
     verify_cone_determination,
 )
-from trifold.development import InsufficientRadiusError, grow_to_radius
+from trifold.development import InsufficientRadiusError
+from trifold.grower import grow_to_radius
 from trifold.oracle import isometry_ball
 from trifold.samples import load_sample
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from trifold.development import grow_to_radius
+from trifold.grower import grow_to_radius
 from trifold.samples import load_sample
 from trifold.curvature import (
     AngledComplex,

@@ -23,9 +23,7 @@ from trifold.development import (
     development_to_json,
     embeds_in,
     export_development,
-    grow_to_radius,
     import_development,
-    init_development,
     symbols_for,
 )
 from trifold.groups import (
@@ -35,9 +33,15 @@ from trifold.groups import (
     group_from_permutations,
     npc_check,
 )
-from trifold.grower import _find, _Grower
+from trifold.grower import _Grower, grow_to_radius, init_development
 from trifold.oracle import OracleError, source_geodesics
-from trifold.samples import dihedral, dihedral_reflections, load_sample
+from trifold.samples import (
+    dihedral,
+    dihedral_reflections,
+    frobenius21,
+    frobenius21_generators,
+    load_sample,
+)
 
 # sphere sizes frozen from the exact-isometry oracle (first computed there)
 ORACLE_SPHERES = {
@@ -60,9 +64,9 @@ def test_symbol_order_and_parse():
 
 def test_init_development_seed_counts():
     grower = init_development(load_sample("d333"))
-    assert len(grower.uf_f) == 1
-    assert len(grower.uf_e) == 3
-    assert len(grower.uf_v) == 3
+    assert len(grower.f_prov) == 1
+    assert len(grower.e_letter) == 3
+    assert len(grower.v_type) == 3
 
 
 def test_init_refuses_positive_excess():
@@ -382,7 +386,7 @@ def test_vertex_stars_of_trusted_faces_end_by_radius_plus_delta(five_balls):
         assert reach == dev.radius + delta == max(dev.dist), dev.spec.name
 
 
-# -- the incremental grower against the grower it replaced -----------------
+# -- the grower against the folding grower it replaced ---------------------
 
 
 def _ref_find(parent: list[int], x: int) -> int:
@@ -396,9 +400,10 @@ def _ref_find(parent: list[int], x: int) -> int:
 
 
 class ReferenceGrower:
-    """The grower as it was before its closure became incremental: each
-    propagation walks the whole chart, and each round scans every edge after
-    a breadth-first pass over the whole ball."""
+    """The grower as it was before growth became deduction: each empty slot
+    gets a fresh face, and chart propagation and folds merge the duplicates.
+    Each propagation walks the whole chart, and each round scans every edge
+    after a breadth-first pass over the whole ball."""
 
     def __init__(self, spec: TriangleGroupSpec):
         verdict = npc_check(spec)
@@ -940,37 +945,33 @@ def _reference_build(spec, radius):
 
 
 def _fresh_distances(grower):
-    """Breadth-first distances from the base face over the live faces."""
-    k, uf_f, uf_e = grower.k, grower.uf_f, grower.uf_e
-    find = _ref_find
-    base = find(uf_f, 0)
-    dist = {base: 0}
-    queue = [base]
+    """Breadth-first distances from the base face over the grown faces."""
+    k = grower.k
+    dist = {0: 0}
+    queue = [0]
     for f in queue:
         for x in range(3 * f, 3 * f + 3):
-            e = find(uf_e, grower.f_edge[x])
+            e = grower.f_edge[x]
             for g in grower.e_slots[k * e:k * e + k]:
-                if g != -1:
-                    g = find(uf_f, g)
-                    if g not in dist:
-                        dist[g] = dist[f] + 1
-                        queue.append(g)
+                if g != -1 and g not in dist:
+                    dist[g] = dist[f] + 1
+                    queue.append(g)
     return dist
 
 
-def _checked_build(spec, radius, make=init_development):
+def _checked_build(spec, radius):
     """The ball's bytes and its number of rounds, checking before each
-    round and after the last that every live face's provisional distance
-    is its breadth-first distance.  `make` makes the grower from spec."""
-    grower = make(spec)
+    round and after the last that every face grown is reached from the base
+    face and that its distance is its breadth-first distance."""
+    grower = init_development(spec)
     rounds = []
     scan = grower._saturate_frontier
 
     def check():
         fresh = _fresh_distances(grower)
-        live = [f for f, parent in enumerate(grower.uf_f) if parent == f]
-        assert sorted(fresh) == live, (spec.name, radius, len(rounds))
-        wrong = [f for f in live if grower.f_prov[f] != fresh[f]]
+        faces = range(len(grower.f_prov))
+        assert sorted(fresh) == list(faces), (spec.name, radius, len(rounds))
+        wrong = [f for f in faces if grower.f_prov[f] != fresh[f]]
         assert not wrong, (spec.name, radius, len(rounds), wrong[:5])
         rounds.append(1)
 
@@ -982,23 +983,6 @@ def _checked_build(spec, radius, make=init_development):
     grower.grow(radius)
     check()
     return development_to_json(grower.finalize(radius)), len(rounds)
-
-
-def test_lowered_distances_spread_breadth_first():
-    """Folds on the samples never shorten a distance, so the repair pass is
-    driven by hand: with every face but the base far away and the base
-    lowered, it must give the breadth-first distances."""
-    grower = init_development(load_sample("f21_333"))
-    grower.grow(2)
-    fresh = _fresh_distances(grower)
-    for f in fresh:
-        grower.f_prov[f] = 1000
-    base = min(fresh, key=fresh.get)
-    grower.f_prov[base] = 0
-    grower.lowered.append(base)
-    grower._lower_prov()
-    assert {f: grower.f_prov[f] for f in fresh} == fresh
-    assert not grower.lowered
 
 
 @pytest.mark.parametrize("name", ["d236", "d244", "d333", "d444", "f21_333"])
@@ -1050,8 +1034,8 @@ def test_grower_matches_reference_at_k5(k5_ball):
 def test_outer_layer_growth_matters_at_k5(k5_ball):
     """Grown one layer short, to radius + delta, the stored extent, the
     f155_333 ball keeps its faces and their distances but not its edges and
-    vertices: folds made while growing the layer it never stores merge
-    them."""
+    vertices: the faces at the stored extent are then the budget layer, and
+    get fresh edges and corners where they share ones."""
     grower = init_development(f155_333())
     grower.margin -= 1
     grower.grow(0)
@@ -1063,87 +1047,80 @@ def test_outer_layer_growth_matters_at_k5(k5_ball):
     assert development_to_json(short) != development_to_json(k5_ball)
 
 
-class FoldingGrower(_Grower):
-    """The grower with every deduction switched off: each empty slot gets a
-    fresh face with fresh edges and a fresh third corner, charted only by
-    propagation, and the folds make every identification."""
+def _dihedral_spec(name, orders):
+    spec = TriangleGroupSpec(
+        2, tuple(dihedral(n) for n in orders), tuple(dihedral_reflections(n) for n in orders), name=name
+    )
+    spec.validate()
+    return spec
 
-    def _saturate_edge(self, e, seed, js, budget):
-        k, uf_v, slots = self.k, self.uf_v, self.e_slots
-        letter = self.e_letter[e]
-        t1, t2 = LETTER_TYPES[letter]
-        t3 = 3 - t1 - t2
-        a = _find(uf_v, self.e_ends[2 * e])
-        b = _find(uf_v, self.e_ends[2 * e + 1])
-        self.e_ends[2 * e:2 * e + 2] = a, b
-        self._mark_dirty(a, seed)
-        self._mark_dirty(b, seed)
-        for j in range(k):
-            if slots[k * e + j] != -1:
-                continue
-            face = self._new_face(self.f_prov[seed] + 1)
-            self._attach(face, letter, e, j)
-            corners = [-1, -1, -1]
-            corners[t1], corners[t2] = a, b
-            corners[t3] = self._new_vertex(t3, face)
-            self.f_vert[3 * face:3 * face + 3] = corners
-            for other in range(3):
-                if other != letter:
-                    o1, o2 = LETTER_TYPES[other]
-                    self._attach(face, other, self._new_edge(other, corners[o1], corners[o2]), 0)
+
+def f21_f21_f39() -> TriangleGroupSpec:
+    """A mixed k = 3 spec: F21 at two vertex types with its shipped pair, and
+    F39 = Z/13 : Z/3 on its order-3 elements 2 and 4 at the third."""
+    p = 13
+    f39 = group_from_permutations(
+        "F39", [tuple((x + 1) % p for x in range(p)), tuple(3 * x % p for x in range(p))]
+    )
+    f21, pair = frobenius21(), frobenius21_generators()
+    spec = TriangleGroupSpec(3, (f21, f21, f39), (pair, pair, (2, 4)), name="f21_f21_f39")
+    spec.validate()
+    return spec
+
+
+@pytest.mark.parametrize(
+    "make, radius",
+    [
+        (lambda: _dihedral_spec("d237", (2, 3, 7)), 6),
+        (lambda: _dihedral_spec("d345", (3, 4, 5)), 3),
+        (f21_f21_f39, 1),
+    ],
+    ids=["d237", "d345", "f21_f21_f39"],
+)
+def test_grower_matches_reference_beyond_the_samples(make, radius):
+    """Equal bytes and rounds, with every distance exact in each, on a
+    hyperbolic triangle of half-girth 2, one with every half-girth above 2, and a spec
+    that mixes vertex groups."""
+    spec = make()
+    fast, rounds = _checked_build(spec, radius)
+    slow, passes = _reference_build(spec, radius)
+    assert fast == slow
+    assert rounds == passes
 
 
 class BlindGrower(_Grower):
     """The grower finding no edge in the charts: a new face is still charted
-    at its edge's ends, so a later slot finds it there, but its other edges
-    and third corner are made fresh and folded."""
+    at its edge's ends, but its other edges and third corner are made fresh,
+    so some later slot needs a face that is already charted elsewhere."""
 
-    def _known_edge(self, letter, t3, u, value, budget):
+    def _known_edge(self, *args):
         return None
 
 
-def _live(parent):
-    return sum(1 for x, root in enumerate(parent) if root == x)
-
-
-@pytest.mark.parametrize("grower_class", [FoldingGrower, BlindGrower])
-@pytest.mark.parametrize(
-    "name, radius", [("d333", 6), ("d244", 9), ("d236", 12), ("d444", 5), ("f21_333", 3), ("f155_333", 0)]
-)
-def test_folds_alone_give_the_same_bytes(grower_class, name, radius):
-    """With the deductions switched off the folds, propagation and inverse
-    charts give the same ball, with every provisional distance exact before
-    each round, and they do run: edges are made and folded away."""
+@pytest.mark.parametrize("name", ["d333", "d244", "d236", "d444", "f21_333", "f155_333"])
+def test_sabotaged_deduction_raises(name):
+    """With the edge deduction switched off, growth meets a face it would
+    have had to merge, and raises instead of merging it."""
     spec = f155_333() if name == "f155_333" else load_sample(name)
-    grown = []
-
-    def make(spec):
-        grown.append(grower_class(spec))
-        return grown[0]
-
-    folded, _ = _checked_build(spec, radius, make)
-    assert folded == development_to_json(grow_to_radius(spec, radius))
-    assert len(grown[0].uf_e) > _live(grown[0].uf_e)
+    with pytest.raises(DevelopmentError, match="already charted"):
+        BlindGrower(spec).grow(0)
 
 
 @pytest.mark.parametrize(
-    "name, radius, kept, folding",
-    [
-        ("f21_333", 4, (10759, 17415, 6657), (14863, 29727, 14865)),
-        ("d444", 8, (6718, 12753, 6036), (7402, 14805, 7404)),
-    ],
+    "name, radius, kept",
+    [("f21_333", 4, (10759, 17415, 6657)), ("d444", 8, (6718, 12753, 6036))],
 )
-def test_grower_allocates_only_what_it_keeps(name, radius, kept, folding):
-    """The grower allocates exactly the faces, edges and vertices it keeps,
-    the live roots of its union-find forests; making every face fresh and
-    folding allocates the larger counts."""
-    spec = load_sample(name)
-    for grower_class, allocated in ((_Grower, kept), (FoldingGrower, folding)):
-        grower = grower_class(spec)
-        grower.grow(radius)
-        forests = (grower.uf_f, grower.uf_e, grower.uf_v)
-        assert tuple(map(len, forests)) == allocated, grower_class.__name__
-        assert tuple(map(_live, forests)) == kept, grower_class.__name__
+def test_grower_allocates_only_what_it_keeps(name, radius, kept):
+    """The grower allocates exactly the faces, edges and vertices it keeps:
+    every face is reached from the base face, every edge holds a face, and
+    every vertex is a corner of one."""
+    grower = init_development(load_sample(name))
+    grower.grow(radius)
+    faces = range(len(grower.f_prov))
+    assert (len(faces), len(grower.e_letter), len(grower.v_type)) == kept
+    assert len(_fresh_distances(grower)) == len(faces)
+    assert {grower.f_edge[x] for x in range(3 * len(faces))} == set(range(len(grower.e_letter)))
+    assert set(grower.f_vert) == set(range(len(grower.v_type)))
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from trifold.development import grow_to_radius
+from trifold.grower import grow_to_radius
 from trifold.oracle import (
     GROUP_IDS,
     Gallery,

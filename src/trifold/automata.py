@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from .development import Development, GeneratorSymbol, InsufficientRadiusError, symbols_for
-from .cones import Signature, cone_signature
+from .cones import Signature, signature
 
 
 class AutomatonError(ValueError):
@@ -319,16 +319,12 @@ def _refine_to_machine(kind, dev, radius, children, seed_cls, metadata):
 # -- the all-geodesics machine ----------------------------------------------------
 
 
-def _geodesic_machine_once(dev: Development, radius: int,
-                           sig_cache: dict[int, Signature]) -> GeodesicAutomaton:
+def _geodesic_machine_once(dev: Development, radius: int) -> GeodesicAutomaton:
     nodes = dev.ball_faces(radius)
-    for f in nodes:
-        if f not in sig_cache:
-            sig_cache[f] = cone_signature(dev, f)
     sig_ids: dict[Signature, int] = {}
     seed = {}
     for f in nodes:
-        sig = sig_cache[f]
+        sig = signature(dev, f)
         if sig not in sig_ids:
             sig_ids[sig] = len(sig_ids)
         seed[f] = sig_ids[sig]
@@ -347,22 +343,17 @@ def _geodesic_machine_once(dev: Development, radius: int,
     return machine
 
 
-def build_geodesic_automaton(
-    dev: Development, radius: int, cache: dict[int, Signature] | None = None
-) -> GeodesicAutomaton:
+def build_geodesic_automaton(dev: Development, radius: int) -> GeodesicAutomaton:
     """Machine accepting exactly the geodesic words, states from cone types.
 
     The machine built one radius earlier must be isomorphic, which is the
     stabilization certificate; the metadata records both the signature count
     and the refinement level (zero whenever signatures determine successors).
-    Signatures are read from and added to `cache`, as in `signature_counts`.
     """
     if radius < 2:
         raise InsufficientRadiusError("need radius at least 2 for a certificate")
-    if cache is None:
-        cache = {}
-    current = _geodesic_machine_once(dev, radius, cache)
-    previous = _geodesic_machine_once(dev, radius - 1, cache)
+    current = _geodesic_machine_once(dev, radius)
+    previous = _geodesic_machine_once(dev, radius - 1)
     if current.canonical_form() != previous.canonical_form():
         raise InsufficientRadiusError(
             "geodesic machine not stable between consecutive radii; radius too small"

@@ -182,39 +182,28 @@ class Verdict:
 
 
 def _suite_cor1(dev: Development) -> Verdict:
-    checked = 0
-    for v in dev.interior_vertices():
+    vertices = dev.interior_vertices()
+    for v in vertices:
         dev.minimal_triangles(v)
-        checked += 1
-    return Verdict("pass", f"minimal faces pairwise adjacent at {checked} interior vertices")
+    return Verdict("pass", f"minimal faces pairwise adjacent at {len(vertices)} interior vertices")
 
 
 def _suite_cor2(dev: Development) -> Verdict:
-    checked = 0
-    for v in dev.interior_vertices():
-        for f in dev.faces_at_vertex(v):
-            dev.local_distance(v, f)
-            checked += 1
+    checked = sum(len(dev.local_distances(v)) for v in dev.interior_vertices())
     return Verdict("pass", f"distance decomposition holds at {checked} vertex-face pairs")
 
 
 def _suite_enters(dev: Development) -> Verdict:
-    checked = 0
-    bad = []
+    checked = bad = 0
     for v in dev.interior_vertices():
-        faces = dev.faces_at_vertex(v)
-        at_v = set(faces)
-        for f in faces:
-            entering = any(
-                g not in at_v and dev.dist[g] == dev.dist[f] - 1
-                for g in dev.adjacent_faces(f)
-            )
-            if entering:
+        link = dev.local_distances(v)
+        for f, dv in link.items():
+            if any(g not in link and dev.dist[g] == dev.dist[f] - 1 for g in dev.adjacent_faces(f)):
                 checked += 1
-                if dev.local_distance(v, f) > 1:
-                    bad.append((v, f))
+                if dv > 1:
+                    bad += 1
     if bad:
-        return Verdict("fail", f"geodesics enter {len(bad)} links too far from minimal faces")
+        return Verdict("fail", f"geodesics enter {bad} links too far from minimal faces")
     return Verdict("pass", f"every geodesic entry point within one step of minimal ({checked} checked)")
 
 
@@ -224,18 +213,15 @@ def _suite_conetypes(dev: Development, depth: int) -> Verdict:
         return Verdict("skip", "ball too small for cone tables")
     from .cones import enumerate_cone_types, signature_counts, verify_cone_determination
 
-    # each signature within table_radius is computed once; at half-girths of
-    # 3 or more, signatures are also the classes whose determination is checked
-    signatures = {}
-    counts = signature_counts(dev, table_radius, signatures)
+    counts = signature_counts(dev, table_radius)
     stable = counts[-1] == counts[-2] == counts[-3]
     det_radius = max(0, min(table_radius, dev.radius - depth))
-    table = enumerate_cone_types(dev, table_radius - 1, signatures)
+    table = enumerate_cone_types(dev, table_radius - 1)
     manifest = {
         "cone_type_count": counts[-1],
         "stabilization_radius": counts.index(counts[-1]),
     }
-    classes = signatures
+    classes = None  # the signatures, at half-girths of 3 or more
     partition = ""
     if any(r == 2 for r in dev.half_girths):
         # equal signatures do not determine cone types at a half-girth of 2;
@@ -246,7 +232,7 @@ def _suite_conetypes(dev: Development, depth: int) -> Verdict:
 
         manifest["stabilization_radius"] = None
         try:
-            machine = build_geodesic_automaton(dev, table_radius, signatures)
+            machine = build_geodesic_automaton(dev, table_radius)
         except InsufficientRadiusError as exc:
             manifest["cone_type_count"] = None
             return Verdict("fail", (

@@ -40,6 +40,14 @@ def cone_signature(dev: Development, f: int) -> Signature:
     return tuple(sorted(tuple(key) for key in keys.values()))
 
 
+def signature(dev: Development, f: int) -> Signature:
+    """f's cone_signature, computed once per ball and kept on it."""
+    sig = dev._signatures.get(f)
+    if sig is None:
+        sig = dev._signatures[f] = cone_signature(dev, f)
+    return sig
+
+
 @dataclass
 class ConeTypeEntry:
     representative: int
@@ -73,28 +81,16 @@ class ConeTypeTable:
         }
 
 
-def enumerate_cone_types(
-    dev: Development, radius: int, cache: dict[int, Signature] | None = None
-) -> ConeTypeTable:
+def enumerate_cone_types(dev: Development, radius: int) -> ConeTypeTable:
     """Table of signatures over all faces within the given distance.
 
     Needs the development trusted out to radius + margin so that every table
     face and every distance-increasing successor is interior.
     """
-    if cache is None:
-        cache = {}
-
-    def sig_of(f: int) -> Signature:
-        s = cache.get(f)
-        if s is None:
-            s = cone_signature(dev, f)
-            cache[f] = s
-        return s
-
     entries: dict[Signature, ConeTypeEntry] = {}
     incoherent: list[tuple[Signature, int, int]] = []
     for f in dev.ball_faces(radius):
-        sig = sig_of(f)
+        sig = signature(dev, f)
         increases = []
         successors = []
         for s in range(dev.symbol_count):
@@ -105,7 +101,7 @@ def enumerate_cone_types(
                 )
             if dev.dist[g] == dev.dist[f] + 1:
                 increases.append(True)
-                successors.append(sig_of(g))
+                successors.append(signature(dev, g))
             else:
                 increases.append(False)
                 successors.append(None)
@@ -120,27 +116,18 @@ def enumerate_cone_types(
     return ConeTypeTable(radius, entries, incoherent)
 
 
-def signature_counts(
-    dev: Development, radius: int, cache: dict[int, Signature] | None = None
-) -> list[int]:
+def signature_counts(dev: Development, radius: int) -> list[int]:
     """Distinct signature counts over balls of radius 0..radius.
 
     Cheaper than full tables: successor rows are not computed, so only the
     counted faces themselves need to be interior.
     """
-    if cache is None:
-        cache = {}
     seen: set[Signature] = set()
     counts = []
     done = 0
     for r in range(radius + 1):
         ball = dev.ball_faces(r)
-        for f in ball[done:]:
-            sig = cache.get(f)
-            if sig is None:
-                sig = cone_signature(dev, f)
-                cache[f] = sig
-            seen.add(sig)
+        seen.update(signature(dev, f) for f in ball[done:])
         counts.append(len(seen))
         done = len(ball)
     return counts
@@ -149,13 +136,12 @@ def signature_counts(
 def stabilization_radius(dev: Development, radius: int) -> int | None:
     """Smallest r whose transition system persists through the given radius.
 
-    Returns None when even the last two tables differ.
+    Returns None when even the last two tables differ.  This compares the
+    tables' transition systems; the manifest's `stabilization_radius` is
+    the least radius where the signature count reaches its final value (see
+    `signature_counts`).
     """
-    cache: dict[int, Signature] = {}
-    systems = [
-        enumerate_cone_types(dev, r, cache).transition_system()
-        for r in range(radius + 1)
-    ]
+    systems = [enumerate_cone_types(dev, r).transition_system() for r in range(radius + 1)]
     last = systems[radius]
     r0 = None
     for r in range(radius, -1, -1):
@@ -189,7 +175,7 @@ def verify_cone_determination(
     """
     groups: dict = {}
     for f in dev.ball_faces(radius):
-        label = cone_signature(dev, f) if classes is None else classes[f]
+        label = signature(dev, f) if classes is None else classes[f]
         groups.setdefault(label, []).append(f)
     words_checked = 0
     classes_checked = 0

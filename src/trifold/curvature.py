@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import comb, lcm
 
@@ -61,6 +62,8 @@ class AngledComplex:
                 raise ComplexError(f"cell {cid} walk data is ragged")
             walk = cell.vertices
             for i, (eid, a, b) in enumerate(zip(cell.edges, walk, walk[1:] + walk[:1])):
+                if not 0 <= eid < len(edges):
+                    raise ComplexError(f"cell {cid} edge {i} is {eid}, outside 0..{len(edges) - 1}")
                 u, v = edges[eid]
                 if not (u == a and v == b or u == b and v == a):
                     raise ComplexError(
@@ -74,38 +77,10 @@ class AngledComplex:
 
     # -- local structure ---------------------------------------------------
 
-    def corners_at(self, v: int) -> list[AnglePi]:
-        return [
-            cell.corners[i]
-            for cell in self.cells
-            for i, w in enumerate(cell.vertices)
-            if w == v
-        ]
-
-    def _edge_ends_at(self, v: int) -> list[int]:
-        return [eid for eid, e in enumerate(self.edges) if v in e]
-
-    def link_graph(self, v: int) -> tuple[list[int], list[tuple[int, int]]]:
-        """Link as a multigraph: nodes are edge ends at v, arcs are corners."""
-        nodes = self._edge_ends_at(v)
-        arcs = []
-        for cell in self.cells:
-            n = cell.size
-            for i, w in enumerate(cell.vertices):
-                if w == v:
-                    arcs.append((cell.edges[(i - 1) % n], cell.edges[i]))
-        return nodes, arcs
-
-    def link_euler(self, v: int) -> int:
-        nodes, arcs = self.link_graph(v)
-        return len(nodes) - len(arcs)
-
-    def vertex_curvature(self, v: int) -> AnglePi:
-        return Fraction(2) - self.link_euler(v) - sum(self.corners_at(v), Fraction(0))
-
+    @cached_property
     def _links(self) -> tuple[list[list[int]], list[list[tuple[int, int]]], list[list[AnglePi]]]:
-        """Every vertex's link_graph nodes and arcs and its corners_at, in
-        the same order, from one pass over the edges and one over the cells."""
+        """Every vertex's link_graph nodes and arcs and its corners_at, from
+        one pass over the edges and one over the cells."""
         nodes: list[list[int]] = [[] for _ in range(self.n_vertices)]
         arcs: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
         corners: list[list[AnglePi]] = [[] for _ in range(self.n_vertices)]
@@ -119,13 +94,20 @@ class AngledComplex:
                 corners[w].append(angle)
         return nodes, arcs, corners
 
+    def corners_at(self, v: int) -> list[AnglePi]:
+        return self._links[2][v]
+
+    def link_graph(self, v: int) -> tuple[list[int], list[tuple[int, int]]]:
+        """Link as a multigraph: nodes are edge ends at v, arcs are corners."""
+        nodes, arcs, _corners = self._links
+        return nodes[v], arcs[v]
+
+    def vertex_curvature(self, v: int) -> AnglePi:
+        nodes, arcs, corners = self._links
+        return Fraction(2) - (len(nodes[v]) - len(arcs[v])) - sum(corners[v], Fraction(0))
+
     def vertex_curvatures(self) -> list[AnglePi]:
-        """vertex_curvature of every vertex, from one pass."""
-        nodes, arcs, corners = self._links()
-        return [
-            Fraction(2) - (len(n) - len(a)) - sum(c, Fraction(0))
-            for n, a, c in zip(nodes, arcs, corners)
-        ]
+        return [self.vertex_curvature(v) for v in range(self.n_vertices)]
 
     def face_curvature(self, cid: int) -> AnglePi:
         cell = self.cells[cid]
@@ -201,7 +183,7 @@ class AngledComplex:
         boundary = [eid for eid, c in enumerate(incidence) if c == 1]
         if not boundary or not _single_simple_cycle(self, boundary):
             return False
-        for nodes, arcs, _corners in zip(*self._links()):
+        for nodes, arcs, _corners in zip(*self._links):
             adj = _adjacency(nodes, arcs)
             if any(len(near) > 2 for near in adj.values()) or not _connected(adj):
                 return False
@@ -332,39 +314,37 @@ class DiscDiagram:
             if path_edges.intersection(cell.edges)
         ]
 
+    def _path_triangles(self, name: str) -> tuple[int, dict[int, int]]:
+        """The number of triangles among the path's g_cells, and for each
+        other g_cell how many of those triangles share a path vertex with it."""
+        path_vertices = set(self.paths[name].vertices)
+        cells = self.complex.cells
+        on_path = self.g_cells(name)
+        triangles = [c for c in on_path if cells[c].size == 3]
+        adjacency = {}
+        for cid in on_path:
+            if cells[cid].size != 3:
+                mine = path_vertices.intersection(cells[cid].vertices)
+                adjacency[cid] = sum(1 for t in triangles if mine.intersection(cells[t].vertices))
+        return len(triangles), adjacency
+
     def census(self, name: str) -> "GCellCensus":
-        path = self.paths[name]
-        path_vertices = set(path.vertices)
-        cells = self.g_cells(name)
-        triangles = [c for c in cells if self.complex.cells[c].size == 3]
-        polygons = [c for c in cells if self.complex.cells[c].size != 3]
-        adjacency: dict[int, int] = {}
-        for cid in polygons:
-            mine = path_vertices.intersection(self.complex.cells[cid].vertices)
-            j = 0
-            for tid in triangles:
-                if mine.intersection(self.complex.cells[tid].vertices):
-                    j += 1
-            adjacency[cid] = j
+        triangle_count, adjacency = self._path_triangles(name)
         counts: dict[tuple[int, int], int] = {}
-        for cid in polygons:
-            key = (self.complex.cells[cid].size, adjacency[cid])
+        for cid, j in adjacency.items():
+            key = (self.complex.cells[cid].size, j)
             counts[key] = counts.get(key, 0) + 1
-        return GCellCensus(counts, len(triangles))
+        return GCellCensus(counts, triangle_count)
 
     def classify_positive_curvature(self, name: str, cid: int) -> str:
         """max / almost-max / neither, against the thresholds that depend on
         how many path-adjacent triangles the cell carries."""
         cell = self.complex.cells[cid]
-        if cell.size < 6 or cid not in self.g_cells(name):
+        _triangles, adjacency = self._path_triangles(name)
+        if cell.size < 6 or cid not in adjacency:
             raise ComplexError("classification applies to non-triangle cells on the path")
+        j = adjacency[cid]
         path_vertices = set(self.paths[name].vertices)
-        mine = path_vertices.intersection(cell.vertices)
-        j = 0
-        triangles = [c for c in self.g_cells(name) if self.complex.cells[c].size == 3]
-        for tid in triangles:
-            if mine.intersection(self.complex.cells[tid].vertices):
-                j += 1
         threshold = cell.size // 2 - 1 if j <= 1 else cell.size // 2
         positive = sum(
             1

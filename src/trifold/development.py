@@ -78,9 +78,10 @@ class Development:
     the rest from them in one pass: edge e's letter, its k slots
     edge_slots[k*e:k*e + k] and its ends edge_ends[2*e:2*e + 2], and vertex
     v's type and its edges vert_edges[o[v]:o[v + 1]] for o =
-    vert_edge_offsets.  Face adjacency, the faces at a vertex and its chart
-    are derived for one element when first asked for, then kept, so a suite
-    pays only for the part of the ball it visits.
+    vert_edge_offsets.  Face adjacency, the faces at a vertex and its
+    chart, and a face's cone signature (`cones.signature`) are derived for
+    one element when first asked for, then kept, so a suite pays only for
+    the part of the ball it visits and no call derives one twice.
 
     Faces are numbered breadth first, so `dist` starts at 0 and never
     decreases, and the faces within any radius r form the prefix
@@ -115,6 +116,7 @@ class Development:
         self._adjacency: dict[int, list[int]] = {}
         self._vert_faces: dict[int, list[int]] = {}
         self._charts: dict[int, dict[int, int]] = {}
+        self._signatures: dict[int, tuple] = {}  # cones.signature's memo
 
     def derive_columns(self) -> None:
         """Build the edge and vertex columns from the face columns in one
@@ -332,26 +334,21 @@ class Development:
             return False
         return all(self.edge_saturated(e) for e in self.edges_at_vertex(v))
 
+    def vertex_interior(self, v: int) -> bool:
+        """v's link is complete with every face around it final."""
+        return self.vertex_complete(v) and all(self.final[g] for g in self.faces_at_vertex(v))
+
     def is_interior(self, f: int) -> bool:
-        """All three links complete with every face around them final."""
-        for v in self.f_vert[3 * f:3 * f + 3]:
-            if not self.vertex_complete(v):
-                return False
-            if not all(self.final[g] for g in self.faces_at_vertex(v)):
-                return False
-        return True
+        """All three of f's vertices are interior."""
+        return all(map(self.vertex_interior, self.f_vert[3 * f:3 * f + 3]))
 
     def interior_vertices(self) -> list[int]:
-        """Complete vertices whose faces are all final, in ascending order.
+        """The interior vertices, in ascending order.
 
         Such a vertex carries a final face, so only the corners of the trusted
         faces, the first 3n entries of f_vert, are candidates."""
         candidates = sorted(set(self.f_vert[:3 * len(self.ball_faces())]))
-        return [
-            v
-            for v in candidates
-            if self.vertex_complete(v) and all(self.final[g] for g in self.faces_at_vertex(v))
-        ]
+        return [v for v in candidates if self.vertex_interior(v)]
 
     def distance(self, f: int) -> int:
         if not self.final[f]:
@@ -381,10 +378,10 @@ class Development:
     # -- local structure ---------------------------------------------------
 
     def minimal_triangles(self, v: int) -> list[int]:
-        """Faces at v of minimum distance; checked pairwise adjacent."""
-        faces = self.faces_at_vertex(v)
-        if not self.vertex_complete(v) or not all(self.final[f] for f in faces):
+        """Faces at v of minimum distance; checked pairwise adjacent (C1)."""
+        if not self.vertex_interior(v):
             raise InsufficientRadiusError(f"vertex {v} has an incomplete or frontier link")
+        faces = self.faces_at_vertex(v)
         best = min(self.dist[f] for f in faces)
         minimal = [f for f in faces if self.dist[f] == best]
         for i, f1 in enumerate(minimal):
@@ -395,36 +392,35 @@ class Development:
                     )
         return minimal
 
-    def link_distances(self, v: int, sources: list[int]) -> dict[int, int]:
-        """Graph distances inside the face-adjacency link at v."""
-        at_v = set(self.faces_at_vertex(v))
-        dist = {f: 0 for f in sources}
-        queue = list(sources)
-        qi = 0
-        while qi < len(queue):
-            f = queue[qi]
-            qi += 1
-            for g in self.adjacent_faces(f):
-                if g in at_v and g not in dist and self.shared_edge_at_vertex(f, g, v):
-                    dist[g] = dist[f] + 1
-                    queue.append(g)
-        return dist
+    def local_distances(self, v: int) -> dict[int, int]:
+        """Each face at v with its distance from the minimal faces inside
+        v's link, where two faces are adjacent when they share an edge at v.
 
-    def shared_edge_at_vertex(self, f1: int, f2: int, v: int) -> bool:
-        e = self.shared_edge(f1, f2)
-        return e is not None and v in self.edge_ends[2 * e:2 * e + 2]
-
-    def local_distance(self, v: int, f: int) -> int:
+        Checks C1 (see `minimal_triangles`) and then C4 at every face at v in
+        ascending order: its distance is the least distance at v plus its
+        link distance.  The first failure raises DevelopmentError."""
         minimal = self.minimal_triangles(v)
-        dists = self.link_distances(v, minimal)
-        if f not in dists:
-            raise DevelopmentError(f"face {f} unreachable inside the link of {v}")
-        dv = dists[f]
-        if self.dist[f] != self.dist[minimal[0]] + dv:
-            raise DevelopmentError(
-                f"distance decomposition fails at vertex {v}, face {f}"
-            )
-        return dv
+        letters = VERTEX_LETTERS[self.vert_type[v]]  # of the two edges at v
+        k, f_edge, slots = self.k, self.f_edge, self.edge_slots
+        link = dict.fromkeys(minimal, 0)
+        queue = list(minimal)
+        for f in queue:
+            d = link[f] + 1
+            for letter in letters:
+                e = k * f_edge[3 * f + letter]
+                for g in slots[e:e + k]:
+                    if g not in link:
+                        link[g] = d
+                        queue.append(g)
+        best = self.dist[minimal[0]]
+        for f in self.faces_at_vertex(v):
+            if f not in link:
+                raise DevelopmentError(f"face {f} unreachable inside the link of {v}")
+            if self.dist[f] != best + link[f]:
+                raise DevelopmentError(
+                    f"distance decomposition fails at vertex {v}, face {f}"
+                )
+        return link
 
 
 # -- serialization ---------------------------------------------------------

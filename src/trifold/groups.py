@@ -35,7 +35,10 @@ class FiniteGroup:
 
     def __init__(self, name: str, mult: list[list[int]], check: bool = True):
         self.name = str(name)
-        self.mult = [list(map(int, row)) for row in mult]
+        try:
+            self.mult = [list(map(int, row)) for row in mult]
+        except ValueError:
+            raise GroupError(f"{self.name}: mult holds an entry that is not an integer") from None
         self.order = len(self.mult)
         if check:
             self._validate()
@@ -144,6 +147,14 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
+def _integer(value, field: str) -> int:
+    """int(value), or GroupError naming the field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise GroupError(f"{field} must be an integer, got {value!r}") from None
+
+
 def load_group(document: dict) -> FiniteGroup:
     """Build a FiniteGroup from its document, verifying every invariant."""
     if not isinstance(document, dict):
@@ -152,13 +163,15 @@ def load_group(document: dict) -> FiniteGroup:
         if key not in document:
             raise GroupError(f"group document missing field {key!r}")
     group = FiniteGroup(document["name"], document["mult"])
-    if group.order != int(document["order"]):
+    if group.order != _integer(document["order"], f"{group.name}: order"):
         raise GroupError(
             f"{group.name}: declared order {document['order']} but table has {group.order} rows"
         )
     gens = document.get("generators", {})
+    if not isinstance(gens, dict):
+        raise GroupError(f"{group.name}: generators must be an object")
     for letter, idx in gens.items():
-        if not 0 <= int(idx) < group.order:
+        if not 0 <= _integer(idx, f"{group.name}: generator {letter!r}") < group.order:
             raise GroupError(f"{group.name}: generator {letter!r} index {idx} out of range")
     return group
 
@@ -467,11 +480,13 @@ def load_triangle_spec(document: dict, base_dir: Path | None = None) -> Triangle
     for key in ("k", "vertex_groups"):
         if key not in document:
             raise GroupError(f"spec document missing field {key!r}")
-    k = int(document["k"])
+    k = _integer(document["k"], "k")
     raw_groups = document["vertex_groups"]
     if not isinstance(raw_groups, list) or len(raw_groups) != 3:
         raise GroupError("vertex_groups must list exactly three groups")
     designated_doc = document.get("designated", DESIGNATED_PATTERN)
+    if not isinstance(designated_doc, dict):
+        raise GroupError("designated must be an object")
     for key, want in DESIGNATED_PATTERN.items():
         if list(designated_doc.get(key, [])) != want:
             raise GroupError(
@@ -485,7 +500,10 @@ def load_triangle_spec(document: dict, base_dir: Path | None = None) -> Triangle
             path = Path(raw)
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            raw = json.loads(path.read_text())
+            try:
+                raw = json.loads(path.read_text())
+            except OSError as exc:
+                raise GroupError(f"V{i+1}: cannot read group file {path}: {exc.strerror}") from None
         group = load_group(raw)
         gens = raw.get("generators", {})
         letters = VERTEX_LETTERS[i]

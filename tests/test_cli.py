@@ -54,6 +54,13 @@ def test_check_malformed_file_exits_two(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["check", str(path)]) == 2
     assert "missing field" in capsys.readouterr().err
+    for fault, message in SPEC_FAULTS.items():
+        doc = load_sample("d333").to_document()
+        fault(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2, fault.__name__
+        err = capsys.readouterr().err
+        assert "bad spec document" in err and message in err, fault.__name__
 
 
 def test_missing_file_exits_two(capsys):
@@ -143,6 +150,46 @@ def test_verify_fault_injection_fails(built, tmp_path, capsys, monkeypatch):
     assert "successor rows INCOHERENT" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "face, dist, lines",
+    [
+        # face 4 moves from distance 2 to 4: C4 fails there, and C1 fails at
+        # vertex 6, whose least faces are now 10 and 11 at distance 3
+        (4, 4, [
+            "cor1: fail (minimal faces 10 and 11 at vertex 6 are not adjacent)",
+            "cor2: fail (distance decomposition fails at vertex 0, face 4)",
+            "enters: fail (distance decomposition fails at vertex 0, face 4)",
+        ]),
+        # face 11 moves from distance 3 to 1, level with face 1 at vertex 3
+        (11, 1, [
+            "cor1: fail (minimal faces 1 and 11 at vertex 3 are not adjacent)",
+            "cor2: fail (minimal faces 1 and 11 at vertex 3 are not adjacent)",
+            "enters: fail (minimal faces 1 and 11 at vertex 3 are not adjacent)",
+        ]),
+    ],
+)
+def test_verify_locality_faults_name_vertex_and_face(built, tmp_path, capsys, monkeypatch,
+                                                      face, dist, lines):
+    """C1 and C4 failures, injected into `dist` after the load, which would
+    reject them, are reported by cor1, cor2 and enters with the vertex and
+    face at fault."""
+    from trifold import cli
+
+    broken = tmp_path / "broken"
+    shutil.copytree(built, broken)
+    load = cli._load_devdir
+
+    def faulty(devdir):
+        dev = load(devdir)
+        dev.dist[face] = dist
+        return dev
+
+    monkeypatch.setattr(cli, "_load_devdir", faulty)
+    for suite, line in zip(("cor1", "cor2", "enters"), lines):
+        assert main(["verify", str(broken), "--suite", suite]) == 1
+        assert capsys.readouterr().out == line + "\n"
+
+
 def test_automaton_export_json_and_dot(built, tmp_path, capsys):
     target = tmp_path / "machine.json"
     assert main([
@@ -199,6 +246,14 @@ def test_curvature_audit_cli(tmp_path, capsys):
     [
         json.dumps({"vertices": 3, "edges": [[0, 1]], "faces": []}),
         '{"format": "trifold-angled-complex/1", "vert',
+        # a face naming an edge the complex does not have, past either end
+        *(
+            json.dumps({
+                "format": "trifold-angled-complex/1", "vertices": 2, "edges": [[0, 1]],
+                "faces": [{"vertices": [0, 1], "edges": [eid, 0], "corners": [[0, 1], [0, 1]]}],
+            })
+            for eid in (5, -1)
+        ),
     ],
 )
 def test_curvature_audit_bad_document_exits_two(tmp_path, capsys, content):
@@ -392,6 +447,46 @@ def _vertex_merged(doc):
     doc["face_vertices"] = [vertices[t] if v == last else v for v in vertices]
 
 
+def _k_not_integer(doc):
+    doc["k"] = "x"
+
+
+def _order_not_integer(doc):
+    doc["vertex_groups"][0]["order"] = "x"
+
+
+def _generator_not_integer(doc):
+    doc["vertex_groups"][0]["generators"]["a"] = "x"
+
+
+def _table_entry_not_integer(doc):
+    doc["vertex_groups"][0]["mult"][1][2] = "x"
+
+
+def _group_file_missing(doc):
+    doc["vertex_groups"][0] = "no-such-group.json"
+
+
+def _designated_not_object(doc):
+    doc["designated"] = ["a", "b"]
+
+
+def _generators_not_object(doc):
+    doc["vertex_groups"][1]["generators"] = [3, 4]
+
+
+# spec documents with a field of the wrong type, and the error naming it
+SPEC_FAULTS = {
+    _k_not_integer: "k must be an integer, got 'x'",
+    _order_not_integer: "D3: order must be an integer, got 'x'",
+    _generator_not_integer: "D3: generator 'a' must be an integer, got 'x'",
+    _table_entry_not_integer: "D3: mult holds an entry that is not an integer",
+    _group_file_missing: "V1: cannot read group file",
+    _designated_not_object: "designated must be an object",
+    _generators_not_object: "generators must be an object",
+}
+
+
 def _format_4(doc):
     """The same ball in format 4, which is no longer read: besides the face
     columns but for `face_elements`, it stored the edge and vertex columns
@@ -499,6 +594,7 @@ def _format_1(doc):
         ("development.json", _format_2),
         ("development.json", _format_3),
         ("development.json", _format_4),
+        *(("spec.json", fault) for fault in SPEC_FAULTS),
     ],
 )
 def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, content):
@@ -536,6 +632,7 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
         _vertex_merged: "face_elements: face 234 repeats an element of vertex 1's chart",
         _radius_raised: "radius: the faces reach distance 12, short of radius + margin - 1 = 15",
         _negative_radius: "radius: -1 is negative",
+        **SPEC_FAULTS,
     }
     if content in expected:
         assert expected[content] in err

@@ -280,6 +280,24 @@ def test_disc_extraction_and_exact_identity(dev333):
         assert disc.gauss_bonnet().ok
 
 
+def _scan_link_graph(y, v):
+    """v's link nodes and arcs, from a scan of every edge and every cell."""
+    nodes = [eid for eid, e in enumerate(y.edges) if v in e]
+    arcs = [
+        (cell.edges[(i - 1) % cell.size], cell.edges[i])
+        for cell in y.cells
+        for i, w in enumerate(cell.vertices)
+        if w == v
+    ]
+    return nodes, arcs
+
+
+def _scan_corners_and_curvature(y, v):
+    nodes, arcs = _scan_link_graph(y, v)
+    corners = [cell.corners[i] for cell in y.cells for i, w in enumerate(cell.vertices) if w == v]
+    return corners, F(2) - (len(nodes) - len(arcs)) - sum(corners, F(0))
+
+
 def test_one_pass_links_match_per_vertex_scans(devs):
     """The links and curvatures of every vertex from one pass equal the
     per-vertex scans, on fixtures, patches, discs and random angles."""
@@ -293,11 +311,11 @@ def test_one_pass_links_match_per_vertex_scans(devs):
         discs = extract_disc_diagrams(patch, 20, seed=11, max_cells=6)
         complexes += [patch.complex, *discs, *(random_angles(d, rng) for d in discs)]
     for y in complexes:
-        nodes, arcs, corners = y._links()
         for v in range(y.n_vertices):
-            assert (nodes[v], arcs[v]) == y.link_graph(v)
-            assert corners[v] == y.corners_at(v)
-        assert y.vertex_curvatures() == [y.vertex_curvature(v) for v in range(y.n_vertices)]
+            assert y.link_graph(v) == _scan_link_graph(y, v)
+            assert (y.corners_at(v), y.vertex_curvature(v)) == _scan_corners_and_curvature(y, v)
+        scanned = [_scan_corners_and_curvature(y, v)[1] for v in range(y.n_vertices)]
+        assert y.vertex_curvatures() == scanned
 
 
 def test_interior_vertices_nonpositive_in_reduced_discs(devs):
@@ -333,6 +351,10 @@ def test_validation_errors():
             [(0, 1), (1, 2), (2, 0)],
             [Cell((0, 1, 2), (1, 2, 0), (F(0),) * 3)],
         )
+    # a cell naming an edge the complex does not have, past either end
+    for eid in (5, -1):
+        with pytest.raises(ComplexError, match=f"cell 0 edge 0 is {eid}, outside 0..0"):
+            AngledComplex(2, [(0, 1)], [Cell((0, 1), (eid, 0), (F(0),) * 2)])
 
 
 # -- the full scans that build_patch and extract_disc_diagrams replaced -------------

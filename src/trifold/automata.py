@@ -252,13 +252,6 @@ def _refine_to_machine(kind, dev, radius, children, seed_cls, metadata):
     """
     n_sym = dev.symbol_count
     cls = dict(seed_cls)
-
-    def blocks(assignment, domain):
-        grouping = {}
-        for f in domain:
-            grouping.setdefault(assignment[f], []).append(f)
-        return sorted(map(tuple, grouping.values()))
-
     level = 0
     while True:
         domain = dev.ball_faces(radius - level - 1)
@@ -279,7 +272,9 @@ def _refine_to_machine(kind, dev, radius, children, seed_cls, metadata):
             if key not in keys:
                 keys[key] = len(keys)
             new_cls[f] = keys[key]
-        if blocks(cls, domain) == blocks(new_cls, domain):
+        # new_cls refines cls on the domain, so the partitions agree
+        # exactly when they have as many classes
+        if len(keys) == len({cls[f] for f in domain}):
             break
         cls = new_cls
         level += 1

@@ -152,6 +152,8 @@ def cmd_build(args) -> int:
 def cmd_automaton(args) -> int:
     from .automata import build_geodesic_automaton, build_lexfirst_automaton
 
+    if args.kind == "geodesic" and args.no_certify:
+        raise UsageError("--no-certify applies only to --kind lexfirst")
     dev = _load_devdir(args.devdir)
     if args.kind == "geodesic":
         radius = args.radius if args.radius is not None else dev.radius - dev.spec.delta

@@ -640,13 +640,28 @@ def complex_from_document(doc: dict) -> AngledComplex:
         raise ComplexError("not an angled-complex document")
     cells = [
         Cell(
-            tuple(face["vertices"]),
-            tuple(face["edges"]),
-            tuple(Fraction(n, d) for n, d in face["corners"]),
+            _integers(face["vertices"], f"face {i} vertices"),
+            _integers(face["edges"], f"face {i} edges"),
+            tuple(
+                Fraction(n, d)
+                for n, d in (_integers(c, f"face {i} corners") for c in face["corners"])
+            ),
         )
-        for face in doc["faces"]
+        for i, face in enumerate(doc["faces"])
     ]
-    return AngledComplex(int(doc["vertices"]), [tuple(e) for e in doc["edges"]], cells)
+    (n_vertices,) = _integers([doc["vertices"]], "vertices")
+    edges = [_integers(e, f"edge {eid}") for eid, e in enumerate(doc["edges"])]
+    return AngledComplex(n_vertices, edges, cells)
+
+
+def _integers(values, field: str) -> tuple[int, ...]:
+    """values as a tuple, or ComplexError if one is not a JSON integer: a
+    float, a bool or a string is refused, never truncated or parsed."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise ComplexError(f"{field} holds {x!r}, which is not an integer")
+    return values
 
 
 # -- stock fixtures ------------------------------------------------------------------

@@ -35,10 +35,7 @@ class FiniteGroup:
 
     def __init__(self, name: str, mult: list[list[int]], check: bool = True):
         self.name = str(name)
-        try:
-            self.mult = [list(map(int, row)) for row in mult]
-        except ValueError:
-            raise GroupError(f"{self.name}: mult holds an entry that is not an integer") from None
+        self.mult = [list(row) for row in mult]
         self.order = len(self.mult)
         if check:
             self._validate()
@@ -148,11 +145,11 @@ class FiniteGroup:
 
 
 def _integer(value, field: str) -> int:
-    """int(value), or GroupError naming the field."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise GroupError(f"{field} must be an integer, got {value!r}") from None
+    """value if it is a JSON integer, or GroupError naming the field: a float,
+    a bool or a string is refused, never truncated or parsed."""
+    if type(value) is not int:
+        raise GroupError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def load_group(document: dict) -> FiniteGroup:
@@ -162,7 +159,10 @@ def load_group(document: dict) -> FiniteGroup:
     for key in ("name", "order", "mult"):
         if key not in document:
             raise GroupError(f"group document missing field {key!r}")
-    group = FiniteGroup(document["name"], document["mult"])
+    name = str(document["name"])
+    if any(type(x) is not int for row in document["mult"] for x in row):
+        raise GroupError(f"{name}: mult holds an entry that is not an integer")
+    group = FiniteGroup(name, document["mult"])
     if group.order != _integer(document["order"], f"{group.name}: order"):
         raise GroupError(
             f"{group.name}: declared order {document['order']} but table has {group.order} rows"
@@ -514,7 +514,7 @@ def load_triangle_spec(document: dict, base_dir: Path | None = None) -> Triangle
                 raise GroupError(
                     f"{group.name} (V{i+1}): generators map must name letter {letter!r}"
                 )
-            pair.append(int(gens[letter]))
+            pair.append(gens[letter])  # an integer, checked by load_group
         groups.append(group)
         designated.append((pair[0], pair[1]))
     spec = TriangleGroupSpec(

@@ -1,13 +1,16 @@
 """Two independent oracles for the ball construction.
 
-The first realizes the three Euclidean 2-fold cases as exact reflection
-groups of the plane and builds Cayley balls by breadth-first search with
-exact isometry equality.  The second unfolds galleries of triangles into the
-plane, runs an exact funnel shortest-path over the portal sequence, and
-counts crossed edges, which certifies that the breadth-first ball metric
-agrees with the geometric one.  The reflection groups use exact Q(sqrt 3)
-arithmetic; the gallery kernel holds points as integer pairs (X, Y) standing
-for (X, Y*sqrt(3)), so its predicates are plain integer arithmetic.
+The first realizes the three Euclidean 2-fold cases as reflection groups of
+the plane and builds Cayley balls by breadth-first search over chambers.  A
+Coxeter group acts simply transitively on the chambers of its tiling, so an
+element is the image of the base triangle, held as its three integer corners
+by vertex type, and right multiplication by a letter crosses that letter's
+mirror.  The second unfolds galleries of triangles into the plane, runs an
+exact funnel shortest-path over the portal sequence, and counts crossed
+edges, which certifies that the breadth-first ball metric agrees with the
+geometric one.  The chamber walk holds a corner as an integer pair (X, Y)
+standing for (X, Y*sqrt(w)) with w 1 or 3, the gallery kernel a point as one
+standing for (X, Y*sqrt(3)), so both are plain integer arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from fractions import Fraction
 from math import isqrt
 
 from .development import Development
-from .rings import Isometry, Point, Q3, RadicalSum, pt
+from .groups import LETTER_TYPES
+from .rings import RadicalSum
 from .samples import REFLECTION_SAMPLES as GROUP_IDS
 
 
@@ -26,40 +30,50 @@ class OracleError(ValueError):
     pass
 
 
-# fundamental triangles: corner i carries the angle pi/r_i, mirror for letter
-# "a" is the side v1-v3, for "b" the side v1-v2, for "c" the side v2-v3
-_TRIANGLES: dict[str, tuple[Point, Point, Point]] = {
-    "d333": (pt(0, 0), pt(1, 0), (Q3(Fraction(1, 2)), Q3(0, Fraction(1, 2)))),
-    "d244": (pt(0, 0), pt(1, 0), pt(0, 1)),
-    "d236": (pt(0, 0), pt(1, 0), (Q3(0), Q3(0, 1))),
+# -- chamber walk ----------------------------------------------------------------
+
+# A chamber is its corners by vertex type; corner i carries the angle pi/r_i.
+# The corner (x, y) stands for the plane point (x, y*sqrt(w)), and each base
+# triangle is scaled so that every reflection keeps its corners integral.
+Corner = tuple[int, int]
+Chamber = tuple[Corner, Corner, Corner]
+
+_CHAMBERS: dict[str, tuple[Chamber, int]] = {
+    "d333": (((0, 0), (2, 0), (1, 1)), 3),
+    "d244": (((0, 0), (1, 0), (0, 1)), 1),
+    "d236": (((0, 0), (2, 0), (0, 2)), 3),
 }
 
 
-def reflection_generators(group_id: str) -> list[Isometry]:
-    try:
-        v1, v2, v3 = _TRIANGLES[group_id]
-    except KeyError:
-        raise OracleError(
-            f"unknown oracle group {group_id!r}; available: {', '.join(GROUP_IDS)}"
-        )
-    gens = [
-        Isometry.reflection(v1, v3),  # a
-        Isometry.reflection(v1, v2),  # b
-        Isometry.reflection(v2, v3),  # c
-    ]
-    for g in gens:
-        if not g.is_orthogonal():
-            raise OracleError("reflection is not an exact orthogonal map")
-    return gens
+def _reflect(c: Corner, a: Corner, b: Corner, w: int) -> Corner:
+    """The mirror image of c across the line through a and b."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    cx, cy = c[0] - a[0], c[1] - a[1]
+    dd = dx * dx + w * dy * dy
+    t2 = 2 * (cx * dx + w * cy * dy)
+    x, rx = divmod(t2 * dx, dd)
+    y, ry = divmod(t2 * dy, dd)
+    if rx or ry:
+        raise OracleError("reflected corner leaves the integer lattice")
+    return (a[0] + x - cx, a[1] + y - cy)
+
+
+def _cross(g: Chamber, letter: int, w: int) -> Chamber:
+    """The chamber g*x beyond the mirror of letter x: the two corners on the
+    mirror stay, the third is reflected across them."""
+    s, t = LETTER_TYPES[letter]
+    out = list(g)
+    out[3 - s - t] = _reflect(g[3 - s - t], g[s], g[t], w)
+    return tuple(out)
 
 
 @dataclass
 class IsometryBall:
-    """Cayley ball of a plane reflection group with exact element equality."""
+    """Cayley ball of a plane reflection group, one chamber per element."""
 
     group_id: str
     radius: int
-    elements: list[Isometry]
+    elements: list[Chamber]
     dist: list[int]
     neighbors: list[dict[int, int]]  # per element, letter index -> element index
 
@@ -72,10 +86,14 @@ class IsometryBall:
 
 
 def isometry_ball(group_id: str, radius: int) -> IsometryBall:
-    gens = reflection_generators(group_id)
-    ident = Isometry.identity()
-    elements = [ident]
-    index = {ident: 0}
+    try:
+        base, w = _CHAMBERS[group_id]
+    except KeyError:
+        raise OracleError(
+            f"unknown oracle group {group_id!r}; available: {', '.join(GROUP_IDS)}"
+        )
+    elements = [base]
+    index = {base: 0}
     dist = [0]
     neighbors: list[dict[int, int]] = [{}]
     frontier = [0]
@@ -84,7 +102,7 @@ def isometry_ball(group_id: str, radius: int) -> IsometryBall:
         for ei in frontier:
             g = elements[ei]
             for letter in range(3):
-                h = g.compose(gens[letter])
+                h = _cross(g, letter, w)
                 hi = index.get(h)
                 if hi is None:
                     hi = len(elements)

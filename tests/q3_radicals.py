@@ -1,12 +1,15 @@
-"""The Q(sqrt 3) radical sums that trifold.rings.RadicalSum is tested against,
-and the Q(sqrt 3) point predicates that the gallery kernel's integer ones
-are tested against.
+"""Exact plane arithmetic over the quadratic field Q(sqrt 3), kept as the
+reference that the library's integer arithmetic is tested against.
+
+Q3 and the Isometry matrices check the oracle's chamber walk, the Q(sqrt 3)
+radical sums check trifold.rings.RadicalSum, and the Q(sqrt 3) point
+predicates check the gallery kernel's integer ones.
 
 Radicands here are field elements p + q*sqrt(3), reduced modulo field
 squares by exact square roots in the field, and comparisons refine
 rational interval enclosures.  The library's RadicalSum takes integer
 radicands and classes them by perfect-square products instead, so the two
-share no code past Q3's field operations.
+share no code.
 """
 
 from __future__ import annotations
@@ -15,7 +18,211 @@ import math
 from fractions import Fraction
 
 from trifold import rings
-from trifold.rings import Q3, Point, _as_fraction, _coerce, dot, p_sub
+
+
+# -- the quadratic field ---------------------------------------------------------
+
+
+def _as_fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+class Q3:
+    """p + q*sqrt(3) with rational coefficients.  Field operations are exact.
+
+    Components may be ints or Fractions; integer inputs stay integers under
+    ring operations, which keeps the geometry predicates fast.
+    """
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p=0, q=0):
+        if not isinstance(p, (int, Fraction)):
+            raise TypeError(f"Q3 wants exact components, got {type(p).__name__}")
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"Q3 wants exact components, got {type(q).__name__}")
+        self.p = p
+        self.q = q
+
+    def __repr__(self):
+        return f"Q3({self.p}, {self.q})"
+
+    def __eq__(self, other):
+        if isinstance(other, Q3):
+            return self.p == other.p and self.q == other.q
+        if isinstance(other, (int, Fraction)):
+            return self.p == other and self.q == 0
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q))
+
+    def __add__(self, other):
+        other = _coerce(other)
+        return Q3(self.p + other.p, self.q + other.q)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Q3(-self.p, -self.q)
+
+    def __sub__(self, other):
+        other = _coerce(other)
+        return Q3(self.p - other.p, self.q - other.q)
+
+    def __rsub__(self, other):
+        return _coerce(other) - self
+
+    def __mul__(self, other):
+        other = _coerce(other)
+        return Q3(
+            self.p * other.p + 3 * self.q * other.q,
+            self.p * other.q + self.q * other.p,
+        )
+
+    __rmul__ = __mul__
+
+    def norm(self) -> Fraction:
+        return self.p * self.p - 3 * self.q * self.q
+
+    def inverse(self) -> Q3:
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("zero or zero-norm element")
+        nf = _as_fraction(n)
+        return Q3(_as_fraction(self.p) / nf, -_as_fraction(self.q) / nf)
+
+    def __truediv__(self, other):
+        return self * _coerce(other).inverse()
+
+    def __rtruediv__(self, other):
+        return _coerce(other) * self.inverse()
+
+    def is_zero(self) -> bool:
+        return self.p == 0 and self.q == 0
+
+    def sign(self) -> int:
+        """Exact sign of the real number p + q*sqrt(3)."""
+        if self.q == 0:
+            return (self.p > 0) - (self.p < 0)
+        if self.p == 0:
+            return 1 if self.q > 0 else -1
+        if self.p > 0 and self.q > 0:
+            return 1
+        if self.p < 0 and self.q < 0:
+            return -1
+        # mixed signs: compare p^2 with 3 q^2, the larger magnitude wins
+        d = self.p * self.p - 3 * self.q * self.q
+        big_is_rational = 1 if d > 0 else (-1 if d < 0 else 0)
+        if big_is_rational == 0:
+            return 0
+        return big_is_rational if self.p > 0 else -big_is_rational
+
+    def __float__(self):
+        return float(self.p) + float(self.q) * math.sqrt(3.0)
+
+
+def _coerce(x) -> Q3:
+    if isinstance(x, Q3):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Q3(x, 0)
+    raise TypeError(f"cannot coerce {type(x).__name__} into Q3")
+
+
+# -- planar points and vectors ------------------------------------------------
+
+Point = tuple[Q3, Q3]
+
+
+def pt(x, y) -> Point:
+    return (_coerce(x), _coerce(y))
+
+
+def p_sub(a: Point, b: Point) -> Point:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def dot(a: Point, b: Point) -> Q3:
+    return a[0] * b[0] + a[1] * b[1]
+
+
+class Isometry:
+    """Exact planar isometry x -> M x + t with entries in Q(sqrt 3)."""
+
+    __slots__ = ("m00", "m01", "m10", "m11", "t0", "t1")
+
+    def __init__(self, m00, m01, m10, m11, t0, t1):
+        self.m00 = _coerce(m00)
+        self.m01 = _coerce(m01)
+        self.m10 = _coerce(m10)
+        self.m11 = _coerce(m11)
+        self.t0 = _coerce(t0)
+        self.t1 = _coerce(t1)
+
+    @classmethod
+    def identity(cls) -> Isometry:
+        return cls(1, 0, 0, 1, 0, 0)
+
+    @classmethod
+    def reflection(cls, a: Point, b: Point) -> Isometry:
+        """Reflection across the line through distinct points a and b."""
+        d = p_sub(b, a)
+        dd = dot(d, d)
+        if dd.sign() == 0:
+            raise ValueError("reflection axis needs two distinct points")
+        dx, dy = d
+        m00 = (dx * dx - dy * dy) / dd
+        m01 = (2 * dx * dy) / dd
+        m10 = m01
+        m11 = (dy * dy - dx * dx) / dd
+        t0 = a[0] - (m00 * a[0] + m01 * a[1])
+        t1 = a[1] - (m10 * a[0] + m11 * a[1])
+        return cls(m00, m01, m10, m11, t0, t1)
+
+    def apply(self, p: Point) -> Point:
+        return (
+            self.m00 * p[0] + self.m01 * p[1] + self.t0,
+            self.m10 * p[0] + self.m11 * p[1] + self.t1,
+        )
+
+    def compose(self, other: Isometry) -> Isometry:
+        """self after other: (self*other)(p) = self(other(p))."""
+        return Isometry(
+            self.m00 * other.m00 + self.m01 * other.m10,
+            self.m00 * other.m01 + self.m01 * other.m11,
+            self.m10 * other.m00 + self.m11 * other.m10,
+            self.m10 * other.m01 + self.m11 * other.m11,
+            self.m00 * other.t0 + self.m01 * other.t1 + self.t0,
+            self.m10 * other.t0 + self.m11 * other.t1 + self.t1,
+        )
+
+    def is_orthogonal(self) -> bool:
+        a, b, c, d = self.m00, self.m01, self.m10, self.m11
+        det = a * d - b * c
+        return (
+            (a * a + c * c) == Q3(1)
+            and (b * b + d * d) == Q3(1)
+            and (a * b + c * d).is_zero()
+            and (det == Q3(1) or det == Q3(-1))
+        )
+
+    def key(self):
+        return (self.m00, self.m01, self.m10, self.m11, self.t0, self.t1)
+
+    def __eq__(self, other):
+        if not isinstance(other, Isometry):
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def __repr__(self):
+        return f"Isometry{self.key()}"
+
+
+# -- radical sums ------------------------------------------------------------------
 
 
 def _fraction_sqrt(f: Fraction) -> Fraction | None:

@@ -222,6 +222,13 @@ def test_automaton_unknown_kind_usage_error(built):
     assert exc.value.code == 2
 
 
+def test_automaton_geodesic_refuses_no_certify(built, capsys):
+    assert main(["automaton", str(built), "--kind", "geodesic", "--no-certify"]) == 2
+    captured = capsys.readouterr()
+    assert "--no-certify" in captured.err and "lexfirst" in captured.err
+    assert not captured.out
+
+
 def test_oracle_compare_cli(capsys):
     assert main(["oracle", "compare", "--group", "d236", "--radius", "4"]) == 0
     assert "isomorphic" in capsys.readouterr().out
@@ -241,6 +248,33 @@ def test_curvature_audit_cli(tmp_path, capsys):
     assert "ok" in out and "curvature" in out
 
 
+def _triangle_document(path, value):
+    """One triangle with corners pi/3 as a complex document, with the entry
+    at path set to value."""
+    doc = {
+        "format": "trifold-angled-complex/1", "vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]],
+        "faces": [{"vertices": [0, 1, 2], "edges": [0, 1, 2], "corners": [[1, 3], [1, 3], [1, 3]]}],
+    }
+    *keys, last = path
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+# a float, a bool or a string where a complex document wants an integer
+COMPLEX_INTEGER_FAULTS = [
+    (("vertices",), 3.7),
+    (("vertices",), "3"),
+    (("edges",), [[0, 1], [1, 2], [2, 0], [1, 0.5]]),
+    (("edges", 0, 1), True),
+    (("faces", 0, "vertices", 1), 1.0),
+    (("faces", 0, "edges", 0), False),
+    (("faces", 0, "corners", 0, 0), True),
+]
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -254,6 +288,8 @@ def test_curvature_audit_cli(tmp_path, capsys):
             })
             for eid in (5, -1)
         ),
+        # a float, a bool or a string where the document wants an integer
+        *(json.dumps(_triangle_document(path, value)) for path, value in COMPLEX_INTEGER_FAULTS),
     ],
 )
 def test_curvature_audit_bad_document_exits_two(tmp_path, capsys, content):
@@ -467,6 +503,26 @@ def _group_file_missing(doc):
     doc["vertex_groups"][0] = "no-such-group.json"
 
 
+def _k_float(doc):
+    doc["k"] = 2.5
+
+
+def _k_digit_string(doc):
+    doc["k"] = "2"
+
+
+def _generator_float(doc):
+    doc["vertex_groups"][0]["generators"]["a"] = 3.9
+
+
+def _table_entry_bool(doc):
+    doc["vertex_groups"][0]["mult"][0][1] = True
+
+
+def _table_entry_float(doc):
+    doc["vertex_groups"][0]["mult"][0][2] = 2.0
+
+
 def _designated_not_object(doc):
     doc["designated"] = ["a", "b"]
 
@@ -481,6 +537,10 @@ SPEC_FAULTS = {
     _order_not_integer: "D3: order must be an integer, got 'x'",
     _generator_not_integer: "D3: generator 'a' must be an integer, got 'x'",
     _table_entry_not_integer: "D3: mult holds an entry that is not an integer",
+    _k_float: "k must be an integer, got 2.5",
+    _k_digit_string: "k must be an integer, got '2'",
+    _generator_float: "D3: generator 'a' must be an integer, got 3.9",
+    _table_entry_float: "D3: mult holds an entry that is not an integer",
     _group_file_missing: "V1: cannot read group file",
     _designated_not_object: "designated must be an object",
     _generators_not_object: "generators must be an object",
@@ -595,6 +655,7 @@ def _format_1(doc):
         ("development.json", _format_3),
         ("development.json", _format_4),
         *(("spec.json", fault) for fault in SPEC_FAULTS),
+        ("spec.json", _table_entry_bool),
     ],
 )
 def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, content):

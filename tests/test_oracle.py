@@ -18,7 +18,6 @@ from trifold.oracle import (
     funnel_path,
     isometry_ball,
     path_length,
-    reflection_generators,
     centroid,
     area2,
     on_segment,
@@ -26,20 +25,24 @@ from trifold.oracle import (
     source_geodesics,
     sqdist,
     _BASE_CORNERS,
+    _CHAMBERS,
     _MeasuredPath,
     _ROOT_BITS,
     _check_path_in_sleeve,
+    _cross,
     _geodesic_result,
+    _reflect,
     _require_metric_gate,
     _segment_crosses,
     _step_across,
 )
 from trifold import oracle
-from trifold.rings import Q3, RadicalSum
+from trifold.groups import LETTER_TYPES
+from trifold.rings import RadicalSum
 from trifold.samples import load_sample
 
 import q3_radicals
-from q3_radicals import reference
+from q3_radicals import Isometry, Q3, pt, reference
 
 
 # -- the per-pair reference search ------------------------------------------------
@@ -205,23 +208,80 @@ def test_unknown_group_id():
         isometry_ball("d999", 1)
 
 
+# -- the chamber walk against Q(sqrt 3) reflection matrices ------------------------
+
+# fundamental triangles: corner i carries the angle pi/r_i, mirror for letter
+# "a" is the side v1-v3, for "b" the side v1-v2, for "c" the side v2-v3
+_TRIANGLES = {
+    "d333": (pt(0, 0), pt(1, 0), (Q3(Fraction(1, 2)), Q3(0, Fraction(1, 2)))),
+    "d244": (pt(0, 0), pt(1, 0), pt(0, 1)),
+    "d236": (pt(0, 0), pt(1, 0), (Q3(0), Q3(0, 1))),
+}
+
+
+def _matrix_ball(group_id, radius):
+    """dist and neighbors of the Cayley ball by breadth-first search over
+    exact Q(sqrt 3) isometries, element g*x being g composed with x's
+    reflection."""
+    v1, v2, v3 = _TRIANGLES[group_id]
+    gens = [Isometry.reflection(v1, v3), Isometry.reflection(v1, v2), Isometry.reflection(v2, v3)]
+    assert all(g.is_orthogonal() for g in gens)
+    ident = Isometry.identity()
+    index = {ident: 0}
+    elements, dist, neighbors = [ident], [0], [{}]
+    frontier = [0]
+    for d in range(radius):
+        new_frontier = []
+        for ei in frontier:
+            for letter, gen in enumerate(gens):
+                h = elements[ei].compose(gen)
+                hi = index.get(h)
+                if hi is None:
+                    hi = index[h] = len(elements)
+                    elements.append(h)
+                    dist.append(d + 1)
+                    neighbors.append({})
+                    new_frontier.append(hi)
+                neighbors[ei][letter] = hi
+                neighbors[hi][letter] = ei
+        frontier = new_frontier
+    return dist, neighbors
+
+
+@pytest.mark.parametrize("gid, radius", [("d333", 11), ("d244", 15), ("d236", 14)])
+def test_chamber_ball_matches_matrix_reference(gid, radius):
+    ball = isometry_ball(gid, radius)
+    assert (ball.dist, ball.neighbors) == _matrix_ball(gid, radius)
+
+
 def test_generators_are_involutions_with_right_orders():
+    """Crossing a mirror twice returns to the base chamber, and alternating
+    the two letters at a corner of angle pi/r returns first after exactly 2r
+    crossings."""
     orders = {"d333": (3, 3, 3), "d244": (2, 4, 4), "d236": (2, 3, 6)}
     for gid in GROUP_IDS:
-        a, b, c = reflection_generators(gid)
-        ident = a.compose(a)
-        assert ident == b.compose(b) == c.compose(c)
-        r1, r2, r3 = orders[gid]
-        for iso, order in (
-            (a.compose(b), r1),
-            (b.compose(c), r2),
-            (c.compose(a), r3),
-        ):
-            acc = iso
-            for _ in range(order - 1):
-                acc = acc.compose(iso)
-            assert acc == ident
-            assert iso != ident
+        base, w = _CHAMBERS[gid]
+        for letter in range(3):
+            once = _cross(base, letter, w)
+            assert once != base and _cross(once, letter, w) == base
+        for corner, (x, y) in enumerate(((0, 1), (1, 2), (2, 0))):
+            assert set(LETTER_TYPES[x]) & set(LETTER_TYPES[y]) == {corner}
+            g = base
+            returns = []
+            for step in range(4 * orders[gid][corner]):
+                g = _cross(g, (x, y)[step % 2], w)
+                if g == base:
+                    returns.append(step + 1)
+            assert returns[0] == 2 * orders[gid][corner], gid
+
+
+def test_non_lattice_chamber_is_refused():
+    """The d236 triangle unscaled reflects a corner off the integer lattice."""
+    base = ((0, 0), (1, 0), (0, 1))
+    with pytest.raises(OracleError, match="integer lattice"):
+        _reflect(base[0], base[1], base[2], 3)
+    with pytest.raises(OracleError, match="integer lattice"):
+        _cross(base, 2, 3)
 
 
 def test_reflection_length_parity():

@@ -5,10 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from trifold.rings import Isometry, Q3, RadicalSum, pt
+from trifold.rings import RadicalSum
 
 import q3_radicals
-from q3_radicals import area2, on_segment, q3_sqrt, reference, segment_point_sqdist, sqdist
+from q3_radicals import (
+    Isometry,
+    Q3,
+    area2,
+    on_segment,
+    pt,
+    q3_sqrt,
+    reference,
+    segment_point_sqdist,
+    sqdist,
+)
 
 
 def rand_q3(rng, span=8):

@@ -73,13 +73,6 @@ class ConeTypeTable:
     def coherent(self) -> bool:
         return not self.incoherent
 
-    def transition_system(self):
-        """Signature set plus per-symbol successor rows, for certificates."""
-        return {
-            sig: (entry.increases, entry.successors)
-            for sig, entry in self.entries.items()
-        }
-
 
 def enumerate_cone_types(dev: Development, radius: int) -> ConeTypeTable:
     """Table of signatures over all faces within the given distance.
@@ -131,25 +124,6 @@ def signature_counts(dev: Development, radius: int) -> list[int]:
         counts.append(len(seen))
         done = len(ball)
     return counts
-
-
-def stabilization_radius(dev: Development, radius: int) -> int | None:
-    """Smallest r whose transition system persists through the given radius.
-
-    Returns None when even the last two tables differ.  This compares the
-    tables' transition systems; the manifest's `stabilization_radius` is
-    the least radius where the signature count reaches its final value (see
-    `signature_counts`).
-    """
-    systems = [enumerate_cone_types(dev, r).transition_system() for r in range(radius + 1)]
-    last = systems[radius]
-    r0 = None
-    for r in range(radius, -1, -1):
-        if systems[r] == last:
-            r0 = r
-        else:
-            break
-    return None if r0 == radius else r0
 
 
 @dataclass

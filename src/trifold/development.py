@@ -459,11 +459,22 @@ def development_to_json(dev: Development) -> str:
     return json.dumps(export_development(dev), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _column(doc: dict, name: str, length: int, high: int | None = None) -> list[int]:
-    """`doc[name]`, checked to hold `length` entries, each in 0..high-1
-    unless `high` is None."""
+def _integer(doc: dict, name: str) -> int:
+    """`doc[name]`, checked to be a JSON integer, not a bool or a string."""
+    value = doc[name]
+    if type(value) is not int:
+        raise ValueError(f"{name}: {value!r} is not an integer")
+    return value
+
+
+def _column(doc: dict, name: str, length: int | None = None, high: int | None = None) -> list[int]:
+    """`doc[name]`, checked to hold only JSON integers (no bool or string),
+    `length` of them unless `length` is None, each in 0..high-1 unless
+    `high` is None."""
     column = doc[name]
-    if len(column) != length:
+    if not set(map(type, column)) <= {int}:
+        raise ValueError(f"{name}: an entry is not an integer")
+    if length is not None and len(column) != length:
         raise ValueError(f"{name} has {len(column)} entries, expected {length}")
     if high is not None and column and (min(column) < 0 or max(column) >= high):
         raise ValueError(f"{name}: an entry lies outside 0..{high - 1}")
@@ -479,7 +490,8 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
     `trust_margin`, a farthest face other than at radius + margin - 1, the
     extent a ball is kept to, and a face column of the wrong length or with
     an id or slot out of range raise ValueError, so a malformed document
-    never fails later inside a suite."""
+    never fails later inside a suite.  So does a bool or a string in
+    `radius`, `margin`, `dist` or a face column: JSON integers only."""
     if not isinstance(doc, dict):
         raise ValueError("not a development document")
     if doc.get("format") != DEVELOPMENT_FORMAT:
@@ -487,12 +499,12 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
             f"development format {doc.get('format')!r} is not {DEVELOPMENT_FORMAT!r}; "
             f"rebuild the ball"
         )
-    dev = Development(spec, int(doc["radius"]), int(doc["margin"]))
+    dev = Development(spec, _integer(doc, "radius"), _integer(doc, "margin"))
     if dev.radius < 0:
         raise ValueError(f"radius: {dev.radius} is negative")
     if dev.margin != trust_margin(spec):
         raise ValueError(f"margin: {dev.margin} is not 1 + delta = {trust_margin(spec)}")
-    dist = doc["dist"]
+    dist = _column(doc, "dist")
     n = 3 * len(dist)
     extent = dev.radius + dev.margin - 1
     reach = max(dist, default=0)
@@ -505,7 +517,7 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
     dev.f_edge = _column(doc, "face_edges", n, n)
     dev.f_slot = _column(doc, "face_slots", n, dev.k)
     dev.f_vert = _column(doc, "face_vertices", n, n)
-    dev.f_elem = _column(doc, "face_elements", n)  # checked by type in derive_columns
+    dev.f_elem = _column(doc, "face_elements", n)  # ranges per vertex type in derive_columns
     dev.derive_columns()
     return dev
 

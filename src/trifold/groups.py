@@ -364,10 +364,6 @@ def _bfs_eccentricity(neighbors: list[list[int]], start: int) -> int:
     return ecc
 
 
-def link_eccentricities(link: LocalLink) -> list[int]:
-    return [_bfs_eccentricity(link.neighbors, v) for v in range(link.order)]
-
-
 # -- triangle group specs --------------------------------------------------------
 
 

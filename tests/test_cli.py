@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from trifold.cli import main
-from trifold.curvature import complex_to_document, ladder_fixture
+from trifold.curvature import complex_to_document
 from trifold.development import import_development
 from trifold.samples import load_sample, write_sample
+
+from disc_paths import ladder_fixture
 
 
 @pytest.fixture(scope="module")
@@ -425,6 +427,41 @@ def _wrong_margin(doc):
     doc["margin"] = 9
 
 
+def _radius_string(doc):
+    doc["radius"] = str(doc["radius"])
+
+
+def _margin_string(doc):
+    doc["margin"] = str(doc["margin"])
+
+
+def _radius_bool(doc):
+    doc["radius"] = True
+
+
+def _false_entry(name):
+    """A fault that sets entry 0 of the column `name`, which holds 0, to the
+    JSON boolean false, equal to 0 in Python."""
+    def fault(doc):
+        assert doc[name][0] == 0
+        doc[name][0] = False
+    fault.__name__ = f"_{name}_false"
+    return fault
+
+
+# development documents with a bool or a string where an integer belongs,
+# and the error naming the field
+NON_INTEGER_FAULTS = {
+    _radius_string: "radius: '9' is not an integer",
+    _margin_string: "margin: '4' is not an integer",
+    _radius_bool: "radius: True is not an integer",
+    **{
+        _false_entry(name): f"{name}: an entry is not an integer"
+        for name in ("dist", "face_edges", "face_slots", "face_vertices", "face_elements")
+    },
+}
+
+
 def _later_appearance(column, t):
     """The first index of `column` past face 0 at letter or vertex type t
     whose id appeared before."""
@@ -655,6 +692,7 @@ def _format_1(doc):
         ("development.json", _format_3),
         ("development.json", _format_4),
         *(("spec.json", fault) for fault in SPEC_FAULTS),
+        *(("development.json", fault) for fault in NON_INTEGER_FAULTS),
         ("spec.json", _table_entry_bool),
     ],
 )
@@ -694,6 +732,7 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
         _radius_raised: "radius: the faces reach distance 12, short of radius + margin - 1 = 15",
         _negative_radius: "radius: -1 is negative",
         **SPEC_FAULTS,
+        **NON_INTEGER_FAULTS,
     }
     if content in expected:
         assert expected[content] in err

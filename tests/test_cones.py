@@ -5,7 +5,6 @@ from trifold.cones import (
     cone_signature,
     enumerate_cone_types,
     signature_counts,
-    stabilization_radius,
     verify_cone_determination,
 )
 from trifold.development import InsufficientRadiusError, export_development, import_development
@@ -107,14 +106,6 @@ def test_table_successor_rows_and_multiplicities(dev333):
             assert inc == (succ is not None)
 
 
-def test_stabilization_radius_d333(dev333):
-    # the tables change through radius 4 and then persist
-    assert stabilization_radius(dev333, 3) is None
-    assert stabilization_radius(dev333, 4) is None
-    assert stabilization_radius(dev333, 5) == 4
-    assert stabilization_radius(dev333, 7) == 4
-
-
 def test_determination_passes_where_links_are_large(devs):
     for name, radius in (("d333", 8), ("d444", 7), ("f21_333", 5)):
         report = verify_cone_determination(devs[name], radius, depth=3)
@@ -206,7 +197,9 @@ def test_signatures_deterministic_across_rebuilds():
     b = grow_to_radius(load_sample("d333"), 7)
     ta = enumerate_cone_types(a, 3)
     tb = enumerate_cone_types(b, 3)
-    assert ta.transition_system() == tb.transition_system()
+    assert {sig: (e.increases, e.successors) for sig, e in ta.entries.items()} == {
+        sig: (e.increases, e.successors) for sig, e in tb.entries.items()
+    }
     assert [e.representative for e in ta.entries.values()] == [
         e.representative for e in tb.entries.values()
     ]

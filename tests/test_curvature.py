@@ -7,10 +7,8 @@ from trifold.grower import grow_to_radius
 from trifold.samples import load_sample
 from trifold.curvature import (
     AngledComplex,
-    BoundaryPath,
     Cell,
     ComplexError,
-    DiscDiagram,
     PatchReport,
     _subcomplex,
     _torsion_triples,
@@ -18,11 +16,12 @@ from trifold.curvature import (
     complex_from_document,
     complex_to_document,
     extract_disc_diagrams,
-    ladder_fixture,
     polygon_fixture,
     random_angles,
     triangle_fixture,
 )
+
+from disc_paths import BoundaryPath, DiscDiagram, interior_vertices, ladder_fixture
 
 F = Fraction
 
@@ -325,7 +324,7 @@ def test_interior_vertices_nonpositive_in_reduced_discs(devs):
         patch = build_patch(devs[name], 4)
         discs = extract_disc_diagrams(patch, 20, seed=31, max_cells=7)
         for disc in discs:
-            for v in disc.interior_vertices():
+            for v in interior_vertices(disc):
                 _nodes, arcs = disc.link_graph(v)
                 if len(set(arcs)) == len(arcs):  # no doubled corner pair
                     assert disc.vertex_curvature(v) <= 0

@@ -15,7 +15,6 @@ from trifold.groups import (
     load_group,
     load_triangle_spec,
     local_link,
-    link_eccentricities,
     npc_check,
     CosetGraph,
 )
@@ -27,6 +26,8 @@ from trifold.samples import (
     load_sample,
     SAMPLE_BUILDERS,
 )
+
+from disc_paths import link_eccentricities
 
 
 def cyclic_doc(n):

@@ -13,7 +13,7 @@ machine are exactly the cone types.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .development import Development, GeneratorSymbol, InsufficientRadiusError, symbols_for
 from .cones import Signature, signature
@@ -447,15 +447,15 @@ def _lexfirst_machine_once(
 # -- fellow traveller ---------------------------------------------------------------
 
 
-@dataclass
-class FellowTravellerReport:
-    delta: int
-    observed_sync: int
-    observed_async: int
-    pairs_checked: int
-    skipped: int
-    worst: tuple | None = None  # (base word, symbol name, index)
-    violations: list = field(default_factory=list)
+class FellowTravellerReport(namedtuple(
+    "FellowTravellerReport",
+    "delta observed_sync observed_async pairs_checked skipped worst violations",
+)):
+    """worst is (base word, symbol name, index) of the largest synchronous
+    deviation, None when there is none; each violation is (face, symbol
+    name, index, distance), the distance None past delta + 1."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -488,15 +488,6 @@ def fellow_traveller_check(dev: Development, radius: int) -> FellowTravellerRepo
             chains[f] = got
         return got
 
-    # per face, the distances to the faces at most cap steps away
-    tables: dict[int, dict[int, int]] = {}
-
-    def table(x: int) -> dict[int, int]:
-        got = tables.get(x)
-        if got is None:
-            got = tables[x] = dev.bfs_from(x, cap)
-        return got
-
     observed_sync = 0
     observed_async = 0
     worst = None
@@ -519,7 +510,7 @@ def fellow_traveller_check(dev: Development, radius: int) -> FellowTravellerRepo
             for i in range(shared, max(len(cf), len(cg))):
                 x = cf[i] if i < len(cf) else cf[-1]
                 y = cg[i] if i < len(cg) else cg[-1]
-                d = 0 if x == y else table(x).get(y)
+                d = _distance_within(dev, x, (y,), cap)
                 if d is None or d > delta:
                     violations.append((f, dev.symbols[s].name(), i, d))
                     d = cap
@@ -528,21 +519,47 @@ def fellow_traveller_check(dev: Development, radius: int) -> FellowTravellerRepo
                     worst = (words[f], dev.symbols[s].name(), i)
             observed_async = max(
                 observed_async,
-                _async_side(cf[shared:], cg, table, cap),
-                _async_side(cg[shared:], cf, table, cap),
+                _async_side(dev, cf[shared:], cg, cap),
+                _async_side(dev, cg[shared:], cf, cap),
             )
     return FellowTravellerReport(
         delta, observed_sync, observed_async, pairs, skipped, worst, violations
     )
 
 
-def _async_side(tail: list[int], other: list[int], table, cap: int) -> int:
+def _async_side(dev: Development, tail: list[int], other: list[int], cap: int) -> int:
     """The largest distance from a face of tail to the nearest face of
-    other, cap when none is within reach, 0 for an empty tail."""
+    other, cap when none is nearer than cap, 0 for an empty tail."""
+    goals = set(other)
     out = 0
     for x in tail:
-        near = [d for d in map(table(x).get, other) if d is not None]
-        best = min(near) if near else cap
-        if best > out:
-            out = best
+        d = _distance_within(dev, x, goals, cap - 1)
+        if d is None:
+            return cap
+        if d > out:
+            out = d
     return out
+
+
+def _distance_within(dev: Development, x: int, goals, reach: int) -> int | None:
+    """The distance from face x to the nearest face in goals, None when none
+    is within reach steps: a breadth-first search that stops there."""
+    if x in goals:
+        return 0
+    known = dev._adjacency  # read directly, as Development.bfs_from does
+    seen = {x}
+    layer = [x]
+    for d in range(1, reach + 1):
+        outer = []
+        for f in layer:
+            near = known.get(f)
+            if near is None:
+                near = dev.adjacent_faces(f)
+            for g in near:
+                if g not in seen:
+                    if g in goals:
+                        return d
+                    seen.add(g)
+                    outer.append(g)
+        layer = outer
+    return None

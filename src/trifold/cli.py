@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 
 from . import __version__
@@ -173,14 +173,14 @@ def cmd_automaton(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "status message manifest")):
     """What one verify suite found: a status of "pass", "fail" or "skip", the
     message printed after it, and the manifest.json fields the suite sets."""
 
-    status: str
-    message: str
-    manifest: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, status: str, message: str, manifest: dict | None = None):
+        return super().__new__(cls, status, message, {} if manifest is None else manifest)
 
 
 def _suite_cor1(dev: Development) -> Verdict:

@@ -11,7 +11,7 @@ links included; no isomorphism search is ever needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .development import Development, InsufficientRadiusError
 
@@ -48,22 +48,34 @@ def signature(dev: Development, f: int) -> Signature:
     return sig
 
 
-@dataclass
 class ConeTypeEntry:
-    representative: int
-    multiplicity: int
-    increases: tuple[bool, ...]
-    successors: tuple[Signature | None, ...]
+    """A signature's first face, how many faces share the signature, and per
+    symbol whether the step increases distance and the successor's
+    signature (None where it does not)."""
+
+    __slots__ = ("representative", "multiplicity", "increases", "successors")
+
+    def __init__(
+        self,
+        representative: int,
+        multiplicity: int,
+        increases: tuple[bool, ...],
+        successors: tuple[Signature | None, ...],
+    ):
+        self.representative = representative
+        self.multiplicity = multiplicity
+        self.increases = increases
+        self.successors = successors
 
 
-@dataclass
-class ConeTypeTable:
-    radius: int
-    entries: dict[Signature, ConeTypeEntry]
-    # faces whose successor rows disagree with their signature's representative;
-    # empty whenever all half-girths are at least 3, where the directed-link
-    # data provably determines continuations
-    incoherent: list[tuple[Signature, int, int]]
+class ConeTypeTable(namedtuple("ConeTypeTable", "radius entries incoherent")):
+    """entries maps each signature to its ConeTypeEntry.  incoherent lists
+    (signature, representative, face) where a face's successor rows disagree
+    with its signature's representative; it is empty whenever all
+    half-girths are at least 3, where the directed-link data provably
+    determines continuations."""
+
+    __slots__ = ()
 
     @property
     def count(self) -> int:
@@ -126,13 +138,14 @@ def signature_counts(dev: Development, radius: int) -> list[int]:
     return counts
 
 
-@dataclass
-class DeterminationReport:
-    ok: bool
-    depth: int
-    classes_checked: int
-    words_checked: int
-    counterexample: tuple[int, int, tuple[int, ...]] | None = None
+class DeterminationReport(namedtuple(
+    "DeterminationReport", "ok depth classes_checked words_checked counterexample",
+    defaults=(None,),
+)):
+    """counterexample, on failure, is (face, face, word): the word extends
+    one face geodesically and not the other."""
+
+    __slots__ = ()
 
 
 def verify_cone_determination(

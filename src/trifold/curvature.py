@@ -9,7 +9,7 @@ curvature formulas valid on branching complexes, not just surfaces.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from math import comb, lcm
@@ -23,17 +23,15 @@ class ComplexError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Cell:
-    """A 2-cell with its cyclic boundary walk and one corner per stop.
+class Cell(namedtuple("Cell", "vertices edges corners")):
+    """A 2-cell with its cyclic boundary walk and one corner per stop, three
+    tuples of one length.
 
-    edges[i] joins vertices[i] and vertices[i+1]; corners[i] sits at
-    vertices[i] between edges[i-1] and edges[i].
+    edges[i] joins vertices[i] and vertices[i+1]; corners[i], an AnglePi,
+    sits at vertices[i] between edges[i-1] and edges[i].
     """
 
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]
-    corners: tuple[AnglePi, ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -218,10 +216,11 @@ def _connected(adj: dict[int, list[int]]) -> bool:
     return len(seen) == len(adj)
 
 
-@dataclass
-class GaussBonnetVerdict:
-    lhs: AnglePi  # total curvature, in multiples of pi
-    rhs: AnglePi  # 2 * Euler characteristic
+class GaussBonnetVerdict(namedtuple("GaussBonnetVerdict", "lhs rhs")):
+    """lhs is the total curvature and rhs twice the Euler characteristic,
+    both AnglePi (multiples of pi)."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -242,13 +241,14 @@ class GaussBonnetVerdict:
 # -- patches of the angled complex over the Cayley ball ---------------------------
 
 
-@dataclass
-class PatchReport:
-    complex: AngledComplex
-    edge_labels: list[int]  # letter per edge
-    cell_kinds: list[str]  # "link" or "torsion"
-    omitted_cells: int
-    vertex_of_cell: list[int]  # development vertex carrying each link cell, -1 for torsion
+class PatchReport(namedtuple(
+    "PatchReport", "complex edge_labels cell_kinds omitted_cells vertex_of_cell"
+)):
+    """edge_labels holds each edge's letter and cell_kinds each cell's kind,
+    "link" or "torsion"; vertex_of_cell is the development vertex carrying
+    each link cell, -1 for a torsion cell."""
+
+    __slots__ = ()
 
 
 def build_patch(dev: Development, radius: int) -> PatchReport:

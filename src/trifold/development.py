@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import le
@@ -30,12 +30,10 @@ class InsufficientRadiusError(ValueError):
     """A query touched frontier data whose distances are not trusted."""
 
 
-@dataclass(frozen=True, order=True)
-class GeneratorSymbol:
+class GeneratorSymbol(namedtuple("GeneratorSymbol", "letter power")):
     """One generator: a letter with a power in 1..k-1, ordered letter first."""
 
-    letter: int
-    power: int
+    __slots__ = ()
 
     def name(self) -> str:
         return f"{LETTERS[self.letter]}{self.power}"

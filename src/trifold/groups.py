@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
-from fractions import Fraction
 from pathlib import Path
 
 
@@ -212,20 +211,16 @@ def group_from_permutations(name: str, perms: list[tuple[int, ...]]) -> FiniteGr
 # -- coset graphs --------------------------------------------------------------
 
 
-@dataclass
-class CosetGraph:
+class CosetGraph(namedtuple("CosetGraph", "left_cosets right_cosets edges half_girth")):
     """Bipartite incidence graph of the cosets of <x> and <y> in V.
 
     Left vertices are cosets of <x>, right vertices cosets of <y>, and there
     is one edge per coset of the intersection, joining the two cosets that
-    contain it.  Parallel edges are kept.
+    contain it; right vertices are offset by len(left_cosets).  Parallel
+    edges are kept.  half_girth is an integer, or math.inf for a forest.
     """
 
-    left_cosets: list[tuple[int, ...]]
-    right_cosets: list[tuple[int, ...]]
-    # one edge per intersection coset; right vertices are offset by len(left_cosets)
-    edges: list[tuple[int, int]]
-    half_girth: float  # integer, or math.inf for a forest
+    __slots__ = ()
 
     @property
     def vertex_count(self) -> int:
@@ -265,8 +260,7 @@ def build_coset_graph(group: FiniteGroup, x: int, y: int) -> CosetGraph:
         g = coset[0]
         edges.append((left_of[g], offset + right_of[g]))
     graph = CosetGraph(left, right, edges, 0)
-    graph.half_girth = half_girth(graph)
-    return graph
+    return graph._replace(half_girth=half_girth(graph))
 
 
 def _multigraph_girth(n_vertices: int, edges: list[tuple[int, int]]) -> float:
@@ -313,15 +307,11 @@ def half_girth(graph: CosetGraph) -> float:
 # -- local links ---------------------------------------------------------------
 
 
-@dataclass
-class LocalLink:
-    """Cayley graph of a vertex group on all nontrivial powers of its two generators."""
+class LocalLink(namedtuple("LocalLink", "group_name order k neighbors diameter")):
+    """Cayley graph of a vertex group on all nontrivial powers of its two
+    generators; neighbors[e][s] is element e's neighbour on symbol s."""
 
-    group_name: str
-    order: int
-    k: int
-    neighbors: list[list[int]]  # per element, per symbol index, target element
-    diameter: int
+    __slots__ = ()
 
     def symbol_count(self) -> int:
         return 2 * (self.k - 1)
@@ -367,15 +357,25 @@ def _bfs_eccentricity(neighbors: list[list[int]], start: int) -> int:
 # -- triangle group specs --------------------------------------------------------
 
 
-@dataclass
 class TriangleGroupSpec:
     """Three vertex groups with designated generator pairs of a common order k."""
 
-    k: int
-    vertex_groups: tuple[FiniteGroup, FiniteGroup, FiniteGroup]
-    designated: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-    name: str = "triangle-group"
-    nontrivial_edge_intersections: list[int] = field(default_factory=list)
+    def __init__(
+        self,
+        k: int,
+        vertex_groups: tuple[FiniteGroup, FiniteGroup, FiniteGroup],
+        designated: tuple[tuple[int, int], tuple[int, int], tuple[int, int]],
+        name: str = "triangle-group",
+    ):
+        self.k = k
+        self.vertex_groups = vertex_groups
+        self.designated = designated
+        self.name = name
+        # set by validate()
+        self.nontrivial_edge_intersections: list[int] = []
+
+    def __repr__(self):
+        return f"TriangleGroupSpec({self.name!r}, k={self.k})"
 
     def validate(self) -> None:
         if self.k < 2:
@@ -433,12 +433,11 @@ class TriangleGroupSpec:
         }
 
 
-@dataclass
-class NpcVerdict:
-    kind: str  # "euclidean" | "hyperbolic" | "fails"
-    half_girths: tuple
-    angle_sum: Fraction
-    excess: Fraction | None = None
+class NpcVerdict(namedtuple("NpcVerdict", "kind half_girths angle_sum excess", defaults=(None,))):
+    """kind is "euclidean", "hyperbolic" or "fails"; angle_sum, and excess
+    when it fails, are Fractions."""
+
+    __slots__ = ()
 
     @property
     def nonpositively_curved(self) -> bool:
@@ -453,6 +452,8 @@ class NpcVerdict:
 
 def npc_check(spec: TriangleGroupSpec) -> NpcVerdict:
     """Classify the spec by the half-girth angle sum 1/r1 + 1/r2 + 1/r3."""
+    from fractions import Fraction  # the one rational sum a spec check makes
+
     spec.validate()
     girths = spec.half_girths()
     total = Fraction(0)

@@ -16,7 +16,7 @@ standing for (X, Y*sqrt(3)), so both are plain integer arithmetic.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
@@ -67,15 +67,11 @@ def _cross(g: Chamber, letter: int, w: int) -> Chamber:
     return tuple(out)
 
 
-@dataclass
-class IsometryBall:
-    """Cayley ball of a plane reflection group, one chamber per element."""
+class IsometryBall(namedtuple("IsometryBall", "group_id radius elements dist neighbors")):
+    """Cayley ball of a plane reflection group, one chamber per element;
+    neighbors[i] maps a letter index to the element across it."""
 
-    group_id: str
-    radius: int
-    elements: list[Chamber]
-    dist: list[int]
-    neighbors: list[dict[int, int]]  # per element, letter index -> element index
+    __slots__ = ()
 
     @property
     def sphere_sizes(self) -> list[int]:
@@ -117,12 +113,8 @@ def isometry_ball(group_id: str, radius: int) -> IsometryBall:
     return IsometryBall(group_id, radius, elements, dist, neighbors)
 
 
-@dataclass
-class BallComparison:
-    ok: bool
-    radius: int
-    matched: int
-    detail: str = ""
+class BallComparison(namedtuple("BallComparison", "ok radius matched detail", defaults=("",))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -243,19 +235,16 @@ def _segment_point_sqdist_ratio(a: GalleryPoint, b: GalleryPoint, p: GalleryPoin
     return pp * dd - t * t, dd
 
 
-@dataclass
-class Gallery:
+class Gallery(namedtuple("Gallery", "faces edges placements portals")):
     """A sequence of faces, consecutive ones sharing an edge, with its unfolding.
 
-    placements[i] maps each vertex type of face i to a gallery point;
-    portals[i] is the pair of points shared by faces i and i+1, together with
-    the development vertex ids sitting at those points.
+    edges[i] is the development edge between faces i and i+1; placements[i]
+    maps each vertex type of face i to a gallery point; portals[i] is the
+    pair of points shared by faces i and i+1, together with the development
+    vertex ids sitting at those points.
     """
 
-    faces: list[int]
-    edges: list[int]  # development edge between consecutive faces
-    placements: list[dict[int, GalleryPoint]]
-    portals: list[tuple[GalleryPoint, GalleryPoint, int, int]]
+    __slots__ = ()
 
 
 def _require_metric_gate(dev: Development) -> None:
@@ -422,14 +411,13 @@ def _segment_crosses(p: GalleryPoint, q: GalleryPoint, a: GalleryPoint, b: Galle
     return False
 
 
-@dataclass
-class GeodesicResult:
-    squared_length: RadicalSum
-    length: RadicalSum
-    gallery: Gallery
-    path: list[GalleryPoint]
-    crossings: int
-    inconclusive: bool = False
+class GeodesicResult(namedtuple(
+    "GeodesicResult", "squared_length length gallery path crossings inconclusive",
+    defaults=(False,),
+)):
+    """Lengths are RadicalSums; path is the list of GalleryPoints."""
+
+    __slots__ = ()
 
 
 def cat0_geodesic(dev: Development, f1: int, f2: int, max_len: int) -> GeodesicResult:
@@ -528,13 +516,13 @@ def _fan_distance(dev: Development, vids: list[int], entry: int, exit: int) -> i
     raise OracleError("vertex fan is not connected inside the ball")
 
 
-@dataclass
-class CrossingReport:
-    ok: bool
-    pairs_checked: int
-    failures: list[tuple[int, int, int, int]] = field(default_factory=list)
-    inconclusive: list[tuple[int, int]] = field(default_factory=list)
-    farthest: int = 0  # the largest ball distance of a checked pair
+class CrossingReport(namedtuple(
+    "CrossingReport", "ok pairs_checked failures inconclusive farthest"
+)):
+    """failures and inconclusive list face pairs; farthest is the largest
+    ball distance of a checked pair."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

@@ -278,6 +278,22 @@ def test_monotone_embedding():
     assert embeds_in(small, big)
 
 
+@pytest.mark.parametrize("name", ["d333", "d244", "d236", "d444", "f21_333"])
+def test_margin_one_keeps_the_trusted_prefix(devs, name):
+    """Grown with a trust budget of one layer past the radius, each session
+    ball keeps the trusted prefix of every stored face column."""
+    dev = devs[name]
+    grower = init_development(load_sample(name))
+    grower.margin = 1
+    thin = grow_to_radius(grower, dev.radius)
+    n = len(dev.ball_faces())
+    assert len(thin.ball_faces()) == n
+    assert thin.dist[:n] == dev.dist[:n]
+    for column in ("f_edge", "f_slot", "f_vert", "f_elem"):
+        assert getattr(thin, column)[:3 * n] == getattr(dev, column)[:3 * n], column
+    assert embeds_in(thin, dev) and embeds_in(dev, thin)
+
+
 DERIVED_COLUMNS = (
     "edge_letter", "edge_slots", "edge_ends", "vert_type", "vert_edges", "vert_edge_offsets",
 )

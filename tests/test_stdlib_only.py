@@ -5,11 +5,17 @@ import in src/trifold is trifold itself or a standard-library module, so
 pyproject.toml can keep `dependencies = []`.  And it ships only what
 something runs or documents: every public top-level function and class is
 used elsewhere in src/trifold, named by the benchmark in perfbench, or
-mentioned in README.md as supported API.
+mentioned in README.md as supported API.  And it imports only what a call
+runs: every CLI call is a fresh interpreter that, without a bytecode cache,
+compiles each module it imports, so the sources use no `dataclasses` or
+`typing`, and `fractions` is imported at module level only by the modules
+whose work is rational arithmetic.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,3 +79,38 @@ def test_every_public_name_is_used_benchmarked_or_documented():
         and not re.search(rf"\b{name}\b", readme)
     ]
     assert not unused, unused
+
+
+# imported by dataclasses or typing, or by fractions, which none of the CLI
+# modules needs to load a spec or a ball
+STARTUP_EXCLUDED = ("dataclasses", "inspect", "typing", "fractions", "decimal")
+# the modules whose work is exact rational arithmetic
+RATIONAL_MODULES = {"curvature.py", "oracle.py", "rings.py"}
+
+
+def test_cli_import_leaves_out_dataclasses_typing_and_fractions():
+    probe = f"import sys, trifold.cli; print(*[m for m in {STARTUP_EXCLUDED!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
+def test_no_dataclasses_or_typing_and_fractions_only_where_rational():
+    imports = []  # (module file, imported module, at module level)
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imports += [(path.name, name.partition(".")[0], id(node) in top) for name in names]
+    assert not [i for i in imports if i[1] in ("dataclasses", "typing")]
+    eager = {module for module, name, level in imports if name == "fractions" and level}
+    assert eager == RATIONAL_MODULES

@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .development import Development, GeneratorSymbol, InsufficientRadiusError, symbols_for
+from .development import Development, GeneratorSymbol, InsufficientRadiusError, VerificationError, symbols_for
 from .cones import Signature, signature
 
 
-class AutomatonError(ValueError):
+class AutomatonError(VerificationError, ValueError):
     pass
 
 
@@ -90,10 +90,7 @@ class GeodesicAutomaton:
         """Reachable part renumbered breadth-first; isomorphism-invariant."""
         order = [self.start]
         pos = {self.start: 0}
-        qi = 0
-        while qi < len(order):
-            q = order[qi]
-            qi += 1
+        for q in order:
             for s in range(len(self.alphabet)):
                 t = self.transitions[q][s]
                 if t not in pos:
@@ -168,10 +165,7 @@ def language_equal(a: GeodesicAutomaton, b: GeodesicAutomaton) -> bool:
         return False
     seen = {(a.start, b.start)}
     queue = [(a.start, b.start)]
-    qi = 0
-    while qi < len(queue):
-        qa, qb = queue[qi]
-        qi += 1
+    for qa, qb in queue:
         if a.is_accepting(qa) != b.is_accepting(qb):
             return False
         for s in range(len(a.alphabet)):
@@ -201,10 +195,7 @@ def minimize(a: GeodesicAutomaton) -> GeodesicAutomaton:
     order = [cls[a.start]]
     seen = {cls[a.start]}
     reps = {cls[q]: q for q in range(n - 1, -1, -1)}
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
+    for c in order:
         for s in range(n_sym):
             t = cls[a.transitions[reps[c]][s]]
             if t not in seen:

@@ -2,7 +2,7 @@
 automaton synthesis, verification suites, oracles, and curvature audits.
 
 Exit codes: 0 pass, 1 mathematical verdict negative or verification failure,
-2 usage or schema error.
+2 usage or schema error, or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from .groups import GroupError, TriangleGroupSpec, load_triangle_spec_file, npc_
 from .samples import REFLECTION_SAMPLES, SAMPLE_BUILDERS, load_sample, sample_names, write_sample
 from .development import (
     Development,
-    DevelopmentError,
     InsufficientRadiusError,
+    VerificationError,
     development_to_json,
     import_development,
 )
@@ -33,18 +33,6 @@ from .development import (
 
 class UsageError(ValueError):
     pass
-
-
-def _failure_errors() -> tuple[type[Exception], ...]:
-    """Errors that mean a verification failed (exit 1), not bad usage.
-
-    The automata and oracle errors are taken only from modules already
-    imported: a module this call never loaded cannot have raised one."""
-    errors = [DevelopmentError, InsufficientRadiusError]
-    for module, name in (("trifold.automata", "AutomatonError"), ("trifold.oracle", "OracleError")):
-        if module in sys.modules:
-            errors.append(getattr(sys.modules[module], name))
-    return tuple(errors)
 
 
 def _reject_non_integer(text: str):
@@ -371,7 +359,7 @@ def cmd_verify(args) -> int:
     for name in wanted:
         try:
             verdict = SUITES[name](dev, args)
-        except _failure_errors() as exc:
+        except VerificationError as exc:
             verdict = Verdict("fail", str(exc))
         print(f"{name}: {verdict.status} ({verdict.message})")
         failed = failed or verdict.status == "fail"
@@ -386,30 +374,16 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     from .grower import grow_to_radius
-    from .oracle import catacomb_check, compare_balls, isometry_ball
+    from .oracle import compare_balls, isometry_ball
 
-    if args.oracle_cmd == "compare":
-        spec = load_sample(args.group)
-        dev = grow_to_radius(spec, args.radius)
-        ball = isometry_ball(args.group, args.radius)
-        result = compare_balls(dev, ball, args.radius)
-        print(
-            f"{args.group} radius {args.radius}: "
-            f"{'isomorphic' if result.ok else 'DIVERGED: ' + result.detail} "
-            f"({result.matched} elements matched)"
-        )
-        return 0 if result.ok else 1
-    spec = load_sample(args.group)
-    dev = grow_to_radius(spec, max(args.radius + 1, 3))
-    report = catacomb_check(dev, args.radius, args.maxlen)
-    if report.ok:
-        print(f"{args.group}: crossings equal distances on {report.pairs_checked} pairs")
-        return 0
+    dev = grow_to_radius(load_sample(args.group), args.radius)
+    result = compare_balls(dev, isometry_ball(args.group, args.radius), args.radius)
     print(
-        f"{args.group}: {len(report.failures)} mismatches, "
-        f"{len(report.inconclusive)} inconclusive of {report.pairs_checked} pairs"
+        f"{args.group} radius {args.radius}: "
+        f"{'isomorphic' if result.ok else 'DIVERGED: ' + result.detail} "
+        f"({result.matched} elements matched)"
     )
-    return 1
+    return 0 if result.ok else 1
 
 
 def cmd_curvature(args) -> int:
@@ -496,11 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--group", choices=REFLECTION_SAMPLES, required=True)
     pc.add_argument("--radius", type=int, required=True)
     pc.set_defaults(func=cmd_oracle)
-    pk = osub.add_parser("catacomb", help="edge crossings vs ball distances")
-    pk.add_argument("--group", choices=REFLECTION_SAMPLES, required=True)
-    pk.add_argument("--radius", type=int, required=True)
-    pk.add_argument("--maxlen", type=int, default=None)
-    pk.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("curvature", help="curvature audits of angled complexes")
     csub = p.add_subparsers(dest="curv_cmd", required=True)
@@ -536,9 +505,14 @@ def main(argv=None) -> int:
     except GroupError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except _failure_errors() as exc:
+    except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (OSError, UnicodeError) as exc:
+        # a file named on the command line, or in a build directory, that
+        # cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,12 +21,17 @@ from operator import le
 from .groups import LETTERS, LETTER_TYPES, VERTEX_LETTERS, TriangleGroupSpec
 
 
-class DevelopmentError(RuntimeError):
+class VerificationError(Exception):
+    """A check on a ball found it wrong, or could not answer from it: the
+    verdict is a failure (exit 1), not bad usage."""
+
+
+class DevelopmentError(VerificationError, RuntimeError):
     """Growth found contradictory chart values, or an identification the
     deductions rule out (see grower.py); the spec cannot develop."""
 
 
-class InsufficientRadiusError(ValueError):
+class InsufficientRadiusError(VerificationError, ValueError):
     """A query touched frontier data whose distances are not trusted."""
 
 
@@ -86,10 +91,13 @@ class Development:
     `ball_faces(r)`.  Edges and vertices are numbered in order of first
     appearance, each edge's first face holds its slot 0 and each vertex's
     first face is the identity of its chart.  Distances are trusted out to
-    `radius`.  `margin` is the grower's: it grew the ball to radius + margin
-    and kept the faces out to radius + margin - 1, the farthest any reader
-    goes (see `grower.py`), so every face here is at most that far from the
-    base face.
+    `radius`.  `margin` is the grower's, 1 + delta: one layer of trust
+    budget, which fixes the distance, edges and corners of every face out
+    to `radius`, and delta layers of reach, which keep the stars around the
+    vertices of trusted faces (see `grower.py`).  The grower grew the ball
+    to radius + margin and kept the faces out to radius + margin - 1, the
+    farthest any reader goes, so every face here is at most that far from
+    the base face.
     """
 
     def __init__(self, spec: TriangleGroupSpec, radius: int, margin: int):
@@ -152,11 +160,8 @@ class Development:
             ends = []
             for t in types:
                 gen = self.spec.designated[t][VERTEX_LETTERS[t].index(letter)]
-                mult = groups[t].mult
-                powers = [0]
-                for _ in range(1, k):
-                    powers.append(mult[powers[-1]][gen])
-                ends.append([[row[p] for p in powers] for row in mult])
+                powers = groups[t].cyclic_subgroup(gen)
+                ends.append([[row[p] for p in powers] for row in groups[t].mult])
             steps.append((letter, *types, *ends))
         edge_letter: list[int] = []
         edge_slots: list[int] = []
@@ -278,18 +283,6 @@ class Development:
         raw = self.edge_slots[k * self.f_edge[x] + (self.f_slot[x] + power + 1) % k]
         return None if raw == -1 else raw
 
-    def neighbors(self, f: int) -> dict[GeneratorSymbol, int]:
-        """Total neighbor map on all 3(k-1) symbols; frontier faces fail."""
-        out = {}
-        for s, sym in enumerate(self.symbols):
-            g = self.neighbor(f, s)
-            if g is None:
-                raise InsufficientRadiusError(
-                    f"face {f} has an unsaturated {sym.name()} crossing"
-                )
-            out[sym] = g
-        return out
-
     def adjacent_faces(self, f: int) -> list[int]:
         """The faces sharing an edge with f, ascending."""
         near = self._adjacency.get(f)
@@ -347,11 +340,6 @@ class Development:
         faces, the first 3n entries of f_vert, are candidates."""
         candidates = sorted(set(self.f_vert[:3 * len(self.ball_faces())]))
         return [v for v in candidates if self.vertex_interior(v)]
-
-    def distance(self, f: int) -> int:
-        if not self.final[f]:
-            raise InsufficientRadiusError(f"face {f} is outside the trusted ball")
-        return self.dist[f]
 
     def bfs_from(self, start: int, cap: int | None = None) -> dict[int, int]:
         # the memo is read here directly: a call per face would be most of

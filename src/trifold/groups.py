@@ -32,13 +32,12 @@ class FiniteGroup:
 
     __slots__ = ("name", "order", "mult", "_inv")
 
-    def __init__(self, name: str, mult: list[list[int]], check: bool = True):
+    def __init__(self, name: str, mult: list[list[int]]):
         self.name = str(name)
         self.mult = [list(row) for row in mult]
         self.order = len(self.mult)
-        if check:
-            self._validate()
-        self._inv = self._inverse_table()
+        self._validate()
+        self._inv = [row.index(0) for row in self.mult]
 
     def _validate(self) -> None:
         n = self.order
@@ -80,15 +79,6 @@ class FiniteGroup:
             gens.append(s)
             reached = self.generated_subgroup(gens)
 
-    def _inverse_table(self) -> list[int]:
-        inv = [0] * self.order
-        for x in range(self.order):
-            inv[x] = self.mult[x].index(0)
-        return inv
-
-    def mul(self, x: int, y: int) -> int:
-        return self.mult[x][y]
-
     def inv(self, x: int) -> int:
         return self._inv[x]
 
@@ -101,6 +91,8 @@ class FiniteGroup:
         return k
 
     def cyclic_subgroup(self, x: int) -> list[int]:
+        """The powers of x in order, from the identity to x^(n-1) for n the
+        order of x."""
         out = [0]
         y = x
         while y != 0:
@@ -187,9 +179,7 @@ def group_from_permutations(name: str, perms: list[tuple[int, ...]]) -> FiniteGr
     ident = tuple(range(degree))
     elements = [ident]
     index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        g = frontier.pop(0)
+    for g in elements:
         for s in perms:
             if len(s) != degree:
                 raise GroupError("permutations must share one degree")
@@ -197,7 +187,6 @@ def group_from_permutations(name: str, perms: list[tuple[int, ...]]) -> FiniteGr
             if h not in index:
                 index[h] = len(elements)
                 elements.append(h)
-                frontier.append(h)
     mult = []
     for g in elements:
         row = []
@@ -274,10 +263,7 @@ def _multigraph_girth(n_vertices: int, edges: list[tuple[int, int]]) -> float:
         dist = {start: 0}
         parent_edge = {start: -1}
         queue = [start]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
+        for u in queue:
             if 2 * dist[u] >= best:
                 continue
             for v, eid in adj[u]:
@@ -313,9 +299,6 @@ class LocalLink(namedtuple("LocalLink", "group_name order k neighbors diameter")
 
     __slots__ = ()
 
-    def symbol_count(self) -> int:
-        return 2 * (self.k - 1)
-
 
 def local_link(group: FiniteGroup, x: int, y: int, k: int) -> LocalLink:
     for g, letter in ((x, "first"), (y, "second")):
@@ -325,12 +308,7 @@ def local_link(group: FiniteGroup, x: int, y: int, k: int) -> LocalLink:
             )
     if len(group.generated_subgroup([x, y])) != group.order:
         raise GroupError(f"{group.name}: designated generators do not generate")
-    symbols = []
-    for g in (x, y):
-        acc = g
-        for _ in range(1, k):
-            symbols.append(acc)
-            acc = group.mult[acc][g]
+    symbols = group.cyclic_subgroup(x)[1:] + group.cyclic_subgroup(y)[1:]
     neighbors = [[group.mult[e][s] for s in symbols] for e in range(group.order)]
     diameter = _bfs_eccentricity(neighbors, 0)
     return LocalLink(group.name, group.order, k, neighbors, diameter)
@@ -339,11 +317,8 @@ def local_link(group: FiniteGroup, x: int, y: int, k: int) -> LocalLink:
 def _bfs_eccentricity(neighbors: list[list[int]], start: int) -> int:
     dist = {start: 0}
     queue = [start]
-    qi = 0
     ecc = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
+    for u in queue:
         for v in neighbors[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1

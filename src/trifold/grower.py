@@ -58,13 +58,20 @@ tests/test_development.py checks the bytes against an independent grower
 that makes every face fresh and folds duplicates away, and checks that
 switching off the edge deduction raises on every sample.
 
-The margin, one more than delta, the largest local-link diameter, has two
-jobs.  It is the growth budget: growth runs within radius + margin, after
-which breadth-first distances are trusted out to the requested radius, which
-is enough because distances are determined by data within one link of the
-nearest minimal faces.  And one less than it is the stored extent: the
-finalized ball, which `build` also writes, keeps only the faces out to
-radius + margin - 1 = radius + delta, since no reader goes farther:
+The margin, one more than delta, the largest local-link diameter, is two
+parts, and growth runs within radius + margin:
+
+- One layer of trust budget.  By steps 1 and 4, every face below the budget
+  has its true distance and the edges and corners of the complex, since
+  only faces at the budget can get fresh edges or corners.  So one layer
+  past radius already fixes the distance, edges and corners of every face
+  out to radius.
+- Delta layers of reach: how far past a trusted face a reader looks.  The
+  stored extent, radius + margin - 1 = radius + delta, keeps the stars
+  around the vertices of trusted faces.
+
+The finalized ball, which `build` also writes, keeps only the faces out to
+the stored extent, since no reader goes farther:
 
 - The trusted ball, and the interior vertices whose faces are all trusted,
   lie within radius.
@@ -126,14 +133,9 @@ class _Grower:
         # where the letter does not meet the type
         self.pow_of: list[list[list[int] | None]] = []
         for ti in range(3):
-            group = spec.vertex_groups[ti]
             row: list[list[int] | None] = [None] * 3
             for pos, letter in enumerate(VERTEX_LETTERS[ti]):
-                g = spec.designated[ti][pos]
-                powers = [0]
-                for _ in range(1, self.k):
-                    powers.append(group.mult[powers[-1]][g])
-                row[letter] = powers
+                row[letter] = spec.vertex_groups[ti].cyclic_subgroup(spec.designated[ti][pos])
             self.pow_of.append(row)
 
         self.f_edge: list[int] = []

@@ -20,13 +20,13 @@ from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
-from .development import Development
+from .development import Development, VerificationError
 from .groups import LETTER_TYPES
 from .rings import RadicalSum
 from .samples import REFLECTION_SAMPLES as GROUP_IDS
 
 
-class OracleError(ValueError):
+class OracleError(VerificationError, ValueError):
     pass
 
 
@@ -121,60 +121,35 @@ class BallComparison(namedtuple("BallComparison", "ok radius matched detail", de
 
 
 def compare_balls(dev: Development, ball: IsometryBall, radius: int) -> BallComparison:
-    """Match the development ball against the oracle ball by synchronized BFS.
+    """Compare the development ball with the oracle ball face for face.
 
-    Labels are generator letters; determinism of both neighbor maps makes the
-    matching unique, so a single pass either builds the isomorphism or
-    reports the first divergence.
+    Both number their elements breadth first from the base face, crossing
+    letters in order, so two balls that agree as letter-labelled graphs
+    agree id for id.  The check is equal ball sizes, equal distances, and
+    the same neighbour across every letter of every face below the radius;
+    it reports the first face that differs.
     """
     if dev.k != 2:
         raise OracleError("isometry oracle covers only 2-fold specs")
     if radius > dev.radius or radius > ball.radius:
         raise OracleError("both balls must be trusted out to the requested radius")
     dev_size = len(dev.ball_faces(radius))
-    oracle_size = bisect_right(ball.dist, radius)  # also numbered breadth first
+    oracle_size = bisect_right(ball.dist, radius)
     if dev_size != oracle_size:
         return BallComparison(
             False, radius, 0,
             f"ball sizes differ: development {dev_size}, oracle {oracle_size}",
         )
-    match = {0: 0}
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        f = queue[qi]
-        qi += 1
-        if dev.dist[f] >= radius:
-            continue
-        w = match[f]
-        for sym in range(dev.symbol_count):
-            f2 = dev.neighbor(f, sym)
-            w2 = ball.neighbors[w].get(sym)  # k=2: symbol index == letter index
-            if f2 is None or w2 is None:
-                return BallComparison(
-                    False, radius, len(match),
-                    f"missing neighbor on letter {sym} at face {f} / element {w}",
-                )
-            if dev.dist[f2] != ball.dist[w2]:
-                return BallComparison(
-                    False, radius, len(match),
-                    f"distance mismatch across letter {sym} at face {f}",
-                )
-            if f2 in match:
-                if match[f2] != w2:
+    for f in range(dev_size):
+        if dev.dist[f] != ball.dist[f]:
+            return BallComparison(False, radius, f, f"distance mismatch at face {f}")
+        if dev.dist[f] < radius:
+            for letter in range(3):  # k=2: symbol index == letter index
+                if dev.neighbor(f, letter) != ball.neighbors[f].get(letter):
                     return BallComparison(
-                        False, radius, len(match),
-                        f"label-preserving map breaks at face {f2}",
+                        False, radius, f, f"neighbours across letter {letter} differ at face {f}"
                     )
-            else:
-                match[f2] = w2
-                queue.append(f2)
-    if len(match) != dev_size or len(set(match.values())) != oracle_size:
-        return BallComparison(
-            False, radius, len(match),
-            f"matched {len(match)} of {dev_size} faces",
-        )
-    return BallComparison(True, radius, len(match))
+    return BallComparison(True, radius, dev_size)
 
 
 # -- gallery unfolding ---------------------------------------------------------
@@ -503,10 +478,7 @@ def _fan_distance(dev: Development, vids: list[int], entry: int, exit: int) -> i
         allowed.update(dev.faces_at_vertex(vid))
     dist = {entry: 0}
     queue = [entry]
-    qi = 0
-    while qi < len(queue):
-        f = queue[qi]
-        qi += 1
+    for f in queue:
         if f == exit:
             return dist[f]
         for g in dev.adjacent_faces(f):

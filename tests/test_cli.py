@@ -233,12 +233,15 @@ def test_automaton_geodesic_refuses_no_certify(built, capsys):
 
 def test_oracle_compare_cli(capsys):
     assert main(["oracle", "compare", "--group", "d236", "--radius", "4"]) == 0
-    assert "isomorphic" in capsys.readouterr().out
+    assert capsys.readouterr().out == "d236 radius 4: isomorphic (25 elements matched)\n"
 
 
-def test_oracle_catacomb_cli(capsys):
-    assert main(["oracle", "catacomb", "--group", "d333", "--radius", "2"]) == 0
-    assert "crossings equal distances" in capsys.readouterr().out
+def test_oracle_has_no_catacomb_subcommand(capsys):
+    # `verify --suite catacomb` runs the crossing oracle on any build
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "catacomb", "--group", "d333", "--radius", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'catacomb'" in capsys.readouterr().err
 
 
 def test_curvature_audit_cli(tmp_path, capsys):
@@ -745,8 +748,7 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
         ["verify", "{built}", "--suite", "catacomb", "--radius", "-1"],
         ["verify", "{built}", "--suite", "catacomb", "--maxlen", "0"],
         ["verify", "{built}", "--suite", "conetypes", "--depth", "0"],
-        ["oracle", "catacomb", "--group", "d333", "--radius", "-1"],
-        ["oracle", "catacomb", "--group", "d333", "--radius", "1", "--maxlen", "0"],
+        ["oracle", "compare", "--group", "d333", "--radius", "-1"],
     ],
 )
 def test_invalid_numeric_arguments_exit_two(built, tmp_path, capsys, argv):
@@ -770,6 +772,74 @@ def test_unknown_sample_or_unwritable_out_exits_two(tmp_path, capsys, argv, expe
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     assert expected in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_verification_errors_share_one_base():
+    # main and verify map a VerificationError to a failure (exit 1); each
+    # error keeps the base its callers catch
+    from trifold.automata import AutomatonError
+    from trifold.development import DevelopmentError, InsufficientRadiusError, VerificationError
+    from trifold.oracle import OracleError
+
+    for error, base in (
+        (DevelopmentError, RuntimeError),
+        (InsufficientRadiusError, ValueError),
+        (AutomatonError, ValueError),
+        (OracleError, ValueError),
+    ):
+        assert issubclass(error, VerificationError) and issubclass(error, base)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["check", "{tmp}"], "Is a directory"),
+        (["check", "{tmp}/latin1.json"], "can't decode"),
+        (["check", "{tmp}/spec.json"], "can't decode"),
+        (["build", "{tmp}/latin1.json", "--radius", "1", "--out", "{tmp}/out"], "can't decode"),
+        (["curvature", "audit", "{tmp}/latin1.json"], "can't decode"),
+        (["automaton", "{built}", "--kind", "geodesic", "--out", "{tmp}/missing/m.json"],
+         "No such file or directory"),
+    ],
+    ids=["check_directory", "check_spec_not_utf8", "check_group_file_not_utf8",
+         "build_spec_not_utf8", "audit_not_utf8", "automaton_out_in_missing_dir"],
+)
+def test_unreadable_or_unwritable_file_exits_two(built, tmp_path, capsys, argv, expected):
+    (tmp_path / "latin1.json").write_bytes(b"\xff\xfe{}")
+    # spec.json names its V1 group file, v1.json, which is not UTF-8
+    doc = load_sample("d333").to_document()
+    doc["vertex_groups"][0] = "v1.json"
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    (tmp_path / "v1.json").write_bytes(b'{"name": "D\xe9"}')
+    assert main([a.format(tmp=tmp_path, built=built) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and expected in captured.err
+    assert not captured.out
+    assert not (tmp_path / "out").exists() and not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        (["verify", "--suite", "cor1"], "spec.json"),
+        (["verify", "--suite", "cor1"], "development.json"),
+        (["verify", "--suite", "cor1"], "manifest.json"),
+        (["automaton", "--kind", "geodesic"], "spec.json"),
+        (["automaton", "--kind", "geodesic"], "development.json"),
+    ],
+    ids=["verify_spec", "verify_development", "verify_manifest", "automaton_spec",
+         "automaton_development"],
+)
+def test_build_file_that_is_a_directory_exits_two(built, tmp_path, capsys, command, name):
+    broken = tmp_path / "broken"
+    shutil.copytree(built, broken)
+    (broken / name).unlink()
+    (broken / name).mkdir()
+    assert main([command[0], str(broken), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Is a directory" in captured.err
+    assert str(broken / name) in captured.err
+    assert not captured.out
 
 
 # sha256 of development.json (format 5), manifest.json and the lex-first

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import pytest
 
 from trifold.automata import (
-    AutomatonError,
     _geodesic_machine_once,
     build_geodesic_automaton,
     build_lexfirst_automaton,
@@ -20,6 +19,7 @@ from trifold.development import (
     DevelopmentError,
     GeneratorSymbol,
     InsufficientRadiusError,
+    VerificationError,
     development_to_json,
     embeds_in,
     export_development,
@@ -34,7 +34,7 @@ from trifold.groups import (
     npc_check,
 )
 from trifold.grower import _Grower, grow_to_radius, init_development
-from trifold.oracle import OracleError, source_geodesics
+from trifold.oracle import source_geodesics
 from trifold.samples import (
     dihedral,
     dihedral_reflections,
@@ -99,13 +99,13 @@ def test_ball_faces_match_whole_ball_filter(devs, name):
 
 
 def test_distance_queries(dev333):
-    assert dev333.distance(0) == 0
+    assert dev333.dist[0] == 0
     for s in range(dev333.symbol_count):
-        assert dev333.distance(dev333.neighbor(0, s)) == 1
+        assert dev333.dist[dev333.neighbor(0, s)] == 1
     # the face reached by a then b sits at distance 2
     fa = dev333.neighbor(0, 0)
     fab = dev333.neighbor(fa, 1)
-    assert dev333.distance(fab) == 2
+    assert dev333.dist[fab] == 2
 
 
 def test_neighbors_total_and_involutive(devs):
@@ -113,19 +113,14 @@ def test_neighbors_total_and_involutive(devs):
         dev = devs[name]
         k = dev.k
         for f in dev.ball_faces()[:40]:
-            nbr = dev.neighbors(f)
-            assert len(nbr) == 3 * (k - 1)
-            for sym, g in nbr.items():
+            for s, sym in enumerate(dev.symbols):
+                g = dev.neighbor(f, s)
+                assert g is not None
                 back = GeneratorSymbol(sym.letter, k - sym.power)
                 assert dev.neighbor(g, back.letter * (k - 1) + back.power - 1) == f
-
-
-def test_neighbor_on_frontier_raises(dev333):
-    frontier = max(range(dev333.face_count), key=lambda f: dev333.dist[f])
-    with pytest.raises(InsufficientRadiusError):
-        dev333.neighbors(frontier)
-    with pytest.raises(InsufficientRadiusError):
-        dev333.distance(frontier)
+        # a face at the stored extent has a crossing whose face is not stored
+        frontier = dev.face_count - 1
+        assert None in [dev.neighbor(frontier, s) for s in range(dev.symbol_count)]
 
 
 def test_minimal_triangles_contain_base(dev333):
@@ -1170,7 +1165,7 @@ def _outcome(call, *args):
     """What call(*args) returns, or the type and message of the error it raises."""
     try:
         return call(*args)
-    except (DevelopmentError, InsufficientRadiusError, AutomatonError, OracleError) as exc:
+    except VerificationError as exc:
         return type(exc).__name__, str(exc)
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from trifold.grower import grow_to_radius
 from trifold.oracle import (
     GROUP_IDS,
+    BallComparison,
     Gallery,
     GeodesicResult,
     OracleError,
@@ -291,11 +293,53 @@ def test_reflection_length_parity():
             assert abs(ball.dist[e] - ball.dist[n]) == 1
 
 
+# -- the isomorphism-building reference matcher ---------------------------------
+
+
+def matcher_reference(dev, ball, radius):
+    """Match the development ball against the oracle ball by synchronized
+    breadth-first search, building the label-preserving isomorphism face by
+    face: the reference compare_balls is checked against.  Determinism of
+    both neighbour maps makes the matching unique, so one pass either builds
+    it or reports the first divergence."""
+    dev_size = len(dev.ball_faces(radius))
+    oracle_size = bisect_right(ball.dist, radius)
+    if dev_size != oracle_size:
+        return BallComparison(False, radius, 0, "ball sizes differ")
+    match = {0: 0}
+    queue = [0]
+    for f in queue:
+        if dev.dist[f] >= radius:
+            continue
+        w = match[f]
+        for sym in range(dev.symbol_count):
+            f2 = dev.neighbor(f, sym)
+            w2 = ball.neighbors[w].get(sym)  # k=2: symbol index == letter index
+            if f2 is None or w2 is None:
+                return BallComparison(False, radius, len(match), "missing neighbor")
+            if dev.dist[f2] != ball.dist[w2]:
+                return BallComparison(False, radius, len(match), "distance mismatch")
+            if f2 in match:
+                if match[f2] != w2:
+                    return BallComparison(False, radius, len(match), "label-preserving map breaks")
+            else:
+                match[f2] = w2
+                queue.append(f2)
+    if len(match) != dev_size or len(set(match.values())) != oracle_size:
+        return BallComparison(False, radius, len(match), "not every face matched")
+    return BallComparison(True, radius, len(match))
+
+
 @pytest.mark.parametrize("gid", GROUP_IDS)
 def test_compare_balls_pass(gid):
-    dev = grow_to_radius(load_sample(gid), 5)
-    ball = isometry_ball(gid, 5)
-    assert compare_balls(dev, ball, 5).ok
+    # the CLI grows the development and the oracle ball at the radius it compares
+    spec = load_sample(gid)
+    for radius in range(11):
+        dev = grow_to_radius(spec, radius)
+        ball = isometry_ball(gid, radius)
+        result = compare_balls(dev, ball, radius)
+        assert result == matcher_reference(dev, ball, radius)
+        assert result == BallComparison(True, radius, len(ball.elements))
 
 
 def test_compare_balls_self_and_fault_injection():
@@ -308,7 +352,19 @@ def test_compare_balls_self_and_fault_injection():
     nbrs = broken.neighbors[e]
     nbrs[0], nbrs[1] = nbrs[1], nbrs[0]
     result = compare_balls(dev, broken, 4)
-    assert not result.ok and result.detail
+    assert not result.ok and not matcher_reference(dev, broken, 4).ok
+    assert result.detail == f"neighbours across letter 0 differ at face {e}"
+    assert result.matched == e
+    # a relabelled but isomorphic ball, faces 1 and 2 (both at distance 1)
+    # swapped: the matcher finds the isomorphism, while the direct comparison
+    # asks for the identity and names face 0, whose neighbours moved
+    swap = {1: 2, 2: 1}
+    relabelled = ball._replace(neighbors=[
+        {x: swap.get(n, n) for x, n in ball.neighbors[swap.get(f, f)].items()}
+        for f in range(len(ball.elements))
+    ])
+    assert matcher_reference(dev, relabelled, 4).ok
+    assert compare_balls(dev, relabelled, 4).detail == "neighbours across letter 0 differ at face 0"
 
 
 def test_metric_gate_blocks_half_girth_two():

@@ -1,7 +1,13 @@
-"""The README's library sketch runs as written and prints what its comments say."""
+"""The README's library sketch runs as written and prints what its comments
+say, and every command of its CLI block parses."""
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from trifold.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,3 +27,28 @@ def test_library_sketch_runs(capsys):
     for line, comment in zip(printed, prints):
         if comment.startswith("["):
             assert line == comment
+
+
+def _cli_block_commands():
+    text = README.read_text()
+    match = re.search(r"^## CLI\n\n```sh\n(.*?)^```", text, re.S | re.M)
+    assert match, "no sh block under '## CLI'"
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in match.group(1).splitlines()
+        if line.startswith("trifold ")
+    ]
+
+
+def test_cli_block_parses(capsys):
+    commands = _cli_block_commands()
+    assert {argv[0] for argv in commands} == {
+        "check", "build", "verify", "automaton", "oracle", "curvature", "sample"
+    }
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: trifold {shlex.join(argv)}\n"
+                        f"{capsys.readouterr().err}")

@@ -393,6 +393,8 @@ def cmd_curvature(args) -> int:
         text = Path(args.file).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read complex file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read complex file {args.file}: {exc}") from exc
     try:
         y = complex_from_document(json.loads(text))
     except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:

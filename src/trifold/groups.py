@@ -476,6 +476,8 @@ def load_triangle_spec(document: dict, base_dir: Path | None = None) -> Triangle
                 raw = json.loads(path.read_text())
             except OSError as exc:
                 raise GroupError(f"V{i+1}: cannot read group file {path}: {exc.strerror}") from None
+            except UnicodeDecodeError as exc:
+                raise GroupError(f"V{i+1}: cannot read group file {path}: {exc}") from None
         group = load_group(raw)
         gens = raw.get("generators", {})
         letters = VERTEX_LETTERS[i]
@@ -501,4 +503,8 @@ def load_triangle_spec(document: dict, base_dir: Path | None = None) -> Triangle
 
 def load_triangle_spec_file(path: str | Path) -> TriangleGroupSpec:
     path = Path(path)
-    return load_triangle_spec(json.loads(path.read_text()), base_dir=path.parent)
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise GroupError(f"cannot read spec file {path}: {exc}") from None
+    return load_triangle_spec(json.loads(text), base_dir=path.parent)

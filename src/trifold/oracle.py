@@ -581,9 +581,10 @@ def _cross_portal(funnel: _Funnel, left: GalleryPoint, right: GalleryPoint) -> _
 def _bound_sign(funnel: _Funnel, num: int, den: int, tail: int, path: _MeasuredPath) -> int:
     """The exact sign of the bound minus the path length, where the bound is
     the funnel's path to its apex, then sqrt(num / den) from the apex to the
-    portal, then sqrt(tail)."""
-    bound = [(Fraction(1, den), num * den), (1, tail)] + [(1, square) for square in funnel[2]]
-    return RadicalSum(bound).compare(RadicalSum((1, square) for square in path.squares))
+    portal, then sqrt(tail).  Both sides are scaled by den, which keeps
+    every coefficient an integer: den * sqrt(num / den) = sqrt(num * den)."""
+    bound = [(1, num * den), (den, tail)] + [(den, square) for square in funnel[2]]
+    return RadicalSum(bound).compare(RadicalSum((den, square) for square in path.squares))
 
 
 # one target's best gallery: measured path, gallery, crossings, inconclusive
@@ -686,10 +687,15 @@ def _search(
             for x in (path.lo - floor - 2, path.hi - floor)
         )
 
+    # per target, the descending gallery that seeds its bar and the seed's
+    # measured path, which offer reuses when the walk is that gallery
+    seeds: list[tuple[list[int], _MeasuredPath] | None] = [None] * n
     for i, (cap, table) in enumerate(zip(caps, tables)):
         d = table.get(f1)
         if d is not None and d < cap:
-            set_bar(i, _gallery_path(dev, _descending_gallery(dev, f1, table)), 1)
+            faces = _descending_gallery(dev, f1, table)
+            seeds[i] = faces, _gallery_path(dev, faces)
+            set_bar(i, seeds[i][1], 1)
     index = {t: i for i, t in enumerate(targets)}
 
     adjacency = dev.adjacent_faces
@@ -701,7 +707,11 @@ def _search(
 
     def offer(i: int) -> None:
         """Make the walk target i's best gallery if it beats the bar."""
-        path = _MeasuredPath(funnel_path(oriented, start, centroid(placements[-1])))
+        seed = seeds[i]
+        if seed is not None and walk == seed[0]:
+            path = seed[1]
+        else:
+            path = _MeasuredPath(funnel_path(oriented, start, centroid(placements[-1])))
         if best[i] is not None:
             if not path.shorter_than(best[i][0]):
                 return

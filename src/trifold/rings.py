@@ -22,10 +22,12 @@ class RadicalSum:
 
     Terms whose radicands multiply to a perfect square share a square-free
     part, and compare and == put them in one class: sqrt(n) = r / m * sqrt(m)
-    for the class's first radicand m and r = isqrt(n * m).  Square roots of
-    distinct square-free integers are linearly independent over the
-    rationals, so two sums are equal exactly when their coefficients agree
-    in every class; otherwise enclosures of growing precision part them.
+    for the class's first radicand m and r = isqrt(n * m), so the class sums
+    to sum(a * r) / m * sqrt(m), kept as the numerator sum(a * r), which is
+    an integer when the coefficients are.  Square roots of distinct
+    square-free integers are linearly independent over the rationals, so two
+    sums are equal exactly when their numerators agree in every class;
+    otherwise enclosures of growing precision part them.
     Radicands are never factored.  One value has many spellings (sqrt(8) is
     2 * sqrt(2)), so the type is not hashable.
     """
@@ -38,12 +40,13 @@ class RadicalSum:
         if any(a < 0 or n < 0 for a, n in self.terms):
             raise ValueError("RadicalSum wants coefficients and radicands >= 0")
 
-    def _forms(self, other: RadicalSum) -> list[dict[int, Fraction]]:
-        """Both sums as {class radicand: coefficient}, over shared classes."""
+    def _forms(self, other: RadicalSum) -> list[dict[int, int | Fraction]]:
+        """Both sums as {class radicand m: numerator}, over shared classes;
+        a class contributes its numerator / m * sqrt(m)."""
         classes: list[int] = []
         forms = []
         for terms in (self.terms, other.terms):
-            form: dict[int, Fraction] = {}
+            form: dict[int, int | Fraction] = {}
             for a, n in terms:
                 for m in classes:
                     r = math.isqrt(n * m)
@@ -52,7 +55,7 @@ class RadicalSum:
                 else:
                     classes.append(n)
                     m = r = n
-                form[m] = form.get(m, 0) + a * Fraction(r, m)
+                form[m] = form.get(m, 0) + a * r
             forms.append(form)
         return forms
 
@@ -95,11 +98,11 @@ class RadicalSum:
         return f"RadicalSum({list(self.terms)})"
 
 
-def _bounds(form: dict[int, Fraction], bits: int) -> tuple[int, int]:
-    """lo <= 2**bits * sum(a * sqrt(m)) <= hi over form's items (m, a)."""
+def _bounds(form: dict[int, int | Fraction], bits: int) -> tuple[int, int]:
+    """lo <= 2**bits * sum(a / m * sqrt(m)) <= hi over form's items (m, a)."""
     lo = hi = 0
     for m, a in form.items():
-        num, den = a.numerator, a.denominator
+        num, den = a.numerator, a.denominator * m
         r = math.isqrt(m << 2 * bits)
         lo += num * r // den
         hi += -(-num * (r + 1) // den)

@@ -1,7 +1,25 @@
+import shutil
+import tempfile
+
 import pytest
+from hypothesis import configuration, settings
 
 from trifold.grower import grow_to_radius
 from trifold.samples import load_sample
+
+# property tests draw the same examples on every run, keep no example
+# database, and are not timed per example
+settings.register_profile("trifold", derandomize=True, database=None, deadline=None)
+settings.load_profile("trifold")
+
+
+def pytest_configure(config):
+    # hypothesis still caches the constants it reads from local modules, in
+    # .hypothesis/ under the working directory unless told otherwise: give it
+    # a directory of its own that lives as long as the test session
+    home = tempfile.mkdtemp(prefix="trifold-hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    configuration.set_hypothesis_home_dir(home)
 
 # trusted radii large enough for every suite run below; growing is the
 # expensive step, so the grown balls are shared session-wide.  The

@@ -791,20 +791,22 @@ def test_verification_errors_share_one_base():
 
 
 @pytest.mark.parametrize(
-    "argv, expected",
+    "argv, expected, named",
     [
-        (["check", "{tmp}"], "Is a directory"),
-        (["check", "{tmp}/latin1.json"], "can't decode"),
-        (["check", "{tmp}/spec.json"], "can't decode"),
-        (["build", "{tmp}/latin1.json", "--radius", "1", "--out", "{tmp}/out"], "can't decode"),
-        (["curvature", "audit", "{tmp}/latin1.json"], "can't decode"),
+        (["check", "{tmp}"], "Is a directory", None),
+        (["check", "{tmp}/latin1.json"], "can't decode", "spec file {tmp}/latin1.json"),
+        (["check", "{tmp}/spec.json"], "can't decode", "V1: cannot read group file {tmp}/v1.json"),
+        (["build", "{tmp}/latin1.json", "--radius", "1", "--out", "{tmp}/out"], "can't decode",
+         "spec file {tmp}/latin1.json"),
+        (["curvature", "audit", "{tmp}/latin1.json"], "can't decode",
+         "complex file {tmp}/latin1.json"),
         (["automaton", "{built}", "--kind", "geodesic", "--out", "{tmp}/missing/m.json"],
-         "No such file or directory"),
+         "No such file or directory", None),
     ],
     ids=["check_directory", "check_spec_not_utf8", "check_group_file_not_utf8",
          "build_spec_not_utf8", "audit_not_utf8", "automaton_out_in_missing_dir"],
 )
-def test_unreadable_or_unwritable_file_exits_two(built, tmp_path, capsys, argv, expected):
+def test_unreadable_or_unwritable_file_exits_two(built, tmp_path, capsys, argv, expected, named):
     (tmp_path / "latin1.json").write_bytes(b"\xff\xfe{}")
     # spec.json names its V1 group file, v1.json, which is not UTF-8
     doc = load_sample("d333").to_document()
@@ -814,6 +816,11 @@ def test_unreadable_or_unwritable_file_exits_two(built, tmp_path, capsys, argv, 
     assert main([a.format(tmp=tmp_path, built=built) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and expected in captured.err
+    if named is not None:
+        # a file that is not UTF-8 is named, and a bad group file is not
+        # blamed on the spec that names it
+        assert named.format(tmp=tmp_path) in captured.err
+        assert "spec.json" not in captured.err
     assert not captured.out
     assert not (tmp_path / "out").exists() and not (tmp_path / "missing").exists()
 

@@ -4,6 +4,7 @@ import json
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +83,54 @@ def test_init_refuses_positive_excess():
 def test_sphere_sizes_match_frozen_oracle_values(name):
     dev = grow_to_radius(load_sample(name), 5)
     assert dev.sphere_sizes == ORACLE_SPHERES[name]
+
+
+def _series_product(a, b, n):
+    return [sum(a[i] * b[k - i] for i in range(k + 1) if i < len(a) and k - i < len(b))
+            for k in range(n)]
+
+
+def _series_inverse(a, n):
+    """The first n coefficients of 1 / a, for a[0] nonzero."""
+    out = []
+    for k in range(n):
+        known = sum(a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1))
+        out.append((Fraction(int(k == 0)) - known) / a[0])
+    return out
+
+
+def steinberg_growth(orders, n):
+    """The first n coefficients of the growth series W(t) of the Coxeter
+    triangle group whose vertex groups are dihedral of the given orders 2m.
+
+    Steinberg's formula, 1 / W(1/t) = sum over T with W_T finite of
+    (-1)^|T| / W_T(t), with W_T(1/t) = t^-N W_T(t) for the length N of W_T's
+    longest element, gives 1 / W(t) = sum of (-1)^|T| t^N / W_T(t): 1 for the
+    empty set, t / (1 + t) for each letter and, for each vertex group,
+    t^m / ((1 + t)(1 + ... + t^(m-1))).
+    """
+    letter = _series_product([0, 1], _series_inverse([1, 1], n), n)
+    inverse = [Fraction(int(k == 0)) - 3 * c for k, c in enumerate(letter)]
+    for order in orders:
+        m = order // 2
+        poincare = _series_product([1, 1], [1] * m, n)
+        vertex = _series_product([0] * m + [1], _series_inverse(poincare, n), n)
+        inverse = [x + y for x, y in zip(inverse, vertex)]
+    return _series_inverse(inverse, n)
+
+
+def test_steinberg_growth_pinned():
+    assert steinberg_growth([8, 8, 8], 12) == [1, 3, 6, 12, 21, 36, 63, 108, 186, 321, 552, 951]
+    assert steinberg_growth([6, 6, 6], 6) == ORACLE_SPHERES["d333"]
+
+
+@pytest.mark.parametrize("name", ["d333", "d244", "d236", "d444"])
+def test_sphere_sizes_match_steinberg_growth(devs, name):
+    # the four Coxeter samples: vertex groups dihedral, letters reflections
+    dev = devs[name]
+    orders = [group.order for group in dev.spec.vertex_groups]
+    assert dev.spec.k == 2 and orders == [2 * r for r in dev.half_girths]
+    assert dev.sphere_sizes == steinberg_growth(orders, dev.radius + 1)
 
 
 @pytest.mark.parametrize("name", ["d333", "d244", "d236", "d444", "f21_333"])

@@ -3,8 +3,10 @@ import random
 import time
 from bisect import bisect_right
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trifold.grower import grow_to_radius
 from trifold.oracle import (
@@ -700,6 +702,136 @@ def test_shared_goal_tables_match_one_table_per_pair(dev333, name, ball_radius, 
         assert [f for f, cap in calls if cap == radius] == list(dev.ball_faces())
         assert sorted(f for f, cap in calls if cap == radius + 2) == sorted(targets)
         assert len(calls) == len(dev.ball_faces()) + len(targets)
+
+
+# -- the per-pair constant work against what it replaced --------------------------
+
+
+def _fraction_bound_sign(funnel, num, den, tail, path):
+    """_bound_sign unscaled: sqrt(num / den) kept as (1 / den) * sqrt(num * den)."""
+    bound = [(Fraction(1, den), num * den), (1, tail)] + [(1, square) for square in funnel[2]]
+    return RadicalSum(bound).compare(RadicalSum((1, square) for square in path.squares))
+
+
+def _catacomb_ball(dev333, name, ball_radius):
+    dev = dev333 if name == "d333" else grow_to_radius(load_sample(name), ball_radius)
+    assert dev.radius == ball_radius
+    return dev
+
+
+# the f21_333 session ball (radius 9) takes about 45 s at pair radius 2
+CATACOMB_BALLS = [("d333", 11), ("d444", 8), ("f21_333", 4)]
+
+
+# the apex of a bound leaves the start only from pair radius 3, and only
+# from pair radius 4 on d333 together with a portal distance no integer square
+@pytest.mark.parametrize("name, ball_radius, radius", [
+    ("d333", 11, 2), ("d333", 11, 4), ("d444", 8, 2), ("f21_333", 4, 2),
+])
+def test_scaled_bound_sign_matches_the_fraction_bound(monkeypatch, dev333, name, ball_radius, radius):
+    dev = _catacomb_ball(dev333, name, ball_radius)
+    calls = []
+    scaled = oracle._bound_sign
+
+    def checked(funnel, num, den, tail, path):
+        sign = scaled(funnel, num, den, tail, path)
+        assert sign == _fraction_bound_sign(funnel, num, den, tail, path), (funnel, num, den)
+        calls.append((den > 1, len(funnel[2]) > 0))
+        return sign
+
+    monkeypatch.setattr(oracle, "_bound_sign", checked)
+    assert catacomb_check(dev, radius).ok
+    # portal distances that are no integer square are met, and past pair
+    # radius 2 bounds that bend before the portal
+    assert len(calls) > 200 and (True, False) in calls
+    assert ((False, True) in calls) == ((True, True) in calls) == (radius > 2)
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.integers(1, 300), max_size=3),
+    st.integers(0, 400),
+    st.integers(1, 40),
+    st.sampled_from((3, 12)),
+    st.one_of(st.none(), st.lists(st.integers(1, 600), min_size=1, max_size=4)),
+)
+def test_scaled_bound_sign_on_drawn_bounds(squares, num, den, tail, others):
+    # others None draws a path as long as the bound: num / den is then an
+    # integer, and the path's squared segments are the bound's
+    if others is None:
+        others = [*squares, tail, num]
+        num *= den
+    funnel = (None, None, tuple(squares), None, None)
+    path = SimpleNamespace(squares=others)
+    sign = oracle._bound_sign(funnel, num, den, tail, path)
+    assert sign == _fraction_bound_sign(funnel, num, den, tail, path)
+
+
+def _winners(dev, radius):
+    """catacomb_check's winners by pair, as (measured path, gallery, seed
+    gallery); each winner's measurement must equal a fresh funnel."""
+    out = {}
+    tables = {}
+    for f1 in dev.ball_faces():
+        tables.pop(f1, None)
+        _dists, found = source_geodesics(dev, f1, radius, None, tables)
+        for f2, (path, gallery, _crossings, _unsure) in found.items():
+            start, goal = centroid(gallery.placements[0]), centroid(gallery.placements[-1])
+            fresh = _MeasuredPath(funnel_path(orient_portals(gallery), start, goal))
+            assert (path.path, path.squares, path.lo, path.hi, path.square) == (
+                fresh.path, fresh.squares, fresh.lo, fresh.hi, fresh.square
+            ), (f1, f2)
+            out[f1, f2] = path, gallery, oracle._descending_gallery(dev, f1, tables[f2])
+    return out
+
+
+@pytest.mark.parametrize("name, ball_radius", CATACOMB_BALLS)
+def test_seeded_winners_measure_as_a_fresh_funnel(monkeypatch, dev333, name, ball_radius):
+    # a winner that is its target's seed gallery reuses the seed's measurement
+    dev = _catacomb_ball(dev333, name, ball_radius)
+    funnels = []
+    funnel = oracle.funnel_path
+
+    def counted(*args):
+        funnels.append(args)
+        return funnel(*args)
+
+    monkeypatch.setattr(oracle, "funnel_path", counted)
+    winners = _winners(dev, 2)
+    # every winner is its seed, measured once for the bar and not again when
+    # the search meets it; with three faces to an edge, other galleries reach
+    # their targets too, and each of them is measured
+    assert all(gallery.faces == seed for _path, gallery, seed in winners.values())
+    if name == "f21_333":
+        assert len(funnels) > len(winners)
+    else:
+        assert len(funnels) == len(winners)
+
+
+def _last_descending_gallery(dev, f1, to_goal):
+    """oracle._descending_gallery, stepping to the last neighbour one step
+    nearer the goal instead of the first."""
+    walk = [f1]
+    while to_goal[walk[-1]]:
+        want = to_goal[walk[-1]] - 1
+        walk.append([g for g in dev.adjacent_faces(walk[-1]) if to_goal.get(g) == want][-1])
+    return walk
+
+
+@pytest.mark.parametrize("name, ball_radius", [("d333", 6), ("d444", 5)])
+def test_winners_do_not_depend_on_the_seed_gallery(monkeypatch, name, ball_radius):
+    # from pair radius 3 a pair can have several descending galleries, and
+    # the winner need not be the seed: seeding with the last one instead of
+    # the first changes no winner, and every winner measures as a fresh funnel
+    dev = grow_to_radius(load_sample(name), ball_radius)
+    first = _winners(dev, 3)
+    monkeypatch.setattr(oracle, "_descending_gallery", _last_descending_gallery)
+    last = _winners(dev, 3)
+    assert list(last) == list(first)
+    for pair, (path, gallery, _seed) in last.items():
+        assert (path.path, gallery) == (first[pair][0].path, first[pair][1]), pair
+    unseeded = sum(gallery.faces != seed for _path, gallery, seed in last.values())
+    assert 0 < unseeded < len(last)
 
 
 # -- integer gallery kernel against the Q(sqrt 3) reference -----------------------

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trifold.rings import RadicalSum
 
@@ -138,6 +139,49 @@ def test_radical_sum_matches_reference_on_random_sums():
         c = Fraction(rng.randrange(5), rng.randrange(1, 5))
         assert reference(x * c) == rx * c == reference(c * x), (x, c)
     assert ties > 100
+
+
+# a drawn term a * sqrt(s*s*n), kept as (a, s, n): integer and Fraction
+# coefficients mix in one sum, and n is square-free, so (a*s) * sqrt(n)
+# spells the same term
+_TERMS = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 12), st.fractions(0, 12, max_denominator=6)),
+        st.integers(0, 6),
+        st.sampled_from((1, 2, 3, 5, 6)),
+    ),
+    max_size=5,
+)
+
+
+def _enclosure(x, bits=256):
+    """lo <= 2**bits * x <= hi, term by term from isqrt."""
+    lo = hi = 0
+    for a, n in x.terms:
+        a = Fraction(a)
+        r = math.isqrt(n << 2 * bits)
+        lo += a.numerator * r // a.denominator
+        hi += -(-a.numerator * (r + 1) // a.denominator)
+    return lo, hi
+
+
+@settings(max_examples=200)
+@given(_TERMS, _TERMS)
+def test_compare_and_equality_on_drawn_sums(xs, ys):
+    x = RadicalSum((a, s * s * n) for a, s, n in xs)
+    y = RadicalSum((a, s * s * n) for a, s, n in ys)
+    got = x.compare(y)
+    assert got == reference(x).compare(reference(y))
+    assert y.compare(x) == -got
+    assert (x == y) == (y == x) == (got == 0)
+    # the same terms with the square taken out of the radicand
+    x_out = RadicalSum((a * s, n) for a, s, n in xs)
+    assert x_out == x and x_out.compare(x) == 0
+    assert x_out.compare(y) == got and y.compare(x_out) == -got
+    assert (x_out == y) == (got == 0)
+    if got:
+        (xlo, xhi), (ylo, yhi) = _enclosure(x), _enclosure(y)
+        assert xlo > yhi if got > 0 else xhi < ylo
 
 
 def test_radical_sum_equal_under_other_radicands():

@@ -17,6 +17,7 @@ from collections import namedtuple
 
 from .development import Development, GeneratorSymbol, InsufficientRadiusError, VerificationError, symbols_for
 from .cones import Signature, signature
+from .groups import _integer
 
 
 class AutomatonError(VerificationError, ValueError):
@@ -134,12 +135,25 @@ class GeodesicAutomaton:
 
     @classmethod
     def from_document(cls, doc: dict) -> "GeodesicAutomaton":
-        if doc.get("format") != "trifold-automaton/1":
+        """The machine a `to_document` document describes, every number a
+        JSON integer."""
+        if not isinstance(doc, dict) or doc.get("format") != "trifold-automaton/1":
             raise AutomatonError("not an automaton document")
-        return cls(
-            doc["kind"], int(doc["k"]), int(doc["live_states"]), int(doc["start"]),
-            [list(row) for row in doc["transitions"]], doc.get("metadata", {}),
+        k, live, start = (
+            _integer(doc.get(field), field, AutomatonError) for field in ("k", "live_states", "start")
         )
+        if _integer(doc.get("dead", live), "dead", AutomatonError) != live:
+            raise AutomatonError(f"dead {doc['dead']} is not live_states {live}")
+        rows = doc.get("transitions")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise AutomatonError("transitions must be a list of rows")
+        for q, row in enumerate(rows):
+            for t in row:
+                _integer(t, f"transitions row {q}", AutomatonError)
+        metadata = doc.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise AutomatonError(f"metadata must be an object, got {metadata!r}")
+        return cls(doc["kind"], k, live, start, [list(row) for row in rows], metadata)
 
     def to_json(self) -> str:
         return json.dumps(self.to_document(), sort_keys=True, indent=1) + "\n"

@@ -98,7 +98,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_build(args) -> int:
-    from .grower import grow_to_radius, init_development
+    from .grower import grow_to_radius
 
     spec = _load_spec(args.spec)
     outdir = Path(args.out)
@@ -106,10 +106,9 @@ def cmd_build(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot make build directory {outdir}: {exc}") from exc
-    grower = init_development(spec)
-    verdict = grower.verdict
-    dev = grow_to_radius(grower, args.radius)
-    del grower  # the closure state is large: free it before serializing
+    verdict = npc_check(spec)
+    # the growth state is large, and is freed when grow_to_radius returns
+    dev = grow_to_radius(spec, args.radius)
     (outdir / "spec.json").write_text(
         json.dumps(spec.to_document(), sort_keys=True, indent=1) + "\n"
     )
@@ -213,7 +212,7 @@ def _suite_conetypes(dev: Development, depth: int) -> Verdict:
     }
     classes = None  # the signatures, at half-girths of 3 or more
     partition = ""
-    if any(r == 2 for r in dev.half_girths):
+    if any(r == 2 for r in dev.spec.half_girths):
         # equal signatures do not determine cone types at a half-girth of 2;
         # the states of the all-geodesics machine do, once it is certified by
         # equal canonical forms at table_radius - 1 and table_radius; the
@@ -254,7 +253,7 @@ def _suite_conetypes(dev: Development, depth: int) -> Verdict:
 
 
 def _suite_catacomb(dev: Development, radius: int | None, maxlen: int | None) -> Verdict:
-    if any(r == 2 for r in dev.half_girths):
+    if any(r == 2 for r in dev.spec.half_girths):
         return Verdict("skip", "gated, skipped: a half-girth equals 2, so the unit equilateral metric is not nonpositively curved")
     from .oracle import catacomb_check
 
@@ -303,7 +302,7 @@ def _suite_gaussbonnet(dev: Development) -> Verdict:
     patch_radius = min(dev.radius, 4)
     patch = build_patch(dev, patch_radius)
     if not all(c.size >= 6 for c, k in zip(patch.complex.cells, patch.cell_kinds) if k == "link") and not any(
-        r == 2 for r in dev.half_girths
+        r == 2 for r in dev.spec.half_girths
     ):
         return Verdict("fail", "a link cell shorter than 6 appeared despite half-girths >= 3")
     discs = extract_disc_diagrams(patch, 30, seed=20259, max_cells=6)

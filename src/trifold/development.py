@@ -5,8 +5,7 @@ identity.  Each edge carries a letter and k face slots indexed mod k, and
 crossing from slot i to slot i' multiplies on the right by that letter to the
 power i'-i.  Each vertex carries a chart of the faces around it into its
 vertex group.  `grower.py` grows a ball by deduction from the charts; it is
-imported only when a ball is grown, and `_Grower`, `init_development` and
-`grow_to_radius` still resolve here.
+imported only when a ball is grown, and `_Grower` still resolves here.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import namedtuple
-from functools import cached_property
 from itertools import accumulate, chain
 from operator import le
 
@@ -58,15 +56,12 @@ def symbols_for(k: int) -> list[GeneratorSymbol]:
     return [GeneratorSymbol(l, p) for l in range(3) for p in range(1, k)]
 
 
-_GROWER_NAMES = ("_Grower", "init_development", "grow_to_radius")
-
-
 def __getattr__(name: str):
     # the grower is compiled only by the calls that grow a ball
-    if name in _GROWER_NAMES:
-        from . import grower
+    if name == "_Grower":
+        from .grower import _Grower
 
-        return getattr(grower, name)
+        return _Grower
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -230,11 +225,6 @@ class Development:
         self.vert_edge_offsets = list(accumulate(map(len, vert_edges), initial=0))
 
     # -- derived data ------------------------------------------------------
-
-    @cached_property
-    def half_girths(self) -> tuple[float, float, float]:
-        """The spec's half-girths, computed once per ball."""
-        return self.spec.half_girths()
 
     @property
     def face_count(self) -> int:

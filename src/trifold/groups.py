@@ -135,11 +135,11 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-def _integer(value, field: str) -> int:
-    """value if it is a JSON integer, or GroupError naming the field: a float,
-    a bool or a string is refused, never truncated or parsed."""
+def _integer(value, field: str, error: type[Exception] = GroupError) -> int:
+    """value if it is a JSON integer, or `error` naming the field: a float, a
+    bool or a string is refused, never truncated or parsed."""
     if type(value) is not int:
-        raise GroupError(f"{field} must be an integer, got {value!r}")
+        raise error(f"{field} must be an integer, got {value!r}")
     return value
 
 
@@ -346,13 +346,15 @@ class TriangleGroupSpec:
         self.vertex_groups = vertex_groups
         self.designated = designated
         self.name = name
-        # set by validate()
-        self.nontrivial_edge_intersections: list[int] = []
+        self.validate()
 
     def __repr__(self):
         return f"TriangleGroupSpec({self.name!r}, k={self.k})"
 
     def validate(self) -> None:
+        """Check each designated pair, and list the vertex types where its
+        cyclic subgroups meet beyond the identity; the constructor calls it,
+        and a second call finds the same."""
         if self.k < 2:
             raise GroupError("k must be at least 2")
         self.nontrivial_edge_intersections = []
@@ -382,14 +384,13 @@ class TriangleGroupSpec:
         """The largest local-link diameter."""
         return max(link.diameter for link in self.local_links())
 
-    def coset_graphs(self) -> list[CosetGraph]:
-        return [
-            build_coset_graph(group, x, y)
-            for group, (x, y) in zip(self.vertex_groups, self.designated)
-        ]
-
+    @cached_property
     def half_girths(self) -> tuple[float, float, float]:
-        return tuple(g.half_girth for g in self.coset_graphs())
+        """The half-girths of the three vertex groups' coset graphs."""
+        return tuple(
+            build_coset_graph(group, x, y).half_girth
+            for group, (x, y) in zip(self.vertex_groups, self.designated)
+        )
 
     def to_document(self) -> dict:
         docs = []
@@ -429,8 +430,7 @@ def npc_check(spec: TriangleGroupSpec) -> NpcVerdict:
     """Classify the spec by the half-girth angle sum 1/r1 + 1/r2 + 1/r3."""
     from fractions import Fraction  # the one rational sum a spec check makes
 
-    spec.validate()
-    girths = spec.half_girths()
+    girths = spec.half_girths
     total = Fraction(0)
     for r in girths:
         if r is not math.inf:
@@ -491,14 +491,8 @@ def load_triangle_spec(document: dict, base_dir: Path | None = None) -> Triangle
             pair.append(gens[letter])  # an integer, checked by load_group
         groups.append(group)
         designated.append((pair[0], pair[1]))
-    spec = TriangleGroupSpec(
-        k=k,
-        vertex_groups=tuple(groups),
-        designated=tuple(designated),
-        name=str(document.get("name", "triangle-group")),
-    )
-    spec.validate()
-    return spec
+    name = str(document.get("name", "triangle-group"))
+    return TriangleGroupSpec(k, tuple(groups), tuple(designated), name=name)
 
 
 def load_triangle_spec_file(path: str | Path) -> TriangleGroupSpec:

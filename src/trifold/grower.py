@@ -48,6 +48,30 @@ in the vertex's link from those minimal faces.
 4. At the budget layer, the fresh edges and corners belong only to faces at
    the budget.  Those faces lie past the stored extent (below).
 
+Why one layer of budget is enough.  Take a face F at distance d below the
+budget B, so d <= B - 1.  Everything growth needs to get F right lies
+within B:
+
+- Its distance.  Round d makes F from an edge whose least face is at
+  d - 1, and by step 1 that is F's true distance.
+- Its edges.  The faces on one edge are pairwise adjacent, so those on an
+  edge of F lie at d - 1, d or d + 1 <= B.  Faces are made in order of
+  distance, so the first one made there is at d or less, below the
+  budget, and each later one finds the edge through it (step 2): the edge
+  is made once.
+- Its corners.  By C4, at a corner v of F, least distance m there, F lies
+  at link distance d - m from the minimal faces at v.  So a link geodesic
+  from a minimal face to F runs through faces at m, m + 1, ..., d, each
+  sharing an edge at v with the next.  All lie below the budget, so by
+  step 3 each finds v from the one before it, and the first from the
+  minimal faces already at v (C1).  F's corner v is the vertex all of
+  them are charted at.
+
+So a budget of radius + 1 already fixes the distance, edges and corners of
+every face out to radius.  tests/test_development.py checks that such a
+budget keeps the trusted face columns on the five samples and on five
+specs beyond them.
+
 Each identification the argument rules out raises `DevelopmentError`,
 naming its face, edge or vertex: a slot whose face is already charted, a
 known edge whose slot for the new face is taken, two known edges that
@@ -61,11 +85,8 @@ switching off the edge deduction raises on every sample.
 The margin, one more than delta, the largest local-link diameter, is two
 parts, and growth runs within radius + margin:
 
-- One layer of trust budget.  By steps 1 and 4, every face below the budget
-  has its true distance and the edges and corners of the complex, since
-  only faces at the budget can get fresh edges or corners.  So one layer
-  past radius already fixes the distance, edges and corners of every face
-  out to radius.
+- One layer of trust budget, which by the argument above fixes the
+  distance, edges and corners of every face below it.
 - Delta layers of reach: how far past a trusted face a reader looks.  The
   stored extent, radius + margin - 1 = radius + delta, keeps the stars
   around the vertices of trusted faces.
@@ -92,14 +113,16 @@ the stored extent, since no reader goes farther:
   (the half-girth-2 samples gate catacomb off).
 
 The outer layer at radius + margin is grown but never stored, and it still
-cannot go: growing it is what finds the edges and corners of the faces at
-the stored extent.  Grown one layer short, those faces are the budget layer,
-and by step 4 they get fresh edges and corners where they share ones.  At
-k = 5, f155_333 (tests/test_development.py) grown at radius 0 to radius +
-delta keeps its 4,579 faces and their distances but ends with 8,445 edges
-and 3,867 vertices, where the full budget gives 8,013 and 3,435.  At k <= 3
-the two budgets give equal bytes on all five samples at every radius from 0
-to 11 (d333), 15 (d244), 19 (d236), 7 (d444) and 3 (f21_333).
+cannot go: the stored extent must stay one layer below the budget.  The
+argument above holds only for faces below the budget.  Two faces at the
+budget that share an edge or a corner, with no face below the budget
+there, each get a fresh one (step 4), so a stored budget layer would hold
+duplicate edges and vertices.  At k = 5, f155_333
+(tests/test_development.py) grown at radius 0 to radius + delta keeps its
+4,579 faces and their distances but ends with 8,445 edges and 3,867
+vertices, where the full budget gives 8,013 and 3,435.  At k <= 3 the two
+budgets give equal bytes on all five samples at every radius from 0 to 11
+(d333), 15 (d244), 19 (d236), 7 (d444) and 3 (f21_333).
 
 The open edges are kept as a frontier in ascending order, so a round scans
 only those.
@@ -126,7 +149,6 @@ class _Grower:
                 f"spec is not nonpositively curved: excess {verdict.excess}"
             )
         self.spec = spec
-        self.verdict = verdict
         self.k = spec.k
         self.margin = trust_margin(spec)
         # per vertex type and letter, the designated generator's powers, None
@@ -409,12 +431,7 @@ class _Grower:
         return dev
 
 
-def init_development(spec: TriangleGroupSpec) -> _Grower:
-    """Seed the growth with the base face anchored to the identity."""
-    return _Grower(spec)
-
-
-def grow_to_radius(source: TriangleGroupSpec | _Grower, radius: int) -> Development:
-    grower = source if isinstance(source, _Grower) else _Grower(source)
+def grow_to_radius(spec: TriangleGroupSpec, radius: int) -> Development:
+    grower = _Grower(spec)
     grower.grow(radius)
     return grower.finalize(radius)

@@ -223,7 +223,7 @@ class Gallery(namedtuple("Gallery", "faces edges placements portals")):
 
 
 def _require_metric_gate(dev: Development) -> None:
-    if any(r == 2 for r in dev.half_girths):
+    if any(r == 2 for r in dev.spec.half_girths):
         raise OracleError(
             "metric oracle unavailable for this spec: the unit equilateral "
             "metric needs all half-girths at least 3"

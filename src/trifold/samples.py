@@ -1,5 +1,6 @@
 """Shipped sample specs: the Euclidean reflection cases, one hyperbolic case,
-and a 3-fold case with all half-girths equal to 3."""
+and a 3-fold case with all half-girths equal to 3.  Each sample is one row
+of `SAMPLE_BUILDERS` over the two group families."""
 
 from __future__ import annotations
 
@@ -27,67 +28,43 @@ def dihedral_reflections(n: int) -> tuple[int, int]:
     return (n, n + 1)
 
 
-def frobenius21(name: str = "F21") -> FiniteGroup:
-    """Order-21 Frobenius group Z/7 : Z/3, elements (i, j) encoded as 3*i + j."""
-    mult = [[0] * 21 for _ in range(21)]
-    pow2 = [1, 2, 4]  # 2^j mod 7
-    for i1 in range(7):
-        for j1 in range(3):
-            for i2 in range(7):
-                for j2 in range(3):
-                    i = (i1 + pow2[j1] * i2) % 7
-                    j = (j1 + j2) % 3
-                    mult[3 * i1 + j1][3 * i2 + j2] = 3 * i + j
-    return FiniteGroup(name, mult)
+def frobenius(p: int, m: int, r: int) -> FiniteGroup:
+    """The Frobenius group Z/p : Z/m of the maps x -> i + r^j x of Z/p, for r
+    of order m mod p, with x -> i + r^j x stored as m*i + j.  The pair
+    (1, m + 1), x -> rx and x -> 1 + rx, is two order-m elements generating
+    it."""
+    powers = [pow(r, j, p) for j in range(m)]
+    mult = [
+        [m * ((i1 + powers[j1] * i2) % p) + (j1 + j2) % m for i2 in range(p) for j2 in range(m)]
+        for i1 in range(p)
+        for j1 in range(m)
+    ]
+    return FiniteGroup(f"F{p * m}", mult)
 
 
-def frobenius21_generators() -> tuple[int, int]:
-    """Two order-3 elements generating F21: (0,1) and (1,1)."""
-    return (1, 4)
-
-
-def _dihedral_spec(name: str, orders: tuple[int, int, int]) -> TriangleGroupSpec:
+def _dihedral_spec(name: str, *orders: int) -> TriangleGroupSpec:
     groups = tuple(dihedral(n) for n in orders)
     designated = tuple(dihedral_reflections(n) for n in orders)
-    spec = TriangleGroupSpec(2, groups, designated, name=name)
-    spec.validate()
-    return spec
+    return TriangleGroupSpec(2, groups, designated, name=name)
 
 
-def spec_d333() -> TriangleGroupSpec:
-    return _dihedral_spec("d333", (3, 3, 3))
-
-
-def spec_d244() -> TriangleGroupSpec:
-    return _dihedral_spec("d244", (2, 4, 4))
-
-
-def spec_d236() -> TriangleGroupSpec:
-    return _dihedral_spec("d236", (2, 3, 6))
-
-
-def spec_d444() -> TriangleGroupSpec:
-    return _dihedral_spec("d444", (4, 4, 4))
-
-
-def spec_f21_333() -> TriangleGroupSpec:
-    group = frobenius21()
-    gens = frobenius21_generators()
-    spec = TriangleGroupSpec(3, (group, group, group), (gens, gens, gens), name="f21_333")
-    spec.validate()
-    return spec
+def _frobenius_spec(name: str, p: int, m: int, r: int) -> TriangleGroupSpec:
+    """frobenius(p, m, r) at every vertex type, on its pair (1, m + 1)."""
+    return TriangleGroupSpec(m, (frobenius(p, m, r),) * 3, ((1, m + 1),) * 3, name=name)
 
 
 # the Euclidean 2-fold samples, which oracle.py also models as exact
 # reflection groups
 REFLECTION_SAMPLES = ("d236", "d244", "d333")
 
+# per sample, its builder and the arguments after its name: the dihedral
+# orders of the three vertex groups, or p, m and r of `frobenius`
 SAMPLE_BUILDERS = {
-    "d333": spec_d333,
-    "d244": spec_d244,
-    "d236": spec_d236,
-    "d444": spec_d444,
-    "f21_333": spec_f21_333,
+    "d333": (_dihedral_spec, 3, 3, 3),
+    "d244": (_dihedral_spec, 2, 4, 4),
+    "d236": (_dihedral_spec, 2, 3, 6),
+    "d444": (_dihedral_spec, 4, 4, 4),
+    "f21_333": (_frobenius_spec, 7, 3, 2),
 }
 
 
@@ -97,10 +74,10 @@ def sample_names() -> list[str]:
 
 def load_sample(name: str) -> TriangleGroupSpec:
     try:
-        builder = SAMPLE_BUILDERS[name]
+        builder, *args = SAMPLE_BUILDERS[name]
     except KeyError:
         raise KeyError(f"unknown sample {name!r}; available: {', '.join(sample_names())}")
-    return builder()
+    return builder(name, *args)
 
 
 def write_sample(name: str, path: str | Path) -> Path:
@@ -108,4 +85,3 @@ def write_sample(name: str, path: str | Path) -> Path:
     doc = load_sample(name).to_document()
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return path
-

@@ -133,7 +133,7 @@ def test_criterion_5_cone_type_finiteness(devs, name):
     stable = counts[-1] == counts[-2] == counts[-3]
     radius = DETERMINATION_RADII[name]
     detail = f"counts {counts[-3:]}"
-    if min(dev.spec.half_girths()) >= 3:
+    if min(dev.spec.half_girths) >= 3:
         machine_ok = True
         report = verify_cone_determination(dev, radius, depth=3)
     else:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from trifold import automata
@@ -229,6 +231,27 @@ def test_malformed_transition_tables_rejected(dev333):
     far["transitions"][0][0] = n + 1
     with pytest.raises(AutomatonError):
         GeodesicAutomaton.from_document(far)
+
+
+# automaton documents with one field wrong, and the error naming it
+DOCUMENT_FAULTS = {
+    "k": ("k", lambda doc: "2", "k must be an integer, got '2'"),
+    "live_states": ("live_states", lambda doc: doc["live_states"] + 0.9, "live_states must be an integer"),
+    "start": ("start", lambda doc: True, "start must be an integer, got True"),
+    "transition": ("transitions", lambda doc: [[False, *doc["transitions"][0][1:]], *doc["transitions"][1:]],
+                   "transitions row 0 must be an integer, got False"),
+    "transitions": ("transitions", lambda doc: 5, "transitions must be a list of rows"),
+    "dead": ("dead", lambda doc: doc["live_states"] + 1, "is not live_states"),
+    "metadata": ("metadata", lambda doc: [1], "metadata must be an object, got [1]"),
+}
+
+
+@pytest.mark.parametrize("field, fault, message", DOCUMENT_FAULTS.values(), ids=DOCUMENT_FAULTS)
+def test_automaton_document_refuses_a_wrong_field(dev333, field, fault, message):
+    doc = build_geodesic_automaton(dev333, 6).to_document()
+    doc[field] = fault(doc)
+    with pytest.raises(AutomatonError, match=re.escape(message)):
+        GeodesicAutomaton.from_document(doc)
 
 
 def test_automaton_document_roundtrip(dev333):

@@ -34,13 +34,12 @@ from trifold.groups import (
     group_from_permutations,
     npc_check,
 )
-from trifold.grower import _Grower, grow_to_radius, init_development
+from trifold.grower import _Grower, grow_to_radius
 from trifold.oracle import source_geodesics
 from trifold.samples import (
-    dihedral,
-    dihedral_reflections,
-    frobenius21,
-    frobenius21_generators,
+    _dihedral_spec,
+    _frobenius_spec,
+    frobenius,
     load_sample,
 )
 
@@ -63,20 +62,17 @@ def test_symbol_order_and_parse():
         GeneratorSymbol.parse("a3", 3)
 
 
-def test_init_development_seed_counts():
-    grower = init_development(load_sample("d333"))
+def test_grower_seed_counts():
+    grower = _Grower(load_sample("d333"))
     assert len(grower.f_prov) == 1
     assert len(grower.e_letter) == 3
     assert len(grower.v_type) == 3
 
 
 def test_init_refuses_positive_excess():
-    groups = (dihedral(2), dihedral(3), dihedral(4))
-    spec = TriangleGroupSpec(
-        2, groups, tuple(dihedral_reflections(n) for n in (2, 3, 4)), name="d234"
-    )
+    spec = _dihedral_spec("d234", 2, 3, 4)
     with pytest.raises(DevelopmentError, match="excess"):
-        init_development(spec)
+        _Grower(spec)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SPHERES))
@@ -129,7 +125,7 @@ def test_sphere_sizes_match_steinberg_growth(devs, name):
     # the four Coxeter samples: vertex groups dihedral, letters reflections
     dev = devs[name]
     orders = [group.order for group in dev.spec.vertex_groups]
-    assert dev.spec.k == 2 and orders == [2 * r for r in dev.half_girths]
+    assert dev.spec.k == 2 and orders == [2 * r for r in dev.spec.half_girths]
     assert dev.sphere_sizes == steinberg_growth(orders, dev.radius + 1)
 
 
@@ -322,20 +318,24 @@ def test_monotone_embedding():
     assert embeds_in(small, big)
 
 
-@pytest.mark.parametrize("name", ["d333", "d244", "d236", "d444", "f21_333"])
-def test_margin_one_keeps_the_trusted_prefix(devs, name):
-    """Grown with a trust budget of one layer past the radius, each session
-    ball keeps the trusted prefix of every stored face column."""
-    dev = devs[name]
-    grower = init_development(load_sample(name))
+def _assert_margin_one_keeps_the_trusted_prefix(dev):
+    """Grown with a trust budget of one layer past dev's radius, the ball
+    keeps the trusted prefix of every stored face column of dev."""
+    grower = _Grower(dev.spec)
     grower.margin = 1
-    thin = grow_to_radius(grower, dev.radius)
+    grower.grow(dev.radius)
+    thin = grower.finalize(dev.radius)
     n = len(dev.ball_faces())
     assert len(thin.ball_faces()) == n
     assert thin.dist[:n] == dev.dist[:n]
     for column in ("f_edge", "f_slot", "f_vert", "f_elem"):
         assert getattr(thin, column)[:3 * n] == getattr(dev, column)[:3 * n], column
     assert embeds_in(thin, dev) and embeds_in(dev, thin)
+
+
+@pytest.mark.parametrize("name", ["d333", "d244", "d236", "d444", "f21_333"])
+def test_margin_one_keeps_the_trusted_prefix(devs, name):
+    _assert_margin_one_keeps_the_trusted_prefix(devs[name])
 
 
 DERIVED_COLUMNS = (
@@ -1022,7 +1022,7 @@ def _checked_build(spec, radius):
     """The ball's bytes and its number of rounds, checking before each
     round and after the last that every face grown is reached from the base
     face and that its distance is its breadth-first distance."""
-    grower = init_development(spec)
+    grower = _Grower(spec)
     rounds = []
     scan = grower._saturate_frontier
 
@@ -1068,15 +1068,9 @@ def test_grower_matches_reference_with_exact_distances(name, radius):
 
 
 def f155_333() -> TriangleGroupSpec:
-    """Z/31 : Z/5, of order 155, on its order-5 elements 2 and 4 at every
-    vertex type: the k = 5 analogue of f21_333."""
-    p = 31
-    group = group_from_permutations(
-        "F155", [tuple((x + 1) % p for x in range(p)), tuple(2 * x % p for x in range(p))]
-    )
-    spec = TriangleGroupSpec(5, (group,) * 3, ((2, 4),) * 3, name="f155_333")
-    spec.validate()
-    return spec
+    """Z/31 : Z/5, of order 155, at every vertex type: the k = 5 analogue of
+    f21_333."""
+    return _frobenius_spec("f155_333", 31, 5, 2)
 
 
 @pytest.fixture(scope="module")
@@ -1095,7 +1089,7 @@ def test_outer_layer_growth_matters_at_k5(k5_ball):
     f155_333 ball keeps its faces and their distances but not its edges and
     vertices: the faces at the stored extent are then the budget layer, and
     get fresh edges and corners where they share ones."""
-    grower = init_development(f155_333())
+    grower = _Grower(f155_333())
     grower.margin -= 1
     grower.grow(0)
     grower.margin += 1
@@ -1106,32 +1100,18 @@ def test_outer_layer_growth_matters_at_k5(k5_ball):
     assert development_to_json(short) != development_to_json(k5_ball)
 
 
-def _dihedral_spec(name, orders):
-    spec = TriangleGroupSpec(
-        2, tuple(dihedral(n) for n in orders), tuple(dihedral_reflections(n) for n in orders), name=name
-    )
-    spec.validate()
-    return spec
-
-
 def f21_f21_f39() -> TriangleGroupSpec:
-    """A mixed k = 3 spec: F21 at two vertex types with its shipped pair, and
-    F39 = Z/13 : Z/3 on its order-3 elements 2 and 4 at the third."""
-    p = 13
-    f39 = group_from_permutations(
-        "F39", [tuple((x + 1) % p for x in range(p)), tuple(3 * x % p for x in range(p))]
-    )
-    f21, pair = frobenius21(), frobenius21_generators()
-    spec = TriangleGroupSpec(3, (f21, f21, f39), (pair, pair, (2, 4)), name="f21_f21_f39")
-    spec.validate()
-    return spec
+    """A mixed k = 3 spec: F21 at two vertex types and F39 = Z/13 : Z/3 at
+    the third, each on the pair (1, 4) of `frobenius`."""
+    f21, f39 = frobenius(7, 3, 2), frobenius(13, 3, 3)
+    return TriangleGroupSpec(3, (f21, f21, f39), ((1, 4),) * 3, name="f21_f21_f39")
 
 
 @pytest.mark.parametrize(
     "make, radius",
     [
-        (lambda: _dihedral_spec("d237", (2, 3, 7)), 6),
-        (lambda: _dihedral_spec("d345", (3, 4, 5)), 3),
+        (lambda: _dihedral_spec("d237", 2, 3, 7), 6),
+        (lambda: _dihedral_spec("d345", 3, 4, 5), 3),
         (f21_f21_f39, 1),
     ],
     ids=["d237", "d345", "f21_f21_f39"],
@@ -1145,6 +1125,43 @@ def test_grower_matches_reference_beyond_the_samples(make, radius):
     slow, passes = _reference_build(spec, radius)
     assert fast == slow
     assert rounds == passes
+
+
+def f39_333() -> TriangleGroupSpec:
+    """Z/13 : Z/3 at every vertex type: Euclidean with delta 4, and not a
+    building."""
+    return _frobenius_spec("f39_333", 13, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "make, radius",
+    [
+        (lambda: _dihedral_spec("d237", 2, 3, 7), 6),
+        (lambda: _dihedral_spec("d345", 3, 4, 5), 4),
+        (f21_f21_f39, 1),
+        (f39_333, 2),
+        (f155_333, 0),
+    ],
+    ids=["d237", "d345", "f21_f21_f39", "f39_333", "f155_333"],
+)
+def test_margin_one_keeps_the_trusted_prefix_beyond_the_samples(make, radius):
+    _assert_margin_one_keeps_the_trusted_prefix(grow_to_radius(make(), radius))
+
+
+@pytest.mark.parametrize(
+    "name, p, m, r, counts",
+    [("f39_333", 13, 3, 3, (421, 777, 357)), ("f155_333", 31, 5, 2, (4579, 8013, 3435))],
+)
+def test_frobenius_grows_as_the_permutation_closure(name, p, m, r, counts):
+    """At radius 0, frobenius(p, m, r) gives the faces, distances and edges
+    of the closure of x -> x + 1 and x -> rx on its elements 2 and 4, which
+    are x -> rx and x -> rx + 1; only the element labels differ."""
+    maps = [tuple((x + 1) % p for x in range(p)), tuple(r * x % p for x in range(p))]
+    closure = group_from_permutations(f"F{p * m}", maps)
+    old = grow_to_radius(TriangleGroupSpec(m, (closure,) * 3, ((2, 4),) * 3, name=name), 0)
+    new = grow_to_radius(_frobenius_spec(name, p, m, r), 0)
+    assert (new.face_count, len(new.edge_letter), len(new.vert_type)) == counts
+    assert new.dist == old.dist and new.f_edge == old.f_edge
 
 
 class BlindGrower(_Grower):
@@ -1173,7 +1190,7 @@ def test_grower_allocates_only_what_it_keeps(name, radius, kept):
     """The grower allocates exactly the faces, edges and vertices it keeps:
     every face is reached from the base face, every edge holds a face, and
     every vertex is a corner of one."""
-    grower = init_development(load_sample(name))
+    grower = _Grower(load_sample(name))
     grower.grow(radius)
     faces = range(len(grower.f_prov))
     assert (len(faces), len(grower.e_letter), len(grower.v_type)) == kept
@@ -1256,7 +1273,7 @@ def _answers(dev):
     # pair radius 3 on f21_333 takes about a minute per ball
     for radius in range(1, 3 if dev.spec.name == "f21_333" else 4):
         out["catacomb", radius] = _outcome(cli._suite_catacomb, dev, radius, None)
-        if 2 in dev.half_girths:
+        if 2 in dev.spec.half_girths:
             continue
         for f1 in dev.ball_faces():
             dists, found = source_geodesics(dev, f1, radius)

@@ -17,12 +17,12 @@ from trifold.groups import (
     local_link,
     npc_check,
     CosetGraph,
+    TriangleGroupSpec,
 )
 from trifold.samples import (
     dihedral,
     dihedral_reflections,
-    frobenius21,
-    frobenius21_generators,
+    frobenius,
     load_sample,
     SAMPLE_BUILDERS,
 )
@@ -213,14 +213,19 @@ def test_npc_verdicts():
     # half-girths (2,3,4) must fail with excess exactly 1/12
     spec = load_sample("d236")
     groups = (dihedral(2), dihedral(3), dihedral(4))
-    from trifold.groups import TriangleGroupSpec
-
     bad = TriangleGroupSpec(
         2, groups, tuple(dihedral_reflections(n) for n in (2, 3, 4)), name="d234"
     )
     verdict = npc_check(bad)
     assert verdict.kind == "fails"
     assert verdict.excess == Fraction(1, 12)
+
+
+def test_spec_is_validated_when_made():
+    # the rotation 1 of D3 has order 3, not k = 2; no validate() call
+    groups = (dihedral(3),) * 3
+    with pytest.raises(GroupError, match=r"D3 \(V1\): designated generator has order 3, expected k=2"):
+        TriangleGroupSpec(2, groups, ((1, 4), (3, 4), (3, 4)))
 
 
 def test_local_links():
@@ -249,9 +254,31 @@ def test_local_link_vertex_transitive_eccentricities():
         assert len(set(eccs)) == 1 and eccs[0] == link.diameter
 
 
+def frobenius21_reference():
+    """The F21 table as the sample was first built: Z/7 : Z/3, its elements
+    (i, j) encoded as 3*i + j."""
+    mult = [[0] * 21 for _ in range(21)]
+    pow2 = [1, 2, 4]  # 2^j mod 7
+    for i1 in range(7):
+        for j1 in range(3):
+            for i2 in range(7):
+                for j2 in range(3):
+                    i = (i1 + pow2[j1] * i2) % 7
+                    j = (j1 + j2) % 3
+                    mult[3 * i1 + j1][3 * i2 + j2] = 3 * i + j
+    return mult
+
+
+def test_frobenius_builds_the_f21_table():
+    f21 = frobenius(7, 3, 2)
+    assert f21.name == "F21" and f21.mult == frobenius21_reference()
+    spec = load_sample("f21_333")
+    assert spec.vertex_groups[0].mult == f21.mult and spec.designated == ((1, 4),) * 3
+
+
 def test_frobenius21_sample_properties():
-    f21 = frobenius21()
-    x, y = frobenius21_generators()
+    f21 = frobenius(7, 3, 2)
+    x, y = 1, 4
     assert f21.order == 21
     assert f21.element_order(x) == 3 and f21.element_order(y) == 3
     graph = build_coset_graph(f21, x, y)
@@ -263,7 +290,7 @@ def test_frobenius21_sample_properties():
 def test_spec_document_roundtrip_and_schema_errors():
     doc = load_sample("d333").to_document()
     spec = load_triangle_spec(doc)
-    assert spec.k == 2 and spec.half_girths() == (3, 3, 3)
+    assert spec.k == 2 and spec.half_girths == (3, 3, 3)
     bad = load_sample("d333").to_document()
     bad["designated"]["V1"] = ["b", "a"]
     with pytest.raises(GroupError, match="designated"):

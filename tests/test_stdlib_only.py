@@ -5,8 +5,9 @@ import in src/trifold is trifold itself or a standard-library module, so
 pyproject.toml can keep `dependencies = []`.  And it ships only what
 something runs or documents: every public top-level function and class is
 used elsewhere in src/trifold, named by the benchmark in perfbench, or
-mentioned in README.md as supported API.  And it imports only what a call
-runs: every CLI call is a fresh interpreter that, without a bytecode cache,
+mentioned in README.md as supported API.  A spec is valid when made: only
+`TriangleGroupSpec.__init__` calls `.validate()`.  And it imports only what
+a call runs: every CLI call is a fresh interpreter that, without a bytecode cache,
 compiles each module it imports, so the sources use no `dataclasses` or
 `typing`, and `fractions` is imported at module level only by the modules
 whose work is rational arithmetic.
@@ -79,6 +80,26 @@ def test_every_public_name_is_used_benchmarked_or_documented():
         and not re.search(rf"\b{name}\b", readme)
     ]
     assert not unused, unused
+
+
+def _validate_calls(node, scope=()):
+    """The enclosing class and function names of every .validate() call
+    under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                and child.func.attr == "validate":
+            yield ".".join(scope)
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+        yield from _validate_calls(child, scope + (child.name,) if named else scope)
+
+
+def test_only_the_spec_constructor_calls_validate():
+    scopes = [
+        f"{path.name}: {scope}"
+        for path in SOURCES
+        for scope in _validate_calls(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert scopes == ["groups.py: TriangleGroupSpec.__init__"]
 
 
 # imported by dataclasses or typing, or by fractions, which none of the CLI

@@ -135,10 +135,13 @@ class GeodesicAutomaton:
 
     @classmethod
     def from_document(cls, doc: dict) -> "GeodesicAutomaton":
-        """The machine a `to_document` document describes, every number a
-        JSON integer."""
+        """The machine a `to_document` document describes: its kind one of
+        the two machines built here, and every number a JSON integer."""
         if not isinstance(doc, dict) or doc.get("format") != "trifold-automaton/1":
             raise AutomatonError("not an automaton document")
+        kind = doc.get("kind")
+        if kind not in ("all-geodesics", "lex-first"):
+            raise AutomatonError(f"kind must be 'all-geodesics' or 'lex-first', got {kind!r}")
         k, live, start = (
             _integer(doc.get(field), field, AutomatonError) for field in ("k", "live_states", "start")
         )
@@ -153,7 +156,7 @@ class GeodesicAutomaton:
         metadata = doc.get("metadata", {})
         if not isinstance(metadata, dict):
             raise AutomatonError(f"metadata must be an object, got {metadata!r}")
-        return cls(doc["kind"], k, live, start, [list(row) for row in rows], metadata)
+        return cls(kind, k, live, start, [list(row) for row in rows], metadata)
 
     def to_json(self) -> str:
         return json.dumps(self.to_document(), sort_keys=True, indent=1) + "\n"

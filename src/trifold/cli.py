@@ -98,7 +98,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_build(args) -> int:
-    from .grower import grow_to_radius
+    from .grower import _Grower
 
     spec = _load_spec(args.spec)
     outdir = Path(args.out)
@@ -106,9 +106,10 @@ def cmd_build(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot make build directory {outdir}: {exc}") from exc
-    verdict = npc_check(spec)
-    # the growth state is large, and is freed when grow_to_radius returns
-    dev = grow_to_radius(spec, args.radius)
+    grower = _Grower(spec)  # refuses a spec that is not nonpositively curved
+    grower.grow(args.radius)
+    dev, verdict = grower.finalize(args.radius), grower.verdict
+    del grower  # the growth state is large
     (outdir / "spec.json").write_text(
         json.dumps(spec.to_document(), sort_keys=True, indent=1) + "\n"
     )

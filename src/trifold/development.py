@@ -14,7 +14,6 @@ import json
 from bisect import bisect_right
 from collections import namedtuple
 from itertools import accumulate, chain
-from operator import le
 
 from .groups import LETTERS, LETTER_TYPES, VERTEX_LETTERS, TriangleGroupSpec
 
@@ -71,9 +70,10 @@ class Development:
     The columns are flat lists with a fixed number of entries per element:
     face f's edge, slot, vertex and element for letter or vertex type t are
     f_edge[3*f + t], f_slot[3*f + t], f_vert[3*f + t] and f_elem[3*f + t],
-    the element being f's value in the chart of its type-t vertex.  These
-    five face columns, with `dist`, are the ball; `derive_columns` builds
-    the rest from them in one pass: edge e's letter, its k slots
+    the element being f's value in the chart of its type-t vertex.  The
+    edges and slots are the ball, and the only columns stored;
+    `derive_columns` derives the rest from them in one pass: `dist` and
+    `final`, the vertices and elements, edge e's letter, its k slots
     edge_slots[k*e:k*e + k] and its ends edge_ends[2*e:2*e + 2], and vertex
     v's type and its edges vert_edges[o[v]:o[v + 1]] for o =
     vert_edge_offsets.  Face adjacency, the faces at a vertex and its
@@ -120,33 +120,28 @@ class Development:
         self._signatures: dict[int, tuple] = {}  # cones.signature's memo
 
     def derive_columns(self) -> None:
-        """Build the edge and vertex columns from the face columns in one
-        pass, checking that these describe one canonical ball; ValueError
-        where they do not.
+        """Derive every other column from `f_edge` and `f_slot` in one pass
+        over the faces, checking that these describe one canonical ball;
+        ValueError where they do not.
 
-        Faces are read in order, and each face by its corner types and then
-        its letters.  An edge or vertex first met there takes the next id,
-        which the face column must hold, and takes its letter and ends, or
-        its type, from that face, whose slot on the edge must be 0 and whose
-        element at the vertex the identity.  Every later appearance must
-        agree, no two faces may hold one slot of an edge, and every element
-        must lie in its vertex group.  The charts must be injective and
-        follow the crossing rule: at both ends of an edge, the face in slot
-        j holds the element of the face in slot 0 times the designated
-        generator of the edge's letter to the power j.  `dist` must start at
-        0 and never decrease, and each later face must have a neighbour one
-        closer and none closer, so it is the breadth-first distance; as
-        faces are numbered by distance, the nearest face on an edge is its
-        first."""
-        k, dist = self.k, self.dist
-        f_edge, f_slot, f_vert, f_elem = self.f_edge, self.f_slot, self.f_vert, self.f_elem
-        if dist[:1] != [0] or not all(map(le, dist, dist[1:])):
-            raise ValueError("dist: the column does not start at 0 or it decreases")
+        `dist[f]` is one more than the least distance of an earlier face on
+        one of f's edges.  f's type-t corner is the end of whichever of its
+        two type-t edges was met earlier, its element there given by the
+        crossing rule on that edge: the face in slot j holds the element of
+        the face in slot 0 times the designated generator of the edge's
+        letter to the power j.  Where neither edge was met, the corner is a
+        new vertex, whose chart sends f to the identity; by C1 and C4 (see
+        `grower.py`) a vertex is always met through an earlier face on one of
+        its edges.  A new edge takes its letter and ends from its first face.
+
+        Checked: edges are numbered by first appearance, each with its first
+        face in slot 0; an edge has one letter and each of its slots at most
+        one face; both edges at a corner, where met, agree on it; the charts
+        are injective; and each face after the base face has an earlier
+        neighbour as far as the one before it has, so `dist` never decreases
+        and is the breadth-first distance."""
+        k, f_edge, f_slot = self.k, self.f_edge, self.f_slot
         groups = self.spec.vertex_groups
-        for t, group in enumerate(groups):
-            elements = f_elem[t::3]
-            if elements and (min(elements) < 0 or max(elements) >= group.order):
-                raise ValueError(f"face_elements: an element at a V{t + 1} vertex lies outside its group")
         # per letter, its types t1 and t2 and, at each end of its edges, the
         # crossing rule: rows[x][j] is x times the designated generator of
         # the letter to the power j
@@ -158,67 +153,86 @@ class Development:
                 powers = groups[t].cyclic_subgroup(gen)
                 ends.append([[row[p] for p in powers] for row in groups[t].mult])
             steps.append((letter, *types, *ends))
+        # per vertex type t, its letters l1 and l2 and which end of their edges is t's
+        corners_of = [(t, l1, LETTER_TYPES[l1].index(t), l2, LETTER_TYPES[l2].index(t))
+                      for t, (l1, l2) in enumerate(VERTEX_LETTERS)]
+        dist: list[int] = []
+        f_vert: list[int] = []
+        f_elem: list[int] = []
         edge_letter: list[int] = []
         edge_slots: list[int] = []
         edge_ends: list[int] = []
-        edge_near: list[int] = []  # the distance of the edge's first face
+        edge_rows: list[list[int]] = []  # at each end, its first face's row of steps
         vert_type: list[int] = []
         vert_edges: list[list[int]] = []  # ascending, as edges are met in order
         # charted[m*v + x] is set once a face holds element x at vertex v
         m = max(group.order for group in groups)
-        charted = bytearray(m * (max(f_vert, default=-1) + 1))
+        charted = bytearray()
+        unmet = bytes(m)
         blank = [-1] * k
-        ne = nv = 0
-        for f, d in enumerate(dist):
+        ne = 0
+        last = 0
+        for f in range(len(f_edge) // 3):
             x = 3 * f
-            corners = f_vert[x:x + 3]
-            for t, v in enumerate(corners):
-                if v >= nv:
-                    if v > nv:
-                        raise ValueError(f"face_vertices: vertex {v} is not numbered by first appearance")
-                    if f_elem[x + t]:
-                        raise ValueError(f"face_elements: vertex {v}'s first face {f} is not the identity")
+            met = ne  # edges below this id were met on earlier faces
+            near = -2  # the least distance on f's edges met earlier
+            for letter in 0, 1, 2:
+                e = f_edge[x + letter]
+                if e < met:
+                    if edge_letter[e] != letter:
+                        raise ValueError(f"face_edges: edge {e} appears under two letters")
+                    s = k * e + f_slot[x + letter]
+                    if edge_slots[s] != -1:
+                        raise ValueError(f"face_slots: slot {s - k * e} of edge {e} is claimed by faces {edge_slots[s]} and {f}")
+                    edge_slots[s] = f
+                    d = dist[edge_slots[k * e]]
+                    if near < 0 or d < near:
+                        near = d
+            if f and near < last - 1:
+                raise ValueError(f"face_edges: face {f} has no earlier neighbour at distance {max(last - 1, 0)} or more")
+            last = near + 1 if f else 0
+            dist.append(last)
+            for t, l1, s1, l2, s2 in corners_of:
+                e1, e2 = f_edge[x + l1], f_edge[x + l2]
+                if e1 < met:
+                    i = 2 * e1 + s1
+                    v, a = edge_ends[i], edge_rows[i][f_slot[x + l1]]
+                    if e2 < met:
+                        i = 2 * e2 + s2
+                        if edge_ends[i] != v or edge_rows[i][f_slot[x + l2]] != a:
+                            raise ValueError(f"face_edges: edges {e1} and {e2} of face {f} disagree on its V{t + 1} corner")
+                elif e2 < met:
+                    i = 2 * e2 + s2
+                    v, a = edge_ends[i], edge_rows[i][f_slot[x + l2]]
+                else:
+                    v, a = len(vert_type), 0
                     vert_type.append(t)
                     vert_edges.append([])
-                    nv += 1
-                elif vert_type[v] != t:
-                    raise ValueError(f"face_vertices: vertex {v} appears under two types")
-                c = m * v + f_elem[x + t]
+                    charted += unmet
+                c = m * v + a
                 if charted[c]:
-                    raise ValueError(f"face_elements: face {f} repeats an element of vertex {v}'s chart")
+                    raise ValueError(f"face_edges: face {f} repeats an element of vertex {v}'s chart")
                 charted[c] = 1
-            near = d  # the least distance on f's edges
+                f_vert.append(v)
+                f_elem.append(a)
             for letter, t1, t2, rows1, rows2 in steps:
-                e, j = f_edge[x + letter], f_slot[x + letter]
-                a, b = corners[t1], corners[t2]
-                if e >= ne:
-                    if e > ne:
+                e = f_edge[x + letter]
+                if e >= met:
+                    if e != ne:
                         raise ValueError(f"face_edges: edge {e} is not numbered by first appearance")
-                    if j:
+                    if f_slot[x + letter]:
                         raise ValueError(f"face_slots: edge {e}'s first face {f} is not in slot 0")
+                    a, b = f_vert[x + t1], f_vert[x + t2]
                     edge_letter.append(letter)
                     edge_ends += (a, b)
+                    edge_rows += (rows1[f_elem[x + t1]], rows2[f_elem[x + t2]])
                     edge_slots += blank
-                    edge_near.append(d)
+                    edge_slots[k * e] = f
                     vert_edges[a].append(e)
                     vert_edges[b].append(e)
                     ne += 1
-                elif edge_letter[e] != letter:
-                    raise ValueError(f"face_edges: edge {e} appears under two letters")
-                elif edge_ends[2 * e] != a or edge_ends[2 * e + 1] != b:
-                    raise ValueError(f"face_edges: edge {e} appears with two pairs of ends")
-                elif edge_near[e] < near:
-                    near = edge_near[e]
-                s = k * e + j
-                if edge_slots[s] != -1:
-                    raise ValueError(f"face_slots: slot {j} of edge {e} is claimed by faces {edge_slots[s]} and {f}")
-                edge_slots[s] = f
-                if j:
-                    y = 3 * edge_slots[k * e]  # the edge's first face, in slot 0
-                    if f_elem[x + t1] != rows1[f_elem[y + t1]][j] or f_elem[x + t2] != rows2[f_elem[y + t2]][j]:
-                        raise ValueError(f"face_elements: face {f} breaks the crossing rule on edge {e}")
-            if f and near != d - 1:
-                raise ValueError(f"dist: face {f} at distance {d} has no neighbour at {d - 1}, or one nearer")
+        self.dist, self.f_vert, self.f_elem = dist, f_vert, f_elem
+        self.final = [d <= self.radius for d in dist]
         self.edge_letter, self.edge_slots, self.edge_ends = edge_letter, edge_slots, edge_ends
         self.vert_type = vert_type
         self.vert_edges = list(chain.from_iterable(vert_edges))
@@ -402,7 +416,7 @@ class Development:
 # -- serialization ---------------------------------------------------------
 
 
-DEVELOPMENT_FORMAT = "trifold-development/5"
+DEVELOPMENT_FORMAT = "trifold-development/6"
 
 
 def trust_margin(spec: TriangleGroupSpec) -> int:
@@ -411,23 +425,17 @@ def trust_margin(spec: TriangleGroupSpec) -> int:
 
 
 def export_development(dev: Development) -> dict:
-    """The ball as its header and one flat JSON array per face column (see
-    the README for the layout).
-
-    The lists are the ball's own, not copies.  Nothing derived is stored:
-    not `final`, which is `dist <= radius`, nor the edge and vertex columns,
-    which `derive_columns` rebuilds."""
+    """The ball as its header and its edges and slots, one flat JSON array
+    each (see the README for the layout); the lists are the ball's own, not
+    copies.  Nothing derived is stored: `margin` is `trust_margin(spec)`,
+    and `derive_columns` rebuilds every other column."""
     return {
         "format": DEVELOPMENT_FORMAT,
         "name": dev.spec.name,
         "k": dev.k,
         "radius": dev.radius,
-        "margin": dev.margin,
-        "dist": dev.dist,
         "face_edges": dev.f_edge,
         "face_slots": dev.f_slot,
-        "face_vertices": dev.f_vert,
-        "face_elements": dev.f_elem,
     }
 
 
@@ -435,24 +443,15 @@ def development_to_json(dev: Development) -> str:
     return json.dumps(export_development(dev), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _integer(doc: dict, name: str) -> int:
-    """`doc[name]`, checked to be a JSON integer, not a bool or a string."""
-    value = doc[name]
-    if type(value) is not int:
-        raise ValueError(f"{name}: {value!r} is not an integer")
-    return value
-
-
-def _column(doc: dict, name: str, length: int | None = None, high: int | None = None) -> list[int]:
-    """`doc[name]`, checked to hold only JSON integers (no bool or string),
-    `length` of them unless `length` is None, each in 0..high-1 unless
-    `high` is None."""
+def _column(doc: dict, name: str, length: int, high: int) -> list[int]:
+    """`doc[name]`, checked to hold `length` JSON integers (no bool or
+    string), each in 0..high-1."""
     column = doc[name]
     if not set(map(type, column)) <= {int}:
         raise ValueError(f"{name}: an entry is not an integer")
-    if length is not None and len(column) != length:
+    if len(column) != length:
         raise ValueError(f"{name} has {len(column)} entries, expected {length}")
-    if high is not None and column and (min(column) < 0 or max(column) >= high):
+    if column and (min(column) < 0 or max(column) >= high):
         raise ValueError(f"{name}: an entry lies outside 0..{high - 1}")
     return column
 
@@ -460,14 +459,14 @@ def _column(doc: dict, name: str, length: int | None = None, high: int | None = 
 def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
     """Rebuild a ball from `export_development`'s document.
 
-    The parsed arrays become the ball's face columns as they are, and
-    `derive_columns` builds the rest, rejecting face columns that disagree
-    with each other.  Before that, a negative radius, a margin other than
-    `trust_margin`, a farthest face other than at radius + margin - 1, the
-    extent a ball is kept to, and a face column of the wrong length or with
-    an id or slot out of range raise ValueError, so a malformed document
-    never fails later inside a suite.  So does a bool or a string in
-    `radius`, `margin`, `dist` or a face column: JSON integers only."""
+    The parsed arrays become the ball's `f_edge` and `f_slot` as they are,
+    `margin` is `trust_margin(spec)`, and `derive_columns` derives the rest,
+    rejecting edges and slots that are no canonical ball.  A radius that is
+    negative or not a JSON integer, face columns that are not 3 JSON
+    integers per face, or an edge id or slot out of range is refused before,
+    and a farthest face other than at radius + margin - 1, the extent a
+    ball is kept to, after: ValueError, so a malformed document never fails
+    later inside a suite."""
     if not isinstance(doc, dict):
         raise ValueError("not a development document")
     if doc.get("format") != DEVELOPMENT_FORMAT:
@@ -475,26 +474,24 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
             f"development format {doc.get('format')!r} is not {DEVELOPMENT_FORMAT!r}; "
             f"rebuild the ball"
         )
-    dev = Development(spec, _integer(doc, "radius"), _integer(doc, "margin"))
-    if dev.radius < 0:
-        raise ValueError(f"radius: {dev.radius} is negative")
-    if dev.margin != trust_margin(spec):
-        raise ValueError(f"margin: {dev.margin} is not 1 + delta = {trust_margin(spec)}")
-    dist = _column(doc, "dist")
-    n = 3 * len(dist)
-    extent = dev.radius + dev.margin - 1
-    reach = max(dist, default=0)
-    if reach > extent:
-        raise ValueError(f"dist: a face lies past radius + margin - 1 = {extent}")
-    if reach < extent:
-        raise ValueError(f"radius: the faces reach distance {reach}, short of radius + margin - 1 = {extent}")
-    dev.dist = dist
-    dev.final = [d <= dev.radius for d in dist]
+    radius = doc["radius"]
+    if type(radius) is not int:
+        raise ValueError(f"radius: {radius!r} is not an integer")
+    if radius < 0:
+        raise ValueError(f"radius: {radius} is negative")
+    dev = Development(spec, radius, trust_margin(spec))
+    n = len(doc["face_edges"])
+    if n % 3:
+        raise ValueError(f"face_edges has {n} entries, not 3 per face")
     dev.f_edge = _column(doc, "face_edges", n, n)
     dev.f_slot = _column(doc, "face_slots", n, dev.k)
-    dev.f_vert = _column(doc, "face_vertices", n, n)
-    dev.f_elem = _column(doc, "face_elements", n)  # ranges per vertex type in derive_columns
     dev.derive_columns()
+    extent = dev.radius + dev.margin - 1
+    reach = max(dev.dist, default=-1)
+    if reach > extent:
+        raise ValueError(f"face_edges: a face lies past radius + margin - 1 = {extent}")
+    if reach < extent:
+        raise ValueError(f"radius: the faces reach distance {reach}, short of radius + margin - 1 = {extent}")
     return dev
 
 

@@ -143,10 +143,10 @@ class _Grower:
     face, edge and vertex allocated is kept."""
 
     def __init__(self, spec: TriangleGroupSpec):
-        verdict = npc_check(spec)
-        if not verdict.nonpositively_curved:
+        self.verdict = npc_check(spec)
+        if not self.verdict.nonpositively_curved:
             raise DevelopmentError(
-                f"spec is not nonpositively curved: excess {verdict.excess}"
+                f"spec is not nonpositively curved: excess {self.verdict.excess}"
             )
         self.spec = spec
         self.k = spec.k
@@ -369,12 +369,18 @@ class _Grower:
     def finalize(self, radius: int) -> Development:
         """Number faces breadth first from the base face out to radius +
         margin - 1, crossing each face's edges letter by letter and each
-        edge's slots upward from the face's own, and edges and vertices of
-        the kept faces in order of first appearance.  Only the face columns
-        are built here; `Development.derive_columns` builds the rest from
-        them, so slots holding a face past that distance read -1 and charts
-        leave such faces out."""
-        k, f_edge, f_slot, f_vert = self.k, self.f_edge, self.f_slot, self.f_vert
+        edge's slots upward from the face's own, and the edges of the kept
+        faces in order of first appearance, turned to put each one's first
+        face in slot 0.  `Development.derive_columns` derives the rest, so
+        slots holding a face past that distance read -1.
+
+        The derivation is checked against the growth: a derived vertex joins
+        only corners on a shared edge, so it lies in one grown vertex, and
+        equal counts make the two partitions equal; both charts follow the
+        crossing rule from an identity first face.  So equal vertex counts
+        and distances make the derived ball the grown one; DevelopmentError
+        where not."""
+        k, f_edge, f_slot = self.k, self.f_edge, self.f_slot
         e_slots = self.e_slots
         extent = radius + self.margin - 1
         order: list[int] = [0]
@@ -395,39 +401,27 @@ class _Grower:
                         dist.append(d)
                         order.append(g)
 
-        # edges and vertices are numbered in order of first appearance; an
-        # edge's slots are rotated to start at its first face, the first to
-        # cross it, and a vertex's chart is left-translated to send its first
-        # face to the identity
         dev = Development(self.spec, radius, self.margin)
-        dev.dist = dist
-        dev.final = [d <= radius for d in dist]
-        groups = self.spec.vertex_groups
         edge_pos: dict[int, int] = {}
         edge_rot: list[int] = []
-        vert_pos: dict[int, int] = {}
-        charts: list[tuple[dict[int, int], list[int]]] = []  # chart, translation
         for f in order:
-            x = 3 * f
-            for letter in range(3):
-                e = f_edge[x + letter]
+            for x in range(3 * f, 3 * f + 3):
+                e = f_edge[x]
                 n = edge_pos.get(e)
                 if n is None:
                     n = edge_pos[e] = len(edge_rot)
-                    edge_rot.append(f_slot[x + letter])
+                    edge_rot.append(f_slot[x])
                 dev.f_edge.append(n)
-                dev.f_slot.append((f_slot[x + letter] - edge_rot[n]) % k)
-            for t in range(3):
-                v = f_vert[x + t]
-                n = vert_pos.get(v)
-                if n is None:
-                    n = vert_pos[v] = len(charts)
-                    chart = self.v_chart[v]
-                    charts.append((chart, groups[t].mult[groups[t].inv(chart[f])]))
-                chart, row = charts[n]
-                dev.f_vert.append(n)
-                dev.f_elem.append(row[chart[f]])
-        dev.derive_columns()
+                dev.f_slot.append((f_slot[x] - edge_rot[n]) % k)
+        try:
+            dev.derive_columns()
+        except ValueError as exc:
+            raise DevelopmentError(f"the grown faces do not derive a ball: {exc}") from exc
+        grown = len({self.f_vert[x] for f in order for x in range(3 * f, 3 * f + 3)})
+        if len(dev.vert_type) != grown:
+            raise DevelopmentError(f"the derived ball has {len(dev.vert_type)} vertices, the grown one {grown}")
+        if dev.dist != dist:
+            raise DevelopmentError("the derived distances are not the breadth-first ones")
         return dev
 
 

@@ -233,6 +233,9 @@ def test_malformed_transition_tables_rejected(dev333):
         GeodesicAutomaton.from_document(far)
 
 
+# a fault value that deletes its field
+MISSING = object()
+
 # automaton documents with one field wrong, and the error naming it
 DOCUMENT_FAULTS = {
     "k": ("k", lambda doc: "2", "k must be an integer, got '2'"),
@@ -243,6 +246,8 @@ DOCUMENT_FAULTS = {
     "transitions": ("transitions", lambda doc: 5, "transitions must be a list of rows"),
     "dead": ("dead", lambda doc: doc["live_states"] + 1, "is not live_states"),
     "metadata": ("metadata", lambda doc: [1], "metadata must be an object, got [1]"),
+    "kind": ("kind", lambda doc: "geodesic", "kind must be 'all-geodesics' or 'lex-first', got 'geodesic'"),
+    "kind missing": ("kind", lambda doc: MISSING, "kind must be 'all-geodesics' or 'lex-first', got None"),
 }
 
 
@@ -250,6 +255,8 @@ DOCUMENT_FAULTS = {
 def test_automaton_document_refuses_a_wrong_field(dev333, field, fault, message):
     doc = build_geodesic_automaton(dev333, 6).to_document()
     doc[field] = fault(doc)
+    if doc[field] is MISSING:
+        del doc[field]
     with pytest.raises(AutomatonError, match=re.escape(message)):
         GeodesicAutomaton.from_document(doc)
 

@@ -11,6 +11,7 @@ import pytest
 from trifold.cli import main
 from trifold.curvature import complex_to_document
 from trifold.development import import_development
+from trifold.groups import VERTEX_LETTERS
 from trifold.samples import load_sample, write_sample
 
 from disc_paths import ladder_fixture
@@ -48,6 +49,10 @@ def test_check_failing_spec_exits_one(tmp_path, capsys):
     path.write_text(json.dumps(spec.to_document()))
     assert main(["check", str(path)]) == 1
     assert "excess=1/12" in capsys.readouterr().out
+    # the grower refuses to build it
+    assert main(["build", str(path), "--radius", "2", "--out", str(tmp_path / "ball")]) == 1
+    assert capsys.readouterr().err == "error: spec is not nonpositively curved: excess 1/12\n"
+    assert not (tmp_path / "ball" / "development.json").exists()
 
 
 def test_check_malformed_file_exits_two(tmp_path, capsys):
@@ -139,8 +144,8 @@ def test_verify_fault_injection_fails(built, tmp_path, capsys, monkeypatch):
 
     def faulty(devdir):
         # the first face at distance 3 takes another element in the chart of
-        # its V2 vertex, after the load, which rejects such a file (see
-        # _element_changed): the cone signatures no longer determine the
+        # its V2 vertex, after the load, which derives the elements from the
+        # face edges and slots: the cone signatures no longer determine the
         # successor rows
         dev = load(devdir)
         x = 3 * dev.dist.index(3) + 1
@@ -380,34 +385,137 @@ def _slot_out_of_range(doc):
     doc["face_slots"][3 * 7] = doc["k"]
 
 
-def _negative_vertex(doc):
-    doc["face_vertices"][3 * 3 + 1] = -1
-
-
 def _float_id(doc):
     doc["face_edges"][3 * 7] = 1.0
 
 
+def _loaded(doc):
+    """The ball doc holds, read from copies of its face columns."""
+    copies = {name: list(doc[name]) for name in ("face_edges", "face_slots")}
+    return import_development(dict(doc, **copies), load_sample(doc["name"]))
+
+
+def _renumbered(doc, edges, slots):
+    """Sets doc's face columns to `edges`, which may name edges by any
+    hashable value, and `slots`, with the edges numbered by first appearance
+    and each one's slots turned to put its first face in slot 0."""
+    ids, turn = {}, []
+    doc["face_edges"], doc["face_slots"] = [], []
+    for e, j in zip(edges, slots):
+        if e not in ids:
+            ids[e] = len(turn)
+            turn.append(j)
+        doc["face_edges"].append(ids[e])
+        doc["face_slots"].append((j - turn[ids[e]]) % doc["k"])
+
+
+def _cut(doc, *entries):
+    """Each face column entry in `entries` gets a new edge of its own."""
+    edges = list(doc["face_edges"])
+    for x in entries:
+        edges[x] = ("cut", x)
+    _renumbered(doc, edges, doc["face_slots"])
+
+
+def _added_face(doc, e, j):
+    """A face added at the end, in slot j of edge e, with two new edges."""
+    letter = doc["face_edges"].index(e) % 3
+    edges = doc["face_edges"] + [e if t == letter else ("new", t) for t in range(3)]
+    _renumbered(doc, edges, doc["face_slots"] + [j if t == letter else 0 for t in range(3)])
+
+
+def _moved(doc, f, letter, e, j):
+    """Face f moves to slot j of edge e on its `letter` side, and the face
+    that held that slot takes a new edge there."""
+    edges, slots = list(doc["face_edges"]), list(doc["face_slots"])
+    x = next(x for x in range(letter, len(edges), 3) if (edges[x], slots[x]) == (e, j))
+    edges[x] = ("cut", x)
+    edges[3 * f + letter], slots[3 * f + letter] = e, j
+    _renumbered(doc, edges, slots)
+
+
 def _past_extent(doc):
-    doc["dist"][-1] = doc["radius"] + doc["margin"]
+    """A face added in the empty slot of the last edge, whose one face lies
+    at radius + margin - 1: the new face lies one farther."""
+    _added_face(doc, max(doc["face_edges"]), 1)
 
 
-def _dist_decreases(doc):
-    """A face at distance 1 swaps its distance with one at distance 2."""
-    dist = doc["dist"]
-    i, j = dist.index(1), dist.index(2)
-    dist[i], dist[j] = dist[j], dist[i]
+def _last_layer_dropped(doc):
+    """The faces at radius + margin - 1 are left out."""
+    dist = _loaded(doc).dist
+    n = 3 * dist.index(max(dist))
+    doc["face_edges"], doc["face_slots"] = doc["face_edges"][:n], doc["face_slots"][:n]
 
 
-def _second_face_at_distance_0(doc):
-    doc["dist"][1] = 0
+def _second_base_face(doc):
+    """Face 1 takes three new edges, so it meets no earlier face."""
+    _cut(doc, 3, 4, 5)
 
 
-def _distance_not_breadth_first(doc):
-    """The last face at distance 2 moves to distance 3: the column still
-    never decreases, but the face keeps a neighbour at distance 1."""
-    victim = doc["dist"].index(3) - 1
-    doc["dist"][victim] = 3
+def _last_face_detached(doc):
+    n = len(doc["face_edges"])
+    _cut(doc, n - 3, n - 2, n - 1)
+
+
+def _faces_out_of_order(doc):
+    """The last face at distance 1 trades places with the first at distance
+    2, so a face at distance 1 follows one at distance 2."""
+    dist = _loaded(doc).dist
+    f, g = 3 * dist.index(2) - 3, 3 * dist.index(2)
+    edges, slots = list(doc["face_edges"]), list(doc["face_slots"])
+    for column in edges, slots:
+        column[f:f + 3], column[g:g + 3] = column[g:g + 3], column[f:f + 3]
+    _renumbered(doc, edges, slots)
+
+
+def _parent_edges_cut(doc):
+    """The first face at distance 5 takes new edges in place of those it
+    shares with faces at distance 4."""
+    dev = _loaded(doc)
+    f = dev.dist.index(5)
+    _cut(doc, *(x for x in range(3 * f, 3 * f + 3) if dev.dist[dev.slots(dev.f_edge[x])[0]] == 4))
+
+
+def _edges_traded(doc):
+    """Faces 4 and 9 trade their b edges and slots."""
+    for column in doc["face_edges"], doc["face_slots"]:
+        column[3 * 4 + 1], column[3 * 9 + 1] = column[3 * 9 + 1], column[3 * 4 + 1]
+
+
+def _element_disagrees(doc):
+    """Face 17 moves to face 18's slot on edge 19: at its V1 corner both of
+    its edges give the vertex it has, but other elements."""
+    _moved(doc, 17, 0, 19, 1)
+
+
+def _chart_repeats(doc):
+    """Face 63 moves to face 72's slot on edge 107, and face 72 takes a new
+    edge there, which puts it where face 63 was in the chart at its V2
+    corner."""
+    _moved(doc, 63, 0, 107, 1)
+
+
+def _link_wraps(doc):
+    """The last face at radius + margin - 2 that crosses to earlier faces on
+    both of its edges at a corner takes a new edge for the first of them, so
+    the link there is cut open, and a face added at the end continues the
+    link past the cut: it takes the element of the face across the cut."""
+    dev = _loaded(doc)
+    x = max(
+        3 * f + letter
+        for f, d in enumerate(dev.dist) if d == dev.radius + dev.margin - 2
+        for letter, other in VERTEX_LETTERS if dev.f_slot[3 * f + letter] and dev.f_slot[3 * f + other]
+    )
+    _cut(doc, x)
+    _added_face(doc, doc["face_edges"][x], 1)
+
+
+def _negative_radius(doc):
+    """The ball cut to its faces within distance 2, which is radius + margin
+    - 1 for d333 at radius -1, under that radius."""
+    n = 3 * len(_loaded(doc).ball_faces(2))
+    doc["face_edges"], doc["face_slots"] = doc["face_edges"][:n], doc["face_slots"][:n]
+    doc["radius"] = -1
 
 
 def _radius_raised(doc):
@@ -415,27 +523,8 @@ def _radius_raised(doc):
     doc["radius"] = 12
 
 
-def _negative_radius(doc):
-    """The ball cut to its faces within distance 2, which is radius + margin
-    - 1 for d333 at radius -1, under that radius."""
-    n = sum(d <= 2 for d in doc["dist"])
-    doc["dist"] = doc["dist"][:n]
-    for name in ("face_edges", "face_slots", "face_vertices", "face_elements"):
-        doc[name] = doc[name][:3 * n]
-    doc["radius"] = -1
-
-
-def _wrong_margin(doc):
-    """d333 has delta 3, so its margin is 4."""
-    doc["margin"] = 9
-
-
 def _radius_string(doc):
     doc["radius"] = str(doc["radius"])
-
-
-def _margin_string(doc):
-    doc["margin"] = str(doc["margin"])
 
 
 def _radius_bool(doc):
@@ -456,18 +545,17 @@ def _false_entry(name):
 # and the error naming the field
 NON_INTEGER_FAULTS = {
     _radius_string: "radius: '9' is not an integer",
-    _margin_string: "margin: '4' is not an integer",
     _radius_bool: "radius: True is not an integer",
     **{
         _false_entry(name): f"{name}: an entry is not an integer"
-        for name in ("dist", "face_edges", "face_slots", "face_vertices", "face_elements")
+        for name in ("face_edges", "face_slots")
     },
 }
 
 
 def _later_appearance(column, t):
-    """The first index of `column` past face 0 at letter or vertex type t
-    whose id appeared before."""
+    """The first index of `column` past face 0 at letter t whose id
+    appeared before."""
     return next(x for x in range(3 + t, len(column), 3) if column[x] in column[:x])
 
 
@@ -484,43 +572,28 @@ def _edge_under_two_letters(doc):
     edges[_later_appearance(edges, 1)] = edges[0]
 
 
-def _vertex_under_two_types(doc):
-    """A face's V2 vertex is replaced by face 0's V1 vertex."""
-    vertices = doc["face_vertices"]
-    vertices[_later_appearance(vertices, 1)] = vertices[0]
-
-
 def _edges_renumbered(doc):
     """Edges 1 and 2 trade ids, so they are not numbered by first appearance."""
     swap = {1: 2, 2: 1}
     doc["face_edges"] = [swap.get(e, e) for e in doc["face_edges"]]
 
 
-def _element_outside_group(doc):
-    """Every vertex group of d333 has order 6."""
-    doc["face_elements"][3 * 5 + 1] = 6
-
-
-def _charts_swapped(doc):
-    """Faces 1 and 2 trade their elements at vertex 0, face 0's V1 corner."""
-    assert doc["face_vertices"][3] == doc["face_vertices"][6] == 0
-    elements = doc["face_elements"]
-    elements[3], elements[6] = elements[6], elements[3]
-
-
-def _element_changed(doc):
-    """Face 4 takes another element in the chart of its V2 vertex."""
-    doc["face_elements"][3 * 4 + 1] = (doc["face_elements"][3 * 4 + 1] + 1) % 6
-
-
-def _vertex_merged(doc):
-    """The last vertex is glued onto face 0's corner of its type: every
-    chart still follows the crossing rule, but that corner's chart now
-    holds the identity twice."""
-    vertices = doc["face_vertices"]
-    last = max(vertices)
-    t = vertices.index(last) % 3
-    doc["face_vertices"] = [vertices[t] if v == last else v for v in vertices]
+# development documents whose face edges and slots cannot be a ball, and the
+# check of the derivation that refuses each: a face lies past the kept extent
+# or short of it, a face has no earlier neighbour as far as the face before
+# it, the two edges at a corner disagree, or a chart repeats an element
+DERIVATION_FAULTS = {
+    _past_extent: "face_edges: a face lies past radius + margin - 1 = 12",
+    _last_layer_dropped: "radius: the faces reach distance 11, short of radius + margin - 1 = 12",
+    _second_base_face: "face_edges: face 1 has no earlier neighbour at distance 0 or more",
+    _last_face_detached: "face_edges: face 234 has no earlier neighbour at distance 11 or more",
+    _faces_out_of_order: "face_edges: face 4 has no earlier neighbour at distance 1 or more",
+    _parent_edges_cut: "face_edges: face 31 has no earlier neighbour at distance 3 or more",
+    _edges_traded: "face_edges: edges 9 and 13 of face 10 disagree on its V1 corner",
+    _element_disagrees: "face_edges: edges 19 and 17 of face 17 disagree on its V1 corner",
+    _chart_repeats: "face_edges: face 72 repeats an element of vertex 25's chart",
+    _link_wraps: "face_edges: face 235 repeats an element of vertex 74's chart",
+}
 
 
 def _k_not_integer(doc):
@@ -587,12 +660,27 @@ SPEC_FAULTS = {
 }
 
 
+def _format_5(doc):
+    """The same ball in format 5, which is no longer read: besides the face
+    edges and slots, it stored `margin`, `dist` and each face's corners and
+    its elements there, which format 6 derives."""
+    dev = _loaded(doc)
+    doc.update(
+        format="trifold-development/5",
+        margin=dev.margin,
+        dist=dev.dist,
+        face_vertices=dev.f_vert,
+        face_elements=dev.f_elem,
+    )
+
+
 def _format_4(doc):
     """The same ball in format 4, which is no longer read: besides the face
-    columns but for `face_elements`, it stored the edge and vertex columns
-    that format 5 derives, and each vertex's chart as pairs of a face and
-    its element."""
-    dev = import_development(doc, load_sample(doc["name"]))
+    columns of format 5 but for `face_elements`, it stored the edge and
+    vertex columns, and each vertex's chart as pairs of a face and its
+    element."""
+    dev = _loaded(doc)
+    _format_5(doc)
     charts, chart_offsets = [], [0]
     for v in range(len(dev.vert_type)):
         for pair in dev.vertex_chart(v).items():
@@ -673,27 +761,18 @@ def _format_1(doc):
         ("spec.json", "[]"),
         ("development.json", _ragged_row),
         ("development.json", _slot_out_of_range),
-        ("development.json", _negative_vertex),
         ("development.json", _float_id),
-        ("development.json", _past_extent),
-        ("development.json", _wrong_margin),
-        ("development.json", _dist_decreases),
-        ("development.json", _second_face_at_distance_0),
-        ("development.json", _distance_not_breadth_first),
+        *(("development.json", fault) for fault in DERIVATION_FAULTS),
         ("development.json", _slot_claimed_twice),
         ("development.json", _edge_under_two_letters),
-        ("development.json", _vertex_under_two_types),
         ("development.json", _edges_renumbered),
-        ("development.json", _element_outside_group),
-        ("development.json", _charts_swapped),
-        ("development.json", _element_changed),
-        ("development.json", _vertex_merged),
         ("development.json", _radius_raised),
         ("development.json", _negative_radius),
         ("development.json", _format_1),
         ("development.json", _format_2),
         ("development.json", _format_3),
         ("development.json", _format_4),
+        ("development.json", _format_5),
         *(("spec.json", fault) for fault in SPEC_FAULTS),
         *(("development.json", fault) for fault in NON_INTEGER_FAULTS),
         ("spec.json", _table_entry_bool),
@@ -713,27 +792,18 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
     assert main(["verify", str(broken), "--suite", "cor1"]) == 2
     err = capsys.readouterr().err
     assert "malformed build directory" in err
-    formats = (_format_1, _format_2, _format_3, _format_4)
+    formats = (_format_1, _format_2, _format_3, _format_4, _format_5)
     if content in formats:
         version = formats.index(content) + 1
         assert f"development format 'trifold-development/{version}'" in err
         assert "rebuild the ball" in err
     expected = {
-        _past_extent: "past radius + margin - 1",
-        _wrong_margin: "margin: 9 is not 1 + delta = 4",
-        _dist_decreases: "dist: the column does not start at 0 or it decreases",
-        _second_face_at_distance_0: "dist: face 1 at distance 0 has no neighbour at -1",
-        _distance_not_breadth_first: "at distance 3 has no neighbour at 2, or one nearer",
         _slot_claimed_twice: "is claimed by faces 0 and",
         _edge_under_two_letters: "appears under two letters",
-        _vertex_under_two_types: "appears under two types",
         _edges_renumbered: "face_edges: edge 2 is not numbered by first appearance",
-        _element_outside_group: "an element at a V2 vertex lies outside its group",
-        _charts_swapped: "face_elements: face 1 breaks the crossing rule on edge 0",
-        _element_changed: "face_elements: face 4 breaks the crossing rule on edge 3",
-        _vertex_merged: "face_elements: face 234 repeats an element of vertex 1's chart",
         _radius_raised: "radius: the faces reach distance 12, short of radius + margin - 1 = 15",
         _negative_radius: "radius: -1 is negative",
+        **DERIVATION_FAULTS,
         **SPEC_FAULTS,
         **NON_INTEGER_FAULTS,
     }
@@ -849,32 +919,33 @@ def test_build_file_that_is_a_directory_exits_two(built, tmp_path, capsys, comma
     assert not captured.out
 
 
-# sha256 of development.json (format 5), manifest.json and the lex-first
+# sha256 of development.json (format 6), manifest.json and the lex-first
 # machine's JSON, per sample: (ball radius, automaton flags, hashes).  The
-# manifest and machine hashes equal those of the format-1 to format-4 code.
+# manifest and machine hashes equal those of the format-1 to format-5 code,
+# and the columns format 6 derives equal those format 5 stored.
 GOLDEN = {
     "d333": (11, [], (
-        "acab8ceb6c2a4435c58b06c49c8dee5e2eebddcb87793a9c8cd8d5984e9f3c32",
+        "18f07f34f17cf8819c68f3e8f6a7986538efcbedfdd696b09efcc478ff1394af",
         "c8b4c256b0841175c6f5460beb396a415075cd69b7b43c311aa668db478e69bb",
         "3450465844302073b9631a8ba41162109a4b01d5f1fefa982edd2f2e7241dbdd",
     )),
     "d244": (8, [], (
-        "723b26da5cf7a2300e286e98ee055270e52d141441a99b6d24101273940da87a",
+        "807d0f4d6bb5b89f8176ae9c77df05d7bfaece2a20faf25451724aae82801801",
         "a6ec3d5897f7bb48a1526306fc3d0f56a7846aed18f2896acb586975b2b0e97c",
         "3ec8c41c897603bd662b279bda3f99021d9193871431c1ae72efe5ad6706a747",
     )),
     "d236": (5, [], (
-        "8790e2c964463442cba1539039891723d796b5c947ba68c8b3049017a46b22ba",
+        "d6679a5faf31eda01f459792016f48af27fa3b79dd08ed81c14abfa15e81bbb5",
         "e1d08b9b32cd7c2211b80c3fa0fdd4ebbd37a582261824699db08f26be921052",
         "a3ac5c5804d538dd5a8c7fca9e173e8f972a1d1e0133416b792c9c948e52f27f",
     )),
     "d444": (6, ["--no-certify"], (
-        "308ae8f3be552bde75efc472bbd6cf973e3e13d300b6f711867a7ba6b9ee63bd",
+        "79040852a9ea1df046f918ddd01bd98ded60192aea31ad688eab88f13b5ff094",
         "3d1b84ebbaf74d1f91fe73ebaa7ceaaa3117e172f12f0156208f8c04b4cebcf3",
         "72a6e966fec3ab3bf42c1666e93601810b38103e44a2f82f426248ac2e87d2dc",
     )),
     "f21_333": (4, ["--no-certify"], (
-        "2536341624d9abd7e315db3809a949f3f257b7249f9c34aece3593c0c3dbda18",
+        "ed27ab3f0d9b97af4bfd8b146170894e68afc2afa643c58438fc65a563e25a23",
         "8776300f9442cf23af7995c82d6998e068fdd95818ac8dd3d2d3ab2f58de645b",
         "23654c12316051cdc56571a967d815345c07179942fa37f49a46f15d441fcdab",
     )),

@@ -968,31 +968,39 @@ def _reference_grow(spec, radius):
     return grower.finalize(radius), len(passes)
 
 
+def _spec(name):
+    """A sample, or one of the specs beyond the samples defined below."""
+    beyond = {
+        "d237": lambda: _dihedral_spec("d237", 2, 3, 7),
+        "d345": lambda: _dihedral_spec("d345", 3, 4, 5),
+        "f21_f21_f39": f21_f21_f39,
+        "f39_333": f39_333,
+        "f155_333": f155_333,
+    }
+    return beyond[name]() if name in beyond else load_sample(name)
+
+
 @functools.lru_cache(maxsize=None)
 def _reference_sample(name, radius):
-    spec = f155_333() if name == "f155_333" else load_sample(name)
-    return _reference_grow(spec, radius)
+    return _reference_grow(_spec(name), radius)
 
 
 def _derived_copy(dev, faces=None):
     """A ball holding the first `faces` faces of dev (all by default) with
-    their face columns, and every other column derived from those."""
+    their edges and slots, and every other column derived from those."""
     n = dev.face_count if faces is None else faces
     out = Development(dev.spec, dev.radius, dev.margin)
-    out.dist, out.final = dev.dist[:n], dev.final[:n]
     out.f_edge, out.f_slot = dev.f_edge[:3 * n], dev.f_slot[:3 * n]
-    out.f_vert, out.f_elem = dev.f_vert[:3 * n], dev.f_elem[:3 * n]
     out.derive_columns()
     return out
 
 
 def _drop_ring(dev):
     """dev without its faces past radius + margin - 1.  They are the last
-    faces, and the edges and vertices of the faces before them come first,
-    with each edge's least face in slot 0 and each vertex's least face the
-    identity of its chart, so the face columns are cut and the rest derived;
-    `derive_columns` checks all of this.  Slots holding a dropped face read
-    -1 and charts leave such faces out."""
+    faces, and the edges of the faces before them come first, each with its
+    least face in slot 0, so the edges and slots are cut and the rest
+    derived; `derive_columns` checks all of this.  Slots holding a dropped
+    face read -1 and charts leave such faces out."""
     return _derived_copy(dev, bisect_right(dev.dist, dev.radius + dev.margin - 1))
 
 
@@ -1133,19 +1141,13 @@ def f39_333() -> TriangleGroupSpec:
     return _frobenius_spec("f39_333", 13, 3, 3)
 
 
-@pytest.mark.parametrize(
-    "make, radius",
-    [
-        (lambda: _dihedral_spec("d237", 2, 3, 7), 6),
-        (lambda: _dihedral_spec("d345", 3, 4, 5), 4),
-        (f21_f21_f39, 1),
-        (f39_333, 2),
-        (f155_333, 0),
-    ],
-    ids=["d237", "d345", "f21_f21_f39", "f39_333", "f155_333"],
-)
-def test_margin_one_keeps_the_trusted_prefix_beyond_the_samples(make, radius):
-    _assert_margin_one_keeps_the_trusted_prefix(grow_to_radius(make(), radius))
+# the specs beyond the samples that the margin audit covers, at its radii
+BEYOND_THE_SAMPLES = [("d237", 6), ("d345", 4), ("f21_f21_f39", 1), ("f39_333", 2), ("f155_333", 0)]
+
+
+@pytest.mark.parametrize("name, radius", BEYOND_THE_SAMPLES, ids=[name for name, _ in BEYOND_THE_SAMPLES])
+def test_margin_one_keeps_the_trusted_prefix_beyond_the_samples(name, radius):
+    _assert_margin_one_keeps_the_trusted_prefix(grow_to_radius(_spec(name), radius))
 
 
 @pytest.mark.parametrize(
@@ -1177,9 +1179,8 @@ class BlindGrower(_Grower):
 def test_sabotaged_deduction_raises(name):
     """With the edge deduction switched off, growth meets a face it would
     have had to merge, and raises instead of merging it."""
-    spec = f155_333() if name == "f155_333" else load_sample(name)
     with pytest.raises(DevelopmentError, match="already charted"):
-        BlindGrower(spec).grow(0)
+        BlindGrower(_spec(name)).grow(0)
 
 
 @pytest.mark.parametrize(
@@ -1202,29 +1203,36 @@ def test_grower_allocates_only_what_it_keeps(name, radius, kept):
 @pytest.mark.parametrize(
     "name, radius, digest",
     [
-        ("f21_333", 5, "45052e6687d07d0c12696a4b339ffd61a4ff6e9b61777f305e92e35139db39a5"),
-        ("d444", 9, "0be626191a79cf2850f4d69351a398422b8a7d47eca4107a06b1739a47258c6c"),
-        ("d236", 19, "f0db2ccefa060f999be6bc5229716bc48bc3d61cda9d4889eafe95c5444bfb8e"),
+        ("f21_333", 5, "ad4b88481b3c13f102a3d15b6decea6fc71964e970d1b9419e5d1dd58c253445"),
+        ("d444", 9, "8078a12a0df3c2743008de11bd1bd5611558256b205a1e0efb8446415a0488de"),
+        ("d236", 19, "6476ec6a647cf70a26d0f9883516e476f576c1a191d81cd995e825f20b9186e7"),
     ],
+    ids=["f21_333-5", "d444-9", "d236-19"],
 )
 def test_bytes_beyond_golden_radii(name, radius, digest):
-    """The sha256 of balls past the golden radii, as the create-then-fold
-    grower wrote them."""
+    """The sha256 of balls past the golden radii, in format 6.  The balls
+    are those the create-then-fold grower wrote in earlier formats: every
+    column derived from these bytes equals the one stored there."""
     data = development_to_json(grow_to_radius(load_sample(name), radius))
     assert hashlib.sha256(data.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name, radius", [*REFERENCE_BALLS, ("f155_333", 0)])
+@pytest.mark.parametrize("name, radius", [*REFERENCE_BALLS, *BEYOND_THE_SAMPLES])
 def test_reference_columns_equal_derived_columns(name, radius):
-    """The edge and vertex columns and the charts that ReferenceGrower
-    builds on its own, outer layer and all, equal those that
-    `derive_columns` builds from its face columns."""
+    """The distances, corners, elements, edge and vertex columns and charts
+    that ReferenceGrower builds on its own, outer layer and all, equal those
+    that `derive_columns` derives from its edges and slots, and the stored
+    ball gives back every column through the file format."""
     dev, _ = _reference_sample(name, radius)
     again = _derived_copy(dev)
-    for column in DERIVED_COLUMNS:
+    for column in ("dist", "final", "f_vert", "f_elem", *DERIVED_COLUMNS):
         assert getattr(again, column) == getattr(dev, column), column
     vertices = range(len(dev.vert_type))
     assert [again.vertex_chart(v) for v in vertices] == [dev.vertex_chart(v) for v in vertices]
+    kept = _drop_ring(dev)
+    loaded = import_development(json.loads(development_to_json(kept)), kept.spec)
+    for column in COLUMNS:
+        assert getattr(loaded, column) == getattr(kept, column), column
 
 
 def _outcome(call, *args):

@@ -69,6 +69,33 @@ def test_grower_seed_counts():
     assert len(grower.v_type) == 3
 
 
+def _spare_vertex(dev):
+    dev.vert_type.append(0)
+
+
+def _farther_last_face(dev):
+    dev.dist[-1] += 1
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [(_spare_vertex, "the derived ball has 49 vertices, the grown one 48"),
+     (_farther_last_face, "the derived distances are not the breadth-first ones")],
+)
+def test_finalize_checks_the_derivation_against_growth(monkeypatch, fault, message):
+    """A derivation that mints a spare vertex or moves a face, unseen by its
+    own checks, is refused when the ball is finalized."""
+    derive = Development.derive_columns
+
+    def faulty(dev):
+        derive(dev)
+        fault(dev)
+
+    monkeypatch.setattr(Development, "derive_columns", faulty)
+    with pytest.raises(DevelopmentError, match=message):
+        grow_to_radius(load_sample("d333"), 3)
+
+
 def test_init_refuses_positive_excess():
     spec = _dihedral_spec("d234", 2, 3, 4)
     with pytest.raises(DevelopmentError, match="excess"):

@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from collections import namedtuple
-from pathlib import Path
 
 from . import __version__
 from .groups import GroupError, TriangleGroupSpec, load_triangle_spec_file, npc_check
@@ -49,24 +49,19 @@ def spec_hash(spec: TriangleGroupSpec) -> str:
 def _load_spec(path_or_name: str) -> TriangleGroupSpec:
     if path_or_name in SAMPLE_BUILDERS:
         return load_sample(path_or_name)
-    path = Path(path_or_name)
-    if not path.exists():
+    if not os.path.exists(path_or_name):
         raise UsageError(f"no spec file {path_or_name!r} and no such sample")
     try:
-        return load_triangle_spec_file(path)
+        return load_triangle_spec_file(path_or_name)
     except (GroupError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise UsageError(f"bad spec document: {exc}") from exc
 
 
 def _load_devdir(devdir: str) -> Development:
-    base = Path(devdir)
     try:
-        spec = load_triangle_spec_file(base / "spec.json")
-        doc = json.loads(
-            (base / "development.json").read_text(),
-            parse_float=_reject_non_integer,
-            parse_constant=_reject_non_integer,
-        )
+        spec = load_triangle_spec_file(os.path.join(devdir, "spec.json"))
+        with open(os.path.join(devdir, "development.json")) as fh:
+            doc = json.load(fh, parse_float=_reject_non_integer, parse_constant=_reject_non_integer)
         return import_development(doc, spec)
     except FileNotFoundError as exc:
         raise UsageError(f"not a build directory: {exc}") from exc
@@ -76,14 +71,17 @@ def _load_devdir(devdir: str) -> Development:
         ) from exc
 
 
-def _write_manifest(outdir: Path, manifest: dict) -> None:
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n"
-    )
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
-def _log_run(outdir: Path, line: str) -> None:
-    with (outdir / "runs.log").open("a") as fh:
+def _write_manifest(outdir: str, manifest: dict) -> None:
+    _write_text(os.path.join(outdir, "manifest.json"), json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+
+
+def _log_run(outdir: str, line: str) -> None:
+    with open(os.path.join(outdir, "runs.log"), "a") as fh:
         fh.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} {line}\n")
 
 
@@ -101,19 +99,17 @@ def cmd_build(args) -> int:
     from .grower import _Grower
 
     spec = _load_spec(args.spec)
-    outdir = Path(args.out)
+    outdir = args.out
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot make build directory {outdir}: {exc}") from exc
     grower = _Grower(spec)  # refuses a spec that is not nonpositively curved
     grower.grow(args.radius)
     dev, verdict = grower.finalize(args.radius), grower.verdict
     del grower  # the growth state is large
-    (outdir / "spec.json").write_text(
-        json.dumps(spec.to_document(), sort_keys=True, indent=1) + "\n"
-    )
-    (outdir / "development.json").write_text(development_to_json(dev))
+    _write_text(os.path.join(outdir, "spec.json"), json.dumps(spec.to_document(), sort_keys=True, indent=1) + "\n")
+    _write_text(os.path.join(outdir, "development.json"), development_to_json(dev))
     manifest = {
         "format": "trifold-manifest/1",
         "tool_version": __version__,
@@ -152,7 +148,7 @@ def cmd_automaton(args) -> int:
     machine.metadata["spec_hash"] = spec_hash(dev.spec)
     text = machine.to_json() if args.format == "json" else machine.to_dot()
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
         print(f"wrote {args.kind} machine ({machine.n_live} live states) to {args.out}")
     else:
         sys.stdout.write(text)
@@ -336,11 +332,12 @@ SUITES = {
 
 def _load_manifest(devdir: str) -> dict | None:
     """The build's manifest, or None when there is none."""
-    path = Path(devdir) / "manifest.json"
-    if not path.exists():
+    path = os.path.join(devdir, "manifest.json")
+    if not os.path.exists(path):
         return None
     try:
-        manifest = json.loads(path.read_text())
+        with open(path) as fh:
+            manifest = json.load(fh)
     except ValueError as exc:
         raise UsageError(f"malformed build directory {devdir}: manifest.json: {exc}") from exc
     if not isinstance(manifest, dict) or not isinstance(manifest.get("verdicts"), dict):
@@ -367,8 +364,8 @@ def cmd_verify(args) -> int:
             manifest["verdicts"][name] = verdict.status
             manifest.update(verdict.manifest)
     if manifest is not None:
-        _write_manifest(Path(args.devdir), manifest)
-        _log_run(Path(args.devdir), f"verify suites={','.join(wanted)}")
+        _write_manifest(args.devdir, manifest)
+        _log_run(args.devdir, f"verify suites={','.join(wanted)}")
     return 1 if failed else 0
 
 
@@ -390,7 +387,8 @@ def cmd_curvature(args) -> int:
     from .curvature import complex_from_document
 
     try:
-        text = Path(args.file).read_text()
+        with open(args.file) as fh:
+            text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read complex file: {exc}") from exc
     except UnicodeDecodeError as exc:

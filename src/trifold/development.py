@@ -81,18 +81,21 @@ class Development:
     one element when first asked for, then kept, so a suite pays only for
     the part of the ball it visits and no call derives one twice.
 
-    Faces are numbered breadth first, so `dist` starts at 0 and never
-    decreases, and the faces within any radius r form the prefix
+    Faces are numbered breadth first from the base face: the faces first
+    met from each face in turn, across its edges in letter order and each
+    edge's slots upward from the face's own.  So `dist` starts at 0 and
+    never decreases, and the faces within any radius r form the prefix
     `ball_faces(r)`.  Edges and vertices are numbered in order of first
     appearance, each edge's first face holds its slot 0 and each vertex's
-    first face is the identity of its chart.  Distances are trusted out to
-    `radius`.  `margin` is the grower's, 1 + delta: one layer of trust
-    budget, which fixes the distance, edges and corners of every face out
-    to `radius`, and delta layers of reach, which keep the stars around the
-    vertices of trusted faces (see `grower.py`).  The grower grew the ball
-    to radius + margin and kept the faces out to radius + margin - 1, the
-    farthest any reader goes, so every face here is at most that far from
-    the base face.
+    first face is the identity of its chart.  The grower makes faces, edges
+    and vertices in this order.  Distances are trusted out to `radius`.
+    `margin` is the grower's, 1 + delta: one layer of trust budget, which
+    fixes the distance, edges and corners of every face out to `radius`,
+    and delta layers of reach, which keep the stars around the vertices of
+    trusted faces (see `grower.py`).  The grower grew the ball to radius +
+    margin and kept the faces out to radius + margin - 1, the farthest any
+    reader goes, so every face here is at most that far from the base
+    face.
     """
 
     def __init__(self, spec: TriangleGroupSpec, radius: int, margin: int):
@@ -137,9 +140,15 @@ class Development:
         Checked: edges are numbered by first appearance, each with its first
         face in slot 0; an edge has one letter and each of its slots at most
         one face; both edges at a corner, where met, agree on it; the charts
-        are injective; and each face after the base face has an earlier
+        are injective; each face after the base face has an earlier
         neighbour as far as the one before it has, so `dist` never decreases
-        and is the breadth-first distance."""
+        and is the breadth-first distance; and the faces are in breadth-first
+        order.  For that, each face after the base face has the key (g,
+        letter, j), least over its edges met earlier, where g is the edge's
+        slot-0 face and j the face's slot there: g is the face's least
+        neighbour, the one it is met from, and (letter, j) when it is met.
+        The keys must increase; a face out of order is named only after the
+        pass, so that any other fault is named first."""
         k, f_edge, f_slot = self.k, self.f_edge, self.f_slot
         groups = self.spec.vertex_groups
         # per letter, its types t1 and t2 and, at each end of its edges, the
@@ -172,22 +181,28 @@ class Development:
         blank = [-1] * k
         ne = 0
         last = 0
+        prev = -1  # the key of the face before
+        unordered = 0  # the first face after the base whose key is not above the one before
         for f in range(len(f_edge) // 3):
             x = 3 * f
             met = ne  # edges below this id were met on earlier faces
-            near = -2  # the least distance on f's edges met earlier
+            key = -1  # f's key as one integer, least over its edges met earlier
             for letter in 0, 1, 2:
                 e = f_edge[x + letter]
                 if e < met:
                     if edge_letter[e] != letter:
                         raise ValueError(f"face_edges: edge {e} appears under two letters")
-                    s = k * e + f_slot[x + letter]
+                    j = f_slot[x + letter]
+                    s = k * e + j
                     if edge_slots[s] != -1:
-                        raise ValueError(f"face_slots: slot {s - k * e} of edge {e} is claimed by faces {edge_slots[s]} and {f}")
+                        raise ValueError(f"face_slots: slot {j} of edge {e} is claimed by faces {edge_slots[s]} and {f}")
                     edge_slots[s] = f
-                    d = dist[edge_slots[k * e]]
-                    if near < 0 or d < near:
-                        near = d
+                    here = (3 * edge_slots[k * e] + letter) * k + j
+                    if key < 0 or here < key:
+                        key = here
+            # dist does not decrease before f, so its least earlier neighbour
+            # has the least distance on its edges met earlier
+            near = dist[key // (3 * k)] if key >= 0 else -2
             if f and near < last - 1:
                 raise ValueError(f"face_edges: face {f} has no earlier neighbour at distance {max(last - 1, 0)} or more")
             last = near + 1 if f else 0
@@ -231,6 +246,11 @@ class Development:
                     vert_edges[a].append(e)
                     vert_edges[b].append(e)
                     ne += 1
+            if key <= prev and not unordered:
+                unordered = f
+            prev = key
+        if unordered:
+            raise ValueError(f"face_edges: face {unordered} is out of breadth-first order")
         self.dist, self.f_vert, self.f_elem = dist, f_vert, f_elem
         self.final = [d <= self.radius for d in dist]
         self.edge_letter, self.edge_slots, self.edge_ends = edge_letter, edge_slots, edge_ends

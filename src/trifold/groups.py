@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import namedtuple
 from functools import cached_property
-from pathlib import Path
 
 
 class GroupError(ValueError):
@@ -445,8 +445,9 @@ def npc_check(spec: TriangleGroupSpec) -> NpcVerdict:
 # -- document parsing ------------------------------------------------------------
 
 
-def load_triangle_spec(document: dict, base_dir: Path | None = None) -> TriangleGroupSpec:
-    """Parse a triangle-group spec document, resolving group file references."""
+def load_triangle_spec(document: dict, base_dir: str = "") -> TriangleGroupSpec:
+    """Parse a triangle-group spec document, resolving group file references
+    against `base_dir`."""
     if not isinstance(document, dict):
         raise GroupError("spec document must be an object")
     for key in ("k", "vertex_groups"):
@@ -469,11 +470,10 @@ def load_triangle_spec(document: dict, base_dir: Path | None = None) -> Triangle
     designated = []
     for i, raw in enumerate(raw_groups):
         if isinstance(raw, str):
-            path = Path(raw)
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
+            path = os.path.join(base_dir, raw)
             try:
-                raw = json.loads(path.read_text())
+                with open(path) as fh:
+                    raw = json.load(fh)
             except OSError as exc:
                 raise GroupError(f"V{i+1}: cannot read group file {path}: {exc.strerror}") from None
             except UnicodeDecodeError as exc:
@@ -495,10 +495,10 @@ def load_triangle_spec(document: dict, base_dir: Path | None = None) -> Triangle
     return TriangleGroupSpec(k, tuple(groups), tuple(designated), name=name)
 
 
-def load_triangle_spec_file(path: str | Path) -> TriangleGroupSpec:
-    path = Path(path)
+def load_triangle_spec_file(path: str) -> TriangleGroupSpec:
     try:
-        text = path.read_text()
+        with open(path) as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise GroupError(f"cannot read spec file {path}: {exc}") from None
-    return load_triangle_spec(json.loads(text), base_dir=path.parent)
+    return load_triangle_spec(json.loads(text), base_dir=os.path.dirname(path))

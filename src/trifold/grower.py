@@ -4,9 +4,10 @@ Faces of the complex correspond to group elements; the base face is the
 identity.  Each edge carries a letter and k face slots indexed mod k, and
 crossing from slot i to slot i' multiplies on the right by that letter to the
 power i'-i.  Each vertex carries a chart of the faces around it into its
-vertex group, and its inverse, from chart value to face.  Growth saturates
-open edges, and the charts say at creation time what each slot needs, so a
-face, edge or vertex is made only where no chart knows it (the
+vertex group, and its inverse, from chart value to face.  Growth takes the
+faces in the order they are made, and each saturates the edges it made.
+The charts say at creation time what each slot needs, so a face, edge or
+vertex is made only where no chart knows it (the
 define-versus-deduce choice of coset enumeration, Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, ch. 5).  Growth is this one pass:
 every face, edge and vertex is made once and never merged.
@@ -32,9 +33,12 @@ faces of least distance at a vertex are pairwise adjacent, and C4, the
 distance of a face at a vertex is the least distance there plus its distance
 in the vertex's link from those minimal faces.
 
-1. By induction, round n saturates exactly the open edges that carry a face
-   at distance n - 1.  At that point every face at distance n - 1 or less
-   is present exactly once, with `f_prov` equal to its true distance.
+1. Faces are taken in the order they are made, which by induction is in
+   order of distance: the faces at distance n - 1 saturate the edges they
+   made, exactly the edges whose least face is at distance n - 1, and make
+   the faces at distance n.  When the first face at
+   distance n - 1 is taken, every face at distance n - 1 or less is present
+   exactly once, with `f_prov` equal to its true distance.
 2. Every present face at a vertex is in that vertex's chart.  So a new face
    F, made in slot j of edge ab, is truly new.  F's other edge at a or b
    exists exactly when some face on it is present, and `_known_edge` then
@@ -52,8 +56,8 @@ Why one layer of budget is enough.  Take a face F at distance d below the
 budget B, so d <= B - 1.  Everything growth needs to get F right lies
 within B:
 
-- Its distance.  Round d makes F from an edge whose least face is at
-  d - 1, and by step 1 that is F's true distance.
+- Its distance.  F is made from an edge whose least face is at d - 1,
+  and by step 1 that is F's true distance.
 - Its edges.  The faces on one edge are pairwise adjacent, so those on an
   edge of F lie at d - 1, d or d + 1 <= B.  Faces are made in order of
   distance, so the first one made there is at d or less, below the
@@ -123,12 +127,11 @@ duplicate edges and vertices.  At k = 5, f155_333
 vertices, where the full budget gives 8,013 and 3,435.  At k <= 3 the two
 budgets give equal bytes on all five samples at every radius from 0 to 11
 (d333), 15 (d244), 19 (d236), 7 (d444) and 3 (f21_333).
-
-The open edges are kept as a frontier in ascending order, so a round scans
-only those.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .development import Development, DevelopmentError, trust_margin
 from .groups import LETTER_TYPES, VERTEX_LETTERS, TriangleGroupSpec, npc_check
@@ -137,10 +140,11 @@ from .groups import LETTER_TYPES, VERTEX_LETTERS, TriangleGroupSpec, npc_check
 class _Grower:
     """Growth state; finalize() emits the canonical Development.
 
-    The columns are flat: face f's edge, slot and corner for letter or vertex
-    type t are f_edge[3*f + t], f_slot[3*f + t] and f_vert[3*f + t]; edge e's
-    k slots are e_slots[k*e:k*e + k] and its ends e_ends[2*e:2*e + 2].  Every
-    face, edge and vertex allocated is kept."""
+    The columns are flat: face f's edge, slot, corner and element for letter
+    or vertex type t are f_edge[3*f + t], f_slot[3*f + t], f_vert[3*f + t]
+    and f_elem[3*f + t], the element being f's value in the chart of its
+    type-t vertex; edge e's k slots are e_slots[k*e:k*e + k] and its ends
+    e_ends[2*e:2*e + 2].  Every face, edge and vertex allocated is kept."""
 
     def __init__(self, spec: TriangleGroupSpec):
         self.verdict = npc_check(spec)
@@ -163,6 +167,7 @@ class _Grower:
         self.f_edge: list[int] = []
         self.f_slot: list[int] = []
         self.f_vert: list[int] = []
+        self.f_elem: list[int] = []
         self.f_prov: list[int] = []
 
         self.e_letter: list[int] = []
@@ -170,10 +175,7 @@ class _Grower:
         self.e_ends: list[int] = []
 
         self.v_type: list[int] = []
-        self.v_chart: list[dict[int, int]] = []
         self.v_inv: list[dict[int, int]] = []  # chart value -> the face holding it
-        # open edges, ascending; each round drops the full ones
-        self.frontier: list[int] = []
 
         self._seed()
 
@@ -184,6 +186,7 @@ class _Grower:
         self.f_edge += (-1, -1, -1)
         self.f_slot += (-1, -1, -1)
         self.f_vert += (-1, -1, -1)
+        self.f_elem += (-1, -1, -1)
         self.f_prov.append(prov)
         return f
 
@@ -192,15 +195,14 @@ class _Grower:
         self.e_letter.append(letter)
         self.e_slots += [-1] * self.k
         self.e_ends += (a, b)
-        self.frontier.append(e)
         return e
 
     def _new_vertex(self, vtype: int, face: int) -> int:
-        """A vertex charted at its one face."""
+        """A vertex charted at its one face, which holds the identity."""
         v = len(self.v_type)
         self.v_type.append(vtype)
-        self.v_chart.append({face: 0})
         self.v_inv.append({0: face})
+        self.f_elem[3 * face + vtype] = 0
         return v
 
     def _attach(self, face: int, letter: int, edge: int, slot: int) -> None:
@@ -218,28 +220,34 @@ class _Grower:
 
     # -- growth ------------------------------------------------------------
 
-    def _saturate_edge(self, e: int, seed: int, js: int, budget: int) -> None:
-        """Fill e's empty slots.  seed, in slot js, is a face on e of least
-        distance.  Crossed to an empty slot, seed's chart values at e's ends
-        are those of the face the slot needs, which neither chart may hold
-        yet: a new face at distance one more than seed's is made and charted
-        there."""
+    def _take(self, f: int, budget: int) -> None:
+        """Saturate the edges f holds in slot 0, letter by letter: f made
+        them, so it is their least face and the first one taken."""
+        for x in range(3 * f, 3 * f + 3):
+            if not self.f_slot[x]:
+                self._saturate_edge(self.f_edge[x], budget)
+
+    def _saturate_edge(self, e: int, budget: int) -> None:
+        """Fill e's empty slots upward.  Crossed to slot j, the chart values
+        at e's ends of the face in slot 0 are those of the face slot j needs,
+        which neither chart may hold yet: a new face at distance one more
+        than slot 0's is made and charted there."""
         k, slots = self.k, self.e_slots
+        x = k * e
+        seed = slots[x]
         letter = self.e_letter[e]
         t1, t2 = LETTER_TYPES[letter]
         a, b = self.e_ends[2 * e:2 * e + 2]
         groups = self.spec.vertex_groups
         inv_a, inv_b = self.v_inv[a], self.v_inv[b]
-        row_a = groups[t1].mult[self.v_chart[a][seed]]
-        row_b = groups[t2].mult[self.v_chart[b][seed]]
+        row_a = groups[t1].mult[self.f_elem[3 * seed + t1]]
+        row_b = groups[t2].mult[self.f_elem[3 * seed + t2]]
         pow_a, pow_b = self.pow_of[t1][letter], self.pow_of[t2][letter]
         near = self.f_prov[seed] + 1
-        x = k * e
-        for j in range(k):
+        for j in range(1, k):
             if slots[x + j] != -1:
                 continue
-            p = (j - js) % k
-            va, vb = row_a[pow_a[p]], row_b[pow_b[p]]
+            va, vb = row_a[pow_a[j]], row_b[pow_b[j]]
             h = inv_a.get(va, inv_b.get(vb))
             if h is not None:
                 raise DevelopmentError(f"slot {j} of edge {e} needs face {h}, which is already charted")
@@ -253,10 +261,11 @@ class _Grower:
         t1, t2 = LETTER_TYPES[letter]
         t3 = 3 - t1 - t2
         face = self._new_face(prov)
+        x = 3 * face
         self._attach(face, letter, e, j)
-        self.v_chart[a][face] = va
+        self.f_elem[x + t1] = va
         self.v_inv[a][va] = face
-        self.v_chart[b][face] = vb
+        self.f_elem[x + t2] = vb
         self.v_inv[b][vb] = face
         known = [
             (other, self._known_edge(face, other, t3, a, va, budget) if t1 in LETTER_TYPES[other]
@@ -280,8 +289,8 @@ class _Grower:
                     f"face {face} needs chart value {val} at vertex {c}, which face {held} holds"
                 )
             corners[t3] = c
-            self.v_chart[c][face] = val
-        self.f_vert[3 * face:3 * face + 3] = corners
+            self.f_elem[x + t3] = val
+        self.f_vert[x:x + 3] = corners
         for other, item in known:
             if item is None:
                 o1, o2 = LETTER_TYPES[other]
@@ -326,102 +335,56 @@ class _Grower:
                 f"face {face} at distance {d} meets faces at distances {dists} on edge {e}"
             )
         c = self.f_vert[3 * g + t3]
-        val = self.spec.vertex_groups[t3].mult[self.v_chart[c][g]][self.pow_of[t3][letter][k - q]]
+        val = self.spec.vertex_groups[t3].mult[self.f_elem[3 * g + t3]][self.pow_of[t3][letter][k - q]]
         return i, c, val
 
-    def _saturate_frontier(self, budget: int) -> bool:
-        """One round: saturate every open edge with a face at distance below
-        `budget`, in ascending edge order.  Returns whether any was."""
-        k, slots, prov = self.k, self.e_slots, self.f_prov
-        frontier, self.frontier = self.frontier, []
-        still_open = []
-        saturated = False
-        for e in frontier:
-            near, seed, js = budget, -1, -1
-            full = True
-            x = k * e
-            for j in range(k):
-                f = slots[x + j]
-                if f == -1:
-                    full = False
-                elif prov[f] < near:
-                    near, seed, js = prov[f], f, j
-            if full:
-                continue
-            if near < budget:
-                self._saturate_edge(e, seed, js, budget)
-                saturated = True
-            else:
-                still_open.append(e)
-        still_open += self.frontier
-        self.frontier = still_open
-        return saturated
-
     def grow(self, radius: int) -> None:
+        """Take the faces in the order they are made, while they lie below
+        the budget of radius + margin."""
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         budget = radius + self.margin
-        while self._saturate_frontier(budget):
-            pass
+        prov = self.f_prov
+        f = 0
+        while f < len(prov) and prov[f] < budget:
+            self._take(f, budget)
+            f += 1
 
     # -- finalization ------------------------------------------------------
 
     def finalize(self, radius: int) -> Development:
-        """Number faces breadth first from the base face out to radius +
-        margin - 1, crossing each face's edges letter by letter and each
-        edge's slots upward from the face's own, and the edges of the kept
-        faces in order of first appearance, turned to put each one's first
-        face in slot 0.  `Development.derive_columns` derives the rest, so
-        slots holding a face past that distance read -1.
+        """The first n faces, those out to radius + margin - 1, as the
+        canonical ball: their edges and slots are the grown ones, and
+        `Development.derive_columns` derives the rest, so slots holding a
+        face past that distance read -1.
 
-        The derivation is checked against the growth: a derived vertex joins
-        only corners on a shared edge, so it lies in one grown vertex, and
-        equal counts make the two partitions equal; both charts follow the
-        crossing rule from an identity first face.  So equal vertex counts
-        and distances make the derived ball the grown one; DevelopmentError
-        where not."""
-        k, f_edge, f_slot = self.k, self.f_edge, self.f_slot
-        e_slots = self.e_slots
-        extent = radius + self.margin - 1
-        order: list[int] = [0]
-        seen = {0}
-        dist = [0]
-        # faces are met in breadth-first order, so the first face at the
-        # extent ends the search: it and the faces after it add none
-        for i, f in enumerate(order):
-            d = dist[i] + 1
-            if d > extent:
-                break
-            for x in range(3 * f, 3 * f + 3):
-                ke, jf = k * f_edge[x], f_slot[x]
-                for p in range(1, k + 1):  # the face's own slot last
-                    g = e_slots[ke + (jf + p) % k]
-                    if g != -1 and g not in seen:
-                        seen.add(g)
-                        dist.append(d)
-                        order.append(g)
+        The grown numbering is already canonical.  Faces are made in
+        breadth-first order from the base face: each face is taken after
+        every face made before it, the faces on the edges it did not make
+        were made before it, and it fills the edges it made letter by
+        letter, each upward from slot 0, which it holds.  Edges and
+        vertices are made with their first face, an edge holding it in slot
+        0 and a vertex charting it at the identity.
 
+        The derivation is checked against the growth: its distances,
+        corners, elements and vertex types must be the grown ones;
+        DevelopmentError where not."""
+        n = bisect_right(self.f_prov, radius + self.margin - 1)
         dev = Development(self.spec, radius, self.margin)
-        edge_pos: dict[int, int] = {}
-        edge_rot: list[int] = []
-        for f in order:
-            for x in range(3 * f, 3 * f + 3):
-                e = f_edge[x]
-                n = edge_pos.get(e)
-                if n is None:
-                    n = edge_pos[e] = len(edge_rot)
-                    edge_rot.append(f_slot[x])
-                dev.f_edge.append(n)
-                dev.f_slot.append((f_slot[x] - edge_rot[n]) % k)
+        dev.f_edge, dev.f_slot = self.f_edge[:3 * n], self.f_slot[:3 * n]
         try:
             dev.derive_columns()
         except ValueError as exc:
             raise DevelopmentError(f"the grown faces do not derive a ball: {exc}") from exc
-        grown = len({self.f_vert[x] for f in order for x in range(3 * f, 3 * f + 3)})
-        if len(dev.vert_type) != grown:
-            raise DevelopmentError(f"the derived ball has {len(dev.vert_type)} vertices, the grown one {grown}")
-        if dev.dist != dist:
-            raise DevelopmentError("the derived distances are not the breadth-first ones")
+        f_vert = self.f_vert[:3 * n]
+        for what, derived, grown in (
+            ("distances", dev.dist, self.f_prov[:n]),
+            ("corners", dev.f_vert, f_vert),
+            ("elements", dev.f_elem, self.f_elem[:3 * n]),
+            ("vertex types", dev.vert_type, self.v_type[:max(f_vert) + 1]),
+        ):
+            if derived != grown:
+                raise DevelopmentError(f"the derived {what} are not the grown ones")
         return dev
 
 

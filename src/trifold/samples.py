@@ -5,7 +5,6 @@ of `SAMPLE_BUILDERS` over the two group families."""
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from .groups import FiniteGroup, TriangleGroupSpec
 
@@ -80,8 +79,7 @@ def load_sample(name: str) -> TriangleGroupSpec:
     return builder(name, *args)
 
 
-def write_sample(name: str, path: str | Path) -> Path:
-    path = Path(path)
+def write_sample(name: str, path: str) -> None:
     doc = load_sample(name).to_document()
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    return path
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")

@@ -468,6 +468,15 @@ def _faces_out_of_order(doc):
     _renumbered(doc, edges, slots)
 
 
+def _first_faces_swapped(doc):
+    """Faces 1 and 2 trade places.  Both are met from face 0 at distance 1,
+    so distances still never decrease, but face 0 crosses to face 2 first."""
+    edges, slots = list(doc["face_edges"]), list(doc["face_slots"])
+    for column in edges, slots:
+        column[3:6], column[6:9] = column[6:9], column[3:6]
+    _renumbered(doc, edges, slots)
+
+
 def _parent_edges_cut(doc):
     """The first face at distance 5 takes new edges in place of those it
     shares with faces at distance 4."""
@@ -581,13 +590,15 @@ def _edges_renumbered(doc):
 # development documents whose face edges and slots cannot be a ball, and the
 # check of the derivation that refuses each: a face lies past the kept extent
 # or short of it, a face has no earlier neighbour as far as the face before
-# it, the two edges at a corner disagree, or a chart repeats an element
+# it, the two edges at a corner disagree, a chart repeats an element, or the
+# faces are out of breadth-first order
 DERIVATION_FAULTS = {
     _past_extent: "face_edges: a face lies past radius + margin - 1 = 12",
     _last_layer_dropped: "radius: the faces reach distance 11, short of radius + margin - 1 = 12",
     _second_base_face: "face_edges: face 1 has no earlier neighbour at distance 0 or more",
     _last_face_detached: "face_edges: face 234 has no earlier neighbour at distance 11 or more",
     _faces_out_of_order: "face_edges: face 4 has no earlier neighbour at distance 1 or more",
+    _first_faces_swapped: "face_edges: face 2 is out of breadth-first order",
     _parent_edges_cut: "face_edges: face 31 has no earlier neighbour at distance 3 or more",
     _edges_traded: "face_edges: edges 9 and 13 of face 10 disagree on its V1 corner",
     _element_disagrees: "face_edges: edges 19 and 17 of face 17 disagree on its V1 corner",

@@ -77,14 +77,22 @@ def _farther_last_face(dev):
     dev.dist[-1] += 1
 
 
+def _elements_swapped(dev):
+    """Faces 0 and 1 trade their elements at a vertex they share."""
+    t = next(t for t in range(3) if dev.f_vert[t] == dev.f_vert[3 + t])
+    dev.f_elem[t], dev.f_elem[3 + t] = dev.f_elem[3 + t], dev.f_elem[t]
+
+
 @pytest.mark.parametrize(
     "fault, message",
-    [(_spare_vertex, "the derived ball has 49 vertices, the grown one 48"),
-     (_farther_last_face, "the derived distances are not the breadth-first ones")],
+    [(_spare_vertex, "the derived vertex types are not the grown ones"),
+     (_farther_last_face, "the derived distances are not the grown ones"),
+     (_elements_swapped, "the derived elements are not the grown ones")],
 )
 def test_finalize_checks_the_derivation_against_growth(monkeypatch, fault, message):
-    """A derivation that mints a spare vertex or moves a face, unseen by its
-    own checks, is refused when the ball is finalized."""
+    """A derivation that mints a spare vertex, moves a face or swaps two
+    faces in a chart, unseen by its own checks, is refused when the ball is
+    finalized."""
     derive = Development.derive_columns
 
     def faulty(dev):
@@ -1054,39 +1062,48 @@ def _fresh_distances(grower):
 
 
 def _checked_build(spec, radius):
-    """The ball's bytes and its number of rounds, checking before each
-    round and after the last that every face grown is reached from the base
-    face and that its distance is its breadth-first distance."""
+    """The ball's bytes and its number of checks, one before the first face
+    of each layer is taken and one after growth, each that every face grown
+    is reached from the base face and that its distance is its breadth-first
+    distance."""
     grower = _Grower(spec)
-    rounds = []
-    scan = grower._saturate_frontier
+    checks = []
+    take = grower._take
 
     def check():
         fresh = _fresh_distances(grower)
         faces = range(len(grower.f_prov))
-        assert sorted(fresh) == list(faces), (spec.name, radius, len(rounds))
+        assert sorted(fresh) == list(faces), (spec.name, radius, len(checks))
         wrong = [f for f in faces if grower.f_prov[f] != fresh[f]]
-        assert not wrong, (spec.name, radius, len(rounds), wrong[:5])
-        rounds.append(1)
+        assert not wrong, (spec.name, radius, len(checks), wrong[:5])
+        checks.append(1)
 
-    def checked_scan(budget):
-        check()
-        return scan(budget)
+    def checked_take(f, budget):
+        if f == 0 or grower.f_prov[f] != grower.f_prov[f - 1]:
+            check()
+        take(f, budget)
 
-    grower._saturate_frontier = checked_scan
+    grower._take = checked_take
     grower.grow(radius)
     check()
-    return development_to_json(grower.finalize(radius)), len(rounds)
+    return development_to_json(grower.finalize(radius)), len(checks)
+
+
+def _assert_one_check_per_pass(checks, passes):
+    """Growth to budget B takes B layers, and so makes B + 1 checks; the
+    reference makes B + 2 passes, the last one finding no edge to
+    saturate."""
+    assert checks == passes - 1
 
 
 @pytest.mark.parametrize("name", ["d236", "d244", "d333", "d444", "f21_333"])
 def test_grower_matches_reference_at_small_radii(name):
     spec = load_sample(name)
     for radius in range(4):
-        fast, rounds = _checked_build(spec, radius)
+        fast, checks = _checked_build(spec, radius)
         slow, passes = _reference_build(spec, radius)
         assert fast == slow, (name, radius)
-        assert rounds == passes, (name, radius)
+        _assert_one_check_per_pass(checks, passes)
 
 
 REFERENCE_BALLS = [("d333", 11), ("d244", 15), ("d236", 30), ("d444", 8), ("f21_333", 4)]
@@ -1094,12 +1111,12 @@ REFERENCE_BALLS = [("d333", 11), ("d244", 15), ("d236", 30), ("d444", 8), ("f21_
 
 @pytest.mark.parametrize("name, radius", REFERENCE_BALLS)
 def test_grower_matches_reference_with_exact_distances(name, radius):
-    """Equal bytes, and the same rounds with every provisional distance
-    exact in each (17, 22, 39, 15 and 10 checks in order)."""
-    fast, rounds = _checked_build(load_sample(name), radius)
+    """Equal bytes, with every provisional distance exact at each layer
+    (16, 21, 38, 14 and 9 checks in order)."""
+    fast, checks = _checked_build(load_sample(name), radius)
     dev, passes = _reference_sample(name, radius)
     assert fast == development_to_json(_drop_ring(dev))
-    assert rounds == passes
+    _assert_one_check_per_pass(checks, passes)
 
 
 def f155_333() -> TriangleGroupSpec:
@@ -1152,14 +1169,14 @@ def f21_f21_f39() -> TriangleGroupSpec:
     ids=["d237", "d345", "f21_f21_f39"],
 )
 def test_grower_matches_reference_beyond_the_samples(make, radius):
-    """Equal bytes and rounds, with every distance exact in each, on a
+    """Equal bytes, with every distance exact at each layer, on a
     hyperbolic triangle of half-girth 2, one with every half-girth above 2, and a spec
     that mixes vertex groups."""
     spec = make()
-    fast, rounds = _checked_build(spec, radius)
+    fast, checks = _checked_build(spec, radius)
     slow, passes = _reference_build(spec, radius)
     assert fast == slow
-    assert rounds == passes
+    _assert_one_check_per_pass(checks, passes)
 
 
 def f39_333() -> TriangleGroupSpec:
@@ -1217,7 +1234,8 @@ def test_sabotaged_deduction_raises(name):
 def test_grower_allocates_only_what_it_keeps(name, radius, kept):
     """The grower allocates exactly the faces, edges and vertices it keeps:
     every face is reached from the base face, every edge holds a face, and
-    every vertex is a corner of one."""
+    every vertex is a corner of one.  The faces the ball keeps are the first
+    ones grown, with the grown columns as they are."""
     grower = _Grower(load_sample(name))
     grower.grow(radius)
     faces = range(len(grower.f_prov))
@@ -1225,6 +1243,14 @@ def test_grower_allocates_only_what_it_keeps(name, radius, kept):
     assert len(_fresh_distances(grower)) == len(faces)
     assert {grower.f_edge[x] for x in range(3 * len(faces))} == set(range(len(grower.e_letter)))
     assert set(grower.f_vert) == set(range(len(grower.v_type)))
+    dev = grower.finalize(radius)
+    n = dev.face_count
+    assert dev.dist == grower.f_prov[:n]
+    for column in ("f_edge", "f_slot", "f_vert", "f_elem"):
+        assert getattr(dev, column) == getattr(grower, column)[:3 * n], column
+    assert dev.edge_letter == grower.e_letter[:len(dev.edge_letter)]
+    assert dev.edge_ends == grower.e_ends[:len(dev.edge_ends)]
+    assert dev.vert_type == grower.v_type[:len(dev.vert_type)]
 
 
 @pytest.mark.parametrize(

@@ -103,8 +103,10 @@ def test_only_the_spec_constructor_calls_validate():
 
 
 # imported by dataclasses or typing, or by fractions, which none of the CLI
-# modules needs to load a spec or a ball
-STARTUP_EXCLUDED = ("dataclasses", "inspect", "typing", "fractions", "decimal")
+# modules needs to load a spec or a ball, or by pathlib, where os.path and
+# open serve
+STARTUP_EXCLUDED = ("dataclasses", "inspect", "typing", "fractions", "decimal",
+                    "pathlib", "urllib", "ipaddress")
 # the modules whose work is exact rational arithmetic
 RATIONAL_MODULES = {"curvature.py", "oracle.py", "rings.py"}
 

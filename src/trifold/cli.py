@@ -121,7 +121,7 @@ def cmd_build(args) -> int:
         "half_girths": [None if r is math.inf else int(r) for r in verdict.half_girths],
         "verdict": verdict.kind,
         "delta": spec.delta,
-        "link_diameters": [l.diameter for l in spec.local_links()],
+        "link_diameters": spec.link_diameters,
         "sphere_sizes": dev.sphere_sizes,
         "cone_type_count": None,
         "stabilization_radius": None,

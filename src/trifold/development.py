@@ -89,12 +89,11 @@ class Development:
     appearance, each edge's first face holds its slot 0 and each vertex's
     first face is the identity of its chart.  The grower makes faces, edges
     and vertices in this order.  Distances are trusted out to `radius`.
-    `margin` is the grower's, 1 + delta: one layer of trust budget, which
-    fixes the distance, edges and corners of every face out to `radius`,
-    and delta layers of reach, which keep the stars around the vertices of
-    trusted faces (see `grower.py`).  The grower grew the ball to radius +
-    margin and kept the faces out to radius + margin - 1, the farthest any
-    reader goes, so every face here is at most that far from the base
+    `margin` is the grower's, 1 + delta.  The grower makes the faces out to
+    radius + margin - 1 = radius + delta and keeps them all: the delta
+    layers past `radius` are reach, which keep the stars around the
+    vertices of trusted faces and are the farthest any reader goes (see
+    `grower.py`), so every face here is at most that far from the base
     face.
     """
 
@@ -148,7 +147,13 @@ class Development:
         slot-0 face and j the face's slot there: g is the face's least
         neighbour, the one it is met from, and (letter, j) when it is met.
         The keys must increase; a face out of order is named only after the
-        pass, so that any other fault is named first."""
+        pass, so that any other fault is named first.
+
+        The order check alone would refuse every ball the distance check
+        refuses, since a face with no earlier neighbour has key -1.  The
+        distance check stays for its message: it names the misplaced face as
+        it is met, where without it the pass runs on and a later face, whose
+        corners the misplaced one put wrong, is named instead."""
         k, f_edge, f_slot = self.k, self.f_edge, self.f_slot
         groups = self.spec.vertex_groups
         # per letter, its types t1 and t2 and, at each end of its edges, the
@@ -440,7 +445,8 @@ DEVELOPMENT_FORMAT = "trifold-development/6"
 
 
 def trust_margin(spec: TriangleGroupSpec) -> int:
-    """1 + delta, how far past its trusted radius a ball is grown (see grower.py)."""
+    """1 + delta: a ball is grown, and kept, out to radius + margin - 1 =
+    radius + delta (see grower.py)."""
     return 1 + spec.delta
 
 

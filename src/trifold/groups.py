@@ -380,9 +380,14 @@ class TriangleGroupSpec:
         ]
 
     @cached_property
+    def link_diameters(self) -> tuple[int, int, int]:
+        """The diameters of the three local links."""
+        return tuple(link.diameter for link in self.local_links())
+
+    @cached_property
     def delta(self) -> int:
         """The largest local-link diameter."""
-        return max(link.diameter for link in self.local_links())
+        return max(self.link_diameters)
 
     @cached_property
     def half_girths(self) -> tuple[float, float, float]:

@@ -21,10 +21,8 @@ every face, edge and vertex is made once and never merged.
   shares with each other edge, a charted face in the same coset of that
   letter's generator lies on that edge, and the new face goes in the slot
   the crossing rule gives, with its third corner and chart value there
-  taken from the found face.  This is done only when the edge holds a face
-  below the budget; edges of the outer layer, whose faces are all at the
-  budget, are left alone.  Where no edge is found, the edge, or the third
-  corner, is made fresh.
+  taken from the found face.  Where no edge is found, the edge, or the
+  third corner, is made fresh.
 
 Why this is complete.  It rests on two of the paper's local facts about the
 development of a nonpositively curved k-fold triangle of groups, which the
@@ -47,34 +45,31 @@ in the vertex's link from those minimal faces.
    If F is not minimal at c, a neighbour of F across ac or bc lies at
    distance n - 1 and is present.  If F is minimal at c, then G is minimal
    too, and by C1 G is adjacent to F across ac or bc.  The development is
-   CAT(0), so two vertices span at most one edge.  Either way, c is found
-   whenever F lies below the budget.
-4. At the budget layer, the fresh edges and corners belong only to faces at
-   the budget.  Those faces lie past the stored extent (below).
+   CAT(0), so two vertices span at most one edge.  Either way, c is found.
 
-Why one layer of budget is enough.  Take a face F at distance d below the
-budget B, so d <= B - 1.  Everything growth needs to get F right lies
-within B:
+Why growth needs no face past the ones it keeps.  Take a face F at distance
+d.  Everything growth needs to get F right lies no farther from the base
+face than F:
 
 - Its distance.  F is made from an edge whose least face is at d - 1,
   and by step 1 that is F's true distance.
 - Its edges.  The faces on one edge are pairwise adjacent, so those on an
-  edge of F lie at d - 1, d or d + 1 <= B.  Faces are made in order of
-  distance, so the first one made there is at d or less, below the
-  budget, and each later one finds the edge through it (step 2): the edge
-  is made once.
+  edge of F lie at d - 1, d or d + 1.  Faces are made in order of
+  distance, so the first one made there is at d or less, and each later
+  one finds the edge through it (step 2): the edge is made once.
 - Its corners.  By C4, at a corner v of F, least distance m there, F lies
   at link distance d - m from the minimal faces at v.  So a link geodesic
   from a minimal face to F runs through faces at m, m + 1, ..., d, each
-  sharing an edge at v with the next.  All lie below the budget, so by
-  step 3 each finds v from the one before it, and the first from the
-  minimal faces already at v (C1).  F's corner v is the vertex all of
-  them are charted at.
+  sharing an edge at v with the next.  By step 3 each finds v from the one
+  before it, and the first from the minimal faces already at v (C1).  F's
+  corner v is the vertex all of them are charted at.
 
-So a budget of radius + 1 already fixes the distance, edges and corners of
-every face out to radius.  tests/test_development.py checks that such a
-budget keeps the trusted face columns on the five samples and on five
-specs beyond them.
+So growth that takes the faces below an extent E makes every face out to E,
+each with its distance, edges and corners, and the faces at E are the last
+it makes.  tests/test_development.py checks that growing one layer more
+changes no byte out to the stored extent, and that growing to the radius
+alone keeps the trusted face columns, on the five samples and on specs
+beyond them.
 
 Each identification the argument rules out raises `DevelopmentError`,
 naming its face, edge or vertex: a slot whose face is already charted, a
@@ -86,17 +81,11 @@ tests/test_development.py checks the bytes against an independent grower
 that makes every face fresh and folds duplicates away, and checks that
 switching off the edge deduction raises on every sample.
 
-The margin, one more than delta, the largest local-link diameter, is two
-parts, and growth runs within radius + margin:
-
-- One layer of trust budget, which by the argument above fixes the
-  distance, edges and corners of every face below it.
-- Delta layers of reach: how far past a trusted face a reader looks.  The
-  stored extent, radius + margin - 1 = radius + delta, keeps the stars
-  around the vertices of trusted faces.
-
-The finalized ball, which `build` also writes, keeps only the faces out to
-the stored extent, since no reader goes farther:
+The margin is one more than delta, the largest local-link diameter, and
+growth makes the faces out to the stored extent, radius + margin - 1 =
+radius + delta: delta layers of reach, how far past a trusted face a reader
+looks.  The finalized ball, which `build` also writes, keeps every face
+grown, since no reader goes farther:
 
 - The trusted ball, and the interior vertices whose faces are all trusted,
   lie within radius.
@@ -106,32 +95,19 @@ the stored extent, since no reader goes farther:
   such star reaches radius + delta (tests/test_development.py), so the
   extent is tight: dropping one more layer would cut stars that are whole
   today.
-- A face at radius + margin is at least delta + 1 steps from every trusted
-  face.  The fellow-traveller check's breadth-first searches start at
-  trusted faces and stop at delta + 1 steps, so they would meet such a face
-  only as a leaf at the cap, and no query asks for one.
+- A face at radius + margin, which is not grown, is at least delta + 1
+  steps from every trusted face.  The fellow-traveller check's
+  breadth-first searches start at trusted faces and stop at delta + 1
+  steps, so they would meet such a face only as a leaf at the cap, and no
+  query asks for one.
 - Catacomb galleries are capped at the pair distance plus twice the margin
   faces, which is no bound inside radius + delta, and none is proved here.
-  Every gallery result is checked to be the same with the outer layer kept
-  and dropped, at pair radii 1 to 3 on d333 and d444 and 1 to 2 on f21_333
-  (the half-girth-2 samples gate catacomb off).
-
-The outer layer at radius + margin is grown but never stored, and it still
-cannot go: the stored extent must stay one layer below the budget.  The
-argument above holds only for faces below the budget.  Two faces at the
-budget that share an edge or a corner, with no face below the budget
-there, each get a fresh one (step 4), so a stored budget layer would hold
-duplicate edges and vertices.  At k = 5, f155_333
-(tests/test_development.py) grown at radius 0 to radius + delta keeps its
-4,579 faces and their distances but ends with 8,445 edges and 3,867
-vertices, where the full budget gives 8,013 and 3,435.  At k <= 3 the two
-budgets give equal bytes on all five samples at every radius from 0 to 11
-(d333), 15 (d244), 19 (d236), 7 (d444) and 3 (f21_333).
+  Every gallery result is checked to be the same with and without the
+  layer at radius + margin, at pair radii 1 to 3 on d333 and d444 and 1 to
+  2 on f21_333 (the half-girth-2 samples gate catacomb off).
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 from .development import Development, DevelopmentError, trust_margin
 from .groups import LETTER_TYPES, VERTEX_LETTERS, TriangleGroupSpec, npc_check
@@ -220,14 +196,14 @@ class _Grower:
 
     # -- growth ------------------------------------------------------------
 
-    def _take(self, f: int, budget: int) -> None:
+    def _take(self, f: int) -> None:
         """Saturate the edges f holds in slot 0, letter by letter: f made
         them, so it is their least face and the first one taken."""
         for x in range(3 * f, 3 * f + 3):
             if not self.f_slot[x]:
-                self._saturate_edge(self.f_edge[x], budget)
+                self._saturate_edge(self.f_edge[x])
 
-    def _saturate_edge(self, e: int, budget: int) -> None:
+    def _saturate_edge(self, e: int) -> None:
         """Fill e's empty slots upward.  Crossed to slot j, the chart values
         at e's ends of the face in slot 0 are those of the face slot j needs,
         which neither chart may hold yet: a new face at distance one more
@@ -251,9 +227,9 @@ class _Grower:
             h = inv_a.get(va, inv_b.get(vb))
             if h is not None:
                 raise DevelopmentError(f"slot {j} of edge {e} needs face {h}, which is already charted")
-            self._make_face(e, j, near, budget, a, va, b, vb)
+            self._make_face(e, j, near, a, va, b, vb)
 
-    def _make_face(self, e: int, j: int, prov: int, budget: int, a: int, va: int, b: int, vb: int) -> None:
+    def _make_face(self, e: int, j: int, prov: int, a: int, va: int, b: int, vb: int) -> None:
         """A new face in slot j of e, charted at e's ends a and b with values
         va and vb.  Its other edges and its third corner are taken from the
         charts where `_known_edge` finds them, and made fresh where not."""
@@ -268,8 +244,8 @@ class _Grower:
         self.f_elem[x + t2] = vb
         self.v_inv[b][vb] = face
         known = [
-            (other, self._known_edge(face, other, t3, a, va, budget) if t1 in LETTER_TYPES[other]
-             else self._known_edge(face, other, t3, b, vb, budget))
+            (other, self._known_edge(face, other, t3, a, va) if t1 in LETTER_TYPES[other]
+             else self._known_edge(face, other, t3, b, vb))
             for other in range(3) if other != letter
         ]
         corners = [-1, -1, -1]
@@ -298,14 +274,13 @@ class _Grower:
             else:
                 self._attach(face, other, item[0] // self.k, item[0] % self.k)
 
-    def _known_edge(self, face: int, letter: int, t3: int, u: int, value: int, budget: int):
+    def _known_edge(self, face: int, letter: int, t3: int, u: int, value: int):
         """The existing edge of `letter` at vertex u for the new face `face`,
         with chart value `value` there, or None.  The chart at u holds a face
         on that edge if it holds one in value's coset of the letter's
-        generator.  The edge is taken only when it holds a face below the
-        budget; edges of the outer layer are left open.  Returns the edge's
-        slot index for the new face, the third corner of type t3 as the found
-        face has it, and the new face's chart value there."""
+        generator.  Returns the edge's slot index for the new face, the third
+        corner of type t3 as the found face has it, and the new face's chart
+        value there."""
         k, slots, prov = self.k, self.e_slots, self.f_prov
         tu = self.v_type[u]
         row = self.spec.vertex_groups[tu].mult[value]
@@ -327,8 +302,6 @@ class _Grower:
                 f"face {face} needs slot {i - k * e} of edge {e}, which face {slots[i]} holds"
             )
         dists = [prov[f] for f in slots[k * e:k * e + k] if f != -1]
-        if min(dists) >= budget:
-            return None
         d = prov[face]
         if not d - 1 <= min(dists) <= max(dists) <= d + 1:
             raise DevelopmentError(
@@ -340,23 +313,23 @@ class _Grower:
 
     def grow(self, radius: int) -> None:
         """Take the faces in the order they are made, while they lie below
-        the budget of radius + margin."""
+        the stored extent of radius + margin - 1, so that every face out to
+        the extent is made and none past it."""
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        budget = radius + self.margin
+        extent = radius + self.margin - 1
         prov = self.f_prov
         f = 0
-        while f < len(prov) and prov[f] < budget:
-            self._take(f, budget)
+        while f < len(prov) and prov[f] < extent:
+            self._take(f)
             f += 1
 
     # -- finalization ------------------------------------------------------
 
     def finalize(self, radius: int) -> Development:
-        """The first n faces, those out to radius + margin - 1, as the
-        canonical ball: their edges and slots are the grown ones, and
-        `Development.derive_columns` derives the rest, so slots holding a
-        face past that distance read -1.
+        """Every grown face, out to radius + margin - 1, as the canonical
+        ball: it takes the grown edges and slots, and
+        `Development.derive_columns` derives the rest.
 
         The grown numbering is already canonical.  Faces are made in
         breadth-first order from the base face: each face is taken after
@@ -369,19 +342,17 @@ class _Grower:
         The derivation is checked against the growth: its distances,
         corners, elements and vertex types must be the grown ones;
         DevelopmentError where not."""
-        n = bisect_right(self.f_prov, radius + self.margin - 1)
         dev = Development(self.spec, radius, self.margin)
-        dev.f_edge, dev.f_slot = self.f_edge[:3 * n], self.f_slot[:3 * n]
+        dev.f_edge, dev.f_slot = self.f_edge, self.f_slot
         try:
             dev.derive_columns()
         except ValueError as exc:
             raise DevelopmentError(f"the grown faces do not derive a ball: {exc}") from exc
-        f_vert = self.f_vert[:3 * n]
         for what, derived, grown in (
-            ("distances", dev.dist, self.f_prov[:n]),
-            ("corners", dev.f_vert, f_vert),
-            ("elements", dev.f_elem, self.f_elem[:3 * n]),
-            ("vertex types", dev.vert_type, self.v_type[:max(f_vert) + 1]),
+            ("distances", dev.dist, self.f_prov),
+            ("corners", dev.f_vert, self.f_vert),
+            ("elements", dev.f_elem, self.f_elem),
+            ("vertex types", dev.vert_type, self.v_type),
         ):
             if derived != grown:
                 raise DevelopmentError(f"the derived {what} are not the grown ones")

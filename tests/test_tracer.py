@@ -24,12 +24,14 @@ def _traced(tmp_path, run_id, *argv):
 
 
 def test_tracer_runs_build_and_verify(tmp_path):
-    """The tracer wraps the names it reads off the trifold modules, and the
-    work counters it takes from finalize's ball match the ball built."""
+    """The tracer wraps the names it reads off the trifold modules, the work
+    counters it takes from finalize's ball match the ball built, and a build
+    makes the local links once."""
     ball = tmp_path / "d333"
     build = _traced(tmp_path, "build", "build", "d333", "--radius", "2", "--out", str(ball))
     dev = _load_devdir(str(ball))
     counts = build["counts"]
+    assert counts["groups.local_links_calls"] == 1
     assert counts["development.faces_built"] == dev.face_count
     assert counts["development.edges"] == len(dev.edge_letter)
     assert counts["development.vertices"] == len(dev.vert_type)

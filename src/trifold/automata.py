@@ -3,11 +3,13 @@
 States start from cone-type signatures (all-geodesic machine) or from the
 prefix tree of lex-first words (lex machine) and are merged or split by
 horizon-limited residual refinement: two nodes land in one state only when
-the residual behavior they can both exhibit inside the ball agrees, and the
-construction certifies itself by requiring the machines built at consecutive
-radii to be isomorphic.  For specs whose half-girths are all at least 3 the
-refinement of signatures is trivial, so the states of the all-geodesic
-machine are exactly the cone types.
+the residual behavior they can both exhibit inside the ball agrees.  For
+specs whose half-girths are all at least 3 the refinement of signatures
+stops at level 0, the machine is the closed signature table, and that one
+build certifies it at every length.  At a half-girth of 2, and for the lex
+machine, the construction certifies itself by requiring the machines built
+at consecutive radii to be isomorphic.  Either way the states of the
+minimized all-geodesic machine are exactly the cone types.
 """
 
 from __future__ import annotations
@@ -249,14 +251,16 @@ def minimize(a: GeodesicAutomaton) -> GeodesicAutomaton:
 # -- shared refinement machinery -------------------------------------------------
 
 
-def _refine_to_machine(kind, dev, radius, children, seed_cls, metadata):
+def _refine_to_machine(kind, dev, radius, children, seed_cls, metadata, max_level=None):
     """Horizon-limited residual refinement over the faces within radius.
 
     A face's depth is its distance, children[f] maps symbol index to the child
     face, seed_cls[f] is the starting class.  Nodes merge only while every
     residual either can see agrees; refinement stops at the first level whose
     partition repeats on the still-visible domain, and every transition target
-    must itself be a state, otherwise the radius is declared too small.
+    must itself be a state, otherwise the radius is declared too small.  A
+    partition that still splits at level max_level is a fault, for there the
+    classes must already determine the successors.
     """
     n_sym = dev.symbol_count
     cls = dict(seed_cls)
@@ -284,6 +288,11 @@ def _refine_to_machine(kind, dev, radius, children, seed_cls, metadata):
         # exactly when they have as many classes
         if len(keys) == len({cls[f] for f in domain}):
             break
+        if level == max_level:
+            raise AutomatonError(
+                f"{kind}: successor rows INCOHERENT within radius {radius}: the classes "
+                f"of refinement level {level} do not determine the successors"
+            )
         cls = new_cls
         level += 1
 
@@ -302,12 +311,12 @@ def _refine_to_machine(kind, dev, radius, children, seed_cls, metadata):
             child = children[f].get(s)
             if child is None:
                 continue
-            target_cls = cls[child]
-            if target_cls not in state_of_class:
+            if cls[child] not in state_of_class:
                 raise InsufficientRadiusError(
-                    f"{kind}: a frontier-only state appeared; radius too small"
+                    f"{kind}: the child of face {f} on {dev.symbols[s].name()} has no "
+                    f"state at radius {radius}; radius too small"
                 )
-            transitions[q][s] = state_of_class[target_cls]
+            transitions[q][s] = state_of_class[cls[child]]
     for f in domain:
         q = state_of_class[cls[f]]
         for s in range(n_sym):
@@ -339,25 +348,33 @@ def _geodesic_machine_once(dev: Development, radius: int) -> GeodesicAutomaton:
             if g is not None and dev.final[g] and dev.dist[g] == dev.dist[f] + 1:
                 row[s] = g
         children[f] = row
-    machine = _refine_to_machine(
+    # with every half-girth at least 3 the signatures determine the successors
+    return _refine_to_machine(
         "all-geodesics", dev, radius, children, seed,
         {"signature_count": len(sig_ids)},
+        max_level=0 if min(dev.spec.half_girths) >= 3 else None,
     )
-    return machine
 
 
 def build_geodesic_automaton(dev: Development, radius: int) -> GeodesicAutomaton:
-    """Machine accepting exactly the geodesic words, states from cone types.
+    """Machine accepting exactly the geodesic words; minimized, its states are
+    the cone types.
 
-    The machine built one radius earlier must be isomorphic, which is the
-    stabilization certificate; the metadata records both the signature count
-    and the refinement level (zero whenever signatures determine successors).
+    With every half-girth at least 3 a face's signature determines its cone
+    type, so the machine must close at refinement level 0, and a level above
+    it is a fault.  It is then a closed signature table: every successor of a
+    signature is again a signature, and by induction on word length the
+    machine is right at every length, so that one build is the certificate.
+    At a half-girth of 2 closure proves nothing, and the machine built one
+    radius earlier must be isomorphic.  The metadata records the signature
+    count, the refinement level and the certified radius.
     """
     if radius < 2:
         raise InsufficientRadiusError("need radius at least 2 for a certificate")
     current = _geodesic_machine_once(dev, radius)
-    previous = _geodesic_machine_once(dev, radius - 1)
-    if current.canonical_form() != previous.canonical_form():
+    if min(dev.spec.half_girths) < 3 and (
+        current.canonical_form() != _geodesic_machine_once(dev, radius - 1).canonical_form()
+    ):
         raise InsufficientRadiusError(
             "geodesic machine not stable between consecutive radii; radius too small"
         )

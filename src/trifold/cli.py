@@ -20,7 +20,6 @@ from .groups import GroupError, TriangleGroupSpec, load_triangle_spec_file, npc_
 from .samples import REFLECTION_SAMPLES, SAMPLE_BUILDERS, load_sample, sample_names, write_sample
 from .development import (
     Development,
-    InsufficientRadiusError,
     VerificationError,
     development_to_json,
     import_development,
@@ -197,56 +196,46 @@ def _suite_conetypes(dev: Development, depth: int) -> Verdict:
     table_radius = dev.radius - dev.spec.delta
     if table_radius < 2:
         return Verdict("skip", "ball too small for cone tables")
-    from .cones import enumerate_cone_types, signature_counts, verify_cone_determination
+    # cone types are the states of the minimized all-geodesics machine; at
+    # refinement level 0 its states are the signatures, and only then does
+    # the radius where the signature count settles say when they are all seen
+    from .automata import build_geodesic_automaton, lexfirst_words, minimize
+    from .cones import signature_counts, verify_cone_determination
 
     counts = signature_counts(dev, table_radius)
-    stable = counts[-1] == counts[-2] == counts[-3]
+    manifest = {"cone_type_count": None, "stabilization_radius": None}
+    try:
+        machine = build_geodesic_automaton(dev, table_radius)
+    except VerificationError as exc:
+        return Verdict("fail", (
+            f"signature counts {counts}; the all-geodesics machine does not certify "
+            f"at table radius {table_radius}: {exc}"
+        ), manifest)
+    coherent = machine.metadata["refinement_level"] == 0
+    manifest["cone_type_count"] = minimize(machine).n_live
+    if coherent:
+        manifest["stabilization_radius"] = counts.index(counts[-1])
     det_radius = max(0, min(table_radius, dev.radius - depth))
-    table = enumerate_cone_types(dev, table_radius - 1)
-    manifest = {
-        "cone_type_count": counts[-1],
-        "stabilization_radius": counts.index(counts[-1]),
-    }
-    classes = None  # the signatures, at half-girths of 3 or more
-    partition = ""
-    if any(r == 2 for r in dev.spec.half_girths):
-        # equal signatures do not determine cone types at a half-girth of 2;
-        # the states of the all-geodesics machine do, once it is certified by
-        # equal canonical forms at table_radius - 1 and table_radius; the
-        # radius where the signature count settles says nothing about them
-        from .automata import build_geodesic_automaton, lexfirst_words
-
-        manifest["stabilization_radius"] = None
-        try:
-            machine = build_geodesic_automaton(dev, table_radius)
-        except InsufficientRadiusError as exc:
-            manifest["cone_type_count"] = None
-            return Verdict("fail", (
-                f"signature counts {counts}; a half-girth is 2, so cone types are "
-                f"all-geodesics machine states, and the machine does not certify at "
-                f"table radius {table_radius}: {exc}"
-            ), manifest)
-        manifest["cone_type_count"] = machine.n_live
-        classes = {}
-        for f, word in lexfirst_words(dev, det_radius)[0].items():
-            q = machine.start
-            for sym in word:
-                q = machine.step(q, sym)
-            classes[f] = q
-        if not all(machine.is_accepting(q) for q in classes.values()):
-            return Verdict("fail", (
-                f"signature counts {counts}; the all-geodesics machine certified at "
-                f"table radius {table_radius} rejects a lex-first word"
-            ), manifest)
-        partition = f" over {machine.n_live} machine states"
+    classes = {}
+    for f, word in lexfirst_words(dev, det_radius)[0].items():
+        q = machine.start
+        for sym in word:
+            q = machine.step(q, sym)
+        classes[f] = q
+    if not all(machine.is_accepting(q) for q in classes.values()):
+        return Verdict("fail", (
+            f"signature counts {counts}; the all-geodesics machine certified at "
+            f"table radius {table_radius} rejects a lex-first word"
+        ), manifest)
     report = verify_cone_determination(dev, det_radius, depth=depth, classes=classes)
+    partition = "" if coherent else f" over {machine.n_live} machine states"
     msg = (
         f"signature counts {counts}; "
         f"determination depth {depth}{partition}: "
         f"{'pass' if report.ok else f'fail {report.counterexample}'}; "
-        f"successor rows {'coherent' if table.coherent else 'INCOHERENT (half-girth 2 territory)'}"
+        f"successor rows {'coherent' if coherent else 'INCOHERENT (half-girth 2 territory)'}"
     )
-    return Verdict("pass" if stable and report.ok else "fail", msg, manifest)
+    return Verdict("pass" if report.ok else "fail", msg, manifest)
 
 
 def _suite_catacomb(dev: Development, radius: int | None, maxlen: int | None) -> Verdict:

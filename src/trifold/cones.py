@@ -73,7 +73,11 @@ class ConeTypeTable(namedtuple("ConeTypeTable", "radius entries incoherent")):
     (signature, representative, face) where a face's successor rows disagree
     with its signature's representative; it is empty whenever all
     half-girths are at least 3, where the directed-link data provably
-    determines continuations."""
+    determines continuations.  The table at radius r - 1 is coherent exactly
+    when the all-geodesics machine built at r stops at refinement level 0,
+    which `automata.build_geodesic_automaton` requires at those half-girths;
+    the machine's states are then the signatures, and its transitions the
+    successor rows."""
 
     __slots__ = ()
 

@@ -7,6 +7,7 @@ from trifold.automata import (
     AutomatonError,
     FellowTravellerReport,
     GeodesicAutomaton,
+    _geodesic_machine_once,
     _lexfirst_machine_once,
     build_geodesic_automaton,
     build_lexfirst_automaton,
@@ -15,7 +16,13 @@ from trifold.automata import (
     lexfirst_words,
     minimize,
 )
-from trifold.development import GeneratorSymbol, InsufficientRadiusError
+from trifold.development import (
+    GeneratorSymbol,
+    InsufficientRadiusError,
+    VerificationError,
+    export_development,
+    import_development,
+)
 from trifold.grower import grow_to_radius
 from trifold.samples import load_sample
 
@@ -110,6 +117,75 @@ def test_refinement_splits_states_for_half_girth_two(devs):
     assert machine.n_live > machine.metadata["signature_count"]
     n = 10
     assert machine.growth_series(n) == geodesic_word_counts(devs["d244"], n)
+
+
+def _consecutive_reference(dev, radius):
+    """The certificate build_geodesic_automaton gave at every half-girth
+    before closure: the machines built at radius and radius - 1 have equal
+    canonical forms.  The machine at radius, or None when they differ or
+    either build fails."""
+    try:
+        current = _geodesic_machine_once(dev, radius)
+        previous = _geodesic_machine_once(dev, radius - 1)
+    except VerificationError:
+        return None
+    return current if current.canonical_form() == previous.canonical_form() else None
+
+
+def _certified(dev, radius):
+    try:
+        return build_geodesic_automaton(dev, radius)
+    except InsufficientRadiusError:
+        return None
+
+
+# the first machine radius where closure certifies, and where the
+# consecutive-radius reference first holds, one above it
+CLOSURE_RADII = {"d333": 5, "d444": 6, "f21_333": 5}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_RADII))
+def test_closure_certifies_one_radius_before_the_reference(devs, monkeypatch, name):
+    dev = devs[name]
+    radius = CLOSURE_RADII[name]
+    assert _certified(dev, radius - 1) is None
+    builds = []
+
+    def counted(*args):
+        builds.append(args[1])
+        return _geodesic_machine_once(*args)
+
+    monkeypatch.setattr(automata, "_geodesic_machine_once", counted)
+    machine = _certified(dev, radius)
+    assert builds == [radius]  # one build is the certificate
+    assert machine.metadata["refinement_level"] == 0
+    assert machine.metadata["certified_radius"] == radius
+    assert _consecutive_reference(dev, radius) is None
+    reference = _consecutive_reference(dev, radius + 1)
+    assert reference is not None
+    assert language_equal(machine, reference)
+
+
+@pytest.mark.parametrize("name", ["d244", "d236"])
+def test_half_girth_two_keeps_the_consecutive_certificate(devs, name):
+    dev = devs[name]
+    radius = MACHINE_RADII[name]
+    assert _certified(dev, radius - 1) is None
+    assert _consecutive_reference(dev, radius - 1) is None
+    machine = build_geodesic_automaton(dev, radius)
+    assert machine.metadata["refinement_level"] > 0
+    assert machine.canonical_form() == _consecutive_reference(dev, radius).canonical_form()
+
+
+def test_closure_refuses_a_changed_chart_element(dev333):
+    # as in test_cli.py::test_verify_fault_injection_fails: the first face at
+    # distance 3 takes another element in the chart of its V2 vertex, on a
+    # copy of the shared ball, after the load
+    dev = import_development(export_development(dev333), dev333.spec)
+    x = 3 * dev.dist.index(3) + 1
+    dev.f_elem[x] = (dev.f_elem[x] + 1) % 6
+    with pytest.raises(AutomatonError, match="successor rows INCOHERENT within radius 8"):
+        build_geodesic_automaton(dev, 8)
 
 
 def test_lexfirst_words_one_per_element_and_minimal(dev333):

@@ -359,6 +359,32 @@ def test_verify_conetypes_half_girth_two(tmp_path, capsys, radius, status, expec
 
 
 @pytest.mark.parametrize(
+    "name, radius, status, expected, counts",
+    [
+        # the signature counts end 13, 16, 16, but the table closes
+        ("d333", 8, 0, "determination depth 3: pass; successor rows coherent", (16, 4)),
+        ("d333", 7, 1, "does not certify at table radius 4: ", (None, None)),
+        ("d444", 9, 1, "does not certify at table radius 5: ", (None, None)),
+    ],
+)
+def test_verify_conetypes_by_closure(tmp_path, capsys, name, radius, status, expected, counts):
+    # at half-girths of 3 or more one closed all-geodesics machine certifies
+    # the cone types; a machine that does not close names the face and symbol
+    # whose child has no state
+    out = tmp_path / name
+    assert main(["build", name, "--radius", str(radius), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), "--suite", "conetypes"]) == status
+    text = capsys.readouterr().out
+    assert text.startswith("conetypes: ") and "(signature counts [" in text
+    assert expected in text
+    if status:
+        assert re.search(r"the child of face \d+ on [abc]\d has no state at radius \d", text)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["cone_type_count"], manifest["stabilization_radius"]) == counts
+
+
+@pytest.mark.parametrize(
     "name, radius", [("d333", 0), ("d333", 1), ("d333", 2), ("d444", 0), ("d244", 0), ("f21_333", 0)]
 )
 def test_verify_gaussbonnet_on_a_patch_without_cells(tmp_path, capsys, name, radius):
@@ -1000,13 +1026,13 @@ GOLDEN_VERIFY = {
     ],
     ("d444", 8): [
         (["all", "--radius", "1"], 1,
-         "07bf07762ad483ebd892e055d52f8da0356e9bcf59503c4e7428855fe14dca3a",
-         "87c17eb196c0f36de80844463c93417716452b30249220998d85737dccb11759"),
+         "6a711b2c2167cce1cea6dfa4610f3f3de2b615e9e7f3d3d3d5e00dd647c04f0c",
+         "5ed0280ef60affa18d9738b2d6ab8fe99288a303c4ad68086063c4002303625b"),
     ],
     ("d444", 9): [
         (["all", "--radius", "1"], 1,
-         "110a87894a2c21fa353838a75306658955a28b4912ff9eb88eecd870e32edda7",
-         "cff71edaeff4a951428503eaab738cfca9b2d5202d964a6667d3ad626b19aefd"),
+         "eae41fa405b3868e7caf3876c9d583e699e8ecb4dd8bba8d7075dd9ca94194df",
+         "976f6f1ca51290f4ea20431b10c11b4f31e1eeec36e22f8036e1d54d950e6fc0"),
     ],
     ("d244", 15): [
         (["all"], 1,
@@ -1015,7 +1041,7 @@ GOLDEN_VERIFY = {
     ],
     ("d244", 6): [
         (["all"], 1,
-         "cbcbd3f6cf98379d449949065be7a1db8b6501a83e7762ff288887ad88c35b5d",
+         "aadec342fc115173cc1e29b1cea525b9cff800f8acb1d6604c50f7c7a5eab563",
          "7af65484a19c3d556e55dadd62a03903b1a8e19b4c04eac2f87207dfaa4ba358"),
     ],
     ("d236", 30): [
@@ -1025,7 +1051,7 @@ GOLDEN_VERIFY = {
     ],
     ("d236", 8): [
         (["all"], 1,
-         "5e2002ca8357818a19909a952eb96496cebcb2c8140a2274af417f35d5f6f416",
+         "165e4bb0e415dcbba019a6ebfabaca4ee5201902e563d5b1d79a97b9f81307db",
          "8f0397885420ebd6992725a60ed38f64a541a32eb6819bca0ab818972773f526"),
     ],
     ("f21_333", 4): [
@@ -1126,6 +1152,16 @@ def test_conetypes_skip_loads_no_cone_module(tmp_path):
         f"from trifold.cli import main\nassert main(['verify', {str(ball)!r}, '--suite', 'conetypes']) == 0"
     )
     assert "trifold.cli" in loaded and "trifold.cones" not in loaded
+
+
+def test_certifying_conetypes_loads_no_oracle_curvature_or_grower(tmp_path):
+    ball = tmp_path / "ball"
+    assert main(["build", "d333", "--radius", "8", "--out", str(ball)]) == 0
+    loaded = _modules_after(
+        f"from trifold.cli import main\nassert main(['verify', {str(ball)!r}, '--suite', 'conetypes']) == 0"
+    )
+    assert {"trifold.automata", "trifold.cones"} <= loaded
+    assert not loaded & {"trifold.oracle", "trifold.curvature", "trifold.grower", "trifold.rings"}
 
 
 def test_no_module_reads_the_environment():

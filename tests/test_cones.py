@@ -12,18 +12,19 @@ from trifold.grower import grow_to_radius
 from trifold.oracle import isometry_ball
 from trifold.samples import load_sample
 
-# cone-type counts at stabilization, frozen after the first computation
+# signature counts at stabilization, frozen after the first computation
 FROZEN_COUNTS = {"d333": 16, "d244": 20, "d236": 24, "d444": 22, "f21_333": 79}
+# cone-type counts: the live states of the minimized all-geodesics machine
+CONE_TYPE_COUNTS = {"d333": 16, "d244": 24, "d236": 41, "d444": 22, "f21_333": 16}
 TABLE_RADII = {"d333": 8, "d244": 8, "d236": 13, "d444": 7, "f21_333": 6}
 
 
 @pytest.mark.parametrize("name", ["d333", "d444", "d244", "d236"])
 def test_conetypes_suite_computes_each_signature_once(devs, monkeypatch, name):
-    # at half-girths of 3 or more the signatures are also the classes whose
-    # determination is checked; at a half-girth of 2 the all-geodesics
-    # machine reads them too.  The signatures are kept on the ball, so the
-    # suite runs on a fresh copy of the shared one, and a second run
-    # computes none.
+    # the signature counts and the all-geodesics machine, whose states are
+    # the classes whose determination is checked, read the same signatures.
+    # They are kept on the ball, so the suite runs on a fresh copy of the
+    # shared one, and a second run computes none.
     from trifold import cli, cones
 
     original = cones.cone_signature
@@ -89,6 +90,18 @@ def test_signature_count_stabilizes(devs, name):
     dev = devs[name]
     counts = signature_counts(dev, TABLE_RADII[name])
     assert counts[-1] == counts[-2] == counts[-3] == FROZEN_COUNTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONE_TYPE_COUNTS))
+def test_cone_type_count_is_the_minimized_machine(devs, name):
+    # what the conetypes suite writes to the manifest; f21_333's 79
+    # signatures fall into 16 cone types, and at a half-girth of 2 the
+    # signatures do not determine cone types, so there are more of these
+    from trifold import cli
+
+    verdict = cli._suite_conetypes(devs[name], 3)
+    assert verdict.status == "pass"
+    assert verdict.manifest["cone_type_count"] == CONE_TYPE_COUNTS[name]
 
 
 def test_radius_zero_single_signature(dev333):
@@ -174,6 +187,18 @@ def test_incoherence_appears_exactly_for_half_girth_two(devs):
         assert enumerate_cone_types(devs[name], radius).coherent
     assert not enumerate_cone_types(devs["d244"], 5).incoherent == []
     assert not enumerate_cone_types(devs["d236"], 4).coherent
+
+
+@pytest.mark.parametrize(
+    "name, radius", [("d333", 8), ("d444", 7), ("f21_333", 6), ("d244", 10), ("d236", 23)]
+)
+def test_table_coherent_exactly_at_refinement_level_zero(devs, name, radius):
+    # the conetypes suite reads "successor rows coherent" off the level
+    from trifold.automata import _geodesic_machine_once
+
+    level = _geodesic_machine_once(devs[name], radius).metadata["refinement_level"]
+    assert enumerate_cone_types(devs[name], radius - 1).coherent == (level == 0)
+    assert (level == 0) == (min(devs[name].spec.half_girths) >= 3)
 
 
 def test_cone_membership(dev333):

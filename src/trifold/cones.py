@@ -93,8 +93,9 @@ class ConeTypeTable(namedtuple("ConeTypeTable", "radius entries incoherent")):
 def enumerate_cone_types(dev: Development, radius: int) -> ConeTypeTable:
     """Table of signatures over all faces within the given distance.
 
-    Needs the development trusted out to radius + margin so that every table
-    face and every distance-increasing successor is interior.
+    Needs every face within radius + 1 interior, so that every table face
+    and every distance-increasing successor has a signature; that holds
+    when radius + 1 + delta is at most the ball's radius.
     """
     entries: dict[Signature, ConeTypeEntry] = {}
     incoherent: list[tuple[Signature, int, int]] = []

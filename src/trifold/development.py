@@ -90,11 +90,9 @@ class Development:
     first face is the identity of its chart.  The grower makes faces, edges
     and vertices in this order.  Distances are trusted out to `radius`.
     `margin` is the grower's, 1 + delta.  The grower makes the faces out to
-    radius + margin - 1 = radius + delta and keeps them all: the delta
-    layers past `radius` are reach, which keep the stars around the
-    vertices of trusted faces and are the farthest any reader goes (see
-    `grower.py`), so every face here is at most that far from the base
-    face.
+    radius + margin - 2 = radius + delta - 1 and keeps them all: the layers
+    past `radius` are reach, the farthest any reader goes (see `grower.py`),
+    so every face here is at most that far from the base face.
     """
 
     def __init__(self, spec: TriangleGroupSpec, radius: int, margin: int):
@@ -441,12 +439,13 @@ class Development:
 # -- serialization ---------------------------------------------------------
 
 
-DEVELOPMENT_FORMAT = "trifold-development/6"
+DEVELOPMENT_FORMAT = "trifold-development/7"
 
 
 def trust_margin(spec: TriangleGroupSpec) -> int:
-    """1 + delta: a ball is grown, and kept, out to radius + margin - 1 =
-    radius + delta (see grower.py)."""
+    """1 + delta: a ball is grown, and kept, out to radius + margin - 2 =
+    radius + delta - 1 (see grower.py); catacomb caps a gallery at the pair
+    distance plus twice the margin."""
     return 1 + spec.delta
 
 
@@ -490,7 +489,7 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
     rejecting edges and slots that are no canonical ball.  A radius that is
     negative or not a JSON integer, face columns that are not 3 JSON
     integers per face, or an edge id or slot out of range is refused before,
-    and a farthest face other than at radius + margin - 1, the extent a
+    and a farthest face other than at radius + margin - 2, the extent a
     ball is kept to, after: ValueError, so a malformed document never fails
     later inside a suite."""
     if not isinstance(doc, dict):
@@ -512,12 +511,12 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
     dev.f_edge = _column(doc, "face_edges", n, n)
     dev.f_slot = _column(doc, "face_slots", n, dev.k)
     dev.derive_columns()
-    extent = dev.radius + dev.margin - 1
+    extent = dev.radius + dev.margin - 2
     reach = max(dev.dist, default=-1)
     if reach > extent:
-        raise ValueError(f"face_edges: a face lies past radius + margin - 1 = {extent}")
+        raise ValueError(f"face_edges: a face lies past radius + margin - 2 = {extent}")
     if reach < extent:
-        raise ValueError(f"radius: the faces reach distance {reach}, short of radius + margin - 1 = {extent}")
+        raise ValueError(f"radius: the faces reach distance {reach}, short of radius + margin - 2 = {extent}")
     return dev
 
 

@@ -82,29 +82,24 @@ that makes every face fresh and folds duplicates away, and checks that
 switching off the edge deduction raises on every sample.
 
 The margin is one more than delta, the largest local-link diameter, and
-growth makes the faces out to the stored extent, radius + margin - 1 =
-radius + delta: delta layers of reach, how far past a trusted face a reader
-looks.  The finalized ball, which `build` also writes, keeps every face
-grown, since no reader goes farther:
+growth makes the faces out to the stored extent, radius + margin - 2 =
+radius + delta - 1.  The finalized ball, which `build` also writes, keeps
+every face grown.  Each reader reads no farther; R is the radius:
 
-- The trusted ball, and the interior vertices whose faces are all trusted,
-  lie within radius.
-- The star of a vertex of a trusted face spans at most delta layers, so it
-  ends by radius + delta, and completeness and charts at such a vertex read
-  nothing farther.  On all five samples the spread is exactly delta and some
-  such star reaches radius + delta (tests/test_development.py), so the
-  extent is tight: dropping one more layer would cut stars that are whole
-  today.
-- A face at radius + margin, which is not grown, is at least delta + 1
-  steps from every trusted face.  The fellow-traveller check's
-  breadth-first searches start at trusted faces and stop at delta + 1
-  steps, so they would meet such a face only as a leaf at the cap, and no
-  query asks for one.
-- Catacomb galleries are capped at the pair distance plus twice the margin
-  faces, which is no bound inside radius + delta, and none is proved here.
-  Every gallery result is checked to be the same with and without the
-  layer at radius + margin, at pair radii 1 to 3 on d333 and d444 and 1 to
-  2 on f21_333 (the half-girth-2 samples gate catacomb off).
+- `is_interior`, signatures, the machines and `minimal_triangles` need
+  only faces within R.
+- `build_patch` at patch radius P <= R.  The star of a vertex whose least
+  face is at m <= R - 1 ends by m + delta <= R + delta - 1, so it is whole.
+  At a vertex whose least face is at R, the patch holds only its minimal
+  faces, pairwise adjacent by C1; in the bipartite link they form no cycle,
+  so the vertex adds no link cell.
+- The fellow-traveller check's searches of delta + 1 steps.  A path of at
+  most delta + 1 steps between two faces within R stays within
+  R + floor((delta + 1) / 2) <= R + delta - 1, since delta >= 2.
+- Catacomb galleries are capped at the pair distance plus twice the margin,
+  and no bound is proved for them.  tests/test_development.py checks every
+  reader's answers, catacomb's pair by pair, against a ball grown two
+  layers farther.
 """
 
 from __future__ import annotations
@@ -313,11 +308,11 @@ class _Grower:
 
     def grow(self, radius: int) -> None:
         """Take the faces in the order they are made, while they lie below
-        the stored extent of radius + margin - 1, so that every face out to
+        the stored extent of radius + margin - 2, so that every face out to
         the extent is made and none past it."""
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        extent = radius + self.margin - 1
+        extent = radius + self.margin - 2
         prov = self.f_prov
         f = 0
         while f < len(prov) and prov[f] < extent:
@@ -327,7 +322,7 @@ class _Grower:
     # -- finalization ------------------------------------------------------
 
     def finalize(self, radius: int) -> Development:
-        """Every grown face, out to radius + margin - 1, as the canonical
+        """Every grown face, out to radius + margin - 2, as the canonical
         ball: it takes the grown edges and slots, and
         `Development.derive_columns` derives the rest.
 

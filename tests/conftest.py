@@ -22,10 +22,12 @@ def pytest_configure(config):
     configuration.set_hypothesis_home_dir(home)
 
 # trusted radii large enough for every suite run below; growing is the
-# expensive step, so the grown balls are shared session-wide.  The
-# all-geodesics machine of a half-girth-2 sample is certified only from radius
-# 10 (d244) and 23 (d236), and its signatures need interior faces, a margin of
-# 4 and 6 below the ball radius; C5 also builds it one radius above that.
+# expensive step, so the grown balls are shared session-wide.  Each ball
+# holds the faces out to radius + delta - 1.  The all-geodesics machine of a
+# half-girth-2 sample is certified only from radius 10 (d244) and 23 (d236),
+# and its signatures need interior faces, delta (4 and 6) below the ball
+# radius; C5 also builds it one radius above that.  f21_333's radius 9 is
+# set by the lex-first machine of C6.
 DEV_RADII = {
     "d333": 11,
     "d244": 15,

@@ -16,6 +16,7 @@ from trifold.automata import (
     build_lexfirst_automaton,
     fellow_traveller_check,
     lexfirst_words,
+    minimize,
 )
 from trifold.cones import signature_counts, verify_cone_determination
 from trifold.curvature import (
@@ -36,9 +37,10 @@ EUCLIDEAN_K2 = ["d236", "d244", "d333"]
 # per-sample radii.  MACHINE_RADII: the horizon-limited refinement of the
 # all-geodesics machine first closes at radius 9 for d244 (24 states) and 22
 # for d236 (41 states), and certification needs one radius more; the machine
-# also needs interior faces, a margin of 4 (d244) or 6 (d236) below the
-# ball radius in conftest.DEV_RADII.  The other radii fit inside those balls.
-TABLE_RADII = {"d333": 8, "d244": 8, "d236": 13, "d444": 7, "f21_333": 6}
+# also needs interior faces, delta (4 for d244, 6 for d236) below the ball
+# radius in conftest.DEV_RADII.  The other radii fit inside those balls.
+# TABLE_RADII: signature counts, read only at a half-girth of 2.
+TABLE_RADII = {"d244": 8, "d236": 13}
 DETERMINATION_RADII = {"d333": 8, "d244": 8, "d236": 13, "d444": 7, "f21_333": 5}
 MACHINE_RADII = {"d333": 8, "d244": 10, "d236": 23, "d444": 7, "f21_333": 6}
 # d444 needs radius 5: an octagonal link cell needs all 8 faces around its
@@ -46,6 +48,9 @@ MACHINE_RADII = {"d333": 8, "d244": 10, "d236": 23, "d444": 7, "f21_333": 6}
 PATCH_RADII = {"d333": 4, "d444": 5}
 LEX_RADII = {"d333": 11, "d244": 8, "d236": 19, "d444": 10, "f21_333": 9}
 LEX_CERTIFIED = {"d333": True, "d244": True, "d236": True, "d444": True, "f21_333": False}
+# the minimized live states of the all-geodesics machine where every
+# half-girth is at least 3: f21_333 has 79 signatures but 16 cone types
+CONE_TYPES = {"d333": 16, "d444": 22, "f21_333": 16}
 
 
 def _report(cid: str, ok: bool, detail: str = ""):
@@ -119,41 +124,46 @@ def test_criterion_4_distance_locality(name):
 
 @pytest.mark.parametrize("name", ALL_SAMPLES)
 def test_criterion_5_cone_type_finiteness(devs, name):
-    """Signature count constant over three consecutive radii, and faces of
-    one cone-type class admit the same geodesic extensions to depth 3.
+    """The all-geodesics machine is certified, and faces in one of its
+    states admit the same geodesic extensions to depth 3; a face's state is
+    the one its lex-first word leads to.
 
-    With every half-girth at least 3 the classes are the signature classes.
-    At a half-girth of 2 equal signatures do not determine cone types (see
+    With every half-girth at least 3 the certificate is closure: the machine
+    built at MACHINE_RADII stops at refinement level 0, so it is a closed
+    signature table, right at every length, and its minimized live states
+    are the cone types.  At a half-girth of 2 equal signatures do not
+    determine cone types (see
     test_cones.py::test_d236_depth_three_counterexample_is_genuine), so the
-    classes are the states of the all-geodesics machine, certified by equal
-    canonical forms at MACHINE_RADII and one radius above; a face's state is
-    the one its lex-first word leads to."""
+    signature count must be constant over three consecutive radii and the
+    machine must have equal canonical forms at MACHINE_RADII and one radius
+    above."""
     dev = devs[name]
-    counts = signature_counts(dev, TABLE_RADII[name])
-    stable = counts[-1] == counts[-2] == counts[-3]
     radius = DETERMINATION_RADII[name]
-    detail = f"counts {counts[-3:]}"
+    machine = build_geodesic_automaton(dev, MACHINE_RADII[name])
     if min(dev.spec.half_girths) >= 3:
-        machine_ok = True
-        report = verify_cone_determination(dev, radius, depth=3)
+        level = machine.metadata["refinement_level"]
+        cone_types = minimize(machine).n_live
+        machine_ok = level == 0 and cone_types == CONE_TYPES[name]
+        detail = f"refinement level {level}, {cone_types} cone types"
     else:
-        machine = build_geodesic_automaton(dev, MACHINE_RADII[name])
+        counts = signature_counts(dev, TABLE_RADII[name])
         above = build_geodesic_automaton(dev, MACHINE_RADII[name] + 1)
-        states = {}
-        for f, word in lexfirst_words(dev, radius)[0].items():
-            q = machine.start
-            for s in word:
-                q = machine.step(q, s)
-            states[f] = q
-        machine_ok = machine.canonical_form() == above.canonical_form() and all(
-            machine.is_accepting(q) for q in states.values()
+        machine_ok = counts[-1] == counts[-2] == counts[-3] and (
+            machine.canonical_form() == above.canonical_form()
         )
-        report = verify_cone_determination(dev, radius, depth=3, classes=states)
-        detail += f", {machine.n_live} machine states"
+        detail = f"counts {counts[-3:]}, {machine.n_live} machine states"
+    states = {}
+    for f, word in lexfirst_words(dev, radius)[0].items():
+        q = machine.start
+        for s in word:
+            q = machine.step(q, s)
+        states[f] = q
+    machine_ok = machine_ok and all(machine.is_accepting(q) for q in states.values())
+    report = verify_cone_determination(dev, radius, depth=3, classes=states)
     detail += f", determination depth 3 over {report.classes_checked} classes"
     if not report.ok:
         detail += f", counterexample {report.counterexample}"
-    _report(f"C5 cone-types[{name}]", stable and machine_ok and report.ok, detail)
+    _report(f"C5 cone-types[{name}]", machine_ok and report.ok, detail)
 
 
 @pytest.mark.parametrize("name", ALL_SAMPLES)

@@ -12,6 +12,7 @@ from trifold.cli import main
 from trifold.curvature import complex_to_document
 from trifold.development import import_development
 from trifold.groups import VERTEX_LETTERS
+from trifold.grower import _Grower
 from trifold.samples import load_sample, write_sample
 
 from disc_paths import ladder_fixture
@@ -462,12 +463,12 @@ def _moved(doc, f, letter, e, j):
 
 def _past_extent(doc):
     """A face added in the empty slot of the last edge, whose one face lies
-    at radius + margin - 1: the new face lies one farther."""
+    at radius + margin - 2: the new face lies one farther."""
     _added_face(doc, max(doc["face_edges"]), 1)
 
 
 def _last_layer_dropped(doc):
-    """The faces at radius + margin - 1 are left out."""
+    """The faces at radius + margin - 2 are left out."""
     dist = _loaded(doc).dist
     n = 3 * dist.index(max(dist))
     doc["face_edges"], doc["face_slots"] = doc["face_edges"][:n], doc["face_slots"][:n]
@@ -531,14 +532,14 @@ def _chart_repeats(doc):
 
 
 def _link_wraps(doc):
-    """The last face at radius + margin - 2 that crosses to earlier faces on
+    """The last face at radius + margin - 3 that crosses to earlier faces on
     both of its edges at a corner takes a new edge for the first of them, so
     the link there is cut open, and a face added at the end continues the
     link past the cut: it takes the element of the face across the cut."""
     dev = _loaded(doc)
     x = max(
         3 * f + letter
-        for f, d in enumerate(dev.dist) if d == dev.radius + dev.margin - 2
+        for f, d in enumerate(dev.dist) if d == dev.radius + dev.margin - 3
         for letter, other in VERTEX_LETTERS if dev.f_slot[3 * f + letter] and dev.f_slot[3 * f + other]
     )
     _cut(doc, x)
@@ -546,9 +547,9 @@ def _link_wraps(doc):
 
 
 def _negative_radius(doc):
-    """The ball cut to its faces within distance 2, which is radius + margin
-    - 1 for d333 at radius -1, under that radius."""
-    n = 3 * len(_loaded(doc).ball_faces(2))
+    """The ball cut to its faces within distance 1, which is radius + margin
+    - 2 for d333 at radius -1, under that radius."""
+    n = 3 * len(_loaded(doc).ball_faces(1))
     doc["face_edges"], doc["face_slots"] = doc["face_edges"][:n], doc["face_slots"][:n]
     doc["radius"] = -1
 
@@ -619,17 +620,17 @@ def _edges_renumbered(doc):
 # it, the two edges at a corner disagree, a chart repeats an element, or the
 # faces are out of breadth-first order
 DERIVATION_FAULTS = {
-    _past_extent: "face_edges: a face lies past radius + margin - 1 = 12",
-    _last_layer_dropped: "radius: the faces reach distance 11, short of radius + margin - 1 = 12",
+    _past_extent: "face_edges: a face lies past radius + margin - 2 = 11",
+    _last_layer_dropped: "radius: the faces reach distance 10, short of radius + margin - 2 = 11",
     _second_base_face: "face_edges: face 1 has no earlier neighbour at distance 0 or more",
-    _last_face_detached: "face_edges: face 234 has no earlier neighbour at distance 11 or more",
+    _last_face_detached: "face_edges: face 198 has no earlier neighbour at distance 10 or more",
     _faces_out_of_order: "face_edges: face 4 has no earlier neighbour at distance 1 or more",
     _first_faces_swapped: "face_edges: face 2 is out of breadth-first order",
     _parent_edges_cut: "face_edges: face 31 has no earlier neighbour at distance 3 or more",
     _edges_traded: "face_edges: edges 9 and 13 of face 10 disagree on its V1 corner",
     _element_disagrees: "face_edges: edges 19 and 17 of face 17 disagree on its V1 corner",
     _chart_repeats: "face_edges: face 72 repeats an element of vertex 25's chart",
-    _link_wraps: "face_edges: face 235 repeats an element of vertex 74's chart",
+    _link_wraps: "face_edges: face 199 repeats an element of vertex 59's chart",
 }
 
 
@@ -697,11 +698,22 @@ SPEC_FAULTS = {
 }
 
 
+def _format_6(doc):
+    """The same ball in format 6, which is no longer read: the face edges
+    and slots as in format 7, but out to radius + delta, as growth to one
+    radius more makes them.  Returns that ball, at doc's radius."""
+    grower = _Grower(load_sample(doc["name"]))
+    grower.grow(doc["radius"] + 1)
+    dev = grower.finalize(doc["radius"])
+    doc.update(format="trifold-development/6", face_edges=dev.f_edge, face_slots=dev.f_slot)
+    return dev
+
+
 def _format_5(doc):
     """The same ball in format 5, which is no longer read: besides the face
-    edges and slots, it stored `margin`, `dist` and each face's corners and
-    its elements there, which format 6 derives."""
-    dev = _loaded(doc)
+    edges and slots of format 6, it stored `margin`, `dist` and each face's
+    corners and its elements there, which later formats derive."""
+    dev = _format_6(doc)
     doc.update(
         format="trifold-development/5",
         margin=dev.margin,
@@ -709,6 +721,7 @@ def _format_5(doc):
         face_vertices=dev.f_vert,
         face_elements=dev.f_elem,
     )
+    return dev
 
 
 def _format_4(doc):
@@ -716,8 +729,7 @@ def _format_4(doc):
     columns of format 5 but for `face_elements`, it stored the edge and
     vertex columns, and each vertex's chart as pairs of a face and its
     element."""
-    dev = _loaded(doc)
-    _format_5(doc)
+    dev = _format_5(doc)
     charts, chart_offsets = [], [0]
     for v in range(len(dev.vert_type)):
         for pair in dev.vertex_chart(v).items():
@@ -810,6 +822,7 @@ def _format_1(doc):
         ("development.json", _format_3),
         ("development.json", _format_4),
         ("development.json", _format_5),
+        ("development.json", _format_6),
         *(("spec.json", fault) for fault in SPEC_FAULTS),
         *(("development.json", fault) for fault in NON_INTEGER_FAULTS),
         ("spec.json", _table_entry_bool),
@@ -829,7 +842,7 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
     assert main(["verify", str(broken), "--suite", "cor1"]) == 2
     err = capsys.readouterr().err
     assert "malformed build directory" in err
-    formats = (_format_1, _format_2, _format_3, _format_4, _format_5)
+    formats = (_format_1, _format_2, _format_3, _format_4, _format_5, _format_6)
     if content in formats:
         version = formats.index(content) + 1
         assert f"development format 'trifold-development/{version}'" in err
@@ -838,7 +851,7 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
         _slot_claimed_twice: "is claimed by faces 0 and",
         _edge_under_two_letters: "appears under two letters",
         _edges_renumbered: "face_edges: edge 2 is not numbered by first appearance",
-        _radius_raised: "radius: the faces reach distance 12, short of radius + margin - 1 = 15",
+        _radius_raised: "radius: the faces reach distance 11, short of radius + margin - 2 = 14",
         _negative_radius: "radius: -1 is negative",
         **DERIVATION_FAULTS,
         **SPEC_FAULTS,
@@ -956,38 +969,51 @@ def test_build_file_that_is_a_directory_exits_two(built, tmp_path, capsys, comma
     assert not captured.out
 
 
-# sha256 of development.json (format 6), manifest.json and the lex-first
+# sha256 of development.json (format 7), manifest.json and the lex-first
 # machine's JSON, per sample: (ball radius, automaton flags, hashes).  The
-# manifest and machine hashes equal those of the format-1 to format-5 code,
-# and the columns format 6 derives equal those format 5 stored.
+# manifest and machine hashes equal those of the format-1 to format-6 code,
+# the columns format 6 and later derive equal those format 5 stored, and
+# format 7 keeps format 6's faces out to radius + delta - 1.
 GOLDEN = {
     "d333": (11, [], (
-        "18f07f34f17cf8819c68f3e8f6a7986538efcbedfdd696b09efcc478ff1394af",
+        "4581798d9842d1e2d0324caf30dc7461c314b699b14db923c8611ec0a3a07817",
         "c8b4c256b0841175c6f5460beb396a415075cd69b7b43c311aa668db478e69bb",
         "3450465844302073b9631a8ba41162109a4b01d5f1fefa982edd2f2e7241dbdd",
     )),
     "d244": (8, [], (
-        "807d0f4d6bb5b89f8176ae9c77df05d7bfaece2a20faf25451724aae82801801",
+        "db6a9ed8b8632b192c1db84a53a93e3db1e3e9ca3807dab52bff1f6375c8fc7e",
         "a6ec3d5897f7bb48a1526306fc3d0f56a7846aed18f2896acb586975b2b0e97c",
         "3ec8c41c897603bd662b279bda3f99021d9193871431c1ae72efe5ad6706a747",
     )),
     "d236": (5, [], (
-        "d6679a5faf31eda01f459792016f48af27fa3b79dd08ed81c14abfa15e81bbb5",
+        "8b2963657d48c9029279eb8819628c1e817572cf2b2e63d49ce512b4fe23ca61",
         "e1d08b9b32cd7c2211b80c3fa0fdd4ebbd37a582261824699db08f26be921052",
         "a3ac5c5804d538dd5a8c7fca9e173e8f972a1d1e0133416b792c9c948e52f27f",
     )),
     "d444": (6, ["--no-certify"], (
-        "79040852a9ea1df046f918ddd01bd98ded60192aea31ad688eab88f13b5ff094",
+        "bf48f7ab9d0ba2cb403a2d902882048b2746c0622e7f03d5df5a4ca215aa009e",
         "3d1b84ebbaf74d1f91fe73ebaa7ceaaa3117e172f12f0156208f8c04b4cebcf3",
         "72a6e966fec3ab3bf42c1666e93601810b38103e44a2f82f426248ac2e87d2dc",
     )),
     "f21_333": (4, ["--no-certify"], (
-        "ed27ab3f0d9b97af4bfd8b146170894e68afc2afa643c58438fc65a563e25a23",
+        "f18560698911524a1ed8e9c0c170fac1993c8a98a9bcc652d4f44804005f27be",
         "8776300f9442cf23af7995c82d6998e068fdd95818ac8dd3d2d3ab2f58de645b",
         "23654c12316051cdc56571a967d815345c07179942fa37f49a46f15d441fcdab",
     )),
 }
 GOLDEN_GEODESIC_D333 = "0da7ab95885d4ee20c3c4215b3e18ce7569dfd3057cd4525e7c07d07fecbac89"
+
+
+def test_format_6_ball_has_the_bytes_format_6_wrote():
+    """`_format_6` writes the d333 radius-11 ball with the sha256 that the
+    golden build had in format 6."""
+    import hashlib
+
+    doc = {"format": "trifold-development/7", "name": "d333", "k": 2, "radius": 11}
+    _format_6(doc)
+    data = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    digest = "18f07f34f17cf8819c68f3e8f6a7986538efcbedfdd696b09efcc478ff1394af"
+    assert hashlib.sha256(data.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -360,10 +360,11 @@ def test_monotone_embedding():
 
 
 def _assert_margin_one_keeps_the_trusted_prefix(dev):
-    """Grown with a trust budget of one layer past dev's radius, the ball
-    keeps the trusted prefix of every stored face column of dev."""
+    """Grown to dev's radius and no farther, the ball keeps the trusted
+    prefix of every stored face column of dev.  Growth stops at radius +
+    margin - 2, so that takes a margin of 2."""
     grower = _Grower(dev.spec)
-    grower.margin = 1
+    grower.margin = 2
     grower.grow(dev.radius)
     thin = grower.finalize(dev.radius)
     n = len(dev.ball_faces())
@@ -468,22 +469,37 @@ def test_vertex_charts_are_bijections(devs):
                 assert sorted(chart.values()) == list(range(group.order))
 
 
-def test_vertex_stars_of_trusted_faces_end_by_radius_plus_delta(five_balls):
-    """The premise of the kept extent: the star of every vertex of a trusted
-    face is complete and spans at most delta layers, so it ends by radius +
-    delta = radius + margin - 1.  The spread is exactly delta and some star
-    reaches that far, so no further layer can be dropped."""
+def test_stars_inside_the_radius_end_by_the_extent(five_balls):
+    """The premise of the kept extent, radius + delta - 1 = radius + margin
+    - 2.  The star of every vertex of a face within radius - 1 is complete
+    and spans at most delta layers, so it ends by the extent, and some such
+    star reaches it, so no further layer can be dropped.  A vertex whose
+    least face is at the radius may have lost faces past the extent, but its
+    faces within the radius form no cycle in its link, so a patch gives it
+    no link cell."""
     for dev in five_balls:
         delta = max(link.diameter for link in dev.spec.local_links())
-        assert dev.margin == delta + 1
+        extent = dev.radius + delta - 1
+        assert dev.margin == delta + 1 and max(dev.dist) == extent, dev.spec.name
+        inner = {v for f in dev.ball_faces(dev.radius - 1) for v in dev.f_vert[3 * f:3 * f + 3]}
         spread = reach = 0
-        for v in sorted({v for f in dev.ball_faces() for v in dev.f_vert[3 * f:3 * f + 3]}):
+        for v in sorted(inner):
             assert dev.vertex_complete(v), (dev.spec.name, v)
             dists = [dev.dist[f] for f in dev.faces_at_vertex(v)]
             spread = max(spread, max(dists) - min(dists))
             reach = max(reach, max(dists))
         assert spread == delta, dev.spec.name
-        assert reach == dev.radius + delta == max(dev.dist), dev.spec.name
+        assert reach == extent, dev.spec.name
+        outer = {v for f in dev.ball_faces() for v in dev.f_vert[3 * f:3 * f + 3]} - inner
+        for v in outer:
+            # the link's nodes are the edges at v and its arcs the faces: an
+            # arc joining two nodes already joined closes a cycle
+            root = {e: e for e in dev.edges_at_vertex(v)}
+            for f in dev.faces_at_vertex(v):
+                if dev.final[f]:
+                    a, b = (_ref_find(root, dev.f_edge[3 * f + l]) for l in VERTEX_LETTERS[dev.vert_type[v]])
+                    assert a != b, (dev.spec.name, v, f)
+                    root[a] = b
 
 
 # -- the grower against the folding grower it replaced ---------------------
@@ -994,8 +1010,9 @@ class ReferenceGrower:
 
 
 def _reference_grow(spec, radius):
-    """The reference ball, with its faces at distance radius + margin, and
-    its number of breadth-first passes."""
+    """The reference ball, with its faces out to distance radius + margin,
+    two layers past the stored extent, and its number of breadth-first
+    passes."""
     grower = ReferenceGrower(spec)
     passes = []
     full_pass = grower._recompute_prov
@@ -1037,12 +1054,12 @@ def _derived_copy(dev, faces=None):
 
 
 def _drop_ring(dev):
-    """dev without its faces past radius + margin - 1.  They are the last
+    """dev without its faces past radius + margin - 2.  They are the last
     faces, and the edges of the faces before them come first, each with its
     least face in slot 0, so the edges and slots are cut and the rest
     derived; `derive_columns` checks all of this.  Slots holding a dropped
     face read -1 and charts leave such faces out."""
-    return _derived_copy(dev, bisect_right(dev.dist, dev.radius + dev.margin - 1))
+    return _derived_copy(dev, bisect_right(dev.dist, dev.radius + dev.margin - 2))
 
 
 def _reference_build(spec, radius):
@@ -1096,11 +1113,11 @@ def _checked_build(spec, radius):
 
 
 def _assert_one_check_per_pass(checks, passes):
-    """Growth to the stored extent E = radius + margin - 1 takes the E
-    layers below it, and so makes E + 1 checks; the reference grows one
-    layer more, to radius + margin, in E + 3 passes, the last one finding no
-    edge to saturate."""
-    assert checks == passes - 2
+    """Growth to the stored extent E = radius + margin - 2 takes the E
+    layers below it, and so makes E + 1 checks; the reference grows two
+    layers more, to radius + margin, in E + 4 passes, the last one finding
+    no edge to saturate."""
+    assert checks == passes - 3
 
 
 @pytest.mark.parametrize("name", ["d236", "d244", "d333", "d444", "f21_333"])
@@ -1119,7 +1136,7 @@ REFERENCE_BALLS = [("d333", 11), ("d244", 15), ("d236", 30), ("d444", 8), ("f21_
 @pytest.mark.parametrize("name, radius", REFERENCE_BALLS)
 def test_grower_matches_reference_with_exact_distances(name, radius):
     """Equal bytes, with every provisional distance exact at each layer
-    (15, 20, 37, 13 and 8 checks in order)."""
+    (14, 19, 36, 12 and 7 checks in order)."""
     fast, checks = _checked_build(load_sample(name), radius)
     dev, passes = _reference_sample(name, radius)
     assert fast == development_to_json(_drop_ring(dev))
@@ -1134,7 +1151,7 @@ def f155_333() -> TriangleGroupSpec:
 
 def test_grower_matches_reference_at_k5():
     ball = grow_to_radius(f155_333(), 0)
-    assert ball.face_count == 4579
+    assert ball.face_count == 769
     slow, _ = _reference_sample("f155_333", 0)
     assert development_to_json(ball) == development_to_json(_drop_ring(slow))
 
@@ -1183,7 +1200,7 @@ def test_margin_one_keeps_the_trusted_prefix_beyond_the_samples(name, radius):
 
 @pytest.mark.parametrize(
     "name, p, m, r, counts",
-    [("f39_333", 13, 3, 3, (421, 777, 357)), ("f155_333", 31, 5, 2, (4579, 8013, 3435))],
+    [("f39_333", 13, 3, 3, (121, 231, 111)), ("f155_333", 31, 5, 2, (769, 1323, 555))],
 )
 def test_frobenius_grows_as_the_permutation_closure(name, p, m, r, counts):
     """At radius 0, frobenius(p, m, r) gives the faces, distances and edges
@@ -1209,25 +1226,26 @@ class BlindGrower(_Grower):
 @pytest.mark.parametrize("name", ["d333", "d244", "d236", "d444", "f21_333", "f155_333"])
 def test_sabotaged_deduction_raises(name):
     """With the edge deduction switched off, growth meets a face it would
-    have had to merge, and raises instead of merging it."""
+    have had to merge, and raises instead of merging it: by radius 1 on
+    every sample."""
     with pytest.raises(DevelopmentError, match="already charted"):
-        BlindGrower(_spec(name)).grow(0)
+        BlindGrower(_spec(name)).grow(1)
 
 
 @pytest.mark.parametrize(
     "name, radius, kept",
-    [("f21_333", 4, (4615, 7431, 2817)), ("d444", 8, (3898, 7401, 3504))],
+    [("f21_333", 4, (1927, 3207, 1281)), ("d444", 8, (2260, 4293, 2034))],
 )
 def test_grower_allocates_only_what_it_keeps(name, radius, kept):
     """The grower allocates exactly the faces, edges and vertices the ball
     keeps: every face is reached from the base face and lies out to radius +
-    margin - 1, every edge holds a face, and every vertex is a corner of
+    margin - 2, every edge holds a face, and every vertex is a corner of
     one.  The ball's columns are the grower's whole columns."""
     grower = _Grower(load_sample(name))
     grower.grow(radius)
     faces = range(len(grower.f_prov))
     assert (len(faces), len(grower.e_letter), len(grower.v_type)) == kept
-    assert max(grower.f_prov) == radius + grower.margin - 1
+    assert max(grower.f_prov) == radius + grower.margin - 2
     assert len(_fresh_distances(grower)) == len(faces)
     assert {grower.f_edge[x] for x in range(3 * len(faces))} == set(range(len(grower.e_letter)))
     assert set(grower.f_vert) == set(range(len(grower.v_type)))
@@ -1256,7 +1274,7 @@ def test_one_layer_more_changes_no_kept_byte(name, radius):
     grower.grow(radius)
     grower.margin -= 1
     longer = grower.finalize(radius)
-    assert max(longer.dist) == radius + longer.margin
+    assert max(longer.dist) == radius + longer.margin - 1
     kept = development_to_json(grow_to_radius(spec, radius))
     assert development_to_json(_drop_ring(longer)) == kept
 
@@ -1264,16 +1282,17 @@ def test_one_layer_more_changes_no_kept_byte(name, radius):
 @pytest.mark.parametrize(
     "name, radius, digest",
     [
-        ("f21_333", 5, "ad4b88481b3c13f102a3d15b6decea6fc71964e970d1b9419e5d1dd58c253445"),
-        ("d444", 9, "8078a12a0df3c2743008de11bd1bd5611558256b205a1e0efb8446415a0488de"),
-        ("d236", 19, "6476ec6a647cf70a26d0f9883516e476f576c1a191d81cd995e825f20b9186e7"),
+        ("f21_333", 5, "1287758c7261cc31c8f22992fb6b7b80e6be73da67f71cb64b1e12f160999315"),
+        ("d444", 9, "c97f16aa9c82b902ea5e4004f7c8bd7fa0aeb55ce26180c1bb539a4f66904275"),
+        ("d236", 19, "6efb3d5f5633efff174f7b6eccc345a9893f3bf3afd5000cb4416123781405c9"),
     ],
     ids=["f21_333-5", "d444-9", "d236-19"],
 )
 def test_bytes_beyond_golden_radii(name, radius, digest):
-    """The sha256 of balls past the golden radii, in format 6.  The balls
-    are those the create-then-fold grower wrote in earlier formats: every
-    column derived from these bytes equals the one stored there."""
+    """The sha256 of balls past the golden radii, in format 7.  Each holds
+    the faces out to radius + delta - 1 of the ball the create-then-fold
+    grower wrote in earlier formats, whose derived columns equal the stored
+    ones."""
     data = development_to_json(grow_to_radius(load_sample(name), radius))
     assert hashlib.sha256(data.encode()).hexdigest() == digest
 
@@ -1355,10 +1374,11 @@ def _answers(dev):
 
 @pytest.mark.parametrize("name, radius", REFERENCE_BALLS)
 def test_ring_answers_no_reader(name, radius):
-    """The reference ball, which keeps the faces at radius + margin, and the
-    ball without them give every reader the same answers."""
+    """The reference ball, which keeps the faces out to radius + margin, and
+    the stored ball, two layers short of it, give every reader the same
+    answers."""
     kept, _ = _reference_sample(name, radius)
     dev = grow_to_radius(load_sample(name), radius)
     assert dev.face_count < kept.face_count == len(kept.dist)
-    assert max(kept.dist) == radius + kept.margin
+    assert max(kept.dist) == radius + kept.margin == max(dev.dist) + 2
     assert _answers(dev) == _answers(kept)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .development import Development, GeneratorSymbol, InsufficientRadiusError, VerificationError, symbols_for
+from .development import Development, InsufficientRadiusError, VerificationError, symbols_for
 from .cones import Signature, signature
 from .groups import _integer
 
@@ -64,24 +64,11 @@ class GeodesicAutomaton:
     def is_accepting(self, state: int) -> bool:
         return state != self.dead
 
-    def _symbol_index(self, symbol) -> int:
-        if isinstance(symbol, GeneratorSymbol):
-            if not (0 <= symbol.letter < 3 and 1 <= symbol.power < self.k):
-                raise AutomatonError(f"symbol {symbol} outside the alphabet")
-            return symbol.letter * (self.k - 1) + symbol.power - 1
-        if isinstance(symbol, str):
-            try:
-                parsed = GeneratorSymbol.parse(symbol, self.k)
-            except ValueError as exc:
-                raise AutomatonError(f"symbol {symbol!r} outside the alphabet: {exc}") from exc
-            return self._symbol_index(parsed)
-        s = int(symbol)
-        if not 0 <= s < len(self.alphabet):
-            raise AutomatonError(f"symbol index {s} outside the alphabet")
-        return s
-
-    def step(self, state: int, symbol) -> int:
-        return self.transitions[state][self._symbol_index(symbol)]
+    def step(self, state: int, symbol: int) -> int:
+        """The state after `symbol`, an index into the alphabet."""
+        if type(symbol) is not int or not 0 <= symbol < len(self.alphabet):
+            raise AutomatonError(f"symbol {symbol!r} is not an index into the alphabet")
+        return self.transitions[state][symbol]
 
     def accepts(self, word) -> bool:
         state = self.start
@@ -138,7 +125,8 @@ class GeodesicAutomaton:
     @classmethod
     def from_document(cls, doc: dict) -> "GeodesicAutomaton":
         """The machine a `to_document` document describes: its kind one of
-        the two machines built here, and every number a JSON integer."""
+        the two machines built here, every number a JSON integer, k at least
+        2 and the alphabet the generator names of k."""
         if not isinstance(doc, dict) or doc.get("format") != "trifold-automaton/1":
             raise AutomatonError("not an automaton document")
         kind = doc.get("kind")
@@ -147,6 +135,15 @@ class GeodesicAutomaton:
         k, live, start = (
             _integer(doc.get(field), field, AutomatonError) for field in ("k", "live_states", "start")
         )
+        if k < 2:
+            raise AutomatonError(f"k must be at least 2, got {k}")
+        alphabet = doc.get("alphabet")
+        # the length first, so that a huge k builds no symbol list
+        if not (isinstance(alphabet, list) and len(alphabet) == 3 * (k - 1)
+                and alphabet == [a.name() for a in symbols_for(k)]):
+            raise AutomatonError(
+                f"alphabet must be the {3 * (k - 1)} generator names for k={k}, got {alphabet!r}"
+            )
         if _integer(doc.get("dead", live), "dead", AutomatonError) != live:
             raise AutomatonError(f"dead {doc['dead']} is not live_states {live}")
         rows = doc.get("transitions")
@@ -473,12 +470,10 @@ def _lexfirst_machine_once(
 
 
 class FellowTravellerReport(namedtuple(
-    "FellowTravellerReport",
-    "delta observed_sync observed_async pairs_checked skipped worst violations",
+    "FellowTravellerReport", "delta observed_sync observed_async pairs_checked violations",
 )):
-    """worst is (base word, symbol name, index) of the largest synchronous
-    deviation, None when there is none; each violation is (face, symbol
-    name, index, distance), the distance None past delta + 1."""
+    """Each violation is (face, symbol name, index, distance), the distance
+    None past delta + 1."""
 
     __slots__ = ()
 
@@ -493,15 +488,16 @@ class FellowTravellerReport(namedtuple(
 def fellow_traveller_check(dev: Development, radius: int) -> FellowTravellerReport:
     """Synchronous deviation of lex-first words of adjacent elements.
 
-    For every element within the radius and every generator keeping its
-    neighbor inside the trusted ball, the two lex-first words are compared
-    index by index, the shorter one held at its endpoint; the bound is the
-    largest local-link diameter.  The asynchronous deviation is reported as a
-    diagnostic alongside.
+    For every element within the radius and every generator, the lex-first
+    words of the element and of its neighbour, which lies within the trusted
+    ball, are compared index by index, the shorter one held at its endpoint;
+    the bound is the largest local-link diameter.  A neighbour missing from
+    the ball is a fault, for growth saturates every edge of those faces.  The
+    asynchronous deviation is reported as a diagnostic alongside.
     """
     if dev.radius < radius + 1:
         raise InsufficientRadiusError("need the ball trusted one step past the radius")
-    words, parents = lexfirst_words(dev, radius + 1)
+    parents = lexfirst_words(dev, radius + 1)[1]
     delta = dev.spec.delta
     cap = delta + 1
     chains: dict[int, list[int]] = {0: [0]}
@@ -515,16 +511,13 @@ def fellow_traveller_check(dev: Development, radius: int) -> FellowTravellerRepo
 
     observed_sync = 0
     observed_async = 0
-    worst = None
     violations = []
     pairs = 0
-    skipped = 0
     for f in dev.ball_faces(radius):
         for s in range(dev.symbol_count):
             g = dev.neighbor(f, s)
-            if g is None or not dev.final[g]:
-                skipped += 1
-                continue
+            if g is None:
+                raise VerificationError(f"face {f} has no neighbour on {dev.symbols[s].name()} in the ball")
             pairs += 1
             cf, cg = chain(f), chain(g)
             # both chains run down one tree from face 0, so they agree on a
@@ -539,17 +532,13 @@ def fellow_traveller_check(dev: Development, radius: int) -> FellowTravellerRepo
                 if d is None or d > delta:
                     violations.append((f, dev.symbols[s].name(), i, d))
                     d = cap
-                if d > observed_sync:
-                    observed_sync = d
-                    worst = (words[f], dev.symbols[s].name(), i)
+                observed_sync = max(observed_sync, d)
             observed_async = max(
                 observed_async,
                 _async_side(dev, cf[shared:], cg, cap),
                 _async_side(dev, cg[shared:], cf, cap),
             )
-    return FellowTravellerReport(
-        delta, observed_sync, observed_async, pairs, skipped, worst, violations
-    )
+    return FellowTravellerReport(delta, observed_sync, observed_async, pairs, violations)
 
 
 def _async_side(dev: Development, tail: list[int], other: list[int], cap: int) -> int:

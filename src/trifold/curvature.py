@@ -242,11 +242,11 @@ class GaussBonnetVerdict(namedtuple("GaussBonnetVerdict", "lhs rhs")):
 
 
 class PatchReport(namedtuple(
-    "PatchReport", "complex edge_labels cell_kinds omitted_cells vertex_of_cell"
+    "PatchReport", "complex cell_kinds omitted_cells vertex_of_cell"
 )):
-    """edge_labels holds each edge's letter and cell_kinds each cell's kind,
-    "link" or "torsion"; vertex_of_cell is the development vertex carrying
-    each link cell, -1 for a torsion cell."""
+    """cell_kinds holds each cell's kind, "link" or "torsion"; vertex_of_cell
+    is the development vertex carrying each link cell, -1 for a torsion
+    cell."""
 
     __slots__ = ()
 
@@ -271,16 +271,14 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
     n = len(in_ball)
     edge_index: dict[tuple[int, int], int] = {}
     edges: list[tuple[int, int]] = []
-    labels: list[int] = []
 
-    def cayley_edge(a: int, b: int, letter: int) -> int:
+    def cayley_edge(a: int, b: int) -> int:
         key = (a, b) if a < b else (b, a)
         eid = edge_index.get(key)
         if eid is None:
             eid = len(edges)
             edge_index[key] = eid
             edges.append(key)
-            labels.append(letter)
         return eid
 
     # ascending ids keep the order of Cayley edges and cells of a full scan
@@ -291,7 +289,7 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
         slots = [f for f in dev.slots(e) if f in in_ball]
         for i in range(len(slots)):
             for j in range(i + 1, len(slots)):
-                cayley_edge(slots[i], slots[j], dev.edge_letter[e])
+                cayley_edge(slots[i], slots[j])
 
     cells: list[Cell] = []
     kinds: list[str] = []
@@ -303,11 +301,10 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
     for v in ball_vertices:
         if not dev.vertex_complete(v):
             continue
-        for cycle, nodes in _link_cycles(dev, v, in_ball):
+        for cycle in _link_cycles(dev, v, in_ball):
             m = len(cycle)
-            # faces i - 1 and i of the cycle meet at node i, mod m
             walk_edges = tuple(
-                cayley_edge(cycle[i - 1], cycle[i % m], dev.edge_letter[nodes[i % m]])
+                cayley_edge(cycle[i - 1], cycle[i % m])
                 for i in range(1, m + 1)
             )
             corners = link_corners.get(m)
@@ -324,14 +321,13 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
             if not dev.edge_saturated(e):
                 continue
             slots = dev.slots(e)
-            letter = dev.edge_letter[e]
             for (i, j, l) in triples:
                 members = (slots[i], slots[j], slots[l])
                 if any(f not in in_ball for f in members):
                     omitted += 1
                     continue
                 walk_edges = tuple(
-                    cayley_edge(members[t], members[(t + 1) % 3], letter)
+                    cayley_edge(members[t], members[(t + 1) % 3])
                     for t in range(3)
                 )
                 cells.append(Cell(members, walk_edges, zero_corners))
@@ -339,7 +335,7 @@ def build_patch(dev: Development, radius: int) -> PatchReport:
                 cell_vertex.append(-1)
 
     complex_ = AngledComplex(n, edges, cells)
-    return PatchReport(complex_, labels, kinds, omitted, cell_vertex)
+    return PatchReport(complex_, kinds, omitted, cell_vertex)
 
 
 def _torsion_triples(k: int) -> list[tuple[int, int, int]]:
@@ -353,10 +349,9 @@ def _torsion_triples(k: int) -> list[tuple[int, int, int]]:
     return sorted(base)
 
 
-def _link_cycles(dev: Development, v: int, keep: range) -> list[tuple[list[int], list[int]]]:
+def _link_cycles(dev: Development, v: int, keep: range) -> list[list[int]]:
     """Embedded cycles of the link at v made of faces in keep, each returned
-    as its face cycle and its node cycle: face i lies between nodes i and
-    i + 1 (mod the length).
+    as its face cycle.
 
     Nodes of the link are the edges at v, arcs the faces; an embedded node
     cycle of length 2m yields the 2m-gon of faces between consecutive nodes.
@@ -386,7 +381,7 @@ def _link_cycles(dev: Development, v: int, keep: range) -> list[tuple[list[int],
     # larger neighbours first; with no parallel arcs none is listed twice
     for near in node_adj.values():
         near.sort(reverse=True)
-    cycles: list[tuple[list[int], list[int]]] = []
+    cycles: list[list[int]] = []
 
     def extend(path: list[int], on_path: set[int]) -> None:
         # a pre-order walk over the node paths from path[0] through larger
@@ -397,7 +392,7 @@ def _link_cycles(dev: Development, v: int, keep: range) -> list[tuple[list[int],
             face_cycle = []
             for a, b in zip(closed, closed[1:]):
                 face_cycle.append(arc[(a, b) if a < b else (b, a)][0])
-            cycles.append((face_cycle, list(path)))
+            cycles.append(face_cycle)
         for nxt in near:
             if nxt > start and nxt not in on_path:
                 path.append(nxt)

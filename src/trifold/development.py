@@ -11,7 +11,7 @@ imported only when a ball is grown, and `_Grower` still resolves here.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import accumulate, chain
 
@@ -39,16 +39,6 @@ class GeneratorSymbol(namedtuple("GeneratorSymbol", "letter power")):
 
     def name(self) -> str:
         return f"{LETTERS[self.letter]}{self.power}"
-
-    @staticmethod
-    def parse(text: str, k: int) -> "GeneratorSymbol":
-        letter = text[:1]
-        if letter not in LETTERS or not text[1:].isdigit():
-            raise ValueError(f"bad generator symbol {text!r}")
-        power = int(text[1:])
-        if not 1 <= power < k:
-            raise ValueError(f"power of {text!r} out of range for k={k}")
-        return GeneratorSymbol(LETTERS.index(letter), power)
 
 
 def symbols_for(k: int) -> list[GeneratorSymbol]:
@@ -486,12 +476,14 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
 
     The parsed arrays become the ball's `f_edge` and `f_slot` as they are,
     `margin` is `trust_margin(spec)`, and `derive_columns` derives the rest,
-    rejecting edges and slots that are no canonical ball.  A radius that is
-    negative or not a JSON integer, face columns that are not 3 JSON
-    integers per face, or an edge id or slot out of range is refused before,
-    and a farthest face other than at radius + margin - 2, the extent a
-    ball is kept to, after: ValueError, so a malformed document never fails
-    later inside a suite."""
+    rejecting edges and slots that are no canonical ball.  A `name` or `k`
+    other than the spec's, a radius that is negative or not a JSON integer,
+    face columns that are not 3 JSON integers per face, or an edge id or
+    slot out of range is refused before.  After it, a farthest face other
+    than at radius + margin - 2, the extent a ball is kept to, is refused,
+    and then an empty slot on an edge whose first face lies below the
+    extent, since growth fills every such edge: ValueError, so a malformed
+    document never fails later inside a suite."""
     if not isinstance(doc, dict):
         raise ValueError("not a development document")
     if doc.get("format") != DEVELOPMENT_FORMAT:
@@ -499,6 +491,10 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
             f"development format {doc.get('format')!r} is not {DEVELOPMENT_FORMAT!r}; "
             f"rebuild the ball"
         )
+    for field, want in ("name", spec.name), ("k", spec.k):
+        got = doc.get(field)
+        if type(got) is not type(want) or got != want:
+            raise ValueError(f"{field}: {got!r} is not the spec's {want!r}")
     radius = doc["radius"]
     if type(radius) is not int:
         raise ValueError(f"radius: {radius!r} is not an integer")
@@ -517,6 +513,15 @@ def import_development(doc: dict, spec: TriangleGroupSpec) -> Development:
         raise ValueError(f"face_edges: a face lies past radius + margin - 2 = {extent}")
     if reach < extent:
         raise ValueError(f"radius: the faces reach distance {reach}, short of radius + margin - 2 = {extent}")
+    # edges are numbered by first appearance, so the edges of the faces
+    # below the extent, which growth fills, are a prefix
+    inner = dev.f_edge[:3 * bisect_left(dev.dist, extent)]
+    if -1 in dev.edge_slots[:dev.k * (max(inner, default=-1) + 1)]:
+        e, j = divmod(dev.edge_slots.index(-1), dev.k)
+        raise ValueError(
+            f"face_slots: slot {j} of edge {e} is empty, and its first face "
+            f"{dev.slots(e)[0]} lies below radius + margin - 2 = {extent}"
+        )
     return dev
 
 

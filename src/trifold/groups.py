@@ -293,7 +293,7 @@ def half_girth(graph: CosetGraph) -> float:
 # -- local links ---------------------------------------------------------------
 
 
-class LocalLink(namedtuple("LocalLink", "group_name order k neighbors diameter")):
+class LocalLink(namedtuple("LocalLink", "order neighbors diameter")):
     """Cayley graph of a vertex group on all nontrivial powers of its two
     generators; neighbors[e][s] is element e's neighbour on symbol s."""
 
@@ -311,7 +311,7 @@ def local_link(group: FiniteGroup, x: int, y: int, k: int) -> LocalLink:
     symbols = group.cyclic_subgroup(x)[1:] + group.cyclic_subgroup(y)[1:]
     neighbors = [[group.mult[e][s] for s in symbols] for e in range(group.order)]
     diameter = _bfs_eccentricity(neighbors, 0)
-    return LocalLink(group.name, group.order, k, neighbors, diameter)
+    return LocalLink(group.order, neighbors, diameter)
 
 
 def _bfs_eccentricity(neighbors: list[list[int]], start: int) -> int:

@@ -73,13 +73,6 @@ class IsometryBall(namedtuple("IsometryBall", "group_id radius elements dist nei
 
     __slots__ = ()
 
-    @property
-    def sphere_sizes(self) -> list[int]:
-        sizes = [0] * (self.radius + 1)
-        for d in self.dist:
-            sizes[d] += 1
-        return sizes
-
 
 def isometry_ball(group_id: str, radius: int) -> IsometryBall:
     try:
@@ -595,8 +588,8 @@ def source_geodesics(
     dev: Development,
     f1: int,
     radius: int,
-    max_len: int | None = None,
-    tables: dict[int, dict[int, int]] | None = None,
+    max_len: int | None,
+    tables: dict[int, dict[int, int]],
 ) -> tuple[dict[int, int], dict[int, _Best]]:
     """The catacomb pairs (f1, f2) with f1 < f2, both trusted and at most
     radius apart, solved by one gallery search from f1.
@@ -616,8 +609,6 @@ def source_geodesics(
     caps = [max_len if max_len is not None else dists[f2] + 2 * dev.margin for f2 in targets]
     # the goal tables only bound reach, so any depth is sound; two beyond
     # the pair radius keeps them small on a hyperbolic ball
-    if tables is None:
-        tables = {}
     for f2 in targets:
         if f2 not in tables:
             tables[f2] = dev.bfs_from(f2, radius + 2)

@@ -97,12 +97,12 @@ def test_prefix_closure(devs):
 
 
 def test_foreign_symbol_rejected(dev333):
+    # symbols are indices 0..2 for k = 2: a name, a record, a bool, a float
+    # or an index out of range is refused
     machine = build_geodesic_automaton(dev333, 6)
-    with pytest.raises(AutomatonError):
-        machine.accepts([GeneratorSymbol(0, 2)])  # power 2 needs k >= 3
-    for name in ("d1", "", "a2", "a"):
-        with pytest.raises(AutomatonError):
-            machine.accepts([name])
+    for symbol in ("a1", "d1", GeneratorSymbol(0, 1), GeneratorSymbol(0, 2), True, 1.0, 3, -1):
+        with pytest.raises(AutomatonError, match="is not an index into the alphabet"):
+            machine.accepts([symbol])
 
 
 def test_states_are_cone_types_when_links_determine(devs):
@@ -312,9 +312,25 @@ def test_malformed_transition_tables_rejected(dev333):
 # a fault value that deletes its field
 MISSING = object()
 
+
+def _k_one(doc):
+    """k = 1, with the empty alphabet and rows of k = 1 to match."""
+    doc["alphabet"], doc["transitions"] = [], [[] for _ in doc["transitions"]]
+    return 1
+
+
 # automaton documents with one field wrong, and the error naming it
 DOCUMENT_FAULTS = {
     "k": ("k", lambda doc: "2", "k must be an integer, got '2'"),
+    "k below 2": ("k", _k_one, "k must be at least 2, got 1"),
+    "alphabet letters": ("alphabet", lambda doc: ["x", "y", "z"],
+                         "alphabet must be the 3 generator names for k=2, got ['x', 'y', 'z']"),
+    "alphabet of k=3": ("alphabet", lambda doc: ["a1", "b1"],
+                        "alphabet must be the 3 generator names for k=2, got ['a1', 'b1']"),
+    "alphabet string": ("alphabet", lambda doc: "a1b1c1",
+                        "alphabet must be the 3 generator names for k=2, got 'a1b1c1'"),
+    "alphabet missing": ("alphabet", lambda doc: MISSING,
+                         "alphabet must be the 3 generator names for k=2, got None"),
     "live_states": ("live_states", lambda doc: doc["live_states"] + 0.9, "live_states must be an integer"),
     "start": ("start", lambda doc: True, "start must be an integer, got True"),
     "transition": ("transitions", lambda doc: [[False, *doc["transitions"][0][1:]], *doc["transitions"][1:]],
@@ -383,6 +399,24 @@ def test_fellow_traveller_prefix_pairs_deviate_by_one(dev333):
     assert 1 <= report.observed_sync <= report.delta
 
 
+def test_fellow_refuses_a_missing_neighbour():
+    """A face within the check radius with no neighbour on some symbol, a
+    ball no load returns, is a fault named by face and symbol, not a pair
+    left out."""
+    dev = grow_to_radius(load_sample("d444"), 5)
+    # a face at distance 4 loses a neighbour on an edge it holds in slot 0,
+    # where every other face lies at distance 5 and keeps its lex-first word
+    f, s = next(
+        (f, s) for f in reversed(dev.ball_faces(4)) for s in range(dev.symbol_count)
+        if dev.dist[f] == 4 and dev.f_slot[3 * f + s // (dev.k - 1)] == 0
+    )
+    g = dev.neighbor(f, s)
+    x = 3 * g + s // (dev.k - 1)
+    dev.edge_slots[dev.k * dev.f_edge[x] + dev.f_slot[x]] = -1
+    with pytest.raises(VerificationError, match=f"^face {f} has no neighbour on {dev.symbols[s].name()} in the ball$"):
+        fellow_traveller_check(dev, 4)
+
+
 # -- the per-pair table scan, the reference for fellow_traveller_check --------------
 
 
@@ -392,7 +426,7 @@ def _capped_dist_fellow(dev, radius, sides):
     each read from the breadth-first table out to delta + 1 of its first
     face, the tables the check built before it searched on demand; each
     pair's two asynchronous sides are appended to sides."""
-    words, parents = lexfirst_words(dev, radius + 1)
+    parents = lexfirst_words(dev, radius + 1)[1]
     delta = dev.spec.delta
     cap = delta + 1
     chains = {0: [0]}
@@ -424,14 +458,11 @@ def _capped_dist_fellow(dev, radius, sides):
             out = max(out, cap if best is None else best)
         return out
 
-    observed_sync = observed_async = pairs = skipped = 0
-    worst, violations = None, []
+    observed_sync = observed_async = pairs = 0
+    violations = []
     for f in dev.ball_faces(radius):
         for s in range(dev.symbol_count):
             g = dev.neighbor(f, s)
-            if g is None or not dev.final[g]:
-                skipped += 1
-                continue
             pairs += 1
             cf, cg = chain(f), chain(g)
             for i in range(1, max(len(cf), len(cg))):
@@ -441,12 +472,10 @@ def _capped_dist_fellow(dev, radius, sides):
                 if d is None or d > delta:
                     violations.append((f, dev.symbols[s].name(), i, d))
                     d = cap
-                if d > observed_sync:
-                    observed_sync = d
-                    worst = (words[f], dev.symbols[s].name(), i)
+                observed_sync = max(observed_sync, d)
             sides += [async_side(cf, cg), async_side(cg, cf)]
             observed_async = max(observed_async, *sides[-2:])
-    return FellowTravellerReport(delta, observed_sync, observed_async, pairs, skipped, worst, violations)
+    return FellowTravellerReport(delta, observed_sync, observed_async, pairs, violations)
 
 
 def _assert_fellow_matches_capped_dist_scan(monkeypatch, dev, radius):
@@ -485,4 +514,3 @@ def test_fellow_report_matches_capped_dist_scan_with_violations(monkeypatch, del
     monkeypatch.setattr(dev.spec, "delta", delta)
     report = _assert_fellow_matches_capped_dist_scan(monkeypatch, dev, 5)
     assert None in {v[3] for v in report.violations}
-    assert report.worst is not None

@@ -56,6 +56,22 @@ def test_check_failing_spec_exits_one(tmp_path, capsys):
     assert not (tmp_path / "ball" / "development.json").exists()
 
 
+def test_check_warns_of_a_nontrivial_generator_intersection(tmp_path, capsys):
+    # Z/4 is generated by 1 and by 3 alike, so their cyclic subgroups meet
+    # in the whole group at each vertex; the spec still passes
+    from trifold.groups import FiniteGroup, TriangleGroupSpec
+
+    z4 = FiniteGroup("Z4", [[(a + b) % 4 for b in range(4)] for a in range(4)])
+    spec = TriangleGroupSpec(4, (z4,) * 3, ((1, 3),) * 3, name="z4_meet")
+    path = tmp_path / "z4_meet.json"
+    path.write_text(json.dumps(spec.to_document()))
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "z4_meet: Hyperbolic, r=(inf,inf,inf)\n"
+        "warning: nontrivial generator intersection in V1, V2, V3; untested territory\n"
+    )
+
+
 def test_check_malformed_file_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     doc = json.loads(json.dumps({"k": 2, "vertex_groups": [{"name": "x"}] * 3}))
@@ -156,6 +172,60 @@ def test_verify_fault_injection_fails(built, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_load_devdir", faulty)
     assert main(["verify", str(broken), "--suite", "conetypes"]) == 1
     assert "successor rows INCOHERENT" in capsys.readouterr().out
+
+
+def _crossings_off_by_one(monkeypatch):
+    from trifold import oracle
+
+    count = oracle.count_crossings
+    monkeypatch.setattr(oracle, "count_crossings", lambda *args: count(*args) + 1)
+
+
+def _no_face_within_reach(monkeypatch):
+    from trifold import automata
+
+    monkeypatch.setattr(automata, "_distance_within", lambda *args: None)
+
+
+def _first_letter_to_dead(monkeypatch):
+    """The all-geodesics machine sends its start state to the dead state on
+    a1, the last letter of the lex-first word of face 1."""
+    from trifold import automata
+
+    build = automata.build_geodesic_automaton
+
+    def broken(dev, radius):
+        machine = build(dev, radius)
+        machine.transitions[machine.start][0] = machine.dead
+        return machine
+
+    monkeypatch.setattr(automata, "build_geodesic_automaton", broken)
+
+
+@pytest.mark.parametrize(
+    "mutation, radius, suite, line",
+    [
+        # a cap of 3 at pair radius 2 also leaves the pairs at distance 2
+        # inconclusive
+        (_crossings_off_by_one, 3, ["catacomb", "--radius", "2", "--maxlen", "3"],
+         "catacomb: fail (21 crossing mismatches, 36 inconclusive)"),
+        (_no_face_within_reach, 3, ["fellow"],
+         "fellow: fail (delta 3, observed sync 4, async 4, pairs 30, violations 36)"),
+        (_first_letter_to_dead, 9, ["conetypes"],
+         "conetypes: fail (signature counts [1, 4, 10, 13, 16, 16, 16]; the all-geodesics "
+         "machine certified at table radius 6 rejects a lex-first word)"),
+    ],
+    ids=["catacomb", "fellow", "conetypes"],
+)
+def test_verify_mutation_prints_the_fail_line(tmp_path, capsys, monkeypatch, mutation, radius, suite, line):
+    """A suite run on a mutated oracle, distance search or machine fails
+    with the line naming what it found."""
+    out = tmp_path / "ball"
+    assert main(["build", "d333", "--radius", str(radius), "--out", str(out)]) == 0
+    capsys.readouterr()
+    mutation(monkeypatch)
+    assert main(["verify", str(out), "--suite", *suite]) == 1
+    assert capsys.readouterr().out == line + "\n"
 
 
 @pytest.mark.parametrize(
@@ -546,6 +616,15 @@ def _link_wraps(doc):
     _added_face(doc, doc["face_edges"][x], 1)
 
 
+def _outer_face_dropped(doc):
+    """The first face at radius + margin - 2 is left out, so the edge it
+    shares with a face one nearer keeps an empty slot."""
+    dist = _loaded(doc).dist
+    x = 3 * dist.index(max(dist))
+    edges, slots = doc["face_edges"], doc["face_slots"]
+    _renumbered(doc, edges[:x] + edges[x + 3:], slots[:x] + slots[x + 3:])
+
+
 def _negative_radius(doc):
     """The ball cut to its faces within distance 1, which is radius + margin
     - 2 for d333 at radius -1, under that radius."""
@@ -617,8 +696,8 @@ def _edges_renumbered(doc):
 # development documents whose face edges and slots cannot be a ball, and the
 # check of the derivation that refuses each: a face lies past the kept extent
 # or short of it, a face has no earlier neighbour as far as the face before
-# it, the two edges at a corner disagree, a chart repeats an element, or the
-# faces are out of breadth-first order
+# it, the two edges at a corner disagree, a chart repeats an element, the
+# faces are out of breadth-first order, or an edge growth fills has a hole
 DERIVATION_FAULTS = {
     _past_extent: "face_edges: a face lies past radius + margin - 2 = 11",
     _last_layer_dropped: "radius: the faces reach distance 10, short of radius + margin - 2 = 11",
@@ -631,6 +710,29 @@ DERIVATION_FAULTS = {
     _element_disagrees: "face_edges: edges 19 and 17 of face 17 disagree on its V1 corner",
     _chart_repeats: "face_edges: face 72 repeats an element of vertex 25's chart",
     _link_wraps: "face_edges: face 199 repeats an element of vertex 59's chart",
+    _outer_face_dropped: "face_slots: slot 1 of edge 225 is empty, and its first face 136 lies "
+                         "below radius + margin - 2 = 11",
+}
+
+
+def _header(field, value):
+    """A fault that sets the header `field` to value, or deletes it for None."""
+    def fault(doc):
+        doc[field] = value
+        if value is None:
+            del doc[field]
+    fault.__name__ = f"_{field}_{value}"
+    return fault
+
+
+# development documents whose header names another spec than spec.json,
+# and the error naming the field
+HEADER_FAULTS = {
+    _header("k", 5): "k: 5 is not the spec's 2",
+    _header("k", "2"): "k: '2' is not the spec's 2",
+    _header("k", None): "k: None is not the spec's 2",
+    _header("name", "f21_333"): "name: 'f21_333' is not the spec's 'd333'",
+    _header("name", None): "name: None is not the spec's 'd333'",
 }
 
 
@@ -825,6 +927,7 @@ def _format_1(doc):
         ("development.json", _format_6),
         *(("spec.json", fault) for fault in SPEC_FAULTS),
         *(("development.json", fault) for fault in NON_INTEGER_FAULTS),
+        *(("development.json", fault) for fault in HEADER_FAULTS),
         ("spec.json", _table_entry_bool),
     ],
 )
@@ -842,6 +945,9 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
     assert main(["verify", str(broken), "--suite", "cor1"]) == 2
     err = capsys.readouterr().err
     assert "malformed build directory" in err
+    # automaton loads the directory as verify does
+    assert main(["automaton", str(broken), "--kind", "geodesic"]) == 2
+    assert capsys.readouterr().err == err
     formats = (_format_1, _format_2, _format_3, _format_4, _format_5, _format_6)
     if content in formats:
         version = formats.index(content) + 1
@@ -856,6 +962,7 @@ def test_malformed_build_directory_exits_two(built, tmp_path, capsys, name, cont
         **DERIVATION_FAULTS,
         **SPEC_FAULTS,
         **NON_INTEGER_FAULTS,
+        **HEADER_FAULTS,
     }
     if content in expected:
         assert expected[content] in err

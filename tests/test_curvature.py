@@ -392,21 +392,20 @@ def _full_scan_patch(dev, radius):
     dropping the link cycles and torsion triples that leave the patch."""
     ball = [f for f in dev.ball_faces() if dev.dist[f] <= radius]
     in_ball = set(ball)
-    edge_index, edges, labels = {}, [], []
+    edge_index, edges = {}, []
 
-    def cayley_edge(a, b, letter):
+    def cayley_edge(a, b):
         key = (min(a, b), max(a, b))
         if key not in edge_index:
             edge_index[key] = len(edges)
             edges.append(key)
-            labels.append(letter)
         return edge_index[key]
 
     for e in range(len(dev.edge_letter)):
         slots = [f for f in dev.slots(e) if f != -1 and f in in_ball]
         for i in range(len(slots)):
             for j in range(i + 1, len(slots)):
-                cayley_edge(slots[i], slots[j], dev.edge_letter[e])
+                cayley_edge(slots[i], slots[j])
     cells, kinds, cell_vertex = [], [], []
     for v in range(len(dev.vert_type)):
         if not dev.vertex_complete(v):
@@ -415,13 +414,9 @@ def _full_scan_patch(dev, radius):
             if any(f not in in_ball for f in cycle):
                 continue
             m = len(cycle)
-            shared = [dev.shared_edge(cycle[i], cycle[(i + 1) % m]) for i in range(m)]
-            if None in shared:
+            if any(dev.shared_edge(cycle[i], cycle[(i + 1) % m]) is None for i in range(m)):
                 continue
-            walk = tuple(
-                cayley_edge(cycle[i], cycle[(i + 1) % m], dev.edge_letter[shared[i]])
-                for i in range(m)
-            )
+            walk = tuple(cayley_edge(cycle[i], cycle[(i + 1) % m]) for i in range(m))
             cells.append(Cell(tuple(cycle), walk, (F(2, 3),) * m))
             kinds.append("link")
             cell_vertex.append(v)
@@ -435,13 +430,13 @@ def _full_scan_patch(dev, radius):
                 if any(f not in in_ball for f in members):
                     continue
                 walk = tuple(
-                    cayley_edge(members[t], members[(t + 1) % 3], dev.edge_letter[e])
+                    cayley_edge(members[t], members[(t + 1) % 3])
                     for t in range(3)
                 )
                 cells.append(Cell(members, walk, (F(0),) * 3))
                 kinds.append("torsion")
                 cell_vertex.append(-1)
-    return PatchReport(AngledComplex(len(ball), edges, cells), labels, kinds, 0, cell_vertex)
+    return PatchReport(AngledComplex(len(ball), edges, cells), kinds, 0, cell_vertex)
 
 
 def _full_scan_discs(patch, count, seed, max_cells):
@@ -480,7 +475,7 @@ def _full_scan_discs(patch, count, seed, max_cells):
 
 def _patch_fields(patch):
     y = patch.complex
-    return (y.n_vertices, y.edges, y.cells, patch.edge_labels, patch.cell_kinds,
+    return (y.n_vertices, y.edges, y.cells, patch.cell_kinds,
             patch.vertex_of_cell)
 
 

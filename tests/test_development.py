@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import re
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ from trifold.development import (
     embeds_in,
     export_development,
     import_development,
-    symbols_for,
 )
 from trifold.groups import (
     LETTER_TYPES,
@@ -49,17 +49,6 @@ ORACLE_SPHERES = {
     "d244": [1, 3, 5, 8, 11, 13],
     "d236": [1, 3, 5, 7, 9, 12],
 }
-
-
-def test_symbol_order_and_parse():
-    syms = symbols_for(3)
-    assert [s.name() for s in syms] == ["a1", "a2", "b1", "b2", "c1", "c2"]
-    assert syms == sorted(syms)
-    assert GeneratorSymbol.parse("b2", 3) == GeneratorSymbol(1, 2)
-    with pytest.raises(ValueError):
-        GeneratorSymbol.parse("d1", 3)
-    with pytest.raises(ValueError):
-        GeneratorSymbol.parse("a3", 3)
 
 
 def test_grower_seed_counts():
@@ -1232,6 +1221,64 @@ def test_sabotaged_deduction_raises(name):
         BlindGrower(_spec(name)).grow(1)
 
 
+class SplitCornerGrower(_Grower):
+    """Once a new face has found one known edge, the lookup of its other
+    edge reports one too, at a vertex no face has."""
+
+    _found = None
+
+    def _known_edge(self, face, *args):
+        found = super()._known_edge(face, *args)
+        if self._found == face:
+            return -1, -1, -1
+        if found is not None:
+            self._found = face
+        return found
+
+
+class IdentityCornerGrower(_Grower):
+    """A known edge gives the new face the identity at its third corner,
+    which the corner's first face holds."""
+
+    def _known_edge(self, *args):
+        found = super()._known_edge(*args)
+        return found and (found[0], found[1], 0)
+
+
+class SwappedSlotGrower(_Grower):
+    """For k = 3, a face made in slot 1 or 2 of an edge records the other
+    one on its side, while the edge keeps it in the right slot."""
+
+    def _attach(self, face, letter, edge, slot):
+        super()._attach(face, letter, edge, slot)
+        if slot:
+            self.f_slot[3 * face + letter] = 3 - slot
+
+
+class FarFaceGrower(_Grower):
+    """Each new face is made one layer farther than it lies."""
+
+    def _make_face(self, e, j, prov, *args):
+        super()._make_face(e, j, prov + 1, *args)
+
+
+@pytest.mark.parametrize(
+    "grower, name, message",
+    [
+        (SplitCornerGrower, "d333", "the known edges of face 10 disagree on its corner of type 1: [(8, 3), (-1, -1)]"),
+        (IdentityCornerGrower, "d333", "face 10 needs chart value 0 at vertex 8, which face 6 holds"),
+        (SwappedSlotGrower, "f21_333", "face 47 needs slot 0 of edge 39, which face 19 holds"),
+        (FarFaceGrower, "d333", "face 10 at distance 6 meets faces at distances [4] on edge 13"),
+    ],
+    ids=["corner_disagrees", "chart_value_held", "slot_held", "distance_gap"],
+)
+def test_sabotaged_growth_names_the_contradiction(grower, name, message):
+    """Each contradiction growth checks for, met by a grower sabotaged to
+    reach it, raises with the face at fault."""
+    with pytest.raises(DevelopmentError, match=f"^{re.escape(message)}$"):
+        grower(_spec(name)).grow(3)
+
+
 @pytest.mark.parametrize(
     "name, radius, kept",
     [("f21_333", 4, (1927, 3207, 1281)), ("d444", 8, (2260, 4293, 2034))],
@@ -1355,7 +1402,7 @@ def _answers(dev):
         patch = build_patch(dev, radius)
         y = patch.complex
         out["patch", radius] = (
-            y.n_vertices, y.edges, y.cells, patch.edge_labels, patch.cell_kinds,
+            y.n_vertices, y.edges, y.cells, patch.cell_kinds,
             patch.omitted_cells, patch.vertex_of_cell,
         )
     # pair radius 3 on f21_333 takes about a minute per ball
@@ -1364,7 +1411,7 @@ def _answers(dev):
         if 2 in dev.spec.half_girths:
             continue
         for f1 in dev.ball_faces():
-            dists, found = source_geodesics(dev, f1, radius)
+            dists, found = source_geodesics(dev, f1, radius, None, {})
             out[f1, radius] = {
                 f2: (dists[f2], path.path, gallery, crossings, unsure)
                 for f2, (path, gallery, crossings, unsure) in found.items()

@@ -202,9 +202,9 @@ def test_isometry_ball_basics():
     ball = isometry_ball("d333", 0)
     assert len(ball.elements) == 1
     ball = isometry_ball("d333", 1)
-    assert ball.sphere_sizes == [1, 3]
+    assert ball.dist == [0, 1, 1, 1]
     # frozen regression anchor, first computed by this oracle
-    assert isometry_ball("d333", 2).sphere_sizes == [1, 3, 6]
+    assert [isometry_ball("d333", 2).dist.count(d) for d in range(3)] == [1, 3, 6]
 
 
 def test_unknown_group_id():
@@ -569,7 +569,7 @@ def _assert_source_search_matches_per_pair(dev, radius, max_len=None, sources=No
     per-pair reference field for field; returns the number of pairs."""
     pairs = 0
     for f1 in dev.ball_faces() if sources is None else sources:
-        dists, found = source_geodesics(dev, f1, radius, max_len)
+        dists, found = source_geodesics(dev, f1, radius, max_len, {})
         expected = [f2 for f2 in dev.ball_faces() if f2 > f1 and dists.get(f2, radius + 1) <= radius]
         assert list(found) == expected
         for f2, entry in found.items():
@@ -600,7 +600,7 @@ def test_source_search_matches_per_pair_max_len():
     with pytest.raises(OracleError, match="no gallery within max_len"):
         cat0_geodesic(dev, 0, f2, 2)
     with pytest.raises(OracleError, match="no gallery within max_len"):
-        source_geodesics(dev, 0, 2, max_len=2)
+        source_geodesics(dev, 0, 2, 2, {})
 
 
 @pytest.mark.parametrize("name, radius", [("d333", 3), ("d444", 2)])
